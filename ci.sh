@@ -10,7 +10,7 @@
 # bench-regression gate (reruns the key benches and diffs their JSON
 # artifacts against bench/baselines/ via tools/bench_check.py), clang-tidy
 # (if installed — skipped with a note otherwise) and the repo-invariant
-# analyzer via the deprecated tools/lint.sh shim. Each configuration also
+# analyzer (biosense-analyze, DESIGN.md §14). Each configuration also
 # builds biosense-analyze first and runs it before the full build, so an
 # invariant break fails fast instead of after a long sanitizer compile.
 #
@@ -97,6 +97,6 @@ else
 fi
 
 echo "=== [lint] repo invariants ==="
-./tools/lint.sh
+build-ci-default/tools/analyze/biosense-analyze --root .
 
 echo "=== CI: all four sanitizer configurations + static gates passed ==="

@@ -47,7 +47,7 @@ int main() {
   std::printf("gate time %.0f ms, %llu serial bits, CRC %s\n\n",
               run.gate_time * 1e3,
               static_cast<unsigned long long>(run.serial_bits),
-              run.crc_ok ? "ok" : "FAILED");
+              run.status == dnachip::TxStatus::kOk ? "ok" : "FAILED");
   std::printf("%-8s %14s %14s   %s\n", "spot", "true [A]", "measured [A]",
               "call");
   for (const auto& call : run.calls) {

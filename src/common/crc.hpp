@@ -7,6 +7,7 @@
 // `host::crc8` are aliases of these functions.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -15,17 +16,35 @@ namespace biosense {
 
 inline constexpr std::uint8_t kCrc8Poly = 0x07;
 
-/// Streaming form: folds `n` more bytes into a running CRC, so callers can
-/// checksum non-contiguous ranges (e.g. a section header with its CRC byte
-/// zeroed, followed by the payload) without concatenating them.
-constexpr std::uint8_t crc8_update(std::uint8_t crc, const std::uint8_t* bytes,
-                                   std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) {
-    crc ^= bytes[j];
+namespace detail {
+
+/// Entry b is the CRC register after shifting byte b through all eight
+/// polynomial steps, so one lookup folds a whole byte.
+constexpr std::array<std::uint8_t, 256> make_crc8_table() {
+  std::array<std::uint8_t, 256> table{};
+  for (std::size_t b = 0; b < table.size(); ++b) {
+    auto crc = static_cast<std::uint8_t>(b);
     for (int i = 0; i < 8; ++i) {
       crc = (crc & 0x80) ? static_cast<std::uint8_t>((crc << 1) ^ kCrc8Poly)
                          : static_cast<std::uint8_t>(crc << 1);
     }
+    table[b] = crc;
+  }
+  return table;
+}
+
+inline constexpr std::array<std::uint8_t, 256> kCrc8Table = make_crc8_table();
+
+}  // namespace detail
+
+/// Streaming form: folds `n` more bytes into a running CRC, so callers can
+/// checksum non-contiguous ranges (e.g. a section header with its CRC byte
+/// zeroed, followed by the payload) without concatenating them.
+/// Table-driven: one lookup per byte.
+constexpr std::uint8_t crc8_update(std::uint8_t crc, const std::uint8_t* bytes,
+                                   std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) {
+    crc = detail::kCrc8Table[static_cast<std::uint8_t>(crc ^ bytes[j])];
   }
   return crc;
 }

@@ -152,7 +152,6 @@ WorkbenchRun DnaWorkbench::run_impl(
 
   run.gate_time = frame.gate_time;
   run.serial_bits = frame.serial_bits;
-  run.crc_ok = frame.crc_ok;
   run.status = frame.status;
 
   run.degradation.yield = run.defects.empty() ? 1.0 : run.defects.yield();

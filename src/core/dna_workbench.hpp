@@ -49,7 +49,6 @@ struct WorkbenchRun {
   std::vector<SpotCall> calls;
   double gate_time = 0.0;
   std::uint64_t serial_bits = 0;
-  bool crc_ok = true;
   dnachip::TxStatus status = dnachip::TxStatus::kOk;
   /// BIST result (empty when `run_bist` is off or the sweep failed).
   faults::DefectMap defects;

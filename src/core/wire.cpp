@@ -23,30 +23,34 @@ WireStats& WireStats::operator+=(const WireStats& o) {
 
 void FrameCodec::encode(const neurochip::NeuroFrame& frame, std::uint16_t seq,
                         std::vector<std::uint16_t>& words) const {
-  words.clear();
-  words.reserve(words_for(frame.rows, frame.cols));
-  words.push_back(seq);
-  words.push_back(static_cast<std::uint16_t>(frame.rows));
-  words.push_back(static_cast<std::uint16_t>(frame.cols));
-  words.push_back(static_cast<std::uint16_t>(frame.masked));
+  // Sized once and written by index: at a steady geometry the resize is a
+  // no-op and the buffer never reallocates.
+  const std::size_t n = frame.codes.size();
+  words.resize(8 + 2 * n);
+  words[0] = seq;
+  words[1] = static_cast<std::uint16_t>(frame.rows);
+  words[2] = static_cast<std::uint16_t>(frame.cols);
+  words[3] = static_cast<std::uint16_t>(frame.masked);
   std::uint64_t t_bits = 0;
   std::memcpy(&t_bits, &frame.t, sizeof(t_bits));
-  for (int k = 3; k >= 0; --k) {
-    words.push_back(static_cast<std::uint16_t>((t_bits >> (16 * k)) & 0xffff));
+  for (std::size_t k = 0; k < 4; ++k) {
+    words[4 + k] = static_cast<std::uint16_t>(t_bits >> (16 * (3 - k)));
   }
-  for (std::int32_t code : frame.codes) {
-    const auto u = static_cast<std::uint32_t>(code);
-    words.push_back(static_cast<std::uint16_t>(u >> 16));
-    words.push_back(static_cast<std::uint16_t>(u & 0xffff));
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto u = static_cast<std::uint32_t>(frame.codes[i]);
+    words[8 + 2 * i] = static_cast<std::uint16_t>(u >> 16);
+    words[9 + 2 * i] = static_cast<std::uint16_t>(u);
   }
 }
 
-std::size_t FrameCodec::decode(
-    const std::vector<std::optional<std::uint16_t>>& words, std::uint16_t seq,
-    neurochip::NeuroFrame& frame) const {
+std::size_t FrameCodec::decode(const dnachip::WordMerger& words,
+                               std::uint16_t seq,
+                               neurochip::NeuroFrame& frame) const {
+  const std::vector<std::uint16_t>& w = words.words();
+  const std::size_t avail = words.expected();
   std::size_t lost = 0;
-  const auto word = [&words](std::size_t i) -> std::optional<std::uint16_t> {
-    return i < words.size() ? words[i] : std::nullopt;
+  const auto ok = [&words, avail](std::size_t i) {
+    return i < avail && words.valid(i);
   };
   // Header. Geometry and the sequence tag are host-side knowledge (the
   // host configured the chip and chose the tag), so a missing or
@@ -57,42 +61,49 @@ std::size_t FrameCodec::decode(
       seq, static_cast<std::uint16_t>(frame.rows),
       static_cast<std::uint16_t>(frame.cols)};
   for (std::size_t i = 0; i < 3; ++i) {
-    const auto w = word(i);
-    if (!w || *w != expected_header[i]) ++lost;
+    if (!ok(i) || w[i] != expected_header[i]) ++lost;
   }
-  if (const auto w = word(3)) {
-    frame.masked = static_cast<int>(*w);
+  if (ok(3)) {
+    frame.masked = static_cast<int>(w[3]);
   } else {
     ++lost;
   }
   std::uint64_t t_bits = 0;
   bool t_complete = true;
-  for (std::size_t k = 0; k < 4; ++k) {
-    const auto w = word(4 + k);
-    if (!w) {
+  for (std::size_t k = 4; k < 8; ++k) {
+    if (!ok(k)) {
       t_complete = false;
       ++lost;
       continue;
     }
-    t_bits = (t_bits << 16) | *w;
+    t_bits = (t_bits << 16) | w[k];
   }
   if (t_complete) std::memcpy(&frame.t, &t_bits, sizeof(frame.t));
 
   // Codes: two words per pixel; a pixel missing either half decodes to
-  // zero (the host genuinely does not have that sample).
+  // zero (the host genuinely does not have that sample). The length check
+  // is made once: pixels whose both halves lie within the merged words
+  // index them directly, and only a short input's tail pays per-word
+  // bounds checks.
   const std::size_t n = frame.codes.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto hi = word(8 + 2 * i);
-    const auto lo = word(9 + 2 * i);
+  const std::size_t direct =
+      avail >= 8 + 2 * n ? n : (avail > 8 ? (avail - 8) / 2 : 0);
+  const auto decode_pixel = [&](std::size_t i, bool hi_ok, bool lo_ok) {
     std::int32_t code = 0;
-    if (hi && lo) {
-      code = static_cast<std::int32_t>((static_cast<std::uint32_t>(*hi) << 16) |
-                                       *lo);
+    if (hi_ok && lo_ok) {
+      code = static_cast<std::int32_t>(
+          (static_cast<std::uint32_t>(w[8 + 2 * i]) << 16) | w[9 + 2 * i]);
     } else {
-      lost += (hi ? 0u : 1u) + (lo ? 0u : 1u);
+      lost += (hi_ok ? 0u : 1u) + (lo_ok ? 0u : 1u);
     }
     frame.codes[i] = code;
     frame.v_in[i] = static_cast<double>(code) * adc_lsb_ / conv_gain_;
+  };
+  for (std::size_t i = 0; i < direct; ++i) {
+    decode_pixel(i, words.valid(8 + 2 * i), words.valid(9 + 2 * i));
+  }
+  for (std::size_t i = direct; i < n; ++i) {
+    decode_pixel(i, ok(8 + 2 * i), ok(9 + 2 * i));
   }
   return lost;
 }
@@ -110,9 +121,8 @@ WireStats FrameWire::process(neurochip::NeuroFrame& frame, std::uint16_t seq,
   merger_.reset(words_.size());
   for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
     ++s.attempts;
-    link.transfer_into(bits_, rx_);
-    dnachip::decode_data_lenient_into(rx_, lenient_);
-    const std::size_t fresh = merger_.absorb(lenient_);
+    link.transfer(bits_, rx_);
+    const std::size_t fresh = merger_.absorb(rx_);
     if (attempt > 1) s.recovered_words += fresh;
     if (merger_.complete()) break;
     if (attempt < retry_.max_attempts) {
@@ -122,7 +132,7 @@ WireStats FrameWire::process(neurochip::NeuroFrame& frame, std::uint16_t seq,
     }
   }
   s.bits = link.bits_transferred();
-  s.lost_words = codec_.decode(merger_.words(), seq, frame);
+  s.lost_words = codec_.decode(merger_, seq, frame);
   s.incomplete_frames = s.lost_words > 0 ? 1 : 0;
   BIOSENSE_COUNT("wire.frames", 1);
   // Flight events for the notable cases only — a retry storm (the link

@@ -51,17 +51,19 @@ class FrameCodec {
                    static_cast<std::size_t>(cols);
   }
 
-  /// Encodes `frame` into `words` (cleared, capacity retained). `seq` is a
-  /// 16-bit frame tag checked on decode.
+  /// Encodes `frame` into `words` (overwritten, capacity retained). `seq`
+  /// is a 16-bit frame tag checked on decode.
   void encode(const neurochip::NeuroFrame& frame, std::uint16_t seq,
               std::vector<std::uint16_t>& words) const;
 
-  /// Decodes `words` into `frame`, recomputing `v_in`. Missing words
-  /// (nullopt — lost on the wire even after retry merging) zero the
-  /// affected code; returns the number of lost words. Throws on a header
-  /// that doesn't match `seq` or the expected geometry.
-  std::size_t decode(const std::vector<std::optional<std::uint16_t>>& words,
-                     std::uint16_t seq, neurochip::NeuroFrame& frame) const;
+  /// Decodes the merged words into `frame`, recomputing `v_in`; returns
+  /// the number of lost words. A word is lost when it is invalid (missing
+  /// on the wire even after retry merging) or beyond `words.expected()`.
+  /// A pixel missing either half decodes to code 0. A missing or
+  /// mismatched seq/rows/cols header word falls back to the expected
+  /// value and counts as lost; it never throws.
+  std::size_t decode(const dnachip::WordMerger& words, std::uint16_t seq,
+                     neurochip::NeuroFrame& frame) const;
 
  private:
   double adc_lsb_;
@@ -69,8 +71,8 @@ class FrameCodec {
 };
 
 /// One worker's wire lane: owns every scratch buffer of the
-/// encode -> transfer -> lenient-decode -> merge -> decode path, so the
-/// steady state allocates nothing. Each frame rides its own forked RNG
+/// encode -> transfer -> merge (fused lenient decode) -> decode path, so
+/// the steady state allocates nothing. Each frame rides its own forked RNG
 /// (capture order), making results independent of which worker runs it.
 class FrameWire {
  public:
@@ -95,10 +97,9 @@ class FrameWire {
   dnachip::RetryPolicy retry_;
   // Scratch reused across frames (per worker, never shared).
   std::vector<std::uint16_t> words_;
-  std::vector<bool> bits_;
-  std::vector<bool> rx_;
-  std::vector<std::optional<std::uint16_t>> lenient_;
-  dnachip::WordMerger merger_{0};
+  dnachip::BitStream bits_;
+  dnachip::BitStream rx_;
+  dnachip::WordMerger merger_;
 };
 
 }  // namespace biosense::core

@@ -11,6 +11,19 @@
 
 namespace biosense::dnachip {
 
+namespace {
+
+/// One data frame per site counter (counters are at most 16 bits wide).
+BitStream encode_counts(const std::vector<std::uint64_t>& counts) {
+  std::vector<std::uint16_t> words(counts.size());
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    words[i] = static_cast<std::uint16_t>(counts[i]);
+  }
+  return encode_data(words);
+}
+
+}  // namespace
+
 double gate_time_from_code(std::uint16_t code) {
   require(code <= 15, "gate_time_from_code: code must be in [0,15]");
   return static_cast<double>(1u << code) * 1e-3;
@@ -82,7 +95,7 @@ Current DnaChip::reference_current() const {
   return Current(iref_.current(config_.temp_k));
 }
 
-std::vector<bool> DnaChip::process(const std::vector<bool>& din) {
+BitStream DnaChip::process(const BitStream& din) {
   const auto cmd = decode_command(din);
   if (!cmd) return {};  // CRC failure: chip ignores the frame
   switch (cmd->opcode) {
@@ -154,7 +167,7 @@ void DnaChip::apply_count_faults(std::vector<std::uint64_t>& counts) const {
   }
 }
 
-std::vector<bool> DnaChip::run_conversion(std::uint16_t payload) {
+BitStream DnaChip::run_conversion(std::uint16_t payload) {
   const int seq = payload >> 8;
   const std::uint16_t gate_code = payload & 0xff;
   if (gate_code > 15) return encode_nack(ChipError::kBadGate);
@@ -182,7 +195,7 @@ std::vector<bool> DnaChip::run_conversion(std::uint16_t payload) {
   return encode_ack(Opcode::kStartConversion);
 }
 
-std::vector<bool> DnaChip::read_site() {
+BitStream DnaChip::read_site() {
   // Single-site debug readout: one counter word for the site selected via
   // kSelectSite (payload = (row << 8) | col). The address was validated at
   // selection time; this guard only protects the power-on default.
@@ -195,16 +208,9 @@ std::vector<bool> DnaChip::read_site() {
   return encode_data({static_cast<std::uint16_t>(counts_[idx])});
 }
 
-std::vector<bool> DnaChip::read_frame() {
-  std::vector<std::uint16_t> words;
-  words.reserve(counts_.size());
-  for (std::uint64_t c : counts_) {
-    words.push_back(static_cast<std::uint16_t>(c));
-  }
-  return encode_data(words);
-}
+BitStream DnaChip::read_frame() { return encode_counts(counts_); }
 
-std::vector<bool> DnaChip::auto_calibrate(std::uint16_t payload) {
+BitStream DnaChip::auto_calibrate(std::uint16_t payload) {
   const int seq = payload >> 8;
   const std::uint16_t gate_code = payload & 0xff;
   if (gate_code > 15) return encode_nack(ChipError::kBadGate);
@@ -223,15 +229,10 @@ std::vector<bool> DnaChip::auto_calibrate(std::uint16_t payload) {
     calibrated_ = true;
     last_cal_seq_ = seq;
   }
-  std::vector<std::uint16_t> words;
-  words.reserve(cal_counts_.size());
-  for (std::uint64_t c : cal_counts_) {
-    words.push_back(static_cast<std::uint16_t>(c));
-  }
-  return encode_data(words);
+  return encode_counts(cal_counts_);
 }
 
-std::vector<bool> DnaChip::self_test(std::uint16_t payload) {
+BitStream DnaChip::self_test(std::uint16_t payload) {
   // BIST conversion: integrate the internal test current (iref / 1000,
   // ~1 nA — within the redox dynamic range) or, with the stimulus bit
   // clear, nothing but leakage. Results go to a scratch buffer so a BIST
@@ -253,15 +254,10 @@ std::vector<bool> DnaChip::self_test(std::uint16_t payload) {
     apply_count_faults(test_counts_);
     last_test_seq_ = seq;
   }
-  std::vector<std::uint16_t> words;
-  words.reserve(test_counts_.size());
-  for (std::uint64_t c : test_counts_) {
-    words.push_back(static_cast<std::uint16_t>(c));
-  }
-  return encode_data(words);
+  return encode_counts(test_counts_);
 }
 
-std::vector<bool> DnaChip::status() {
+BitStream DnaChip::status() {
   // Status word: bandgap voltage in mV.
   const auto mv = static_cast<std::uint16_t>(
       std::lround(bandgap_voltage().in(1.0_mV)));
@@ -288,20 +284,29 @@ void HostInterface::note_failed_attempt(int attempt) {
   stats_.backoff_s += retry_backoff(retry_, attempt);
 }
 
+void HostInterface::note_timeout() {
+  if (link_.last_event() == LinkEvent::kTimeout) {
+    ++stats_.timeouts;
+    BIOSENSE_COUNT("host.timeouts", 1);
+  }
+}
+
+BitStream HostInterface::exchange(const BitStream& din) {
+  link_.transfer(din, wire_);
+  note_timeout();
+  return chip_->process(wire_);
+}
+
 HostInterface::TxResult HostInterface::command(const CommandFrame& cmd) {
   ++stats_.transactions;
   BIOSENSE_COUNT("host.transactions", 1);
   TxResult result;
+  const BitStream din = encode_command(cmd);
   for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
     ++stats_.attempts;
     BIOSENSE_COUNT("host.attempts", 1);
     const bool retry_left = attempt < retry_.max_attempts;
-    const auto wire_in = link_.transfer(encode_command(cmd));
-    if (link_.last_event() == LinkEvent::kTimeout) {
-      ++stats_.timeouts;
-      BIOSENSE_COUNT("host.timeouts", 1);
-    }
-    const auto dout = chip_->process(wire_in);
+    const BitStream dout = exchange(din);
     if (dout.empty()) {
       // The chip stayed silent: the command was lost or arrived corrupt.
       if (link_.last_event() != LinkEvent::kTimeout) {
@@ -311,18 +316,15 @@ HostInterface::TxResult HostInterface::command(const CommandFrame& cmd) {
       if (retry_left) note_failed_attempt(attempt);
       continue;
     }
-    const auto wire_out = link_.transfer(dout);
-    if (link_.last_event() == LinkEvent::kTimeout) {
-      ++stats_.timeouts;
-      BIOSENSE_COUNT("host.timeouts", 1);
-    }
-    if (wire_out.empty()) {
+    link_.transfer(dout, wire_);
+    note_timeout();
+    if (wire_.empty()) {
       ++stats_.short_replies;
       BIOSENSE_COUNT("host.short_replies", 1);
       if (retry_left) note_failed_attempt(attempt);
       continue;
     }
-    const auto words = decode_data(wire_out);
+    const auto words = decode_data(wire_);
     if (!words || words->size() != 2) {
       ++stats_.crc_failures;
       BIOSENSE_COUNT("host.crc_failures", 1);
@@ -357,17 +359,13 @@ HostInterface::TxResult HostInterface::query(const CommandFrame& cmd,
   // Words recovered so far across attempts (see WordMerger): the union of a
   // few partially-corrupt readbacks completes the frame long before a fully
   // clean pass shows up.
-  WordMerger merger(reply_words);
+  merger_.reset(reply_words);
+  const BitStream din = encode_command(cmd);
   for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
     ++stats_.attempts;
     BIOSENSE_COUNT("host.attempts", 1);
     const bool retry_left = attempt < retry_.max_attempts;
-    const auto wire_in = link_.transfer(encode_command(cmd));
-    if (link_.last_event() == LinkEvent::kTimeout) {
-      ++stats_.timeouts;
-      BIOSENSE_COUNT("host.timeouts", 1);
-    }
-    const auto dout = chip_->process(wire_in);
+    const BitStream dout = exchange(din);
     if (dout.empty()) {
       if (link_.last_event() != LinkEvent::kTimeout) {
         ++stats_.crc_failures;
@@ -376,20 +374,17 @@ HostInterface::TxResult HostInterface::query(const CommandFrame& cmd,
       if (retry_left) note_failed_attempt(attempt);
       continue;
     }
-    const auto wire_out = link_.transfer(dout);
-    if (link_.last_event() == LinkEvent::kTimeout) {
-      ++stats_.timeouts;
-      BIOSENSE_COUNT("host.timeouts", 1);
-    }
-    if (wire_out.empty()) {
+    link_.transfer(dout, wire_);
+    note_timeout();
+    if (wire_.empty()) {
       ++stats_.short_replies;
       BIOSENSE_COUNT("host.short_replies", 1);
       if (retry_left) note_failed_attempt(attempt);
       continue;
     }
     // A clean 2-word frame where more data was expected is a NACK.
-    if (reply_words != 2 && wire_out.size() == 48) {
-      const auto nack = decode_data(wire_out);
+    if (reply_words != 2 && wire_.size() == 48) {
+      const auto nack = decode_data(wire_);
       if (nack && nack->size() == 2 && (*nack)[0] == kNackMagic) {
         ++stats_.nacks;
         BIOSENSE_COUNT("host.nacks", 1);
@@ -398,9 +393,9 @@ HostInterface::TxResult HostInterface::query(const CommandFrame& cmd,
         return result;
       }
     }
-    merger.absorb(decode_data_lenient(wire_out));
-    if (merger.complete()) {
-      merger.extract(result.words);
+    merger_.absorb(wire_);
+    if (merger_.complete()) {
+      merger_.extract(result.words);
       if (reply_words == 2 && result.words[0] == kNackMagic) {
         ++stats_.nacks;
         BIOSENSE_COUNT("host.nacks", 1);
@@ -494,7 +489,6 @@ HostInterface::Frame HostInterface::acquire(std::uint16_t gate_code) {
        static_cast<std::uint16_t>((seq << 8) | (gate_code & 0xff))});
   if (conv.status != TxStatus::kOk) {
     frame.status = conv.status;
-    frame.crc_ok = false;
     frame.serial_bits = link_.bits_transferred() - bits_before;
     frame.retries = stats_.retries - retries_before;
     return frame;
@@ -505,7 +499,6 @@ HostInterface::Frame HostInterface::acquire(std::uint16_t gate_code) {
   frame.retries = stats_.retries - retries_before;
   if (rd.status != TxStatus::kOk) {
     frame.status = rd.status;
-    frame.crc_ok = false;
     return frame;
   }
   frame.raw_counts.assign(rd.words.begin(), rd.words.end());
@@ -568,7 +561,6 @@ HostInterface::Frame HostInterface::acquire_autorange_impl(
   const std::uint16_t codes[] = {1, 7, 13};
   Frame combined;
   combined.status = TxStatus::kRetriesExhausted;
-  combined.crc_ok = false;
   std::vector<double> best_gate;
   std::uint64_t bits = 0;
   std::uint64_t retries = 0;

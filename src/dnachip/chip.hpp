@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "circuit/dac.hpp"
@@ -81,7 +80,7 @@ class DnaChip {
   /// Processes one command arriving over DIN; returns the DOUT response
   /// bit stream (empty only when the frame's CRC fails — every decoded
   /// command is answered with data, an ACK, or a NACK).
-  std::vector<bool> process(const std::vector<bool>& din);
+  BitStream process(const BitStream& din);
 
   // --- observability for tests (not part of the 6-pin interface) ---------
   Voltage generator_potential() const { return Voltage(v_generator_); }
@@ -99,12 +98,12 @@ class DnaChip {
   void load_state(snapshot::StateReader& r);
 
  private:
-  std::vector<bool> run_conversion(std::uint16_t payload);
-  std::vector<bool> read_frame();
-  std::vector<bool> read_site();
-  std::vector<bool> auto_calibrate(std::uint16_t payload);
-  std::vector<bool> self_test(std::uint16_t payload);
-  std::vector<bool> status();
+  BitStream run_conversion(std::uint16_t payload);
+  BitStream read_frame();
+  BitStream read_site();
+  BitStream auto_calibrate(std::uint16_t payload);
+  BitStream self_test(std::uint16_t payload);
+  BitStream status();
   void apply_count_faults(std::vector<std::uint64_t>& counts) const;
 
   DnaChipConfig config_;  // analyze:transient - frozen config
@@ -189,7 +188,6 @@ class HostInterface {
     std::uint64_t serial_bits = 0;             // bits moved for this frame
     std::uint64_t retries = 0;                 // wire retries for this frame
     TxStatus status = TxStatus::kOk;
-    bool crc_ok = true;                        // status == kOk (back-compat)
   };
 
   /// One conversion + full-array readout at the given gate code.
@@ -292,6 +290,11 @@ class HostInterface {
 
   std::uint16_t next_seq();
   void note_failed_attempt(int attempt);
+  void note_timeout();
+
+  /// Sends `din` to the chip over the link and returns the chip's reply
+  /// (empty when the command was lost or arrived corrupt).
+  BitStream exchange(const BitStream& din);
   Frame acquire_autorange_impl(StreamSink<SiteReading>* sink);
 
   DnaChip* chip_;  // analyze:transient - non-owning, rebound at construction
@@ -301,6 +304,10 @@ class HostInterface {
   ProtocolStats stats_{};
   std::uint8_t seq_ = 0;
   std::vector<double> cal_baseline_hz_;
+  // Per-transaction scratch, reused so the link and the merger keep their
+  // buffers' capacity across transactions.
+  BitStream wire_;       // analyze:transient - per-attempt scratch
+  WordMerger merger_;    // analyze:transient - per-transaction scratch
 };
 
 }  // namespace biosense::dnachip

@@ -1,6 +1,7 @@
 #include "dnachip/serial.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
@@ -10,16 +11,55 @@ namespace biosense::dnachip {
 
 namespace {
 
-void append_byte(std::vector<bool>& bits, std::uint8_t byte) {
-  for (int b = 7; b >= 0; --b) bits.push_back((byte >> b) & 1);
+constexpr unsigned kDataFrameBits = 24;
+
+/// One 24-bit data frame: the word followed by its CRC-8.
+std::uint64_t data_frame(std::uint16_t w) {
+  const std::uint8_t pair[2] = {static_cast<std::uint8_t>(w >> 8),
+                                static_cast<std::uint8_t>(w & 0xff)};
+  return (std::uint64_t{w} << 8) | crc8(pair, 2);
 }
 
-std::uint8_t read_byte(const std::vector<bool>& bits, std::size_t offset) {
-  std::uint8_t v = 0;
-  for (int b = 0; b < 8; ++b) {
-    v = static_cast<std::uint8_t>((v << 1) | (bits[offset + static_cast<std::size_t>(b)] ? 1 : 0));
+/// The word of a 24-bit data frame whose CRC checks out.
+bool frame_word(std::uint64_t frame, std::uint16_t& word) {
+  word = static_cast<std::uint16_t>(frame >> 8);
+  return data_frame(word) == frame;
+}
+
+// Eight 24-bit frames fill exactly three 64-bit stream words, so the bulk
+// of a data stream is packed and unpacked a group at a time with fixed
+// shifts. Frame j of a group occupies group bits [24 j, 24 j + 24).
+constexpr std::size_t kGroupFrames = 8;
+constexpr std::uint64_t kFrameMask = (std::uint64_t{1} << kDataFrameBits) - 1;
+
+void append_group(const std::uint64_t (&f)[kGroupFrames], BitStream& bits) {
+  bits.append((f[0] << 40) | (f[1] << 16) | (f[2] >> 8), 64);
+  bits.append((f[2] << 56) | (f[3] << 32) | (f[4] << 8) | (f[5] >> 16), 64);
+  bits.append((f[5] << 48) | (f[6] << 24) | f[7], 64);
+}
+
+/// Frames [first, first + count) of `bits` (count <= 8, first a multiple
+/// of 8, every frame complete).
+void read_group(const BitStream& bits, std::size_t first, std::size_t count,
+                std::uint64_t (&f)[kGroupFrames]) {
+  const std::size_t pos = first * kDataFrameBits;
+  if (count < kGroupFrames) {
+    for (std::size_t j = 0; j < count; ++j) {
+      f[j] = bits.read(pos + j * kDataFrameBits, kDataFrameBits);
+    }
+    return;
   }
-  return v;
+  const std::uint64_t a = bits.read(pos, 64);
+  const std::uint64_t b = bits.read(pos + 64, 64);
+  const std::uint64_t c = bits.read(pos + 128, 64);
+  f[0] = a >> 40;
+  f[1] = (a >> 16) & kFrameMask;
+  f[2] = ((a << 8) | (b >> 56)) & kFrameMask;
+  f[3] = (b >> 32) & kFrameMask;
+  f[4] = (b >> 8) & kFrameMask;
+  f[5] = ((b << 16) | (c >> 48)) & kFrameMask;
+  f[6] = (c >> 24) & kFrameMask;
+  f[7] = c & kFrameMask;
 }
 
 }  // namespace
@@ -40,110 +80,110 @@ const char* chip_error_name(ChipError err) {
   return "unknown";
 }
 
-std::vector<bool> encode_command(const CommandFrame& cmd) {
-  const std::uint8_t op = static_cast<std::uint8_t>(cmd.opcode);
-  const std::uint8_t hi = static_cast<std::uint8_t>(cmd.payload >> 8);
-  const std::uint8_t lo = static_cast<std::uint8_t>(cmd.payload & 0xff);
-  const std::uint8_t crc = crc8({op, hi, lo});
-  std::vector<bool> bits;
-  bits.reserve(32);
-  append_byte(bits, op);
-  append_byte(bits, hi);
-  append_byte(bits, lo);
-  append_byte(bits, crc);
+void BitStream::resize(std::size_t bits) {
+  words_.resize((bits + 63) / 64, 0);
+  if (bits < size_ && bits % 64 != 0) {
+    words_.back() &= ~std::uint64_t{0} << (64 - bits % 64);
+  }
+  size_ = bits;
+}
+
+BitStream encode_command(const CommandFrame& cmd) {
+  const std::uint8_t bytes[3] = {static_cast<std::uint8_t>(cmd.opcode),
+                                 static_cast<std::uint8_t>(cmd.payload >> 8),
+                                 static_cast<std::uint8_t>(cmd.payload & 0xff)};
+  BitStream bits;
+  bits.append((std::uint64_t{bytes[0]} << 24) | (std::uint64_t{cmd.payload} << 8) |
+                  crc8(bytes, 3),
+              32);
   return bits;
 }
 
-Result<CommandFrame, ChipError> decode_command(const std::vector<bool>& bits) {
+Result<CommandFrame, ChipError> decode_command(const BitStream& bits) {
   using R = Result<CommandFrame, ChipError>;
   if (bits.size() != 32) return R::err(ChipError::kMalformed);
-  const std::uint8_t op = read_byte(bits, 0);
-  const std::uint8_t hi = read_byte(bits, 8);
-  const std::uint8_t lo = read_byte(bits, 16);
-  const std::uint8_t crc = read_byte(bits, 24);
-  if (crc8({op, hi, lo}) != crc) return R::err(ChipError::kCrcFailure);
-  if (op > static_cast<std::uint8_t>(Opcode::kSelfTest)) {
+  const std::uint64_t v = bits.read(0, 32);
+  const std::uint8_t bytes[3] = {static_cast<std::uint8_t>(v >> 24),
+                                 static_cast<std::uint8_t>(v >> 16),
+                                 static_cast<std::uint8_t>(v >> 8)};
+  if (crc8(bytes, 3) != static_cast<std::uint8_t>(v)) {
+    return R::err(ChipError::kCrcFailure);
+  }
+  if (bytes[0] > static_cast<std::uint8_t>(Opcode::kSelfTest)) {
     return R::err(ChipError::kMalformed);
   }
   CommandFrame cmd;
-  cmd.opcode = static_cast<Opcode>(op);
-  cmd.payload = static_cast<std::uint16_t>((hi << 8) | lo);
+  cmd.opcode = static_cast<Opcode>(bytes[0]);
+  cmd.payload = static_cast<std::uint16_t>(v >> 8);
   return cmd;
 }
 
-std::vector<bool> encode_data(const std::vector<std::uint16_t>& words) {
-  std::vector<bool> bits;
+BitStream encode_data(const std::vector<std::uint16_t>& words) {
+  BitStream bits;
   encode_data_into(words, bits);
   return bits;
 }
 
 void encode_data_into(const std::vector<std::uint16_t>& words,
-                      std::vector<bool>& bits) {
+                      BitStream& bits) {
   bits.clear();
-  bits.reserve(words.size() * 24);
-  for (std::uint16_t w : words) {
-    const std::uint8_t pair[2] = {static_cast<std::uint8_t>(w >> 8),
-                                  static_cast<std::uint8_t>(w & 0xff)};
-    append_byte(bits, pair[0]);
-    append_byte(bits, pair[1]);
-    append_byte(bits, crc8(pair, 2));
+  bits.reserve(words.size() * kDataFrameBits);
+  std::size_t i = 0;
+  for (; i + kGroupFrames <= words.size(); i += kGroupFrames) {
+    std::uint64_t f[kGroupFrames];
+    for (std::size_t j = 0; j < kGroupFrames; ++j) {
+      f[j] = data_frame(words[i + j]);
+    }
+    append_group(f, bits);
+  }
+  for (; i < words.size(); ++i) {
+    bits.append(data_frame(words[i]), kDataFrameBits);
   }
 }
 
 Result<std::vector<std::uint16_t>, ChipError> decode_data(
-    const std::vector<bool>& bits) {
+    const BitStream& bits) {
   using R = Result<std::vector<std::uint16_t>, ChipError>;
-  if (bits.size() % 24 != 0) return R::err(ChipError::kMalformed);
-  std::vector<std::uint16_t> words;
-  words.reserve(bits.size() / 24);
-  for (std::size_t i = 0; i < bits.size(); i += 24) {
-    const std::uint8_t pair[2] = {read_byte(bits, i), read_byte(bits, i + 8)};
-    const std::uint8_t crc = read_byte(bits, i + 16);
-    if (crc8(pair, 2) != crc) return R::err(ChipError::kCrcFailure);
-    words.push_back(static_cast<std::uint16_t>((pair[0] << 8) | pair[1]));
-  }
-  return words;
-}
-
-std::vector<std::optional<std::uint16_t>> decode_data_lenient(
-    const std::vector<bool>& bits) {
-  std::vector<std::optional<std::uint16_t>> words;
-  decode_data_lenient_into(bits, words);
-  return words;
-}
-
-void decode_data_lenient_into(
-    const std::vector<bool>& bits,
-    std::vector<std::optional<std::uint16_t>>& words) {
-  words.clear();
-  words.reserve(bits.size() / 24);
-  for (std::size_t i = 0; i + 24 <= bits.size(); i += 24) {
-    const std::uint8_t pair[2] = {read_byte(bits, i), read_byte(bits, i + 8)};
-    const std::uint8_t crc = read_byte(bits, i + 16);
-    if (crc8(pair, 2) == crc) {
-      words.emplace_back(static_cast<std::uint16_t>((pair[0] << 8) | pair[1]));
-    } else {
-      words.emplace_back(std::nullopt);
+  if (bits.size() % kDataFrameBits != 0) return R::err(ChipError::kMalformed);
+  std::vector<std::uint16_t> words(bits.size() / kDataFrameBits);
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    if (!frame_word(bits.read(i * kDataFrameBits, kDataFrameBits), words[i])) {
+      return R::err(ChipError::kCrcFailure);
     }
   }
+  return words;
 }
 
 void WordMerger::reset(std::size_t expected) {
   expected_ = expected;
   filled_ = 0;
-  merged_.clear();
-  merged_.resize(expected);
+  words_.assign(expected, 0);
+  valid_.assign((expected + 63) / 64, 0);
 }
 
-std::size_t WordMerger::absorb(
-    const std::vector<std::optional<std::uint16_t>>& words) {
+std::size_t WordMerger::absorb(const BitStream& bits) {
+  const std::size_t n = std::min(bits.size() / kDataFrameBits, expected_);
   std::size_t fresh = 0;
-  const std::size_t n = std::min(words.size(), expected_);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (words[i] && !merged_[i]) {
-      merged_[i] = words[i];
-      ++fresh;
+  for (std::size_t i = 0; i < n; i += kGroupFrames) {
+    // A group of eight words never straddles a 64-word validity word.
+    const std::size_t count = std::min(kGroupFrames, n - i);
+    std::uint64_t& valid = valid_[i / 64];
+    const unsigned shift = static_cast<unsigned>(i % 64);
+    const std::uint64_t missing =
+        ~(valid >> shift) & ((std::uint64_t{1} << count) - 1);
+    if (missing == 0) continue;  // already complete: skip the CRC work
+    std::uint64_t f[kGroupFrames];
+    read_group(bits, i, count, f);
+    std::uint64_t got = 0;
+    for (std::size_t j = 0; j < count; ++j) {
+      std::uint16_t w = 0;
+      if (((missing >> j) & 1u) != 0 && frame_word(f[j], w)) {
+        words_[i + j] = w;
+        got |= std::uint64_t{1} << j;
+      }
     }
+    valid |= got << shift;
+    fresh += static_cast<std::size_t>(std::popcount(got));
   }
   filled_ += fresh;
   return fresh;
@@ -151,9 +191,7 @@ std::size_t WordMerger::absorb(
 
 void WordMerger::extract(std::vector<std::uint16_t>& out) const {
   require(complete(), "WordMerger: extract before the frame completed");
-  out.clear();
-  out.reserve(expected_);
-  for (const auto& w : merged_) out.push_back(*w);
+  out.assign(words_.begin(), words_.end());
 }
 
 double retry_backoff(const RetryPolicy& policy, int attempt) {
@@ -162,11 +200,11 @@ double retry_backoff(const RetryPolicy& policy, int attempt) {
   return backoff;
 }
 
-std::vector<bool> encode_ack(Opcode op) {
+BitStream encode_ack(Opcode op) {
   return encode_data({kAckMagic, static_cast<std::uint16_t>(op)});
 }
 
-std::vector<bool> encode_nack(ChipError err) {
+BitStream encode_nack(ChipError err) {
   return encode_data({kNackMagic, static_cast<std::uint16_t>(err)});
 }
 
@@ -183,19 +221,12 @@ void SerialLink::inject_faults(const faults::LinkFaultModel& model) {
   if (model.bit_error_rate > 0.0) ber_ = model.bit_error_rate;
 }
 
-std::vector<bool> SerialLink::transfer(const std::vector<bool>& bits) {
-  std::vector<bool> out;
-  transfer_into(bits, out);
-  return out;
-}
-
-void SerialLink::transfer_into(const std::vector<bool>& bits,
-                               std::vector<bool>& out) {
+void SerialLink::transfer(const BitStream& bits, BitStream& out) {
   BIOSENSE_SPAN("serial.transfer");
   ++stats_.frames;
   BIOSENSE_COUNT("serial.frames", 1);
   last_event_ = LinkEvent::kOk;
-  out.assign(bits.begin(), bits.end());
+  out = bits;
   if (has_frame_faults_ && !out.empty()) {
     // One frame-level fate per transfer, drawn in a fixed order so a given
     // seed always produces the same fault sequence.
@@ -232,7 +263,7 @@ void SerialLink::transfer_into(const std::vector<bool>& bits,
       const auto end =
           std::min(out.size(), start + static_cast<std::size_t>(
                                            faults_.burst_length));
-      for (std::size_t i = start; i < end; ++i) out[i] = !out[i];
+      for (std::size_t i = start; i < end; ++i) out.flip(i);
       stats_.bit_flips += end - start;
       BIOSENSE_COUNT("serial.bit_flips", end - start);
     }
@@ -240,7 +271,7 @@ void SerialLink::transfer_into(const std::vector<bool>& bits,
   if (ber_ > 0.0) {
     for (std::size_t i = 0; i < out.size(); ++i) {
       if (rng_.bernoulli(ber_)) {
-        out[i] = !out[i];
+        out.flip(i);
         ++stats_.bit_flips;
         BIOSENSE_COUNT("serial.bit_flips", 1);
       }

@@ -16,8 +16,8 @@
 // corrupted frames and that the host protocol recovers.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/crc.hpp"
@@ -85,39 +85,88 @@ const char* chip_error_name(ChipError err);
 // here so existing `dnachip::crc8` call sites keep working.
 using biosense::crc8;
 
+/// Packed MSB-first bit stream: the one buffer type of the serial stack.
+/// Bit i sits at bit (63 - i % 64) of word i / 64, so each 64-bit word
+/// holds the next 64 bits in wire order. Bits past `size()` in the last
+/// word are always zero, which keeps appends and equality plain word
+/// operations. Clearing, resizing and copy-assigning reuse the word
+/// buffer's capacity, so a reused stream stops allocating once it has
+/// seen its largest frame.
+class BitStream {
+ public:
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  void clear() {
+    words_.clear();
+    size_ = 0;
+  }
+  void reserve(std::size_t bits) { words_.reserve((bits + 63) / 64); }
+
+  /// Cuts the stream to its first `bits` bits, or grows it with zeros.
+  void resize(std::size_t bits);
+
+  /// Bit `i` (< size()).
+  bool operator[](std::size_t i) const {
+    return ((words_[i / 64] >> (63 - i % 64)) & 1u) != 0;
+  }
+  void flip(std::size_t i) {
+    words_[i / 64] ^= std::uint64_t{1} << (63 - i % 64);
+  }
+
+  /// Appends the low `n` bits of `value` (1 <= n <= 64, higher bits of
+  /// `value` zero), most significant first.
+  void append(std::uint64_t value, unsigned n) {
+    const unsigned used = static_cast<unsigned>(size_ % 64);
+    size_ += n;
+    if (used == 0) {
+      words_.push_back(value << (64 - n));
+    } else if (used + n <= 64) {
+      words_.back() |= value << (64 - used - n);
+    } else {
+      const unsigned spill = used + n - 64;
+      words_.back() |= value >> spill;
+      words_.push_back(value << (64 - spill));
+    }
+  }
+
+  /// The `n` bits (1 <= n <= 64) starting at bit `pos`, most significant
+  /// first; requires pos + n <= size().
+  std::uint64_t read(std::size_t pos, unsigned n) const {
+    const std::size_t q = pos / 64;
+    const unsigned r = static_cast<unsigned>(pos % 64);
+    std::uint64_t v = words_[q] << r;
+    if (r + n > 64) v |= words_[q + 1] >> (64 - r);
+    return v >> (64 - n);
+  }
+
+  friend bool operator==(const BitStream&, const BitStream&) = default;
+
+ private:
+  std::vector<std::uint64_t> words_;
+  std::size_t size_ = 0;
+};
+
 /// Encodes a command frame into its 32-bit wire representation
 /// (opcode | payload | crc), MSB first.
-std::vector<bool> encode_command(const CommandFrame& cmd);
+BitStream encode_command(const CommandFrame& cmd);
 
 /// Decodes a 32-bit command off the wire; kMalformed when the frame is not
 /// 32 bits, kCrcFailure when the checksum rejects it.
-Result<CommandFrame, ChipError> decode_command(const std::vector<bool>& bits);
+Result<CommandFrame, ChipError> decode_command(const BitStream& bits);
 
 /// Encodes a data word stream into CRC-protected data frames: each frame is
 /// a 16-bit word + 8-bit CRC.
-std::vector<bool> encode_data(const std::vector<std::uint16_t>& words);
+BitStream encode_data(const std::vector<std::uint16_t>& words);
 
-/// In-place variant reusing the caller's bit buffer (cleared, capacity
+/// In-place variant reusing the caller's stream (cleared, capacity
 /// retained) — the streaming pipeline's zero-steady-state-allocation path.
 void encode_data_into(const std::vector<std::uint16_t>& words,
-                      std::vector<bool>& bits);
+                      BitStream& bits);
 
 /// Decodes data frames; kMalformed on a ragged bit count, kCrcFailure when
 /// any frame's checksum rejects it.
 Result<std::vector<std::uint16_t>, ChipError> decode_data(
-    const std::vector<bool>& bits);
-
-/// Lenient decode for retry merging: one entry per complete 24-bit frame,
-/// nullopt where that frame's CRC fails. Trailing partial frames are
-/// ignored — the caller knows the expected word count and treats missing
-/// words as invalid.
-std::vector<std::optional<std::uint16_t>> decode_data_lenient(
-    const std::vector<bool>& bits);
-
-/// In-place lenient decode reusing the caller's word buffer (cleared,
-/// capacity retained).
-void decode_data_lenient_into(const std::vector<bool>& bits,
-                              std::vector<std::optional<std::uint16_t>>& words);
+    const BitStream& bits);
 
 /// Merges lenient decodes across retry attempts: each readback corrupts a
 /// few different 24-bit frames, so the union of a few partially-corrupt
@@ -125,31 +174,39 @@ void decode_data_lenient_into(const std::vector<bool>& bits,
 /// This is the host-side recovery core shared by every chip's readout path
 /// (`HostInterface::query` for the DNA chip, `core::FrameWire` for the
 /// neural chip). First valid value wins per word; merge order is the
-/// attempt order, so recovery is deterministic.
+/// attempt order, so recovery is deterministic. The merged frame is flat:
+/// one 16-bit word per expected word plus one validity bit each.
 class WordMerger {
  public:
-  explicit WordMerger(std::size_t expected) { reset(expected); }
+  explicit WordMerger(std::size_t expected = 0) { reset(expected); }
 
-  /// Clears state for a new transaction expecting `expected` words.
+  /// Clears state for a new transaction expecting `expected` words
+  /// (capacity retained).
   void reset(std::size_t expected);
 
-  /// Absorbs one attempt's lenient decode; returns how many words this
-  /// attempt newly recovered. Words beyond `expected` are ignored.
-  std::size_t absorb(const std::vector<std::optional<std::uint16_t>>& words);
+  /// Lenient decode of one attempt, fused with the merge: every complete
+  /// 24-bit frame whose word is still missing is CRC-checked and, when it
+  /// passes, taken. Trailing partial frames and frames beyond `expected`
+  /// are ignored. Returns how many words this attempt newly recovered.
+  std::size_t absorb(const BitStream& bits);
 
   bool complete() const { return filled_ == expected_; }
   std::size_t filled() const { return filled_; }
   std::size_t expected() const { return expected_; }
-  const std::vector<std::optional<std::uint16_t>>& words() const {
-    return merged_;
+  /// Whether word `i` (< expected()) has arrived intact.
+  bool valid(std::size_t i) const {
+    return ((valid_[i / 64] >> (i % 64)) & 1u) != 0;
   }
+  /// One word per expected word; zero where `valid(i)` is false.
+  const std::vector<std::uint16_t>& words() const { return words_; }
 
   /// Copies the merged words out (requires `complete()`); reuses `out`'s
   /// capacity.
   void extract(std::vector<std::uint16_t>& out) const;
 
  private:
-  std::vector<std::optional<std::uint16_t>> merged_;
+  std::vector<std::uint16_t> words_;
+  std::vector<std::uint64_t> valid_;
   std::size_t expected_ = 0;
   std::size_t filled_ = 0;
 };
@@ -169,10 +226,10 @@ struct RetryPolicy {
 double retry_backoff(const RetryPolicy& policy, int attempt);
 
 /// The chip's positive acknowledge for `op`.
-std::vector<bool> encode_ack(Opcode op);
+BitStream encode_ack(Opcode op);
 
 /// The chip's rejection frame for an invalid payload.
-std::vector<bool> encode_nack(ChipError err);
+BitStream encode_nack(ChipError err);
 
 /// What happened to the last frame through the link.
 enum class LinkEvent : std::uint8_t {
@@ -202,15 +259,14 @@ class SerialLink {
   /// overrides the constructed one.
   void inject_faults(const faults::LinkFaultModel& model);
 
-  /// Transfers a bit stream across the link. Frame-level faults may drop
-  /// the stream entirely (empty result), truncate it, or flip a burst;
-  /// per-bit errors flip individual bits. `last_event()` reports what
-  /// happened.
-  std::vector<bool> transfer(const std::vector<bool>& bits);
-
-  /// In-place variant writing into the caller's buffer (cleared, capacity
-  /// retained). Identical fault draws and stats as `transfer`.
-  void transfer_into(const std::vector<bool>& bits, std::vector<bool>& out);
+  /// Transfers `bits` across the link into `out` (capacity retained).
+  /// Frame-level fates are drawn first, in a fixed order: timeout and drop
+  /// leave `out` empty, truncation keeps uniform_int(1, n - 1) bits, and a
+  /// burst flips bits [start, min(n, start + burst_length)). Then exactly
+  /// one bernoulli(ber) draw is made per delivered bit, in bit order, and
+  /// flips that bit on success. A clean link (BER 0, no fault model) is a
+  /// plain word copy. `last_event()` reports what happened.
+  void transfer(const BitStream& bits, BitStream& out);
 
   LinkEvent last_event() const { return last_event_; }
   const LinkStats& stats() const { return stats_; }
@@ -261,9 +317,5 @@ class SerialLink {
   LinkStats stats_{};
   std::uint64_t bits_transferred_ = 0;
 };
-
-/// The issue-tracker name for the transport layer; `SerialLink` is the
-/// concrete 6-pin implementation.
-using BitTransport = SerialLink;
 
 }  // namespace biosense::dnachip

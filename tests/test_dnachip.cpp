@@ -32,7 +32,7 @@ TEST(DnaChip, PaperArrayDimensions) {
 TEST(DnaChip, IgnoresCorruptedCommands) {
   DnaChip chip(small_chip(), Rng(1));
   auto bits = encode_command({Opcode::kSetDacGenerator, 100});
-  bits[3] = !bits[3];
+  bits.flip(3);
   EXPECT_TRUE(chip.process(bits).empty());
   EXPECT_DOUBLE_EQ(chip.generator_potential().value(), 0.0);  // unchanged
 }
@@ -72,7 +72,7 @@ TEST(HostInterface, AcquireReturnsAppliedCurrents) {
   chip.apply_sensor_currents(currents);
 
   const auto frame = host.acquire(7);  // 128 ms gate
-  ASSERT_TRUE(frame.crc_ok);
+  ASSERT_EQ(frame.status, TxStatus::kOk);
   ASSERT_EQ(frame.currents.size(), 16u);
   EXPECT_NEAR(frame.currents[0], 10e-9, 0.5e-9);
   EXPECT_NEAR(frame.currents[5], 1e-9, 0.1e-9);
@@ -181,7 +181,7 @@ TEST(DnaChip, NoisySerialLinkRecoveredByRetries) {
   int failures = 0;
   for (int k = 0; k < 20; ++k) {
     const auto frame = host.acquire(3);
-    if (!frame.crc_ok) {
+    if (frame.status != TxStatus::kOk) {
       ++failures;
       EXPECT_EQ(frame.status, TxStatus::kRetriesExhausted);
       EXPECT_TRUE(frame.raw_counts.empty());

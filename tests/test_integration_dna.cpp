@@ -44,7 +44,7 @@ TEST(IntegrationDna, PresenceAbsenceCalledCorrectly) {
   }
 
   const auto run = wb.run(sample);
-  ASSERT_TRUE(run.crc_ok);
+  ASSERT_EQ(run.status, dnachip::TxStatus::kOk);
   ASSERT_EQ(run.calls.size(), 10u);
   for (const auto& call : run.calls) {
     EXPECT_EQ(call.called_match, present.count(call.name) == 1)

@@ -85,7 +85,8 @@ TEST(Result, ExplicitErrTagDisambiguates) {
 
 TEST(Result, MigratedSerialDecodersUseTypedErrors) {
   // decode_command on garbage: typed kMalformed, not a bool.
-  const std::vector<bool> garbage(8, true);
+  dnachip::BitStream garbage;
+  garbage.append(0xff, 8);
   const auto cmd = dnachip::decode_command(garbage);
   EXPECT_FALSE(cmd.has_value());
   EXPECT_EQ(cmd.error(), ChipError::kMalformed);

@@ -11,7 +11,7 @@
 //
 // Findings are `file:line: rule-name: message`, stable-sorted, and the
 // process exits nonzero when any are present — the same contract the
-// old tools/lint.sh had, so CI and editors keep clickable output.
+// old grep linter had, so CI and editors keep clickable output.
 //
 // The library is deliberately separable from file I/O: tests feed
 // in-memory SourceFiles (fixture corpora, programmatic mutations of

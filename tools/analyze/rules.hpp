@@ -46,7 +46,7 @@ void rule_protocol(const Tree& tree, Findings& out);
 // cross-module duplicates, claimed prefix per module (rule `obs-name`).
 void rule_obs_names(const Tree& tree, Findings& out);
 
-// Ported tools/lint.sh rules 1-8 (see each rule's message for the
+// Ported grep-linter rules 1-8 (see each rule's message for the
 // rationale): no-c-rand, no-wallclock-seed, no-std-random-engine,
 // raw-unit-literal, no-chrono-in-src, no-batch-return,
 // no-bool-fallible, atomic-file-only.

@@ -1,11 +1,11 @@
-// tools/lint.sh rules 1-8, ported onto the token stream (DESIGN.md §14).
+// The old grep linter's rules 1-8, ported onto the token stream
+// (DESIGN.md §14).
 //
 // Same invariants, same escape comments (`lint:allow-*`), but checked
 // over tokens instead of raw lines: string literals and comments can no
 // longer produce false positives, and each rule is exercised by a
 // must-fire fixture + clean control under tests/analyze/fixtures/,
-// which the bash greps never were. tools/lint.sh survives as a
-// deprecated shim that execs the analyzer.
+// which the bash greps never were.
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
