@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/parallel.hpp"
 #include "common/table.hpp"
 #include "neurochip/array.hpp"
@@ -76,17 +77,10 @@ class SparseWaveSource final : public neurochip::SignalSource {
 
 /// FNV-1a over the frame payloads — equal hashes <=> bitwise-equal frames.
 std::uint64_t hash_frames(const std::vector<neurochip::NeuroFrame>& frames) {
-  std::uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](const void* data, std::size_t bytes) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < bytes; ++i) {
-      h ^= p[i];
-      h *= 1099511628211ULL;
-    }
-  };
+  std::uint64_t h = kFnv1aOffset;
   for (const auto& f : frames) {
-    mix(f.v_in.data(), f.v_in.size() * sizeof(double));
-    mix(f.codes.data(), f.codes.size() * sizeof(std::int32_t));
+    h = fnv1a(h, f.v_in.data(), f.v_in.size() * sizeof(double));
+    h = fnv1a(h, f.codes.data(), f.codes.size() * sizeof(std::int32_t));
   }
   return h;
 }

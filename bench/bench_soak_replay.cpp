@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/parallel.hpp"
 #include "common/table.hpp"
 #include "core/session_options.hpp"
@@ -92,23 +93,11 @@ namespace {
 
 using namespace biosense;
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv_mix(std::uint64_t h, const void* data, std::size_t bytes) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
 /// In-order merge of shard digests: the cross-shard soak invariant is on
 /// this value, so a reordered or dropped shard cannot cancel out.
 std::uint64_t merge_digests(const std::vector<std::uint64_t>& digests) {
-  std::uint64_t h = kFnvOffset;
-  for (const std::uint64_t d : digests) h = fnv_mix(h, &d, sizeof(d));
+  std::uint64_t h = kFnv1aOffset;
+  for (const std::uint64_t d : digests) h = fnv1a(h, &d, sizeof(d));
   return h;
 }
 
@@ -144,19 +133,19 @@ class SoakHashSink final : public StreamSink<neurochip::NeuroFrame> {
   void on_end() override {}
   std::uint64_t total() const { return total_; }
   std::uint64_t shard() const { return shard_; }
-  void begin_shard() { shard_ = kFnvOffset; }
+  void begin_shard() { shard_ = kFnv1aOffset; }
   void reset() {
-    total_ = kFnvOffset;
-    shard_ = kFnvOffset;
+    total_ = kFnv1aOffset;
+    shard_ = kFnv1aOffset;
   }
 
  private:
   void mix(const void* data, std::size_t bytes) {
-    total_ = fnv_mix(total_, data, bytes);
-    shard_ = fnv_mix(shard_, data, bytes);
+    total_ = fnv1a(total_, data, bytes);
+    shard_ = fnv1a(shard_, data, bytes);
   }
-  std::uint64_t total_ = kFnvOffset;
-  std::uint64_t shard_ = kFnvOffset;
+  std::uint64_t total_ = kFnv1aOffset;
+  std::uint64_t shard_ = kFnv1aOffset;
 };
 
 /// The soak session: lossy link so resume has to carry the fault-plan and

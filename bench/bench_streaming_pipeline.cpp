@@ -34,6 +34,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/parallel.hpp"
 #include "common/table.hpp"
 #include "core/chip_session.hpp"
@@ -125,19 +126,13 @@ class HashSink final : public StreamSink<neurochip::NeuroFrame> {
   std::uint64_t hash() const { return h_; }
   int frames() const { return frames_; }
   void reset() {
-    h_ = 1469598103934665603ULL;
+    h_ = kFnv1aOffset;
     frames_ = 0;
   }
 
  private:
-  void mix(const void* data, std::size_t bytes) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < bytes; ++i) {
-      h_ ^= p[i];
-      h_ *= 1099511628211ULL;
-    }
-  }
-  std::uint64_t h_ = 1469598103934665603ULL;
+  void mix(const void* data, std::size_t bytes) { h_ = fnv1a(h_, data, bytes); }
+  std::uint64_t h_ = kFnv1aOffset;
   int frames_ = 0;
 };
 

@@ -1,10 +1,13 @@
 // CRC-8 (polynomial 0x07, init 0x00) — the one checksum of the codebase.
 //
 // Introduced for the DNA chip's 6-pin serial frames, later reused by the
-// fleet host-command protocol and the snapshot container. All three wire
-// formats deliberately share this polynomial so a single implementation is
-// the only code that ever touches a checksum; `dnachip::crc8` and
-// `host::crc8` are aliases of these functions.
+// fleet host-command protocol, the snapshot container and the obs metrics
+// wire. All four formats deliberately share this polynomial so a single
+// implementation is the only code that ever touches a checksum;
+// `dnachip::crc8` is an alias of these functions. The three byte formats
+// that store their CRC inside the range it covers (host frames, snapshot
+// section headers, the metrics wire) all checksum that range with the CRC
+// byte read as zero: `crc8_zero_slot`.
 #pragma once
 
 #include <array>
@@ -57,6 +60,17 @@ constexpr std::uint8_t crc8(const std::uint8_t* bytes, std::size_t n) {
 /// Convenience overload for buffered callers.
 inline std::uint8_t crc8(const std::vector<std::uint8_t>& bytes) {
   return crc8(bytes.data(), bytes.size());
+}
+
+/// CRC-8 over `n` bytes with the byte at `slot` (< n) read as zero, so a
+/// decoder checks a buffer that carries its own CRC without copying it:
+/// the buffer is intact when the result equals `bytes[slot]`.
+constexpr std::uint8_t crc8_zero_slot(const std::uint8_t* bytes,
+                                      std::size_t n, std::size_t slot) {
+  const std::uint8_t zero = 0;
+  std::uint8_t crc = crc8_update(0x00, bytes, slot);
+  crc = crc8_update(crc, &zero, 1);
+  return crc8_update(crc, bytes + slot + 1, n - slot - 1);
 }
 
 }  // namespace biosense

@@ -1,21 +1,11 @@
 #include "core/session_snapshot.hpp"
 
+#include "common/hash.hpp"
 #include "snapshot/state_io.hpp"
 
 namespace biosense::core {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    hash ^= (value >> (8 * i)) & 0xFF;
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
 
 void write_meta(snapshot::StateWriter& w, ChipKind kind, int rows, int cols,
                 const SessionCheckpointMeta& meta) {
@@ -89,10 +79,14 @@ Result<void, snapshot::SnapshotError> maybe_load_fault_section(
 }  // namespace
 
 std::uint64_t session_fingerprint(ChipKind kind, int rows, int cols) {
-  std::uint64_t hash = fnv1a(kFnvOffset, static_cast<std::uint64_t>(kind));
-  hash = fnv1a(hash, static_cast<std::uint64_t>(static_cast<std::uint32_t>(rows)));
-  hash = fnv1a(hash, static_cast<std::uint64_t>(static_cast<std::uint32_t>(cols)));
-  return hash;
+  // Hashes the little-endian u64 encoding of the shape, so the stored
+  // value is the same on every host.
+  std::vector<std::uint8_t> shape;
+  snapshot::StateWriter w(shape);
+  w.u64(static_cast<std::uint64_t>(kind));
+  w.u64(static_cast<std::uint32_t>(rows));
+  w.u64(static_cast<std::uint32_t>(cols));
+  return fnv1a(kFnv1aOffset, shape.data(), shape.size());
 }
 
 std::vector<std::uint8_t> checkpoint_neuro(const NeuroSession& session,

@@ -4,23 +4,15 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "obs/wire.hpp"
 
 namespace biosense::host {
 
+using snapshot::StateReader;
+using snapshot::StateWriter;
+
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv_bytes(std::uint64_t h, const std::uint8_t* data,
-                        std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 /// Wire-level statuses the client treats as transient: the *request* was
 /// damaged in flight, so a retry of the same bytes can succeed. All other
@@ -61,15 +53,15 @@ FleetClient::FleetClient(ByteLink& link, std::uint8_t version,
     : link_(&link),
       version_(version),
       retry_(retry),
-      response_digest_(kFnvOffset) {
+      response_digest_(kFnv1aOffset) {
   request_.reserve(kHeaderSize + kMaxPayload);
   response_.reserve(kHeaderSize + kMaxPayload);
 }
 
-PayloadWriter FleetClient::begin_request() {
+StateWriter FleetClient::begin_request() {
   request_.clear();
   request_.resize(kHeaderSize);
-  return PayloadWriter(request_);
+  return StateWriter(request_);
 }
 
 HostStatus FleetClient::transact(HostCommand command) {
@@ -106,7 +98,7 @@ HostStatus FleetClient::transact(HostCommand command) {
           // A deterministic answer (kOk or a typed error). Fold the
           // accepted response into the determinism digest and finish.
           response_digest_ =
-              fnv_bytes(response_digest_, response_.data(), response_.size());
+              fnv1a(response_digest_, response_.data(), response_.size());
           reply_payload_ = decoded->payload;
           reply_len_ = decoded->payload_len;
           return status;
@@ -129,7 +121,7 @@ Result<FleetClient::ProtocolInfo, HostStatus> FleetClient::protocol_info() {
   begin_request();
   const auto status = transact(HostCommand::kGetProtocolInfo);
   if (status != HostStatus::kOk) return R::err(status);
-  PayloadReader reader(reply_payload_, reply_len_);
+  StateReader reader(reply_payload_, reply_len_);
   ProtocolInfo info;
   info.min_version = reader.u8();
   info.current_version = reader.u8();
@@ -145,7 +137,7 @@ Result<std::uint32_t, HostStatus> FleetClient::capabilities() {
   begin_request();
   const auto status = transact(HostCommand::kGetCapabilities);
   if (status != HostStatus::kOk) return R::err(status);
-  PayloadReader reader(reply_payload_, reply_len_);
+  StateReader reader(reply_payload_, reply_len_);
   const auto caps = reader.u32();
   if (!reader.ok()) return R::err(HostStatus::kBadPayload);
   return caps;
@@ -154,8 +146,7 @@ Result<std::uint32_t, HostStatus> FleetClient::capabilities() {
 Result<void, HostStatus> FleetClient::ping(const std::uint8_t* payload,
                                            std::size_t n) {
   using R = Result<void, HostStatus>;
-  auto writer = begin_request();
-  if (n > 0) writer.bytes(payload, n);
+  begin_request().raw(payload, n);
   const auto status = transact(HostCommand::kPing);
   if (status != HostStatus::kOk) return R::err(status);
   if (reply_len_ != n ||
@@ -207,7 +198,7 @@ Result<std::uint32_t, HostStatus> FleetClient::start(std::uint32_t id,
   writer.u32(frames);
   const auto status = transact(HostCommand::kStartAcquisition);
   if (status != HostStatus::kOk) return R::err(status);
-  PayloadReader reader(reply_payload_, reply_len_);
+  StateReader reader(reply_payload_, reply_len_);
   const auto pending = reader.u32();
   if (!reader.ok()) return R::err(HostStatus::kBadPayload);
   return pending;
@@ -221,7 +212,7 @@ Result<FleetClient::PollResult, HostStatus> FleetClient::poll(
   writer.u16(max_records);
   const auto status = transact(HostCommand::kPollFrames);
   if (status != HostStatus::kOk) return R::err(status);
-  PayloadReader reader(reply_payload_, reply_len_);
+  StateReader reader(reply_payload_, reply_len_);
   PollResult result;
   result.returned = reader.u16();
   result.backpressure = reader.u8() != 0;
@@ -242,7 +233,7 @@ Result<FleetClient::DrainSummary, HostStatus> FleetClient::drain(
   writer.u32(id);
   const auto status = transact(HostCommand::kDrainSession);
   if (status != HostStatus::kOk) return R::err(status);
-  PayloadReader reader(reply_payload_, reply_len_);
+  StateReader reader(reply_payload_, reply_len_);
   DrainSummary summary;
   summary.frames = reader.u32();
   summary.digest = reader.u64();
@@ -261,7 +252,7 @@ Result<FleetClient::SessionInfo, HostStatus> FleetClient::query(
   writer.u32(id);
   const auto status = transact(HostCommand::kQuerySession);
   if (status != HostStatus::kOk) return R::err(status);
-  PayloadReader reader(reply_payload_, reply_len_);
+  StateReader reader(reply_payload_, reply_len_);
   SessionInfo info;
   info.kind = reader.u8() == 0 ? core::ChipKind::kNeuro : core::ChipKind::kDna;
   info.pending = reader.u32();
@@ -285,7 +276,7 @@ Result<FleetClient::CheckpointInfo, HostStatus> FleetClient::checkpoint(
   writer.u32(id);
   const auto status = transact(HostCommand::kCheckpointSession);
   if (status != HostStatus::kOk) return R::err(status);
-  PayloadReader reader(reply_payload_, reply_len_);
+  StateReader reader(reply_payload_, reply_len_);
   CheckpointInfo info;
   info.size = reader.u32();
   info.digest = reader.u64();
@@ -300,7 +291,7 @@ Result<FleetClient::RestoreInfo, HostStatus> FleetClient::restore(
   writer.u32(id);
   const auto status = transact(HostCommand::kRestoreSession);
   if (status != HostStatus::kOk) return R::err(status);
-  PayloadReader reader(reply_payload_, reply_len_);
+  StateReader reader(reply_payload_, reply_len_);
   RestoreInfo info;
   info.frames_produced = reader.u32();
   info.digest = reader.u64();
@@ -315,7 +306,7 @@ Result<FleetClient::HealthInfo, HostStatus> FleetClient::session_health(
   writer.u32(id);
   const auto status = transact(HostCommand::kGetSessionHealth);
   if (status != HostStatus::kOk) return R::err(status);
-  PayloadReader reader(reply_payload_, reply_len_);
+  StateReader reader(reply_payload_, reply_len_);
   HealthInfo info;
   info.kind = reader.u8() == 0 ? core::ChipKind::kNeuro : core::ChipKind::kDna;
   info.last_command = static_cast<HostCommand>(reader.u16());
@@ -351,7 +342,7 @@ Result<obs::MetricsSnapshot, HostStatus> FleetClient::metrics() {
     writer.u16(static_cast<std::uint16_t>(kMaxPayload));
     const auto status = transact(HostCommand::kGetMetrics);
     if (status != HostStatus::kOk) return R::err(status);
-    PayloadReader reader(reply_payload_, reply_len_);
+    StateReader reader(reply_payload_, reply_len_);
     const std::uint32_t total = reader.u32();
     const std::uint32_t echo_offset = reader.u32();
     if (!reader.ok() || echo_offset != offset) {
@@ -379,18 +370,13 @@ FleetClient::dump_flight_recorder(std::uint32_t id) {
   writer.u32(id);
   const auto status = transact(HostCommand::kDumpFlightRecorder);
   if (status != HostStatus::kOk) return R::err(status);
-  PayloadReader reader(reply_payload_, reply_len_);
+  StateReader reader(reply_payload_, reply_len_);
   FlightDumpInfo info;
   info.events = reader.u32();
   info.recorded = reader.u64();
   info.dropped = reader.u64();
-  const std::uint16_t path_len = reader.u16();
-  if (!reader.ok() || reader.remaining() != path_len) {
-    return R::err(HostStatus::kBadPayload);
-  }
-  info.path.assign(
-      reinterpret_cast<const char*>(reply_payload_ + (reply_len_ - path_len)),
-      path_len);
+  reader.str(info.path, kMaxPayload);
+  if (!reader.exhausted()) return R::err(HostStatus::kBadPayload);
   return info;
 }
 

@@ -22,9 +22,11 @@
 
 #include "common/result.hpp"
 #include "common/rng.hpp"
+#include "dnachip/serial.hpp"
 #include "host/fleet_server.hpp"
 #include "host/protocol.hpp"
 #include "obs/metrics.hpp"
+#include "snapshot/state_io.hpp"
 
 namespace biosense::host {
 
@@ -249,7 +251,7 @@ class FleetClient {
   HostStatus transact(HostCommand command);
   /// Starts a request: clears `request_`, reserves the header, returns a
   /// writer for the payload.
-  PayloadWriter begin_request();
+  snapshot::StateWriter begin_request();
 
   ByteLink* link_;
   std::uint8_t version_;

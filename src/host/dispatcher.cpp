@@ -8,14 +8,6 @@
 
 namespace biosense::host {
 
-namespace {
-
-std::uint16_t get_le16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-
-}  // namespace
-
 void Dispatcher::register_command(CommandSpec spec) {
   require(static_cast<bool>(spec.handler),
           "Dispatcher: command registered without a handler");
@@ -40,32 +32,27 @@ HostStatus Dispatcher::dispatch(const std::uint8_t* bytes, std::size_t n,
   BIOSENSE_SPAN("host.dispatch");
   const auto decoded = decode_frame(bytes, n);
 
+  // The reply echoes the request's version (capped at ours), command and
+  // seq. For a frame that failed to decode these are whatever the raw
+  // bytes make legible, so even a reject correlates with its request.
   FrameHeader reply;
-  // Echo what the raw bytes make legible so even a reject response
-  // correlates with the request the client sent.
-  if (n >= kHeaderSize) {
-    reply.version = std::min(bytes[1], kProtocolVersionCurrent);
-    reply.command = static_cast<HostCommand>(get_le16(bytes + 2));
-    reply.seq = get_le16(bytes + 4);
-  }
-  if (reply.version < kProtocolVersionMin) reply.version = kProtocolVersionMin;
+  if (n >= kHeaderSize) reply = read_header(bytes);
+  const std::uint8_t req_version = reply.version;
+  reply.version = std::min(req_version, kProtocolVersionCurrent);
 
   // The response payload builds directly behind a header placeholder in
   // the caller's buffer — no dispatcher-owned scratch, so concurrent
   // dispatches never share mutable state.
   response.clear();
   response.resize(kHeaderSize);
-  PayloadWriter writer(response);
+  snapshot::StateWriter writer(response);
 
   if (!decoded) {
     reply.status = decoded.error();
+    reply.version = std::max(reply.version, kProtocolVersionMin);
   } else {
-    const FrameHeader& req = decoded->header;
-    reply.version = std::min(req.version, kProtocolVersionCurrent);
-    reply.command = req.command;
-    reply.seq = req.seq;
-    if (req.version < kProtocolVersionMin ||
-        req.version > kProtocolVersionCurrent) {
+    if (req_version < kProtocolVersionMin ||
+        req_version > kProtocolVersionCurrent) {
       // Version negotiation: tell the client the window we speak.
       reply.status = HostStatus::kBadVersion;
       writer.u8(kProtocolVersionMin);
@@ -75,7 +62,7 @@ HostStatus Dispatcher::dispatch(const std::uint8_t* bytes, std::size_t n,
       if (reply.status != HostStatus::kOk) {
         // Typed-error responses carry no partial payload: a handler may
         // have written some bytes before failing.
-        writer.rewind();
+        response.resize(kHeaderSize);
       }
     }
   }
@@ -87,7 +74,7 @@ HostStatus Dispatcher::dispatch(const std::uint8_t* bytes, std::size_t n,
 }
 
 HostStatus Dispatcher::route(const DecodedFrame& frame,
-                             PayloadWriter& writer) const {
+                             snapshot::StateWriter& writer) const {
   const CommandSpec* spec = find(frame.header.command);
   if (spec == nullptr) return HostStatus::kUnknownCommand;
   // A command introduced at v(N) is "unknown" to an older conversation —

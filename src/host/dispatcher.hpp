@@ -17,14 +17,16 @@
 #include <vector>
 
 #include "host/protocol.hpp"
+#include "snapshot/state_io.hpp"
 
 namespace biosense::host {
 
 /// Context handed to a handler: the decoded request plus the response
 /// payload builder (response header fields are filled by the dispatcher).
+/// Handlers parse the request payload with a snapshot::StateReader.
 struct CommandContext {
   const DecodedFrame* request = nullptr;
-  PayloadWriter* response = nullptr;
+  snapshot::StateWriter* response = nullptr;
 };
 
 /// One registered command. `min_payload`/`max_payload` declare the request
@@ -67,7 +69,8 @@ class Dispatcher {
   const std::vector<CommandSpec>& commands() const { return specs_; }
 
  private:
-  HostStatus route(const DecodedFrame& frame, PayloadWriter& writer) const;
+  HostStatus route(const DecodedFrame& frame,
+                   snapshot::StateWriter& writer) const;
 
   std::vector<CommandSpec> specs_;  // sorted by id
 };

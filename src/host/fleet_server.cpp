@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
-#include <iterator>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "obs/wire.hpp"
@@ -16,22 +16,10 @@ namespace biosense::host {
 
 namespace {
 
-inline constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-inline constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
 /// Error-sentinel records: high bit set, low bits the ChipError code — a
 /// real current/hash never collides because currents are IEEE doubles with
 /// structure in the low mantissa and hashes are full-width.
 inline constexpr std::uint64_t kRecordErrorBit = 0x8000000000000000ULL;
-
-std::uint64_t fnv_bytes(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 /// The fault worlds a create command can ask for (v2 adds the byte; v1
 /// sessions always run preset 0). Deterministic per session: the plan seed
@@ -116,7 +104,7 @@ struct FleetServer::Session {
   std::uint32_t pending = 0;           // queued, not yet produced
   std::uint32_t frames_produced = 0;   // next record index
   std::uint64_t records_polled = 0;
-  std::uint64_t digest = kFnvOffset;   // folds every produced record
+  std::uint64_t digest = kFnv1aOffset;  // folds every produced record
   std::uint64_t wire_errors = 0;       // error-sentinel records
   std::unique_ptr<Channel<Record>> ring;
 
@@ -152,8 +140,6 @@ struct FleetServer::Session {
 FleetServer::FleetServer(FleetLimits limits)
     : limits_(std::move(limits)), server_flight_(limits_.server_flight_events) {
   require(limits_.max_sessions >= 1, "FleetServer: max_sessions must be >= 1");
-  require(limits_.max_poll_records >= 1,
-          "FleetServer: max_poll_records must be >= 1");
   register_handlers();
 }
 
@@ -223,7 +209,7 @@ void FleetServer::register_handlers() {
 void FleetServer::note_outcome(const CommandContext& ctx, HostStatus status) {
   const auto& req = *ctx.request;
   if (req.payload_len < 4) return;  // malformed; the handler already said so
-  PayloadReader r(req.payload, req.payload_len);
+  snapshot::StateReader r(req.payload, req.payload_len);
   const std::uint32_t id = r.u32();
   const auto session = find_session(id);
   if (!session) return;
@@ -368,10 +354,7 @@ HostStatus FleetServer::cmd_capabilities(const CommandContext& ctx) {
 }
 
 HostStatus FleetServer::cmd_ping(const CommandContext& ctx) {
-  const auto& req = *ctx.request;
-  if (req.payload_len > 0) {
-    ctx.response->bytes(req.payload, req.payload_len);
-  }
+  ctx.response->raw(ctx.request->payload, ctx.request->payload_len);
   return HostStatus::kOk;
 }
 
@@ -379,7 +362,7 @@ HostStatus FleetServer::cmd_ping(const CommandContext& ctx) {
 
 HostStatus FleetServer::cmd_create(const CommandContext& ctx) {
   const auto& req = *ctx.request;
-  PayloadReader r(req.payload, req.payload_len);
+  snapshot::StateReader r(req.payload, req.payload_len);
   const std::uint32_t id = r.u32();
   const std::uint8_t kind_raw = r.u8();
   const std::uint16_t rows = r.u16();
@@ -398,7 +381,7 @@ HostStatus FleetServer::cmd_create(const CommandContext& ctx) {
     if (s.has_replay && s.replay_seq == req.header.seq &&
         s.replay_command == HostCommand::kCreateSession) {
       // Retried create whose first response was lost: echo it.
-      ctx.response->bytes(s.replay_payload.data(), s.replay_payload.size());
+      ctx.response->raw(s.replay_payload.data(), s.replay_payload.size());
       return s.replay_status;
     }
     return HostStatus::kDuplicateSession;
@@ -441,7 +424,7 @@ HostStatus FleetServer::cmd_create(const CommandContext& ctx) {
 
 HostStatus FleetServer::cmd_configure(const CommandContext& ctx) {
   const auto& req = *ctx.request;
-  PayloadReader r(req.payload, req.payload_len);
+  snapshot::StateReader r(req.payload, req.payload_len);
   const std::uint32_t id = r.u32();
   const std::uint8_t param = r.u8();
   const std::uint64_t value = r.u64();
@@ -453,7 +436,7 @@ HostStatus FleetServer::cmd_configure(const CommandContext& ctx) {
   Session& s = *session;
   if (s.has_replay && s.replay_seq == req.header.seq &&
       s.replay_command == HostCommand::kConfigureSession) {
-    ctx.response->bytes(s.replay_payload.data(), s.replay_payload.size());
+    ctx.response->raw(s.replay_payload.data(), s.replay_payload.size());
     return s.replay_status;
   }
 
@@ -482,7 +465,7 @@ HostStatus FleetServer::cmd_configure(const CommandContext& ctx) {
 
 HostStatus FleetServer::cmd_start(const CommandContext& ctx) {
   const auto& req = *ctx.request;
-  PayloadReader r(req.payload, req.payload_len);
+  snapshot::StateReader r(req.payload, req.payload_len);
   const std::uint32_t id = r.u32();
   const std::uint32_t frames = r.u32();
   if (!r.exhausted() || frames == 0) return HostStatus::kBadPayload;
@@ -493,7 +476,7 @@ HostStatus FleetServer::cmd_start(const CommandContext& ctx) {
   Session& s = *session;
   if (s.has_replay && s.replay_seq == req.header.seq &&
       s.replay_command == HostCommand::kStartAcquisition) {
-    ctx.response->bytes(s.replay_payload.data(), s.replay_payload.size());
+    ctx.response->raw(s.replay_payload.data(), s.replay_payload.size());
     return s.replay_status;
   }
 
@@ -524,10 +507,10 @@ FleetServer::Record FleetServer::produce_record(Session& s) {
     const auto stats =
         s.wire->process(s.scratch, s.wire_seq++, s.link_rng.fork());
     s.wire_totals += stats;
-    std::uint64_t h = kFnvOffset;
-    h = fnv_bytes(h, s.scratch.codes.data(),
-                  s.scratch.codes.size() * sizeof(std::int32_t));
-    h = fnv_bytes(h, &s.scratch.masked, sizeof(s.scratch.masked));
+    std::uint64_t h = kFnv1aOffset;
+    h = fnv1a(h, s.scratch.codes.data(),
+              s.scratch.codes.size() * sizeof(std::int32_t));
+    h = fnv1a(h, &s.scratch.masked, sizeof(s.scratch.masked));
     record.payload = h;
   } else {
     const int cols = s.dna.chip->cols();
@@ -550,18 +533,18 @@ FleetServer::Record FleetServer::produce_record(Session& s) {
       }
     }
   }
-  s.digest = fnv_bytes(s.digest, &record.payload, sizeof(record.payload));
+  s.digest = fnv1a(s.digest, &record.payload, sizeof(record.payload));
   return record;
 }
 
 HostStatus FleetServer::cmd_poll(const CommandContext& ctx) {
   BIOSENSE_SPAN("fleet.poll");
   const auto& req = *ctx.request;
-  PayloadReader r(req.payload, req.payload_len);
+  snapshot::StateReader r(req.payload, req.payload_len);
   const std::uint32_t id = r.u32();
   std::uint16_t max_records = r.u16();
   if (!r.exhausted()) return HostStatus::kBadPayload;
-  max_records = std::min(max_records, limits_.max_poll_records);
+  max_records = std::min(max_records, kMaxPollRecords);
 
   const auto session = find_session(id);
   if (!session) return HostStatus::kNoSuchSession;
@@ -576,11 +559,9 @@ HostStatus FleetServer::cmd_poll(const CommandContext& ctx) {
     --s.pending;
   }
 
-  Record out[256];
+  Record out[kMaxPollRecords];
   std::uint16_t count = 0;
-  const std::uint16_t want = std::min<std::uint16_t>(
-      max_records, static_cast<std::uint16_t>(std::size(out)));
-  while (count < want) {
+  while (count < max_records) {
     auto record = s.ring->try_pop();
     if (!record) break;
     out[count++] = *record;
@@ -609,7 +590,7 @@ HostStatus FleetServer::cmd_poll(const CommandContext& ctx) {
 HostStatus FleetServer::cmd_drain(const CommandContext& ctx) {
   BIOSENSE_SPAN("fleet.drain");
   const auto& req = *ctx.request;
-  PayloadReader r(req.payload, req.payload_len);
+  snapshot::StateReader r(req.payload, req.payload_len);
   const std::uint32_t id = r.u32();
   if (!r.exhausted()) return HostStatus::kBadPayload;
 
@@ -619,7 +600,7 @@ HostStatus FleetServer::cmd_drain(const CommandContext& ctx) {
   Session& s = *session;
   if (s.has_replay && s.replay_seq == req.header.seq &&
       s.replay_command == HostCommand::kDrainSession) {
-    ctx.response->bytes(s.replay_payload.data(), s.replay_payload.size());
+    ctx.response->raw(s.replay_payload.data(), s.replay_payload.size());
     return s.replay_status;
   }
 
@@ -661,7 +642,7 @@ HostStatus FleetServer::cmd_drain(const CommandContext& ctx) {
 
 HostStatus FleetServer::cmd_destroy(const CommandContext& ctx) {
   const auto& req = *ctx.request;
-  PayloadReader r(req.payload, req.payload_len);
+  snapshot::StateReader r(req.payload, req.payload_len);
   const std::uint32_t id = r.u32();
   if (!r.exhausted()) return HostStatus::kBadPayload;
 
@@ -691,7 +672,7 @@ HostStatus FleetServer::cmd_destroy(const CommandContext& ctx) {
 
 HostStatus FleetServer::cmd_query(const CommandContext& ctx) {
   const auto& req = *ctx.request;
-  PayloadReader r(req.payload, req.payload_len);
+  snapshot::StateReader r(req.payload, req.payload_len);
   const std::uint32_t id = r.u32();
   if (!r.exhausted()) return HostStatus::kBadPayload;
 
@@ -808,7 +789,7 @@ std::vector<std::uint8_t> FleetServer::save_session(const Session& s) const {
 HostStatus FleetServer::cmd_checkpoint(const CommandContext& ctx) {
   BIOSENSE_SPAN("fleet.checkpoint");
   const auto& req = *ctx.request;
-  PayloadReader r(req.payload, req.payload_len);
+  snapshot::StateReader r(req.payload, req.payload_len);
   const std::uint32_t id = r.u32();
   if (!r.exhausted()) return HostStatus::kBadPayload;
 
@@ -818,7 +799,7 @@ HostStatus FleetServer::cmd_checkpoint(const CommandContext& ctx) {
   Session& s = *session;
   if (s.has_replay && s.replay_seq == req.header.seq &&
       s.replay_command == HostCommand::kCheckpointSession) {
-    ctx.response->bytes(s.replay_payload.data(), s.replay_payload.size());
+    ctx.response->raw(s.replay_payload.data(), s.replay_payload.size());
     return s.replay_status;
   }
 
@@ -831,8 +812,8 @@ HostStatus FleetServer::cmd_checkpoint(const CommandContext& ctx) {
   BIOSENSE_FLIGHT_TO("fleet.checkpoint_mark", server_flight_, s.id,
                      s.frames_produced, s.pending);
   const std::vector<std::uint8_t> bytes = save_session(s);
-  const std::uint64_t digest = fnv_bytes(kFnvOffset, bytes.data(),
-                                         bytes.size());
+  const std::uint64_t digest = fnv1a(kFnv1aOffset, bytes.data(),
+                                    bytes.size());
   {
     std::lock_guard store_lock(checkpoint_mutex_);
     checkpoints_[id] = bytes;
@@ -863,7 +844,7 @@ HostStatus FleetServer::cmd_checkpoint(const CommandContext& ctx) {
 HostStatus FleetServer::cmd_restore(const CommandContext& ctx) {
   BIOSENSE_SPAN("fleet.restore");
   const auto& req = *ctx.request;
-  PayloadReader r(req.payload, req.payload_len);
+  snapshot::StateReader r(req.payload, req.payload_len);
   const std::uint32_t id = r.u32();
   if (!r.exhausted()) return HostStatus::kBadPayload;
 
@@ -914,8 +895,8 @@ HostStatus FleetServer::cmd_restore(const CommandContext& ctx) {
     if (live.has_replay && live.replay_seq == req.header.seq &&
         live.replay_command == HostCommand::kRestoreSession) {
       // Retried restore whose first response was lost: echo it.
-      ctx.response->bytes(live.replay_payload.data(),
-                          live.replay_payload.size());
+      ctx.response->raw(live.replay_payload.data(),
+                        live.replay_payload.size());
       return live.replay_status;
     }
     return HostStatus::kBadState;
@@ -1051,7 +1032,7 @@ HostStatus FleetServer::cmd_server_stats(const CommandContext& ctx) {
 
 HostStatus FleetServer::cmd_session_health(const CommandContext& ctx) {
   const auto& req = *ctx.request;
-  PayloadReader r(req.payload, req.payload_len);
+  snapshot::StateReader r(req.payload, req.payload_len);
   const std::uint32_t id = r.u32();
   if (!r.exhausted()) return HostStatus::kBadPayload;
 
@@ -1096,7 +1077,7 @@ HostStatus FleetServer::cmd_session_health(const CommandContext& ctx) {
 
 HostStatus FleetServer::cmd_get_metrics(const CommandContext& ctx) {
   const auto& req = *ctx.request;
-  PayloadReader r(req.payload, req.payload_len);
+  snapshot::StateReader r(req.payload, req.payload_len);
   const std::uint32_t offset = r.u32();
   const std::uint16_t max_bytes = r.u16();
   if (!r.exhausted() || max_bytes == 0) return HostStatus::kBadPayload;
@@ -1109,9 +1090,9 @@ HostStatus FleetServer::cmd_get_metrics(const CommandContext& ctx) {
     metrics_wire_ = obs::encode_snapshot(obs::Registry::global().snapshot());
   }
   if (offset > metrics_wire_.size()) return HostStatus::kBadPayload;
-  // Response room: the writer's kMaxPayload bound covers the header
-  // placeholder too, minus the 8-byte total+offset preamble.
-  const std::size_t room = kMaxPayload - kHeaderSize - 8;
+  // Response room: one frame's payload minus the 8-byte total+offset
+  // preamble.
+  const std::size_t room = kMaxPayload - 8;
   const std::size_t chunk =
       std::min({static_cast<std::size_t>(max_bytes), room,
                 metrics_wire_.size() - offset});
@@ -1119,13 +1100,13 @@ HostStatus FleetServer::cmd_get_metrics(const CommandContext& ctx) {
   auto& w = *ctx.response;
   w.u32(static_cast<std::uint32_t>(metrics_wire_.size()));
   w.u32(offset);
-  if (chunk > 0) w.bytes(metrics_wire_.data() + offset, chunk);
+  w.raw(metrics_wire_.data() + offset, chunk);
   return HostStatus::kOk;
 }
 
 HostStatus FleetServer::cmd_dump_flight(const CommandContext& ctx) {
   const auto& req = *ctx.request;
-  PayloadReader r(req.payload, req.payload_len);
+  snapshot::StateReader r(req.payload, req.payload_len);
   const std::uint32_t id = r.u32();
   if (!r.exhausted()) return HostStatus::kBadPayload;
 
@@ -1139,8 +1120,7 @@ HostStatus FleetServer::cmd_dump_flight(const CommandContext& ctx) {
     w.u32(static_cast<std::uint32_t>(server_flight_.events().size()));
     w.u64(server_flight_.recorded());
     w.u64(server_flight_.dropped());
-    w.u16(static_cast<std::uint16_t>(path.size()));
-    w.bytes(reinterpret_cast<const std::uint8_t*>(path.data()), path.size());
+    w.str(path);
     return HostStatus::kOk;
   }
 
@@ -1150,7 +1130,7 @@ HostStatus FleetServer::cmd_dump_flight(const CommandContext& ctx) {
   Session& s = *session;
   if (s.has_replay && s.replay_seq == req.header.seq &&
       s.replay_command == HostCommand::kDumpFlightRecorder) {
-    ctx.response->bytes(s.replay_payload.data(), s.replay_payload.size());
+    ctx.response->raw(s.replay_payload.data(), s.replay_payload.size());
     return s.replay_status;
   }
   if (!s.flight || !s.flight->enabled()) return HostStatus::kBadState;
@@ -1162,8 +1142,7 @@ HostStatus FleetServer::cmd_dump_flight(const CommandContext& ctx) {
   w.u32(static_cast<std::uint32_t>(s.flight->events().size()));
   w.u64(s.flight->recorded());
   w.u64(s.flight->dropped());
-  w.u16(static_cast<std::uint16_t>(path.size()));
-  w.bytes(reinterpret_cast<const std::uint8_t*>(path.data()), path.size());
+  w.str(path);
   s.has_replay = true;
   s.replay_seq = req.header.seq;
   s.replay_command = HostCommand::kDumpFlightRecorder;

@@ -54,8 +54,6 @@ struct FleetLimits {
   std::size_t frame_budget = 4096;
   /// Per-session backlog cap for queued acquisition work (backpressure).
   std::uint32_t max_pending = 1u << 16;
-  /// Records returned per poll at most (bounds the response payload).
-  std::uint16_t max_poll_records = 64;
   /// Obs prefix for per-session instruments ("fleet" -> "fleet.s42.ring.*").
   /// Empty disables per-session instruments — the configuration for
   /// throughput-critical fleets of hundreds of sessions.

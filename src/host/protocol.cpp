@@ -1,8 +1,8 @@
 #include "host/protocol.hpp"
 
-#include <algorithm>
-
+#include "common/crc.hpp"
 #include "common/error.hpp"
+#include "snapshot/state_io.hpp"
 
 namespace biosense::host {
 
@@ -49,34 +49,25 @@ const char* host_command_name(HostCommand command) {
   return "unknown";
 }
 
-namespace {
-
-void put_le16(std::uint8_t* p, std::uint16_t v) {
-  p[0] = static_cast<std::uint8_t>(v & 0xff);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-}
-
-std::uint16_t get_le16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-
-}  // namespace
-
 void finalize_frame(const FrameHeader& header,
                     std::vector<std::uint8_t>& frame) {
   require(frame.size() >= kHeaderSize,
           "finalize_frame: missing header placeholder");
   const std::size_t payload_len = frame.size() - kHeaderSize;
   require(payload_len <= kMaxPayload, "finalize_frame: payload too large");
+  // The four u16 fields at offsets 2..9, patched into the placeholder.
+  const std::uint16_t fields[] = {
+      static_cast<std::uint16_t>(header.command), header.seq,
+      static_cast<std::uint16_t>(header.status),
+      static_cast<std::uint16_t>(payload_len)};
   frame[0] = kFrameMagic;
   frame[1] = header.version;
-  put_le16(&frame[2], static_cast<std::uint16_t>(header.command));
-  put_le16(&frame[4], header.seq);
-  put_le16(&frame[6], static_cast<std::uint16_t>(header.status));
-  put_le16(&frame[8], static_cast<std::uint16_t>(payload_len));
+  for (std::size_t i = 0; i < 4; ++i) {
+    frame[2 + 2 * i] = static_cast<std::uint8_t>(fields[i]);
+    frame[3 + 2 * i] = static_cast<std::uint8_t>(fields[i] >> 8);
+  }
   frame[10] = 0;  // reserved
-  frame[11] = 0;  // crc placeholder — computed over the zeroed slot
-  frame[11] = dnachip::crc8(frame.data(), frame.size());
+  frame[11] = crc8_zero_slot(frame.data(), frame.size(), 11);
 }
 
 void encode_frame(const FrameHeader& header, const std::uint8_t* payload,
@@ -84,10 +75,19 @@ void encode_frame(const FrameHeader& header, const std::uint8_t* payload,
   require(payload_len <= kMaxPayload, "encode_frame: payload too large");
   out.clear();
   out.resize(kHeaderSize);
-  if (payload_len > 0) {
-    out.insert(out.end(), payload, payload + payload_len);
-  }
+  snapshot::StateWriter(out).raw(payload, payload_len);
   finalize_frame(header, out);
+}
+
+FrameHeader read_header(const std::uint8_t* bytes) {
+  snapshot::StateReader r(bytes + 1, kHeaderSize - 1);  // past the magic
+  FrameHeader header;
+  header.version = r.u8();
+  header.command = static_cast<HostCommand>(r.u16());
+  header.seq = r.u16();
+  header.status = static_cast<HostStatus>(r.u16());
+  header.payload_len = r.u16();
+  return header;
 }
 
 Result<DecodedFrame, HostStatus> decode_frame(const std::uint8_t* bytes,
@@ -95,66 +95,18 @@ Result<DecodedFrame, HostStatus> decode_frame(const std::uint8_t* bytes,
   using R = Result<DecodedFrame, HostStatus>;
   if (n < kHeaderSize) return R::err(HostStatus::kTruncated);
   if (bytes[0] != kFrameMagic) return R::err(HostStatus::kBadMagic);
-  const std::uint16_t payload_len = get_le16(bytes + 8);
-  if (payload_len > kMaxPayload) return R::err(HostStatus::kOversized);
-  if (n != kHeaderSize + payload_len) return R::err(HostStatus::kTruncated);
-  // CRC over the frame with the crc byte zeroed. Run it on a stack copy of
-  // the header (so the caller's buffer stays const), continued over the
-  // payload in place — the CRC register simply carries across the two
-  // ranges because the polynomial division is a running state.
-  std::uint8_t head[kHeaderSize];
-  std::copy(bytes, bytes + kHeaderSize, head);
-  const std::uint8_t expected = head[11];
-  head[11] = 0;
-  std::uint8_t acc = 0;
-  auto step = [&acc](std::uint8_t byte) {
-    acc = static_cast<std::uint8_t>(acc ^ byte);
-    for (int i = 0; i < 8; ++i) {
-      acc = (acc & 0x80) ? static_cast<std::uint8_t>((acc << 1) ^ 0x07)
-                         : static_cast<std::uint8_t>(acc << 1);
-    }
-  };
-  for (std::size_t i = 0; i < kHeaderSize; ++i) step(head[i]);
-  for (std::size_t i = 0; i < payload_len; ++i) step(bytes[kHeaderSize + i]);
-  if (acc != expected) return R::err(HostStatus::kBadCrc);
-
   DecodedFrame frame;
-  frame.header.version = bytes[1];
-  frame.header.command = static_cast<HostCommand>(get_le16(bytes + 2));
-  frame.header.seq = get_le16(bytes + 4);
-  frame.header.status = static_cast<HostStatus>(get_le16(bytes + 6));
-  frame.header.payload_len = payload_len;
-  frame.payload = payload_len > 0 ? bytes + kHeaderSize : nullptr;
-  frame.payload_len = payload_len;
+  frame.header = read_header(bytes);
+  frame.payload_len = frame.header.payload_len;
+  if (frame.payload_len > kMaxPayload) return R::err(HostStatus::kOversized);
+  if (n != kHeaderSize + frame.payload_len) {
+    return R::err(HostStatus::kTruncated);
+  }
+  if (crc8_zero_slot(bytes, n, 11) != bytes[11]) {
+    return R::err(HostStatus::kBadCrc);
+  }
+  frame.payload = frame.payload_len > 0 ? bytes + kHeaderSize : nullptr;
   return frame;
-}
-
-std::uint64_t PayloadReader::take(std::size_t width) {
-  if (pos_ + width > n_) {
-    ok_ = false;
-    pos_ = n_;
-    return 0;
-  }
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < width; ++i) {
-    v |= static_cast<std::uint64_t>(bytes_[pos_ + i]) << (8 * i);
-  }
-  pos_ += width;
-  return v;
-}
-
-void PayloadWriter::put(std::uint64_t v, std::size_t width) {
-  require(out_->size() + width <= kMaxPayload,
-          "PayloadWriter: response payload exceeds kMaxPayload");
-  for (std::size_t i = 0; i < width; ++i) {
-    out_->push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PayloadWriter::bytes(const std::uint8_t* p, std::size_t n) {
-  require(out_->size() + n <= kMaxPayload,
-          "PayloadWriter: response payload exceeds kMaxPayload");
-  out_->insert(out_->end(), p, p + n);
 }
 
 }  // namespace biosense::host

@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "common/result.hpp"
-#include "dnachip/serial.hpp"
 
 namespace biosense::host {
 
@@ -44,6 +43,11 @@ inline constexpr std::uint8_t kProtocolVersionMin = 1;
 inline constexpr std::uint8_t kProtocolVersionCurrent = 4;
 inline constexpr std::size_t kHeaderSize = 12;
 inline constexpr std::size_t kMaxPayload = 1024;
+/// Records one kPollFrames response returns at most: [count u16,
+/// backpressure u8] plus 12 bytes per record must fit one frame.
+inline constexpr std::uint16_t kMaxPollRecords = 64;
+static_assert(3 + 12 * std::size_t{kMaxPollRecords} <= kMaxPayload,
+              "a full poll response must fit one frame");
 
 /// Command ids. 0x0x = discovery/liveness, 0x1x = session lifecycle,
 /// 0x2x = server-wide (v2+).
@@ -126,10 +130,18 @@ void encode_frame(const FrameHeader& header, const std::uint8_t* payload,
                   std::size_t payload_len, std::vector<std::uint8_t>& out);
 
 /// In-place finalizer for the allocation-free dispatch path: `frame` holds
-/// a kHeaderSize placeholder followed by the already-built payload (the
-/// PayloadWriter pattern). Stamps the header fields, payload length and
-/// CRC. Throws ConfigError when the payload exceeds kMaxPayload.
+/// a kHeaderSize placeholder followed by the already-built payload (a
+/// snapshot::StateWriter constructed over the placeholder builds it).
+/// Stamps the header fields, payload length and CRC. Throws ConfigError
+/// when the payload exceeds kMaxPayload: writers do not check per field,
+/// so this (and encode_frame) is where a payload's size is bounded.
 void finalize_frame(const FrameHeader& header, std::vector<std::uint8_t>& frame);
+
+/// Reads the header fields of `bytes` (at least kHeaderSize of them)
+/// without validating anything — the magic byte is skipped, the CRC byte
+/// ignored. `decode_frame` parses with it, and the dispatcher uses it to
+/// echo the legible fields of a frame that failed to decode.
+FrameHeader read_header(const std::uint8_t* bytes);
 
 /// Validates magic, size, length and CRC. The error is precisely the
 /// status a server should answer with (kBadMagic/kTruncated/kOversized/
@@ -138,63 +150,5 @@ void finalize_frame(const FrameHeader& header, std::vector<std::uint8_t>& frame)
 /// versions by design) so the server can answer kBadVersion in kind.
 Result<DecodedFrame, HostStatus> decode_frame(const std::uint8_t* bytes,
                                               std::size_t n);
-
-/// Bounds-checked little-endian payload cursor. Reads past the end set the
-/// failure flag and return zeros — handlers check `ok()` once at the end
-/// of parsing instead of after every field.
-class PayloadReader {
- public:
-  PayloadReader(const std::uint8_t* bytes, std::size_t n)
-      : bytes_(bytes), n_(n) {}
-
-  std::uint8_t u8() { return static_cast<std::uint8_t>(take(1)); }
-  std::uint16_t u16() { return static_cast<std::uint16_t>(take(2)); }
-  std::uint32_t u32() { return static_cast<std::uint32_t>(take(4)); }
-  std::uint64_t u64() { return take(8); }
-
-  bool ok() const { return ok_; }
-  /// True when every byte has been consumed — schemas are exact-length.
-  bool exhausted() const { return ok_ && pos_ == n_; }
-  std::size_t remaining() const { return n_ - pos_; }
-
- private:
-  std::uint64_t take(std::size_t width);
-
-  const std::uint8_t* bytes_;
-  std::size_t n_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
-
-/// Little-endian payload builder appending to a caller-owned byte vector.
-/// Bytes already in the vector at construction (e.g. a frame-header
-/// placeholder) are treated as a fixed base — `size()` and the kMaxPayload
-/// bound count only bytes this writer appended. Exceeding kMaxPayload
-/// throws ConfigError — a handler building an oversized response is a
-/// bug, not a runtime condition.
-class PayloadWriter {
- public:
-  explicit PayloadWriter(std::vector<std::uint8_t>& out)
-      : out_(&out), base_(out.size()) {}
-
-  void u8(std::uint8_t v) { put(v, 1); }
-  void u16(std::uint16_t v) { put(v, 2); }
-  void u32(std::uint32_t v) { put(v, 4); }
-  void u64(std::uint64_t v) { put(v, 8); }
-  void bytes(const std::uint8_t* p, std::size_t n);
-
-  std::size_t size() const { return out_->size() - base_; }
-  /// The bytes this writer appended (valid until the next append).
-  const std::uint8_t* data() const { return out_->data() + base_; }
-  /// Drops everything this writer appended (failed handlers must not leak
-  /// partial payloads into a typed-error response).
-  void rewind() { out_->resize(base_); }
-
- private:
-  void put(std::uint64_t v, std::size_t width);
-
-  std::vector<std::uint8_t>* out_;
-  std::size_t base_;
-};
 
 }  // namespace biosense::host

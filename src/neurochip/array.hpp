@@ -34,7 +34,7 @@
 #include "dnachip/serial.hpp"
 #include "faults/defect_map.hpp"
 #include "faults/fault_plan.hpp"
-#include "neurochip/pixel.hpp"
+#include "neurochip/pixel_bank.hpp"
 #include "neurochip/signal_source.hpp"
 #include "noise/mismatch.hpp"
 
@@ -209,14 +209,6 @@ class NeuroChip {
   /// Statistics over pixel input-referred offsets (V) — calibration
   /// quality. Pair: (mean absolute, max absolute).
   std::pair<double, double> offset_stats() const;
-
-  /// Accessor view over one pixel of the bank (valid while the chip lives).
-  SensorPixel pixel(int r, int c) {
-    return SensorPixel(bank_, bank_.plane_index(r, c));
-  }
-
-  /// The plane-structured pixel engine (read access for diagnostics).
-  const PixelBank& bank() const { return bank_; }
 
   /// Nominal end-to-end transimpedance factor used for reconstruction:
   /// input volts -> output amps (gm * total gain).

@@ -8,9 +8,9 @@ void PixelBank::validate_and_size(const PixelParams& params, int rows,
                                   int cols) {
   require(rows > 0 && cols > 0, "PixelBank: dimensions must be positive");
   require(params.store_cap > Capacitance(0.0),
-          "SensorPixel: storage cap must be positive");
+          "PixelBank: storage cap must be positive");
   require(params.i_cal > Current(0.0),
-          "SensorPixel: calibration current must be positive");
+          "PixelBank: calibration current must be positive");
   // Same switch-parameter contract the AnalogSwitch constructor enforced.
   require(params.s1.r_on > 0.0, "AnalogSwitch: r_on must be positive");
   require(params.s1.injection_fraction >= 0.0 &&
@@ -92,12 +92,6 @@ void PixelBank::build(const PixelParams& params, int rows, int cols,
       init_pixel(plane_index(r, c), master.fork(), mismatch);
     }
   }
-}
-
-void PixelBank::build_single(const PixelParams& params,
-                             noise::MismatchSampler& mismatch, Rng rng) {
-  validate_and_size(params, 1, 1);
-  init_pixel(0, rng, mismatch);
 }
 
 const PixelBank::FrameConsts& PixelBank::prepare(double dt) {

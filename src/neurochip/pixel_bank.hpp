@@ -1,6 +1,24 @@
 // Structure-of-arrays pixel-physics engine for the 128x128 recording array.
 //
-// The seed implementation stored one `SensorPixel` object per site, each
+// Each calibrated sensor pixel (Fig. 6) converts the electrode voltage
+// riding on the gate of its sensor transistor M1 into a drain current. Raw
+// V_T mismatch between pixels is tens of millivolts — two orders of
+// magnitude above the 100 uV .. 5 mV signals — so each pixel is calibrated
+// in place:
+//
+//  * Calibration: S1 closes, the current source M2 forces its current
+//    through M1, and the feedback stores exactly the gate voltage that
+//    makes M1 carry M2's current on the gate storage capacitance. When S1
+//    opens again, M1 reproduces M2's current regardless of either device's
+//    parameters. The imperfections are the switch charge injection
+//    (a pedestal on the storage cap) and leakage droop until the next
+//    calibration cycle.
+//  * Readout: S1 open, S3 closed, M2 sinks the same current; the electrode
+//    signal coupled onto M1's gate unbalances M1 against M2 and the
+//    difference current Delta_I = gm * (v_signal + v_residual) flows into
+//    the column regulation loop (A, M3, M4) toward the gain stages.
+//
+// The seed implementation stored one pixel object per site, each
 // owning two `Mosfet`s, an `AnalogSwitch` and a `CompositeNoise` — ~0.5 kB
 // of scattered state and three levels of indirection per pixel visit, which
 // capped capture at ~105 frames/s against the chip's 2 k frames/s.
@@ -20,7 +38,7 @@
 // Planes are column-major (`plane_index(r, c) = c * rows + r`) so an output
 // channel's 8-row run per column is one contiguous 64-byte cache line —
 // parallel channel workers never share a line. Every method reproduces the
-// corresponding `SensorPixel` member bit for bit (tests/test_neuro_golden
+// corresponding seed pixel member bit for bit (tests/test_neuro_golden
 // locks this against an in-test replica of the seed object model), and
 // `save_pixel_state`/`load_pixel_state` emit the exact per-pixel byte
 // layout of the old object model so historical checkpoints restore.
@@ -72,14 +90,9 @@ class PixelBank {
   /// Builds a rows x cols bank: per pixel (row-major, the seed's
   /// construction order) draws M1/M2 mismatch from `mismatch` and forks the
   /// per-pixel generator from `master`, reproducing the draw sequence of
-  /// constructing `rows*cols` seed SensorPixels.
+  /// constructing `rows*cols` seed pixels.
   void build(const PixelParams& params, int rows, int cols,
              noise::MismatchSampler& mismatch, Rng& master);
-
-  /// Builds a 1x1 bank from an already-forked per-pixel generator — the
-  /// standalone SensorPixel constructor path.
-  void build_single(const PixelParams& params, noise::MismatchSampler& mismatch,
-                    Rng rng);
 
   std::size_t size() const { return n_; }
   int rows() const { return rows_; }
@@ -93,7 +106,7 @@ class PixelBank {
            static_cast<std::size_t>(r);
   }
 
-  // --- SensorPixel-equivalent per-pixel operations -------------------------
+  // --- Per-pixel operations (the seed pixel's members) ---------------------
 
   void calibrate(std::size_t i) {
     v_store_[i] = v_balance_[i];
@@ -108,8 +121,6 @@ class PixelBank {
     calibrated_[i] = 0;
     i_quiet_[i] = quiet_of(i);
   }
-
-  void elapse(std::size_t i, double dt) { v_store_[i] -= droop_dv(dt); }
 
   double read_current(std::size_t i, double v_signal, double dt) {
     if (dt > 0.0) return read_current_prepared(i, v_signal, prepare(dt));
@@ -135,7 +146,7 @@ class PixelBank {
   const FrameConsts& prepare(double dt);
 
   /// Storage droop for an interval, hoisted out of the loop (same value the
-  /// seed recomputed per pixel in elapse()).
+  /// seed recomputed per pixel).
   double droop_dv(double dt) const {
     return (params_.droop_leak * Time(dt) / params_.store_cap).value();
   }
@@ -155,7 +166,7 @@ class PixelBank {
     return m1_.drain_current(i, v_gate, v_drain_, 0.0) - i_m2_[i];
   }
 
-  /// elapse() with the droop precomputed by droop_dv().
+  /// Advances pixel i's hold-time droop by `dv` (from droop_dv()).
   void droop(std::size_t i, double dv) { v_store_[i] -= dv; }
 
   /// Cached zero-signal difference current for the sparse quiescence path;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string_view>
 
 #include "common/crc.hpp"
 #include "common/error.hpp"
@@ -13,8 +14,13 @@ namespace {
 
 constexpr std::size_t kMaxNameLen = 0xffff;
 constexpr std::size_t kMaxEntries = 0xffff;
+// Smallest encodings: a name entry with an empty suffix, a counter or
+// gauge value, a histogram with no bounds (overflow count, total, sum).
+constexpr std::size_t kMinNameBytes = 1 + 2;
+constexpr std::size_t kMinValueBytes = 8;
+constexpr std::size_t kMinHistogramBytes = 2 + 8 + 8 + 8;
 
-std::size_t shared_prefix(const std::string& a, const std::string& b) {
+std::size_t shared_prefix(std::string_view a, std::string_view b) {
   const std::size_t n = std::min({a.size(), b.size(), std::size_t{255}});
   std::size_t k = 0;
   while (k < n && a[k] == b[k]) ++k;
@@ -77,15 +83,12 @@ std::vector<std::uint8_t> encode_snapshot(const MetricsSnapshot& snap) {
   w.u32(0);  // total length, patched below
 
   // Front-coded name table: counters, gauges, histograms, in order.
-  std::string prev;
+  std::string_view prev;
   const auto put_name = [&](const std::string& name) {
     require(name.size() <= kMaxNameLen, "encode_snapshot: name too long");
     const std::size_t shared = shared_prefix(prev, name);
     w.u8(static_cast<std::uint8_t>(shared));
-    w.u16(static_cast<std::uint16_t>(name.size() - shared));
-    for (std::size_t i = shared; i < name.size(); ++i) {
-      out.push_back(static_cast<std::uint8_t>(name[i]));
-    }
+    w.str(std::string_view(name).substr(shared));
     prev = name;
   };
   for (const auto& [name, value] : snap.counters) put_name(name);
@@ -110,11 +113,7 @@ std::vector<std::uint8_t> encode_snapshot(const MetricsSnapshot& snap) {
   for (std::size_t i = 0; i < 4; ++i) {
     out[12 + i] = static_cast<std::uint8_t>(total >> (8 * i));
   }
-  std::uint8_t crc = crc8_update(0, out.data(), 3);
-  const std::uint8_t zero = 0;
-  crc = crc8_update(crc, &zero, 1);
-  crc = crc8_update(crc, out.data() + 4, out.size() - 4);
-  out[3] = crc;
+  out[3] = crc8(out);  // over the still-zero CRC slot
   return out;
 }
 
@@ -139,38 +138,35 @@ Result<MetricsSnapshot, WireError> decode_snapshot(const std::uint8_t* bytes,
     return R::err(WireError::kBadLayout);
   }
 
-  std::uint8_t want = crc8_update(0, bytes, 3);
-  const std::uint8_t zero = 0;
-  want = crc8_update(want, &zero, 1);
-  want = crc8_update(want, bytes + 4, n - 4);
-  if (want != crc) return R::err(WireError::kBadCrc);
+  if (crc8_zero_slot(bytes, n, 3) != crc) return R::err(WireError::kBadCrc);
 
   if (static_cast<std::size_t>(counter_count) + gauge_count +
           histogram_count != name_count) {
     return R::err(WireError::kBadLayout);
   }
+  // Every entry has a minimum encoded size, so counts the body cannot back
+  // are rejected before any container is sized from them.
+  const std::size_t min_body =
+      kMinNameBytes * name_count +
+      kMinValueBytes * (std::size_t{counter_count} + gauge_count) +
+      kMinHistogramBytes * histogram_count;
+  if (min_body > n - kMetricsWireHeader) return R::err(WireError::kBadLayout);
 
   snapshot::StateReader r(bytes + kMetricsWireHeader,
                           n - kMetricsWireHeader);
   std::vector<std::string> names;
   names.reserve(name_count);
   std::string prev;
+  std::string suffix;
   for (std::uint16_t i = 0; i < name_count; ++i) {
     const std::uint8_t shared = r.u8();
+    // str() checks the suffix length against the remaining bytes before
+    // the string grows.
+    r.str(suffix, kMaxNameLen);
     if (!r.ok() || shared > prev.size()) return R::err(WireError::kBadLayout);
-    std::string name = prev.substr(0, shared);
-    std::string suffix;
-    // Suffix length is validated against the remaining payload before the
-    // string grows — a corrupt length cannot size an allocation.
-    const std::uint16_t len = r.u16();
-    if (!r.ok() || len > r.remaining()) return R::err(WireError::kBadLayout);
-    suffix.resize(len);
-    for (std::uint16_t k = 0; k < len; ++k) {
-      suffix[k] = static_cast<char>(r.u8());
-    }
-    name += suffix;
-    names.push_back(name);
-    prev = std::move(name);
+    prev.resize(shared);
+    prev += suffix;
+    names.push_back(prev);
   }
 
   MetricsSnapshot snap;

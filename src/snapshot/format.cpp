@@ -4,31 +4,9 @@
 
 #include "common/crc.hpp"
 #include "common/error.hpp"
+#include "snapshot/state_io.hpp"
 
 namespace biosense::snapshot {
-
-namespace {
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint16_t get_u16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-}  // namespace
 
 const char* snapshot_error_name(SnapshotError err) {
   switch (err) {
@@ -66,19 +44,20 @@ std::vector<std::uint8_t> SnapshotBuilder::finish() const {
 
   std::vector<std::uint8_t> out;
   out.reserve(total);
-  out.insert(out.end(), kSnapshotMagic, kSnapshotMagic + 4);
-  put_u16(out, kSnapshotVersion);
-  put_u16(out, static_cast<std::uint16_t>(sections_.size()));
-  put_u32(out, static_cast<std::uint32_t>(total));
-  out.push_back(crc8(out.data(), kHeaderSize - 1));
+  StateWriter w(out);
+  w.raw(kSnapshotMagic, 4);
+  w.u16(kSnapshotVersion);
+  w.u16(static_cast<std::uint16_t>(sections_.size()));
+  w.u32(static_cast<std::uint32_t>(total));
+  w.u8(crc8(out.data(), kHeaderSize - 1));
 
   for (const Section& s : sections_) {
     const std::size_t header_at = out.size();
-    put_u16(out, s.id);
-    put_u16(out, s.version);
-    put_u32(out, static_cast<std::uint32_t>(s.payload.size()));
-    out.push_back(0);  // crc placeholder, zeroed while the CRC is computed
-    out.insert(out.end(), s.payload.begin(), s.payload.end());
+    w.u16(s.id);
+    w.u16(s.version);
+    w.u32(static_cast<std::uint32_t>(s.payload.size()));
+    w.u8(0);  // crc placeholder, zeroed while the CRC is computed
+    w.raw(s.payload.data(), s.payload.size());
     out[header_at + kSectionHeaderSize - 1] =
         crc8(out.data() + header_at, kSectionHeaderSize + s.payload.size());
   }
@@ -95,12 +74,13 @@ Result<SnapshotView, SnapshotError> SnapshotView::parse(
   if (crc8(bytes, kHeaderSize - 1) != bytes[kHeaderSize - 1]) {
     return R::err(SnapshotError::kBadHeaderCrc);
   }
-  const std::uint16_t version = get_u16(bytes + 4);
+  StateReader head(bytes + 4, kHeaderSize - 5);  // past magic, before crc
+  const std::uint16_t version = head.u16();
+  const std::uint16_t section_count = head.u16();
+  const std::uint32_t total_len = head.u32();
   if (version == 0 || version > kSnapshotVersion) {
     return R::err(SnapshotError::kBadVersion);
   }
-  const std::uint16_t section_count = get_u16(bytes + 6);
-  const std::uint32_t total_len = get_u32(bytes + 8);
   if (total_len != n) return R::err(SnapshotError::kTruncated);
   if (section_count > kMaxSections) {
     return R::err(SnapshotError::kBadSectionHeader);
@@ -111,8 +91,12 @@ Result<SnapshotView, SnapshotError> SnapshotView::parse(
   std::size_t pos = kHeaderSize;
   for (std::uint16_t i = 0; i < section_count; ++i) {
     if (n - pos < kSectionHeaderSize) return R::err(SnapshotError::kTruncated);
-    const std::uint8_t* header = bytes + pos;
-    const std::uint32_t payload_len = get_u32(header + 4);
+    const std::uint8_t* at = bytes + pos;
+    StateReader fields(at, kSectionHeaderSize);
+    SectionView section;
+    section.id = fields.u16();
+    section.version = fields.u16();
+    const std::uint32_t payload_len = fields.u32();
     if (payload_len > kMaxSectionPayload) {
       return R::err(SnapshotError::kBadSectionHeader);
     }
@@ -121,19 +105,12 @@ Result<SnapshotView, SnapshotError> SnapshotView::parse(
     }
     // The section CRC covers its header (crc byte zeroed) plus payload, so
     // a flipped id or length cannot smuggle a valid payload elsewhere.
-    std::uint8_t scratch[kSectionHeaderSize];
-    std::memcpy(scratch, header, kSectionHeaderSize);
-    const std::uint8_t stored_crc = scratch[kSectionHeaderSize - 1];
-    scratch[kSectionHeaderSize - 1] = 0;
-    const std::uint8_t crc = crc8_update(
-        crc8(scratch, kSectionHeaderSize), header + kSectionHeaderSize,
-        payload_len);
-    if (crc != stored_crc) return R::err(SnapshotError::kBadSectionCrc);
-
-    SectionView section;
-    section.id = get_u16(header);
-    section.version = get_u16(header + 2);
-    section.payload = header + kSectionHeaderSize;
+    const std::size_t crc_slot = kSectionHeaderSize - 1;
+    if (crc8_zero_slot(at, kSectionHeaderSize + payload_len, crc_slot) !=
+        at[crc_slot]) {
+      return R::err(SnapshotError::kBadSectionCrc);
+    }
+    section.payload = at + kSectionHeaderSize;
     section.size = payload_len;
     for (const SectionView& seen : view.sections_) {
       if (seen.id == section.id) {

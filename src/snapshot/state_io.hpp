@@ -1,16 +1,19 @@
-// Little-endian state cursors for snapshot section payloads (DESIGN.md §13).
+// Little-endian byte cursors — the one codec of every byte format in the
+// repository (DESIGN.md §13.1): snapshot section payloads, the fleet host
+// protocol's request/response payloads and headers, and the obs metrics
+// wire.
 //
 // `StateWriter` appends primitive fields to a byte buffer; `StateReader`
-// parses them back with the same bounds-checked ok()-flag idiom as the
-// host protocol's PayloadReader: reads past the end (or reads of malformed
-// values) latch the failure flag and return zeros, so `save_state` /
-// `load_state` hooks are written as straight-line field lists and callers
-// check `ok() && exhausted()` exactly once per section. This is what makes
-// multi-bit corruption that slips past a section CRC collapse into a typed
-// error instead of UB: every length is validated against the remaining
-// bytes and against a caller-supplied cap before any container grows.
+// parses them back with a bounds-checked ok()-flag idiom: reads past the
+// end (or reads of malformed values) latch the failure flag and return
+// zeros, so `save_state` / `load_state` hooks and protocol handlers are
+// written as straight-line field lists and callers check `ok()` or
+// `ok() && exhausted()` exactly once. This is what makes multi-bit
+// corruption that slips past a CRC collapse into a typed error instead of
+// UB: every length is validated against the remaining bytes and against a
+// caller-supplied cap before any container grows.
 //
-// Header-only on purpose — leaf libraries (noise, circuit, i2f, chips)
+// Header-only on purpose — leaf libraries (noise, circuit, i2f, chips, obs)
 // implement their hooks against these cursors without linking the snapshot
 // container library.
 #pragma once
@@ -18,16 +21,20 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
 
 namespace biosense::snapshot {
 
-/// Little-endian field appender for one section payload.
+/// Little-endian field appender. Bytes already in the vector at
+/// construction (e.g. a frame-header placeholder) are a fixed base:
+/// `size()` and `data()` cover only what this writer appended.
 class StateWriter {
  public:
-  explicit StateWriter(std::vector<std::uint8_t>& out) : out_(&out) {}
+  explicit StateWriter(std::vector<std::uint8_t>& out)
+      : out_(&out), base_(out.size()) {}
 
   void u8(std::uint8_t v) { put(v, 1); }
   void u16(std::uint16_t v) { put(v, 2); }
@@ -62,7 +69,7 @@ class StateWriter {
     for (std::uint64_t x : v) u64(x);
   }
 
-  /// Length-prefixed raw byte blob.
+  /// Length-prefixed byte blob (u32 length).
   void bytes(const std::vector<std::uint8_t>& v) {
     u32(static_cast<std::uint32_t>(v.size()));
     out_->insert(out_->end(), v.begin(), v.end());
@@ -70,12 +77,20 @@ class StateWriter {
 
   /// Length-prefixed byte string (u16 length — state strings are names
   /// and labels, never bulk data).
-  void str(const std::string& s) {
+  void str(std::string_view s) {
     u16(static_cast<std::uint16_t>(s.size()));
-    for (char c : s) out_->push_back(static_cast<std::uint8_t>(c));
+    out_->insert(out_->end(), s.begin(), s.end());
   }
 
-  std::size_t size() const { return out_->size(); }
+  /// Appends `n` bytes verbatim, with no length prefix: the reader must
+  /// know the count from context (an echo, the rest of a payload).
+  void raw(const std::uint8_t* p, std::size_t n) {
+    out_->insert(out_->end(), p, p + n);
+  }
+
+  std::size_t size() const { return out_->size() - base_; }
+  /// The bytes this writer appended (valid until the next append).
+  const std::uint8_t* data() const { return out_->data() + base_; }
 
  private:
   void put(std::uint64_t v, std::size_t width) {
@@ -85,9 +100,10 @@ class StateWriter {
   }
 
   std::vector<std::uint8_t>* out_;
+  std::size_t base_;
 };
 
-/// Bounds-checked little-endian field parser for one section payload.
+/// Bounds-checked little-endian field parser.
 class StateReader {
  public:
   StateReader(const std::uint8_t* bytes, std::size_t n)

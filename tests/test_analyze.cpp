@@ -180,6 +180,8 @@ TEST(AnalyzeLint, SeededViolationsFire) {
       << dump(findings);
   EXPECT_EQ(count_rule(findings, "no-bool-fallible"), 1) << dump(findings);
   EXPECT_EQ(count_rule(findings, "atomic-file-only"), 1) << dump(findings);
+  // Decimal offset basis, hex prime, separated hex published basis.
+  EXPECT_EQ(count_rule(findings, "one-hash"), 3) << dump(findings);
 }
 
 TEST(AnalyzeLint, CleanControlHonorsEscapes) {

@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/chip_session.hpp"
@@ -31,19 +32,12 @@ double test_field(int r, int c, double t) {
 }
 
 std::uint64_t hash_frames(const std::vector<neurochip::NeuroFrame>& frames) {
-  std::uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](const void* data, std::size_t bytes) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < bytes; ++i) {
-      h ^= p[i];
-      h *= 1099511628211ULL;
-    }
-  };
+  std::uint64_t h = kFnv1aOffset;
   for (const auto& f : frames) {
-    mix(&f.t, sizeof(f.t));
-    mix(&f.masked, sizeof(f.masked));
-    mix(f.v_in.data(), f.v_in.size() * sizeof(double));
-    mix(f.codes.data(), f.codes.size() * sizeof(std::int32_t));
+    h = fnv1a(h, &f.t, sizeof(f.t));
+    h = fnv1a(h, &f.masked, sizeof(f.masked));
+    h = fnv1a(h, f.v_in.data(), f.v_in.size() * sizeof(double));
+    h = fnv1a(h, f.codes.data(), f.codes.size() * sizeof(std::int32_t));
   }
   return h;
 }

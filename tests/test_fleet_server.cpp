@@ -21,6 +21,7 @@
 #include "obs/metrics.hpp"
 #include "obs/wire.hpp"
 #include "snapshot/atomic_file.hpp"
+#include "snapshot/state_io.hpp"
 
 namespace biosense::host {
 namespace {
@@ -637,7 +638,7 @@ TEST(FleetTelemetry, MetricsChunkingSurvivesTinyFrames) {
               HostStatus::kOk);
     const auto frame = decode_frame(response.data(), response.size());
     ASSERT_TRUE(frame.has_value());
-    PayloadReader r(frame->payload, frame->payload_len);
+    snapshot::StateReader r(frame->payload, frame->payload_len);
     const std::uint32_t total = r.u32();
     ASSERT_EQ(r.u32(), offset);
     ASSERT_LE(r.remaining(), 1u);

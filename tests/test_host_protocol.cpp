@@ -11,9 +11,13 @@
 #include "host/dispatcher.hpp"
 #include "host/fleet_server.hpp"
 #include "host/protocol.hpp"
+#include "snapshot/state_io.hpp"
 
 namespace biosense::host {
 namespace {
+
+using snapshot::StateReader;
+using snapshot::StateWriter;
 
 FrameHeader request_header(HostCommand cmd, std::uint16_t seq = 1,
                            std::uint8_t version = kProtocolVersionCurrent) {
@@ -104,15 +108,23 @@ TEST(Protocol, EncodeRefusesOversizedPayload) {
       ConfigError);
 }
 
-TEST(Protocol, PayloadReaderBoundsChecks) {
-  const std::uint8_t bytes[] = {0x01, 0x02, 0x03};
-  PayloadReader r(bytes, sizeof(bytes));
-  EXPECT_EQ(r.u16(), 0x0201u);
-  EXPECT_FALSE(r.exhausted());
-  EXPECT_EQ(r.u8(), 0x03u);
+TEST(Protocol, FullPayloadBuiltBehindHeaderFinalizesAndDecodes) {
+  // The writer's base excludes the header placeholder, so a payload of
+  // exactly kMaxPayload bytes is sendable; one byte more is not.
+  std::vector<std::uint8_t> frame(kHeaderSize);
+  StateWriter w(frame);
+  for (std::size_t i = 0; i < kMaxPayload / 8; ++i) w.u64(i);
+  ASSERT_EQ(w.size(), kMaxPayload);
+  finalize_frame(request_header(HostCommand::kPing), frame);
+  const auto decoded = must_decode(frame);
+  EXPECT_EQ(decoded.payload_len, kMaxPayload);
+  StateReader r(decoded.payload, decoded.payload_len);
+  for (std::size_t i = 0; i < kMaxPayload / 8; ++i) EXPECT_EQ(r.u64(), i);
   EXPECT_TRUE(r.exhausted());
-  EXPECT_EQ(r.u32(), 0u);  // past the end: zero and failure flag
-  EXPECT_FALSE(r.ok());
+
+  w.u8(0);
+  EXPECT_THROW(finalize_frame(request_header(HostCommand::kPing), frame),
+               ConfigError);
 }
 
 // --- dispatcher-level negotiation and rejection ---------------------------
@@ -155,7 +167,7 @@ TEST_F(DispatcherTest, OldClientNewServerSpeaksOldVersion) {
             HostStatus::kOk);
   const auto frame = response_frame();
   EXPECT_EQ(frame.header.version, kProtocolVersionMin);
-  PayloadReader r(frame.payload, frame.payload_len);
+  StateReader r(frame.payload, frame.payload_len);
   EXPECT_EQ(r.u8(), kProtocolVersionMin);
   EXPECT_EQ(r.u8(), kProtocolVersionCurrent);
 }
@@ -255,7 +267,7 @@ TEST_F(DispatcherTest, DiscoveryReportsCapabilitiesAndCommandCount) {
   EXPECT_EQ(send(request_header(HostCommand::kGetCapabilities)),
             HostStatus::kOk);
   auto frame = response_frame();
-  PayloadReader caps(frame.payload, frame.payload_len);
+  StateReader caps(frame.payload, frame.payload_len);
   const auto bits = caps.u32();
   EXPECT_TRUE(caps.exhausted());
   EXPECT_TRUE(bits & kCapDnaSessions);
@@ -268,7 +280,7 @@ TEST_F(DispatcherTest, DiscoveryReportsCapabilitiesAndCommandCount) {
   EXPECT_EQ(send(request_header(HostCommand::kGetProtocolInfo)),
             HostStatus::kOk);
   frame = response_frame();
-  PayloadReader info(frame.payload, frame.payload_len);
+  StateReader info(frame.payload, frame.payload_len);
   EXPECT_EQ(info.u8(), kProtocolVersionMin);
   EXPECT_EQ(info.u8(), kProtocolVersionCurrent);
   EXPECT_EQ(info.u8(), kHeaderSize);

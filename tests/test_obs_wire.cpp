@@ -6,12 +6,40 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <vector>
 
+#include "common/crc.hpp"
 #include "obs/metrics.hpp"
+#include "snapshot/state_io.hpp"
+
+// Counting allocator: while armed, every operator-new adds its request to
+// g_requested, so a test can bound what a decode asks the heap for.
+namespace {
+std::atomic<bool> g_armed{false};
+std::atomic<std::size_t> g_requested{0};
+
+void* counted_alloc(std::size_t size) {
+  if (g_armed.load(std::memory_order_relaxed)) {
+    g_requested.fetch_add(size, std::memory_order_relaxed);
+  }
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace biosense::obs {
 namespace {
@@ -129,6 +157,43 @@ TEST(MetricsWire, WrongMagicAndVersionAreTyped) {
   auto r2 = decode_snapshot(wrong_version.data(), wrong_version.size());
   ASSERT_FALSE(r2);
   EXPECT_EQ(r2.error(), WireError::kBadVersion);
+}
+
+TEST(MetricsWire, CountsTheBodyCannotBackAllocateNothing) {
+  // A CRC-valid header may claim up to 65535 entries per section; the
+  // decoder must reject counts the bytes cannot back before sizing any
+  // container from them.
+  const auto hostile = [](std::uint16_t names, std::uint16_t counters,
+                          std::uint16_t histograms, std::size_t empty_names) {
+    std::vector<std::uint8_t> out;
+    snapshot::StateWriter w(out);
+    w.u16(kMetricsWireMagic);
+    w.u8(kMetricsWireVersion);
+    w.u8(0);  // CRC slot
+    w.u16(names);
+    w.u16(counters);
+    w.u16(0);  // gauges
+    w.u16(histograms);
+    w.u32(static_cast<std::uint32_t>(kMetricsWireHeader + 3 * empty_names));
+    for (std::size_t i = 0; i < empty_names; ++i) {
+      w.u8(0);
+      w.str("");
+    }
+    out[3] = crc8_zero_slot(out.data(), out.size(), 3);
+    return out;
+  };
+  // Bare header claiming 65535 counters; 65535 empty names claiming
+  // 65535 histograms.
+  for (const auto& bytes :
+       {hostile(0xffff, 0xffff, 0, 0), hostile(0xffff, 0, 0xffff, 0xffff)}) {
+    g_requested = 0;
+    g_armed = true;
+    const auto decoded = decode_snapshot(bytes.data(), bytes.size());
+    g_armed = false;
+    ASSERT_FALSE(decoded);
+    EXPECT_EQ(decoded.error(), WireError::kBadLayout);
+    EXPECT_LE(g_requested.load(), 4 * bytes.size());
+  }
 }
 
 TEST(MetricsWire, JsonMirrorsRegistryShape) {

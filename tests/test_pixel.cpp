@@ -1,4 +1,4 @@
-#include "neurochip/pixel.hpp"
+#include "neurochip/pixel_bank.hpp"
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,14 @@
 
 namespace biosense::neurochip {
 namespace {
+
+/// A one-pixel bank; the pixel's generator is `rng.fork()`.
+PixelBank one_pixel(const PixelParams& p, noise::MismatchSampler& ms,
+                    Rng& rng) {
+  PixelBank bank;
+  bank.build(p, 1, 1, ms, rng);
+  return bank;
+}
 
 PixelParams quiet_pixel() {
   PixelParams p;
@@ -28,8 +36,8 @@ TEST(Pixel, UncalibratedOffsetHasPelgromScale) {
   RunningStats offsets;
   Rng rng(7);
   for (int i = 0; i < 400; ++i) {
-    SensorPixel px(quiet_pixel(), ms, rng.fork());
-    offsets.add(px.input_referred_offset());
+    auto px = one_pixel(quiet_pixel(), ms, rng);
+    offsets.add(px.input_referred_offset(0));
   }
   // sigma of the M1/M2 offset combination: >= sigma_vt(M1) ~ 17 mV for the
   // default 1 um x 0.5 um device.
@@ -42,10 +50,10 @@ TEST(Pixel, CalibrationCollapsesOffset) {
   Rng rng(8);
   RunningStats uncal, cal;
   for (int i = 0; i < 300; ++i) {
-    SensorPixel px(quiet_pixel(), ms, rng.fork());
-    uncal.add(std::abs(px.input_referred_offset()));
-    px.calibrate();
-    cal.add(std::abs(px.input_referred_offset()));
+    auto px = one_pixel(quiet_pixel(), ms, rng);
+    uncal.add(std::abs(px.input_referred_offset(0)));
+    px.calibrate(0);
+    cal.add(std::abs(px.input_referred_offset(0)));
   }
   // Calibration must buy better than one order of magnitude.
   EXPECT_LT(cal.mean() * 10.0, uncal.mean());
@@ -64,9 +72,9 @@ TEST_P(PixelCalibrationSweep, WorksAcrossMismatchSeverity) {
   Rng rng(12);
   RunningStats cal;
   for (int i = 0; i < 150; ++i) {
-    SensorPixel px(quiet_pixel(), ms, rng.fork());
-    px.calibrate();
-    cal.add(std::abs(px.input_referred_offset()));
+    auto px = one_pixel(quiet_pixel(), ms, rng);
+    px.calibrate(0);
+    cal.add(std::abs(px.input_referred_offset(0)));
   }
   EXPECT_LT(cal.mean(), 1.5e-3);
 }
@@ -79,9 +87,10 @@ TEST(Pixel, ReadCurrentZeroAtBalanceAfterIdealCalibration) {
   p.s1.injection_sigma = 0.0;
   p.s1.compensation = 1.0;  // ideal switch
   auto ms = sampler(44);
-  SensorPixel px(p, ms, Rng(9));
-  px.calibrate();
-  EXPECT_NEAR(px.read_current(0.0), 0.0, 1e-12);
+  Rng rng(9);
+  auto px = one_pixel(p, ms, rng);
+  px.calibrate(0);
+  EXPECT_NEAR(px.read_current(0, 0.0, 0.0), 0.0, 1e-12);
 }
 
 TEST(Pixel, SmallSignalResponseIsGmLinear) {
@@ -89,15 +98,17 @@ TEST(Pixel, SmallSignalResponseIsGmLinear) {
   p.s1.injection_sigma = 0.0;
   p.s1.compensation = 1.0;
   auto ms = sampler(45);
-  SensorPixel px(p, ms, Rng(10));
-  px.calibrate();
-  const double gm = px.gm();
+  Rng rng(10);
+  auto px = one_pixel(p, ms, rng);
+  px.calibrate(0);
+  const double gm = px.gm(0);
   for (double v : {100e-6, 1e-3, 5e-3}) {
-    EXPECT_NEAR(px.read_current(v) / (gm * v), 1.0, 0.15) << "v=" << v;
+    EXPECT_NEAR(px.read_current(0, v, 0.0) / (gm * v), 1.0, 0.15)
+        << "v=" << v;
   }
   // Sign: positive electrode excursion raises M1's current.
-  EXPECT_GT(px.read_current(1e-3), 0.0);
-  EXPECT_LT(px.read_current(-1e-3), 0.0);
+  EXPECT_GT(px.read_current(0, 1e-3, 0.0), 0.0);
+  EXPECT_LT(px.read_current(0, -1e-3, 0.0), 0.0);
 }
 
 TEST(Pixel, DroopAccumulatesBetweenCalibrations) {
@@ -105,14 +116,16 @@ TEST(Pixel, DroopAccumulatesBetweenCalibrations) {
   p.droop_leak = Current(5e-15);
   p.store_cap = Capacitance(80e-15);
   auto ms = sampler(46);
-  SensorPixel px(p, ms, Rng(11));
-  px.calibrate();
-  const double off0 = px.input_referred_offset();
-  px.elapse(1.0);  // 5 fA * 1 s / 80 fF = 62.5 mV (!) if never recalibrated
-  EXPECT_NEAR(off0 - px.input_referred_offset(), 62.5e-3, 1e-6);
+  Rng rng(11);
+  auto px = one_pixel(p, ms, rng);
+  px.calibrate(0);
+  const double off0 = px.input_referred_offset(0);
+  // 5 fA * 1 s / 80 fF = 62.5 mV (!) if never recalibrated
+  px.droop(0, px.droop_dv(1.0));
+  EXPECT_NEAR(off0 - px.input_referred_offset(0), 62.5e-3, 1e-6);
   // Recalibration restores the pedestal-level residual.
-  px.calibrate();
-  EXPECT_LT(std::abs(px.input_referred_offset()), 2e-3);
+  px.calibrate(0);
+  EXPECT_LT(std::abs(px.input_referred_offset(0)), 2e-3);
 }
 
 TEST(Pixel, RecalibrationIntervalFromDroopBudget) {
@@ -131,8 +144,8 @@ TEST(Pixel, M2CurrentCarriesItsOwnMismatch) {
   Rng rng(13);
   RunningStats i2;
   for (int k = 0; k < 200; ++k) {
-    SensorPixel px(quiet_pixel(), ms, rng.fork());
-    i2.add(px.m2_current());
+    auto px = one_pixel(quiet_pixel(), ms, rng);
+    i2.add(px.m2_current(0));
   }
   EXPECT_NEAR(i2.mean(), quiet_pixel().i_cal.value(),
               0.1 * quiet_pixel().i_cal.value());
@@ -141,25 +154,28 @@ TEST(Pixel, M2CurrentCarriesItsOwnMismatch) {
 
 TEST(Pixel, DecalibrateRestoresPowerUpState) {
   auto ms = sampler(48);
-  SensorPixel px(quiet_pixel(), ms, Rng(14));
-  const double off_initial = px.input_referred_offset();
-  px.calibrate();
-  px.decalibrate();
-  EXPECT_DOUBLE_EQ(px.input_referred_offset(), off_initial);
-  EXPECT_FALSE(px.calibrated());
+  Rng rng(14);
+  auto px = one_pixel(quiet_pixel(), ms, rng);
+  const double off_initial = px.input_referred_offset(0);
+  px.calibrate(0);
+  px.decalibrate(0);
+  EXPECT_DOUBLE_EQ(px.input_referred_offset(0), off_initial);
+  EXPECT_FALSE(px.calibrated(0));
 }
 
 TEST(Pixel, NoiseDrawRequiresPositiveDt) {
   PixelParams p = quiet_pixel();
   p.noise_white_psd = VoltagePsd(1e-15);
   auto ms = sampler(49);
-  SensorPixel px(p, ms, Rng(15));
-  px.calibrate();
+  Rng rng(15);
+  auto px = one_pixel(p, ms, rng);
+  px.calibrate(0);
   // dt = 0 disables noise: deterministic reading.
-  EXPECT_DOUBLE_EQ(px.read_current(1e-3, 0.0), px.read_current(1e-3, 0.0));
+  EXPECT_DOUBLE_EQ(px.read_current(0, 1e-3, 0.0),
+                   px.read_current(0, 1e-3, 0.0));
   // dt > 0 draws noise: consecutive readings differ.
-  const double a = px.read_current(1e-3, 1e-6);
-  const double b = px.read_current(1e-3, 1e-6);
+  const double a = px.read_current(0, 1e-3, 1e-6);
+  const double b = px.read_current(0, 1e-3, 1e-6);
   EXPECT_NE(a, b);
 }
 
@@ -167,10 +183,11 @@ TEST(Pixel, RejectsInvalidConfig) {
   auto ms = sampler(50);
   PixelParams p = quiet_pixel();
   p.store_cap = 0.0_fF;
-  EXPECT_THROW(SensorPixel(p, ms, Rng(1)), ConfigError);
+  Rng rng(1);
+  EXPECT_THROW(one_pixel(p, ms, rng), ConfigError);
   p = quiet_pixel();
   p.i_cal = 0.0_uA;
-  EXPECT_THROW(SensorPixel(p, ms, Rng(1)), ConfigError);
+  EXPECT_THROW(one_pixel(p, ms, rng), ConfigError);
 }
 
 }  // namespace

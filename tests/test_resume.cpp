@@ -9,6 +9,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/session_options.hpp"
@@ -18,25 +19,13 @@
 namespace biosense::core {
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv_bytes(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
 std::uint64_t hash_frames(std::uint64_t h,
                           const std::vector<neurochip::NeuroFrame>& frames) {
   for (const auto& f : frames) {
-    h = fnv_bytes(h, &f.t, sizeof(f.t));
-    h = fnv_bytes(h, &f.masked, sizeof(f.masked));
-    h = fnv_bytes(h, f.v_in.data(), f.v_in.size() * sizeof(double));
-    h = fnv_bytes(h, f.codes.data(), f.codes.size() * sizeof(std::int32_t));
+    h = fnv1a(h, &f.t, sizeof(f.t));
+    h = fnv1a(h, &f.masked, sizeof(f.masked));
+    h = fnv1a(h, f.v_in.data(), f.v_in.size() * sizeof(double));
+    h = fnv1a(h, f.codes.data(), f.codes.size() * sizeof(std::int32_t));
   }
   return h;
 }
@@ -71,7 +60,7 @@ std::uint64_t reference_hash(const SessionOptions& opts, int total) {
   auto bundle = opts.build_neuro();
   const auto frames = bundle.session->record(
       neurochip::ConstantSource(2e-4), 0.0, total);
-  return hash_frames(kFnvOffset, frames);
+  return hash_frames(kFnv1aOffset, frames);
 }
 
 /// Interrupted run: frames 0..cut on one session, checkpoint, restore into
@@ -93,7 +82,7 @@ std::uint64_t resumed_hash(const SessionOptions& opts, int cut, int total) {
 
   const auto tail = second.session->record(neurochip::ConstantSource(2e-4),
                                            restored->t, total - cut);
-  std::uint64_t h = hash_frames(kFnvOffset, head);
+  std::uint64_t h = hash_frames(kFnv1aOffset, head);
   return hash_frames(h, tail);
 }
 
@@ -159,7 +148,7 @@ std::uint64_t dna_round(DnaSession& s, std::uint64_t h) {
       word = 0x8000000000000000ULL |
              static_cast<std::uint64_t>(current.error());
     }
-    h = fnv_bytes(h, &word, sizeof(word));
+    h = fnv1a(h, &word, sizeof(word));
   }
   return h;
 }
@@ -170,11 +159,11 @@ TEST(Resume, DnaBitExactAcrossCheckpoint) {
   constexpr int kCut = 2;
 
   auto reference = opts.build_dna();
-  std::uint64_t ref_hash = kFnvOffset;
+  std::uint64_t ref_hash = kFnv1aOffset;
   for (int r = 0; r < kRounds; ++r) ref_hash = dna_round(reference, ref_hash);
 
   auto first = opts.build_dna();
-  std::uint64_t resumed_hash = kFnvOffset;
+  std::uint64_t resumed_hash = kFnv1aOffset;
   for (int r = 0; r < kCut; ++r) resumed_hash = dna_round(first, resumed_hash);
   SessionCheckpointMeta meta;
   meta.kind = ChipKind::kDna;
@@ -230,6 +219,13 @@ TEST(Resume, WrongShapeIsTypedStateMismatch) {
   const auto cross = restore_dna(dna, bytes);
   ASSERT_FALSE(cross);
   EXPECT_EQ(cross.error(), snapshot::SnapshotError::kStateMismatch);
+
+  // Checkpoints store the fingerprint, so its value is a file-format
+  // constant: checkpoints written by earlier builds must keep matching.
+  EXPECT_EQ(session_fingerprint(ChipKind::kNeuro, 8, 11),
+            0xfb7cfd959bcfa540ULL);
+  EXPECT_EQ(session_fingerprint(ChipKind::kDna, 16, 19),
+            0x92e558643572c021ULL);
 }
 
 TEST(Resume, CorruptedSessionCheckpointIsTypedNeverUB) {

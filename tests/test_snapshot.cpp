@@ -194,6 +194,25 @@ TEST(StateReader, RejectsMalformedPrimitives) {
   r2.vec_f64(out);
   EXPECT_FALSE(r2.ok());
   EXPECT_TRUE(out.empty());
+
+  // A writer over a pre-filled vector (a frame-header placeholder) counts
+  // only its own bytes; raw() appends them with no length prefix. Read
+  // back little-endian, and a read past the end returns zero and latches
+  // the failure flag.
+  std::vector<std::uint8_t> framed{0xee, 0xee, 0xee};
+  StateWriter w3(framed);
+  w3.u16(0x0201);
+  const std::uint8_t echo[] = {0x03};
+  w3.raw(echo, sizeof(echo));
+  ASSERT_EQ(w3.size(), 3u);
+  EXPECT_EQ(w3.data(), framed.data() + 3);
+  StateReader r3(w3.data(), w3.size());
+  EXPECT_EQ(r3.u16(), 0x0201u);
+  EXPECT_FALSE(r3.exhausted());
+  EXPECT_EQ(r3.u8(), 0x03u);
+  EXPECT_TRUE(r3.exhausted());
+  EXPECT_EQ(r3.u32(), 0u);
+  EXPECT_FALSE(r3.ok());
 }
 
 TEST(AtomicFile, WriteThenReadRoundTrips) {

@@ -20,6 +20,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "core/wire.hpp"
 #include "dnachip/chip.hpp"
@@ -32,19 +33,13 @@ namespace {
 
 class Fnv {
  public:
-  void bytes(const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      h_ ^= p[i];
-      h_ *= 1099511628211ULL;
-    }
-  }
+  void bytes(const void* data, std::size_t n) { h_ = fnv1a(h_, data, n); }
   void u64(std::uint64_t v) { bytes(&v, sizeof(v)); }
   void f64(double v) { bytes(&v, sizeof(v)); }
   std::uint64_t value() const { return h_; }
 
  private:
-  std::uint64_t h_ = 1469598103934665603ULL;
+  std::uint64_t h_ = kFnv1aOffset;
 };
 
 constexpr int kRows = 32;

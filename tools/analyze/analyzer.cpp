@@ -102,6 +102,9 @@ std::vector<std::pair<std::string, std::string>> rule_catalogue() {
        "(escape: lint:allow-bool)"},
       {"atomic-file-only",
        "raw file I/O in src/snapshot/ banned outside atomic_file.cpp"},
+      {"one-hash",
+       "FNV-1a offset basis/prime literals banned outside "
+       "src/common/hash.hpp; hash through biosense::fnv1a"},
       {"neuro-hot-loop",
        "per-pixel accessor calls, heap allocation and std::function "
        "banned inside capture_frame_into's pixel loop — the SoA kernel "

@@ -49,7 +49,8 @@ void rule_obs_names(const Tree& tree, Findings& out);
 // Ported grep-linter rules 1-8 (see each rule's message for the
 // rationale): no-c-rand, no-wallclock-seed, no-std-random-engine,
 // raw-unit-literal, no-chrono-in-src, no-batch-return,
-// no-bool-fallible, atomic-file-only.
+// no-bool-fallible, atomic-file-only; plus one-hash (FNV-1a constants
+// only in src/common/hash.hpp).
 void rule_lint_ported(const Tree& tree, Findings& out);
 
 // Capture hot-loop discipline: no per-pixel accessor calls, heap

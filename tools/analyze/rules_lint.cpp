@@ -1,5 +1,5 @@
 // The old grep linter's rules 1-8, ported onto the token stream
-// (DESIGN.md §14).
+// (DESIGN.md §14), plus the `one-hash` literal check.
 //
 // Same invariants, same escape comments (`lint:allow-*`), but checked
 // over tokens instead of raw lines: string literals and comments can no
@@ -8,6 +8,7 @@
 // which the bash greps never were.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <set>
 
@@ -254,6 +255,38 @@ void atomic_file_only(const AnalyzedFile& f, Findings& out) {
   }
 }
 
+/// one-hash: FNV-1a lives in src/common/hash.hpp, so its offset basis or
+/// prime spelled anywhere else (decimal or hex, any suffix or digit
+/// separators) is a hand-rolled copy of the hash.
+void one_hash(const AnalyzedFile& f, Findings& out) {
+  if (f.src.path == "src/common/hash.hpp") return;
+  // Assembled from halves so this file does not spell them either.
+  static const std::set<std::uint64_t> kFnvConstants = {
+      (std::uint64_t{0x14650fb0} << 32) | 0x739d0383u,  // repo offset basis
+      (std::uint64_t{0xcbf29ce4} << 32) | 0x84222325u,  // published basis
+      (std::uint64_t{1} << 40) | 0x1b3u,                // 64-bit prime
+  };
+  for (const Token& tok : f.lex.tokens) {
+    if (tok.kind != TokenKind::kNumber) continue;
+    std::string digits;
+    for (char c : tok.text) {
+      if (c != '\'') digits.push_back(c);
+    }
+    char* end = nullptr;
+    const unsigned long long value = std::strtoull(digits.c_str(), &end, 0);
+    const bool integer_literal =
+        std::all_of(static_cast<const char*>(end),
+                    digits.c_str() + digits.size(), [](char c) {
+                      return c == 'u' || c == 'U' || c == 'l' || c == 'L';
+                    });
+    if (!integer_literal || kFnvConstants.count(value) == 0) continue;
+    out.push_back(Finding{
+        f.src.path, tok.line, "one-hash",
+        "FNV-1a constant '" + tok.text + "' outside src/common/hash.hpp; "
+            "fold through biosense::fnv1a (common/hash.hpp)"});
+  }
+}
+
 }  // namespace
 
 void rule_lint_ported(const Tree& tree, Findings& out) {
@@ -266,6 +299,7 @@ void rule_lint_ported(const Tree& tree, Findings& out) {
     no_batch_return(f, out);
     no_bool_fallible(f, out);
     atomic_file_only(f, out);
+    one_hash(f, out);
   }
 }
 

@@ -2,9 +2,9 @@
 //
 // The SoA refactor (DESIGN.md §16) earns its frames/s by keeping
 // `capture_frame_into`'s pixel loop on contiguous plane buffers: no
-// per-pixel accessor objects, no virtual dispatch through SensorPixel,
-// no per-pixel heap traffic. This rule pins that property so it cannot
-// silently rot back toward the per-pixel object model: inside the body
+// per-pixel accessor objects or views, no per-pixel heap traffic. This
+// rule pins that property so it cannot silently rot back toward the
+// per-pixel object model: inside the body
 // of any `capture_frame_into` definition under src/neurochip/ it bans
 //
 //   * calls into the per-pixel accessor surface — `pixel(...)`,
@@ -100,9 +100,11 @@ bool next_definition_body(const Tokens& t, std::size_t from,
 
 void check_body(const AnalyzedFile& f, std::size_t begin, std::size_t end,
                 Findings& out) {
-  // The per-pixel accessor surface: SensorPixel's mutating entry points
-  // plus the chip's per-pixel view factory. The SoA kernel never touches
-  // these; the bank's prepared/batch APIs spell differently on purpose.
+  // The per-pixel accessor surface: the bank's unprepared per-index entry
+  // points (read_current, calibrate) and the spellings of the retired
+  // per-pixel object model (a pixel(...) view, sample, elapse). The SoA
+  // kernel never touches these; the bank's prepared/batch APIs spell
+  // differently on purpose.
   static const std::set<std::string> kAccessorCalls = {
       "pixel", "read_current", "sample", "elapse", "calibrate"};
   static const std::set<std::string> kAllocCalls = {

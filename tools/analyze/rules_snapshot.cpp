@@ -34,8 +34,8 @@ const char* const kTransientMarker = "analyze:transient";
 
 bool is_width_op(const std::string& name) {
   static const std::set<std::string> kOps = {
-      "u8",  "u16", "u32",     "u64",     "i32",   "i64",
-      "b",   "f64", "vec_f64", "vec_u64", "bytes", "rng"};
+      "u8",  "u16",     "u32",     "u64",   "i32", "i64", "b",
+      "f64", "vec_f64", "vec_u64", "bytes", "raw", "rng"};
   return kOps.count(name) > 0;
 }
 
