@@ -3,7 +3,7 @@
 // Regenerates (a) the sawtooth waveform the figure sketches, (b) the
 // frequency-vs-current transfer across the paper's quoted 1 pA .. 100 nA
 // range with the proportionality check, and (c) the conversion's count
-// statistics. Also times the event-driven converter kernel with
+// statistics. Also times the closed-form converter kernel with
 // google-benchmark.
 #include <benchmark/benchmark.h>
 
@@ -104,14 +104,14 @@ void print_noise_floor() {
   t.print(std::cout);
 }
 
-void BM_EventDrivenConversion(benchmark::State& state) {
+void BM_GatedConversion(benchmark::State& state) {
   i2f::SawtoothConverter conv(i2f::I2fConfig{}, Rng(4));
   const double i = std::pow(10.0, static_cast<double>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(conv.measure(i * 1e-12, 1.0));
   }
 }
-BENCHMARK(BM_EventDrivenConversion)->Arg(0)->Arg(2)->Arg(5)
+BENCHMARK(BM_GatedConversion)->Arg(0)->Arg(2)->Arg(5)
     ->Name("i2f_measure_1s_gate_10^x_pA");
 
 void BM_TransientWaveform(benchmark::State& state) {

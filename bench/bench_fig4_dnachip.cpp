@@ -7,6 +7,8 @@
 // and the autorange acquisition over the chip's five-decade input range.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <iostream>
 #include <string>
 
@@ -20,7 +22,7 @@ namespace {
 
 using namespace biosense;
 
-void print_fullchip_assay() {
+void print_fullchip_assay(core::ClaimReport& claims) {
   Rng rng(21);
   std::vector<dna::TargetSpecies> panel;
   for (int i = 0; i < 128; ++i) {
@@ -63,6 +65,10 @@ void print_fullchip_assay() {
   t.add_row({std::string("serial bits for acquisition"),
              static_cast<long long>(run.serial_bits)});
   t.print(std::cout);
+  claims.add("assay accuracy", "32 TP / 0 FP / 0 FN (32 of 128 present)",
+             std::to_string(tp) + " TP / " + std::to_string(fp) + " FP / " +
+                 std::to_string(fn) + " FN",
+             tp == 32 && fp == 0 && fn == 0);
 }
 
 void print_serial_budget() {
@@ -102,7 +108,7 @@ void print_periphery() {
   t.print(std::cout);
 }
 
-void print_autorange() {
+void print_autorange(core::ClaimReport& claims) {
   dnachip::DnaChipConfig cfg;  // full 16x8
   dnachip::DnaChip chip(cfg, Rng(25));
   dnachip::HostInterface host(chip, dnachip::SerialLink(0.0, Rng(26)));
@@ -110,25 +116,27 @@ void print_autorange() {
 
   Table t("Fig. 4 (dynamic range): autorange acquisition across five decades");
   t.set_columns({"applied [A]", "measured [A]", "error [%]"});
+  double worst_error_pct = 0.0;
   for (double i : core::log_space(1e-12, 100e-9, 6)) {
     chip.apply_sensor_currents(
         std::vector<double>(static_cast<std::size_t>(chip.sites()), i));
     const auto frame = host.acquire_autorange();
     double mean_meas = 0.0;
     for (double v : frame.currents) mean_meas += v / frame.currents.size();
-    t.add_row({i, mean_meas, 100.0 * (mean_meas / i - 1.0)});
+    const double error_pct = 100.0 * (mean_meas / i - 1.0);
+    worst_error_pct = std::max(worst_error_pct, std::abs(error_pct));
+    t.add_row({i, mean_meas, error_pct});
   }
   t.print(std::cout);
   core::write_table_csv(t, "fig4_autorange");
 
-  core::ClaimReport claims("Fig. 4 paper-vs-measured");
   claims.add("array size", "16 x 8 = 128 sensors",
              std::to_string(chip.sites()), chip.sites() == 128);
   claims.add_range("bandgap", "~1.2 V", chip.bandgap_voltage().value(), 1.15,
                    1.3,
                    "V");
-  claims.print(std::cout);
-  core::write_claims_json({claims}, "bench_fig4_dnachip");
+  claims.add_range("autorange error (1 pA .. 100 nA)", "<= 1.6 %",
+                   worst_error_pct, 0.0, 1.6, "%");
 }
 
 void BM_FullFrameAcquisition(benchmark::State& state) {
@@ -156,10 +164,13 @@ int main(int argc, char** argv) {
   biosense::obs::BenchRun bench_run("bench_fig4_dnachip");
   {
     biosense::obs::PhaseTimer phase("fig4.figures");
-    print_fullchip_assay();
+    biosense::core::ClaimReport claims("Fig. 4 paper-vs-measured");
+    print_fullchip_assay(claims);
     print_serial_budget();
     print_periphery();
-    print_autorange();
+    print_autorange(claims);
+    claims.print(std::cout);
+    biosense::core::write_claims_json({claims}, "bench_fig4_dnachip");
   }
   biosense::obs::PhaseTimer phase("fig4.microbench");
   benchmark::Initialize(&argc, argv);

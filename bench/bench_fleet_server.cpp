@@ -17,13 +17,14 @@
 //      start/poll/query/ping script by 9x adds zero allocations, and that
 //      a warm kGetSessionHealth probe allocates nothing either.
 //   4. Telemetry is near-free and invisible to the data plane — every
-//      worker count runs twice, flight recorders off then on (with a
+//      worker count runs two legs, flight recorders off and on (with a
 //      throttled monitor thread polling kGetSessionHealth round-robin and
-//      periodically fetching the chunked kGetMetrics snapshot), and the
-//      per-session digests must be bitwise identical across ALL legs.
-//      The telemetry tax (aggregate throughput delta) and the monitor's
-//      health/metrics latency percentiles are reported; the server-wide
-//      flight ring must drop nothing at this load.
+//      periodically fetching the chunked kGetMetrics snapshot), taking
+//      turns in sixteen alternating chunk pairs, and the per-session digests
+//      must be bitwise identical across ALL legs. The telemetry tax (median
+//      over the chunk pairs of the on leg's throughput loss) and the
+//      monitor's health/metrics latency percentiles are reported; the
+//      server-wide flight ring must drop nothing at this load.
 //
 //   ./bench_fleet_server [--sessions N] [--commands N]
 //
@@ -158,11 +159,11 @@ std::uint64_t run_command(FleetClient& client, std::uint32_t id, int k,
       // Neural probe amplitude in microvolts, spread per session.
       expect_ok(static_cast<bool>(client.configure(id, 1, 100 + id % 400)));
     } else {
-      // Short conversion gates (codes 0-3 -> 1-8 ms). The I2F model is
-      // event-driven — cost is one loop iteration per counter tick — so a
-      // long gate at nA-scale analyte currents costs ~1e5 cycles per
-      // acquire; millisecond gates keep the data plane at realistic counts
-      // (tens to hundreds) without drowning the command plane.
+      // Short conversion gates (codes 0-3 -> 1-8 ms). A conversion costs
+      // the same at any gate, but a poll delivers one site's reading, and
+      // millisecond gates keep those readings at the tens-to-hundreds of
+      // counts a fast-polling client would see rather than the long-gate
+      // counts of an autorange readout.
       expect_ok(static_cast<bool>(client.configure(id, 0, id % 4)));
     }
     return 0;
@@ -227,6 +228,201 @@ double percentile_us(std::vector<float>& v, double q) {
   return static_cast<double>(v[k]);
 }
 
+/// Monitor-side telemetry evidence, pooled across the telemetry legs.
+struct MonitorStats {
+  std::vector<float> health_latency_us;
+  std::vector<float> metrics_latency_us;
+  std::uint64_t errors = 0;
+  std::uint32_t next = 1;  // round-robin health-probe target
+  int probes_since_metrics = 0;
+};
+
+/// One leg: a fleet server with flight recorders off or on, driven by
+/// `workers` closed-loop threads (session s runs on worker (s - 1) % W).
+/// It runs in chunks of consecutive sessions, so an off leg and an on leg
+/// of the same worker count can take turns.
+class LegRun {
+ public:
+  LegRun(int workers, bool telemetry, int sessions, int commands)
+      : workers_(workers),
+        telemetry_(telemetry),
+        commands_(commands),
+        server_(limits(telemetry)),
+        link_(server_),
+        results_(static_cast<std::size_t>(workers)) {
+    // Latency traces are preallocated before any timed region.
+    for (int w = 0; w < workers; ++w) {
+      const int assigned = sessions / workers + (w < sessions % workers);
+      results_[static_cast<std::size_t>(w)].latency_us.reserve(
+          static_cast<std::size_t>(assigned) *
+          static_cast<std::size_t>(commands));
+    }
+  }
+
+  /// Runs every command of sessions [first, last]; returns the wall time.
+  /// Telemetry legs run a throttled monitor alongside: a round-robin
+  /// kGetSessionHealth probe every 500us (a dead or not-yet created
+  /// session answering kNoSuchSession is expected traffic), plus the full
+  /// chunked kGetMetrics snapshot every 100 probes. Its client keeps its
+  /// own response digest, so the workers' streams are the determinism
+  /// evidence.
+  double run_chunk(std::uint32_t first, std::uint32_t last, int sessions,
+                   MonitorStats& monitor) {
+    biosense::obs::PhaseTimer phase(
+        "fleet.workers_" + std::to_string(workers_) +
+        (telemetry_ ? ".telemetry" : ".off"));
+    const auto run_worker = [&](int w) {
+      WorkerResult& r = results_[static_cast<std::size_t>(w)];
+      std::vector<FleetClient::Record> scratch;
+      scratch.reserve(256);
+      for (std::uint32_t id = first; id <= last; ++id) {
+        if (static_cast<int>((id - 1) % workers_) != w) continue;
+        FleetClient client(link_);
+        for (int k = 0; k < commands_; ++k) {
+          const auto begin = std::chrono::steady_clock::now();
+          r.records +=
+              run_command(client, id, k, commands_, scratch, &r.errors);
+          const auto end = std::chrono::steady_clock::now();
+          r.latency_us.push_back(static_cast<float>(
+              std::chrono::duration<double, std::micro>(end - begin)
+                  .count()));
+          ++r.commands;
+        }
+        r.digests[id] = client.response_digest();
+      }
+    };
+
+    std::atomic<bool> monitor_stop{false};
+    std::thread monitor_thread;
+    if (telemetry_) {
+      monitor_thread = std::thread([&] {
+        FleetClient mon(link_);
+        while (!monitor_stop.load(std::memory_order_relaxed)) {
+          const auto h0 = std::chrono::steady_clock::now();
+          const auto health = mon.session_health(monitor.next);
+          const auto h1 = std::chrono::steady_clock::now();
+          monitor.health_latency_us.push_back(static_cast<float>(
+              std::chrono::duration<double, std::micro>(h1 - h0).count()));
+          if (!health && health.error() != HostStatus::kNoSuchSession) {
+            ++monitor.errors;
+          }
+          monitor.next =
+              monitor.next % static_cast<std::uint32_t>(sessions) + 1;
+          if (++monitor.probes_since_metrics >= 100) {
+            monitor.probes_since_metrics = 0;
+            const auto m0 = std::chrono::steady_clock::now();
+            const auto snap = mon.metrics();
+            const auto m1 = std::chrono::steady_clock::now();
+            monitor.metrics_latency_us.push_back(static_cast<float>(
+                std::chrono::duration<double, std::micro>(m1 - m0).count()));
+            if (!snap) ++monitor.errors;
+          }
+          std::this_thread::sleep_for(std::chrono::microseconds(500));
+        }
+      });
+    }
+
+    const auto start = std::chrono::steady_clock::now();
+    if (workers_ == 1) {
+      run_worker(0);
+    } else {
+      std::vector<std::thread> pool;
+      pool.reserve(static_cast<std::size_t>(workers_));
+      for (int w = 0; w < workers_; ++w) pool.emplace_back(run_worker, w);
+      for (auto& t : pool) t.join();
+    }
+    const auto stop = std::chrono::steady_clock::now();
+    if (telemetry_) {
+      monitor_stop.store(true, std::memory_order_relaxed);
+      monitor_thread.join();
+    }
+    const double chunk_s = std::chrono::duration<double>(stop - start).count();
+    seconds_ += chunk_s;
+    return chunk_s;
+  }
+
+  /// Closes the leg: latency percentiles (closed loop, plus the open-loop
+  /// virtual-time replay) and, for a telemetry leg, the server flight-ring
+  /// audit.
+  Leg finish(MonitorStats& monitor, std::uint64_t& flight_dropped) {
+    if (telemetry_) {
+      // The server ring saw every session's lifecycle; at bench load it
+      // must not have wrapped (dropping post-mortem evidence silently
+      // would defeat the flight recorder's purpose).
+      FleetClient audit(link_);
+      const auto dump = audit.dump_flight_recorder(host::kServerFlightScope);
+      if (dump) {
+        flight_dropped += dump->dropped;
+      } else {
+        ++monitor.errors;
+      }
+    }
+
+    Leg leg;
+    leg.workers = workers_;
+    leg.telemetry = telemetry_;
+    leg.seconds = seconds_;
+    std::vector<float> all_latency;
+    for (auto& r : results_) {
+      leg.commands += r.commands;
+      leg.records += r.records;
+      leg.errors += r.errors;
+      all_latency.insert(all_latency.end(), r.latency_us.begin(),
+                         r.latency_us.end());
+      digests_.insert(r.digests.begin(), r.digests.end());
+    }
+    leg.throughput_cps = static_cast<double>(leg.commands) / leg.seconds;
+    leg.closed_p50_us = percentile_us(all_latency, 0.50);
+    leg.closed_p95_us = percentile_us(all_latency, 0.95);
+    leg.closed_p99_us = percentile_us(all_latency, 0.99);
+
+    // Open-loop replay: offer commands at 80% of the measured closed-loop
+    // rate and queue them FIFO per worker against the recorded service
+    // times — latency then includes queueing delay, the open-loop view.
+    leg.offered_cps = 0.8 * leg.throughput_cps;
+    std::vector<float> open_latency;
+    open_latency.reserve(all_latency.size());
+    const double per_worker_rate =
+        leg.offered_cps / static_cast<double>(workers_);
+    for (auto& r : results_) {
+      double virtual_now = 0.0;
+      for (std::size_t i = 0; i < r.latency_us.size(); ++i) {
+        const double arrival = 1e6 * static_cast<double>(i) / per_worker_rate;
+        const double begin = std::max(arrival, virtual_now);
+        virtual_now = begin + static_cast<double>(r.latency_us[i]);
+        open_latency.push_back(static_cast<float>(virtual_now - arrival));
+      }
+    }
+    leg.open_p50_us = percentile_us(open_latency, 0.50);
+    leg.open_p95_us = percentile_us(open_latency, 0.95);
+    leg.open_p99_us = percentile_us(open_latency, 0.99);
+    return leg;
+  }
+
+  const std::map<std::uint32_t, std::uint64_t>& digests() const {
+    return digests_;
+  }
+
+ private:
+  static host::FleetLimits limits(bool telemetry) {
+    host::FleetLimits limits;
+    if (telemetry) {
+      limits.flight_events = 256;
+      limits.server_flight_events = 2048;
+    }
+    return limits;
+  }
+
+  int workers_;
+  bool telemetry_;
+  int commands_;
+  host::FleetServer server_;
+  host::ServerLink link_;
+  std::vector<WorkerResult> results_;
+  std::map<std::uint32_t, std::uint64_t> digests_;
+  double seconds_ = 0.0;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -249,214 +445,77 @@ int main(int argc, char** argv) {
   std::map<std::uint32_t, std::uint64_t> reference_digests;
   bool deterministic = true;
   bool telemetry_deterministic = true;
-  // Monitor-side telemetry latencies, pooled across the telemetry legs.
-  std::vector<float> health_latency_us;
-  std::vector<float> metrics_latency_us;
-  std::uint64_t monitor_errors = 0;
+  MonitorStats monitor;
   std::uint64_t flight_dropped = 0;
+  std::vector<double> pair_taxes;
 
-  // Every worker count runs twice: flight recorders off (the shipped
-  // configuration, which sets the throughput reference) then on with the
-  // monitor attached (the telemetry leg). Same sessions, same scripts —
-  // so the digests must match across all six legs.
-  struct LegSpec {
-    int workers;
-    bool telemetry;
-  };
-  std::vector<LegSpec> leg_specs;
-  for (int w : worker_counts) {
-    leg_specs.push_back({w, false});
-    leg_specs.push_back({w, true});
-  }
-
-  for (const LegSpec leg_spec : leg_specs) {
-    const int workers = leg_spec.workers;
-    const bool telemetry = leg_spec.telemetry;
-    biosense::obs::PhaseTimer phase(
-        "fleet.workers_" + std::to_string(workers) +
-        (telemetry ? ".telemetry" : ".off"));
-    host::FleetLimits limits;
-    if (telemetry) {
-      limits.flight_events = 256;
-      limits.server_flight_events = 2048;
-    }
-    host::FleetServer server(limits);
-    host::ServerLink link(server);
-
-    // Per-worker client fleets, fully constructed (buffers reserved)
-    // before the timed region.
-    std::vector<WorkerResult> results(static_cast<std::size_t>(workers));
-    std::vector<std::vector<std::uint32_t>> assigned(
-        static_cast<std::size_t>(workers));
-    for (int s = 0; s < sessions; ++s) {
-      assigned[static_cast<std::size_t>(s % workers)].push_back(
-          static_cast<std::uint32_t>(s + 1));
-    }
-    for (int w = 0; w < workers; ++w) {
-      results[static_cast<std::size_t>(w)].latency_us.reserve(
-          assigned[static_cast<std::size_t>(w)].size() *
-          static_cast<std::size_t>(commands_per_session));
-    }
-
-    const auto run_worker = [&](int w) {
-      WorkerResult& r = results[static_cast<std::size_t>(w)];
-      std::vector<FleetClient::Record> scratch;
-      scratch.reserve(256);
-      for (const std::uint32_t id : assigned[static_cast<std::size_t>(w)]) {
-        FleetClient client(link);
-        for (int k = 0; k < commands_per_session; ++k) {
-          const auto begin = std::chrono::steady_clock::now();
-          r.records +=
-              run_command(client, id, k, commands_per_session, scratch,
-                          &r.errors);
-          const auto end = std::chrono::steady_clock::now();
-          r.latency_us.push_back(static_cast<float>(
-              std::chrono::duration<double, std::micro>(end - begin)
-                  .count()));
-          ++r.commands;
-        }
-        r.digests[id] = client.response_digest();
-      }
-    };
-
-    // Telemetry legs run a throttled monitor alongside the fleet: a
-    // round-robin kGetSessionHealth probe every 500us (a dead or not-yet
-    // created session answering kNoSuchSession is expected traffic), plus
-    // the full chunked kGetMetrics snapshot every 100 probes. Its client
-    // keeps its own response digest, so the workers' streams are the
-    // determinism evidence.
-    std::atomic<bool> monitor_stop{false};
-    std::thread monitor;
-    if (telemetry) {
-      monitor = std::thread([&] {
-        FleetClient mon(link);
-        std::uint32_t next = 1;
-        int probes_since_metrics = 0;
-        while (!monitor_stop.load(std::memory_order_relaxed)) {
-          const auto h0 = std::chrono::steady_clock::now();
-          const auto health = mon.session_health(next);
-          const auto h1 = std::chrono::steady_clock::now();
-          health_latency_us.push_back(static_cast<float>(
-              std::chrono::duration<double, std::micro>(h1 - h0).count()));
-          if (!health && health.error() != HostStatus::kNoSuchSession) {
-            ++monitor_errors;
-          }
-          next = next % static_cast<std::uint32_t>(sessions) + 1;
-          if (++probes_since_metrics >= 100) {
-            probes_since_metrics = 0;
-            const auto m0 = std::chrono::steady_clock::now();
-            const auto snap = mon.metrics();
-            const auto m1 = std::chrono::steady_clock::now();
-            metrics_latency_us.push_back(static_cast<float>(
-                std::chrono::duration<double, std::micro>(m1 - m0).count()));
-            if (!snap) ++monitor_errors;
-          }
-          std::this_thread::sleep_for(std::chrono::microseconds(500));
-        }
-      });
-    }
-
-    const auto start = std::chrono::steady_clock::now();
-    if (workers == 1) {
-      run_worker(0);
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(static_cast<std::size_t>(workers));
-      for (int w = 0; w < workers; ++w) pool.emplace_back(run_worker, w);
-      for (auto& t : pool) t.join();
-    }
-    const auto stop = std::chrono::steady_clock::now();
-
-    if (telemetry) {
-      monitor_stop.store(true, std::memory_order_relaxed);
-      monitor.join();
-      // The server ring saw every session's lifecycle; at bench load it
-      // must not have wrapped (dropping post-mortem evidence silently
-      // would defeat the flight recorder's purpose).
-      FleetClient audit(link);
-      const auto dump = audit.dump_flight_recorder(host::kServerFlightScope);
-      if (dump) {
-        flight_dropped += dump->dropped;
+  // Every worker count runs two legs over the same sessions and scripts:
+  // flight recorders off (the shipped configuration, which sets the
+  // throughput reference) and on with the monitor attached (the telemetry
+  // leg), so the digests must match across all six legs. The two legs take
+  // turns, one chunk of 1/tax_chunks of the sessions at a time, swapping
+  // which goes first every chunk. On a shared host one 5 s leg differs from
+  // the next by 20-30%, far beyond the 5% tax budget; taking turns cancels
+  // that drift and yields many off/on pairs, each reading (on - off) / on
+  // in wall time, for the cost of six legs.
+  const int tax_chunks = 16;
+  for (const int workers : worker_counts) {
+    LegRun off(workers, false, sessions, commands_per_session);
+    LegRun on(workers, true, sessions, commands_per_session);
+    for (int chunk = 0; chunk < tax_chunks; ++chunk) {
+      const auto first =
+          static_cast<std::uint32_t>(chunk * sessions / tax_chunks + 1);
+      const auto last =
+          static_cast<std::uint32_t>((chunk + 1) * sessions / tax_chunks);
+      if (first > last) continue;  // fewer sessions than chunks
+      double off_s = 0.0, on_s = 0.0;
+      if (chunk % 2 == 0) {
+        off_s = off.run_chunk(first, last, sessions, monitor);
+        on_s = on.run_chunk(first, last, sessions, monitor);
       } else {
-        ++monitor_errors;
+        on_s = on.run_chunk(first, last, sessions, monitor);
+        off_s = off.run_chunk(first, last, sessions, monitor);
+      }
+      pair_taxes.push_back((on_s - off_s) / on_s);
+    }
+
+    for (LegRun* run : {&off, &on}) {
+      legs.push_back(run->finish(monitor, flight_dropped));
+      const Leg& leg = legs.back();
+      if (legs.size() == 1) {
+        reference_digests = run->digests();
+      } else if (run->digests() != reference_digests) {
+        deterministic = false;
+        if (leg.telemetry) telemetry_deterministic = false;
+      }
+      if (!leg.telemetry) {
+        // The shipped (untelemetered) numbers are what the manifest gauges
+        // record; the telemetry legs report through the tax instead.
+        auto& registry = biosense::obs::Registry::global();
+        const std::string prefix =
+            "fleet.bench.w" + std::to_string(workers) + ".";
+        registry.gauge(prefix + "throughput_cps").set(leg.throughput_cps);
+        registry.gauge(prefix + "p50_us").set(leg.closed_p50_us);
+        registry.gauge(prefix + "p95_us").set(leg.closed_p95_us);
+        registry.gauge(prefix + "p99_us").set(leg.closed_p99_us);
       }
     }
-
-    Leg leg;
-    leg.workers = workers;
-    leg.telemetry = telemetry;
-    leg.seconds = std::chrono::duration<double>(stop - start).count();
-    std::vector<float> all_latency;
-    std::map<std::uint32_t, std::uint64_t> digests;
-    for (auto& r : results) {
-      leg.commands += r.commands;
-      leg.records += r.records;
-      leg.errors += r.errors;
-      all_latency.insert(all_latency.end(), r.latency_us.begin(),
-                         r.latency_us.end());
-      digests.insert(r.digests.begin(), r.digests.end());
-    }
-    leg.throughput_cps = static_cast<double>(leg.commands) / leg.seconds;
-    leg.closed_p50_us = percentile_us(all_latency, 0.50);
-    leg.closed_p95_us = percentile_us(all_latency, 0.95);
-    leg.closed_p99_us = percentile_us(all_latency, 0.99);
-
-    // Open-loop replay: offer commands at 80% of the measured closed-loop
-    // rate and queue them FIFO per worker against the recorded service
-    // times — latency then includes queueing delay, the open-loop view.
-    leg.offered_cps = 0.8 * leg.throughput_cps;
-    {
-      std::vector<float> open_latency;
-      open_latency.reserve(all_latency.size());
-      const double per_worker_rate =
-          leg.offered_cps / static_cast<double>(workers);
-      for (auto& r : results) {
-        double virtual_now = 0.0;
-        for (std::size_t i = 0; i < r.latency_us.size(); ++i) {
-          const double arrival =
-              1e6 * static_cast<double>(i) / per_worker_rate;
-          const double begin = std::max(arrival, virtual_now);
-          virtual_now = begin + static_cast<double>(r.latency_us[i]);
-          open_latency.push_back(static_cast<float>(virtual_now - arrival));
-        }
-      }
-      leg.open_p50_us = percentile_us(open_latency, 0.50);
-      leg.open_p95_us = percentile_us(open_latency, 0.95);
-      leg.open_p99_us = percentile_us(open_latency, 0.99);
-    }
-
-    if (legs.empty()) {
-      reference_digests = digests;
-    } else if (digests != reference_digests) {
-      deterministic = false;
-      if (telemetry) telemetry_deterministic = false;
-    }
-    legs.push_back(leg);
-
-    if (!telemetry) {
-      // The shipped (untelemetered) numbers are what the manifest gauges
-      // record; the telemetry legs report through the tax instead.
-      auto& registry = biosense::obs::Registry::global();
-      const std::string prefix =
-          "fleet.bench.w" + std::to_string(workers) + ".";
-      registry.gauge(prefix + "throughput_cps").set(leg.throughput_cps);
-      registry.gauge(prefix + "p50_us").set(leg.closed_p50_us);
-      registry.gauge(prefix + "p95_us").set(leg.closed_p95_us);
-      registry.gauge(prefix + "p99_us").set(leg.closed_p99_us);
-    }
   }
+  std::vector<float>& health_latency_us = monitor.health_latency_us;
+  std::vector<float>& metrics_latency_us = monitor.metrics_latency_us;
+  const std::uint64_t monitor_errors = monitor.errors;
 
-  // Telemetry tax: aggregate throughput delta between the off and on legs
-  // (equal workloads command-for-command, so wall-clock sums compare
-  // directly). Clamped at zero — on a loaded machine the on legs can win.
-  double off_seconds = 0.0, on_seconds = 0.0;
-  for (const auto& leg : legs) {
-    (leg.telemetry ? on_seconds : off_seconds) += leg.seconds;
-  }
-  const double telemetry_tax =
-      on_seconds > off_seconds && on_seconds > 0.0
-          ? (on_seconds - off_seconds) / on_seconds
-          : 0.0;
+  // Telemetry tax: the median over all chunk pairs of the throughput the
+  // telemetry leg gave up, clamped at zero — on a loaded machine the on
+  // leg can win.
+  std::vector<double> sorted_taxes = pair_taxes;
+  std::sort(sorted_taxes.begin(), sorted_taxes.end());
+  const std::size_t mid = sorted_taxes.size() / 2;
+  const double median_tax =
+      sorted_taxes.size() % 2 == 1
+          ? sorted_taxes[mid]
+          : 0.5 * (sorted_taxes[mid - 1] + sorted_taxes[mid]);
+  const double telemetry_tax = std::max(0.0, median_tax);
   const double health_p50 = percentile_us(health_latency_us, 0.50);
   const double health_p95 = percentile_us(health_latency_us, 0.95);
   const double health_p99 = percentile_us(health_latency_us, 0.99);
@@ -564,8 +623,16 @@ int main(int argc, char** argv) {
              std::to_string(static_cast<double>(health_allocs) /
                             static_cast<double>(health_probes)) +
              " (gate: exactly 0)");
+  std::string pair_list;
+  for (const double tax : pair_taxes) {
+    char entry[24];
+    std::snprintf(entry, sizeof(entry), "%s%.1f", pair_list.empty() ? "" : ", ",
+                  100.0 * tax);
+    pair_list += entry;
+  }
   t.add_note("telemetry tax: " + std::to_string(100.0 * telemetry_tax) +
-             "% aggregate throughput; monitor health p99 " +
+             "% throughput, median of " + std::to_string(pair_taxes.size()) +
+             " off/on chunk pairs [" + pair_list + " %]; monitor health p99 " +
              std::to_string(health_p99) + " us, metrics p99 " +
              std::to_string(metrics_p99) + " us; server flight ring "
              "dropped " + std::to_string(flight_dropped) + " events");
@@ -591,6 +658,11 @@ int main(int argc, char** argv) {
          << ", \"errors\": " << total_errors
          << ", \"pass\": " << (pass ? "true" : "false")
          << ", \"telemetry\": {\"tax\": " << telemetry_tax
+         << ", \"tax_pairs\": [";
+    for (std::size_t i = 0; i < pair_taxes.size(); ++i) {
+      json << (i > 0 ? ", " : "") << pair_taxes[i];
+    }
+    json << "]"
          << ", \"telemetry_deterministic\": "
          << (telemetry_deterministic ? "true" : "false")
          << ", \"flight_dropped\": " << flight_dropped

@@ -52,7 +52,8 @@ echo "=== [bench-gate] bench artifacts vs committed baselines ==="
 if command -v python3 >/dev/null 2>&1; then
   BENCH_SCRATCH="$(mktemp -d)"
   trap 'rm -rf "${BENCH_SCRATCH}"' EXIT
-  for bench in bench_fig3_i2f bench_fig6_neurochip bench_robust_readout; do
+  for bench in bench_fig3_i2f bench_fig4_dnachip bench_fig6_neurochip \
+               bench_robust_readout; do
     BIOSENSE_RESULTS_DIR="${BENCH_SCRATCH}" \
       "build-ci-default/bench/${bench}" --benchmark_filter='^$' >/dev/null
   done

@@ -30,7 +30,7 @@ class Comparator {
 
   /// Instantaneous effective threshold for an upward crossing, including the
   /// sampled static offset and one draw of input noise. Used by the exact
-  /// event-driven I2F simulation to avoid time-stepping the ramp.
+  /// closed-form I2F conversion to avoid time-stepping the ramp.
   double decision_threshold_up();
 
   bool output() const { return out_; }
@@ -39,8 +39,8 @@ class Comparator {
   void reset();
 
   /// Noise stream + propagation-delay latch (the static offset is frozen
-  /// die state). The per-decision RNG advance is data-dependent, so the
-  /// stream position is essential for bit-exact resume.
+  /// die state). The stream advances once per `step()` and twice per I2F
+  /// conversion; its position is essential for bit-exact resume.
   void save_state(snapshot::StateWriter& w) const {
     w.rng(rng_);
     w.b(out_);

@@ -7,7 +7,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/parallel.hpp"
 
 namespace biosense::dnachip {
 
@@ -167,6 +166,26 @@ void DnaChip::apply_count_faults(std::vector<std::uint64_t>& counts) const {
   }
 }
 
+void DnaChip::convert_sites(double gate, double stimulus,
+                            bool sensor_connected,
+                            std::vector<std::uint64_t>& counts) {
+  // All sites convert simultaneously on the chip. A conversion is a
+  // closed-form draw of tens of nanoseconds, so one plain loop beats
+  // spreading the array over the thread pool; each site's converter owns
+  // its comparator-noise stream, so the counts do not depend on the order.
+  const std::uint64_t max_count = (1ULL << config_.counter_bits) - 1;
+  counts.resize(converters_.size());
+  for (std::size_t i = 0; i < converters_.size(); ++i) {
+    const double input =
+        stimulus + (sensor_connected ? sensor_currents_[i] : 0.0) +
+        extra_leakage_[i];
+    // Saturating counter: the host detects full-scale counts and falls
+    // back to a shorter gate (see acquire_autorange).
+    counts[i] = std::min(converters_[i].measure(input, gate).count, max_count);
+  }
+  apply_count_faults(counts);
+}
+
 BitStream DnaChip::run_conversion(std::uint16_t payload) {
   const int seq = payload >> 8;
   const std::uint16_t gate_code = payload & 0xff;
@@ -177,20 +196,7 @@ BitStream DnaChip::run_conversion(std::uint16_t payload) {
   if (seq == last_conv_seq_) return encode_ack(Opcode::kStartConversion);
   const double gate = gate_time_from_code(gate_code);
   last_gate_time_ = gate;
-  const std::uint64_t max_count = (1ULL << config_.counter_bits) - 1;
-  // All sites convert simultaneously on the chip, and each site's converter
-  // owns its comparator-noise RNG stream, so the sweep parallelizes with
-  // results independent of the thread count.
-  parallel_for(0, sites(), [&](std::int64_t i) {
-    const auto conv = converters_[static_cast<std::size_t>(i)].measure(
-        sensor_currents_[static_cast<std::size_t>(i)] +
-            extra_leakage_[static_cast<std::size_t>(i)],
-        gate);
-    // Saturating counter: the host detects full-scale counts and falls
-    // back to a shorter gate (see acquire_autorange).
-    counts_[static_cast<std::size_t>(i)] = std::min(conv.count, max_count);
-  });
-  apply_count_faults(counts_);
+  convert_sites(gate, 0.0, true, counts_);
   last_conv_seq_ = seq;
   return encode_ack(Opcode::kStartConversion);
 }
@@ -217,15 +223,7 @@ BitStream DnaChip::auto_calibrate(std::uint16_t payload) {
   if (seq != last_cal_seq_) {
     // Zero-input conversion: the chip measures every site with the sensor
     // disconnected (only leakage integrates) and stores baseline counts.
-    const double gate = gate_time_from_code(gate_code);
-    const std::uint64_t max_count = (1ULL << config_.counter_bits) - 1;
-    parallel_for(0, sites(), [&](std::int64_t i) {
-      const auto conv = converters_[static_cast<std::size_t>(i)].measure(
-          extra_leakage_[static_cast<std::size_t>(i)], gate);
-      cal_counts_[static_cast<std::size_t>(i)] =
-          std::min(conv.count, max_count);
-    });
-    apply_count_faults(cal_counts_);
+    convert_sites(gate_time_from_code(gate_code), 0.0, false, cal_counts_);
     calibrated_ = true;
     last_cal_seq_ = seq;
   }
@@ -241,17 +239,10 @@ BitStream DnaChip::self_test(std::uint16_t payload) {
   const bool stimulus = (payload & kSelfTestStimulus) != 0;
   const std::uint16_t gate_code = payload & 0x0f;
   if (seq != last_test_seq_) {
-    const double gate = gate_time_from_code(gate_code);
     const double i_test =
         stimulus ? iref_.current(config_.temp_k) / 1000.0 : 0.0;
-    const std::uint64_t max_count = (1ULL << config_.counter_bits) - 1;
-    parallel_for(0, sites(), [&](std::int64_t i) {
-      const auto conv = converters_[static_cast<std::size_t>(i)].measure(
-          i_test + extra_leakage_[static_cast<std::size_t>(i)], gate);
-      test_counts_[static_cast<std::size_t>(i)] =
-          std::min(conv.count, max_count);
-    });
-    apply_count_faults(test_counts_);
+    convert_sites(gate_time_from_code(gate_code), i_test, false,
+                  test_counts_);
     last_test_seq_ = seq;
   }
   return encode_counts(test_counts_);

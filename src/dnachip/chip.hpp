@@ -104,6 +104,11 @@ class DnaChip {
   BitStream auto_calibrate(std::uint16_t payload);
   BitStream self_test(std::uint16_t payload);
   BitStream status();
+  /// Converts every site once over `gate` into `counts` (saturated at the
+  /// counter width, then fault-overridden). Site i integrates `stimulus`,
+  /// its sensor current when `sensor_connected`, and its extra leakage.
+  void convert_sites(double gate, double stimulus, bool sensor_connected,
+                     std::vector<std::uint64_t>& counts);
   void apply_count_faults(std::vector<std::uint64_t>& counts) const;
 
   DnaChipConfig config_;  // analyze:transient - frozen config

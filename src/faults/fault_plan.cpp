@@ -3,6 +3,7 @@
 #include "obs/metrics.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -77,10 +78,13 @@ void FaultPlanConfig::validate() const {
   require(neuro_dead_fraction + neuro_stuck_fraction + neuro_railed_fraction <=
               1.0,
           "FaultPlan: neuro fault fractions must sum to <= 1");
-  require(dna_leakage_outlier_amp >= 0.0,
-          "FaultPlan: outlier leakage must be non-negative");
-  require(channel_gain_drift_sigma >= 0.0,
-          "FaultPlan: gain drift sigma must be non-negative");
+  // strtod reads "inf" and "1e999": the open-ended amplitudes need a bound.
+  require(std::isfinite(dna_leakage_outlier_amp) &&
+              dna_leakage_outlier_amp >= 0.0,
+          "FaultPlan: outlier leakage must be finite and non-negative");
+  require(std::isfinite(channel_gain_drift_sigma) &&
+              channel_gain_drift_sigma >= 0.0,
+          "FaultPlan: gain drift sigma must be finite and non-negative");
   link.validate();
 }
 

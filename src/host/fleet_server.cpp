@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
@@ -100,6 +101,26 @@ struct FleetServer::Session {
   HostStatus replay_status = HostStatus::kOk;
   std::vector<std::uint8_t> replay_payload;
 
+  /// A retry of the cached `cmd`: echoes its response and status.
+  std::optional<HostStatus> replay(const CommandContext& ctx,
+                                   HostCommand cmd) const {
+    if (!has_replay || replay_seq != ctx.request->header.seq ||
+        replay_command != cmd) {
+      return std::nullopt;
+    }
+    ctx.response->raw(replay_payload.data(), replay_payload.size());
+    return replay_status;
+  }
+  /// Caches the kOk response just built for `cmd` as the replay entry.
+  void remember(const CommandContext& ctx, HostCommand cmd) {
+    has_replay = true;
+    replay_seq = ctx.request->header.seq;
+    replay_command = cmd;
+    replay_status = HostStatus::kOk;
+    replay_payload.assign(ctx.response->data(),
+                          ctx.response->data() + ctx.response->size());
+  }
+
   // Acquisition state.
   std::uint32_t pending = 0;           // queued, not yet produced
   std::uint32_t frames_produced = 0;   // next record index
@@ -137,6 +158,20 @@ struct FleetServer::Session {
   std::uint16_t last_status = 0;
 };
 
+/// The session a command addresses, held locked from the handler into the
+/// dispatch wrapper's outcome bookkeeping: one lookup, one lock.
+struct FleetServer::SessionClaim {
+  std::shared_ptr<Session> session;
+  std::unique_lock<std::mutex> lock;
+
+  /// Keeps and locks `found` (may be null); returns it.
+  Session* hold(std::shared_ptr<Session> found) {
+    session = std::move(found);
+    if (session) lock = std::unique_lock(session->mutex);
+    return session.get();
+  }
+};
+
 FleetServer::FleetServer(FleetLimits limits)
     : limits_(std::move(limits)), server_flight_(limits_.server_flight_events) {
   require(limits_.max_sessions >= 1, "FleetServer: max_sessions must be >= 1");
@@ -150,13 +185,14 @@ FleetServer::~FleetServer() {
 }
 
 void FleetServer::register_handlers() {
-  // Session-scoped commands (payload leads with the session id) run the
-  // note_outcome telemetry hook after the handler; it is skipped entirely
-  // — one branch — while telemetry is off.
+  // A session-scoped handler (payload leads with the session id) returns
+  // with the session it addressed still locked in its claim, and the
+  // outcome is noted under that lock — one branch while telemetry is off.
   auto add = [this](HostCommand id, std::uint8_t min_version,
                     std::uint16_t min_payload, std::uint16_t max_payload,
-                    bool mutating, bool session_scoped,
-                    HostStatus (FleetServer::*fn)(const CommandContext&)) {
+                    bool mutating,
+                    HostStatus (FleetServer::*fn)(const CommandContext&,
+                                                  SessionClaim&)) {
     CommandSpec spec;
     spec.id = id;
     spec.name = host_command_name(id);
@@ -164,57 +200,44 @@ void FleetServer::register_handlers() {
     spec.min_payload = min_payload;
     spec.max_payload = max_payload;
     spec.mutating = mutating;
-    spec.handler = [this, fn, session_scoped](const CommandContext& ctx) {
-      const HostStatus status = (this->*fn)(ctx);
-      if (session_scoped && limits_.flight_events > 0) {
-        note_outcome(ctx, status);
+    spec.handler = [this, fn](const CommandContext& ctx) {
+      SessionClaim claim;
+      const HostStatus status = (this->*fn)(ctx, claim);
+      if (claim.session && limits_.flight_events > 0) {
+        note_outcome(*claim.session, *ctx.request, status);
       }
       return status;
     };
     dispatcher_.register_command(std::move(spec));
   };
 
-  add(HostCommand::kGetProtocolInfo, 1, 0, 0, false, false,
+  add(HostCommand::kGetProtocolInfo, 1, 0, 0, false,
       &FleetServer::cmd_protocol_info);
-  add(HostCommand::kGetCapabilities, 1, 0, 0, false, false,
+  add(HostCommand::kGetCapabilities, 1, 0, 0, false,
       &FleetServer::cmd_capabilities);
-  add(HostCommand::kPing, 1, 0, 64, false, false, &FleetServer::cmd_ping);
-  add(HostCommand::kCreateSession, 1, 21, 22, true, true,
-      &FleetServer::cmd_create);
-  add(HostCommand::kConfigureSession, 1, 13, 13, true, true,
+  add(HostCommand::kPing, 1, 0, 64, false, &FleetServer::cmd_ping);
+  add(HostCommand::kCreateSession, 1, 21, 22, true, &FleetServer::cmd_create);
+  add(HostCommand::kConfigureSession, 1, 13, 13, true,
       &FleetServer::cmd_configure);
-  add(HostCommand::kStartAcquisition, 1, 8, 8, true, true,
-      &FleetServer::cmd_start);
-  add(HostCommand::kPollFrames, 1, 6, 6, false, true, &FleetServer::cmd_poll);
-  add(HostCommand::kDrainSession, 1, 4, 4, true, true,
-      &FleetServer::cmd_drain);
-  add(HostCommand::kDestroySession, 1, 4, 4, true, false,
-      &FleetServer::cmd_destroy);
-  add(HostCommand::kQuerySession, 1, 4, 4, false, true,
-      &FleetServer::cmd_query);
-  add(HostCommand::kCheckpointSession, 3, 4, 4, true, true,
+  add(HostCommand::kStartAcquisition, 1, 8, 8, true, &FleetServer::cmd_start);
+  add(HostCommand::kPollFrames, 1, 6, 6, false, &FleetServer::cmd_poll);
+  add(HostCommand::kDrainSession, 1, 4, 4, true, &FleetServer::cmd_drain);
+  add(HostCommand::kDestroySession, 1, 4, 4, true, &FleetServer::cmd_destroy);
+  add(HostCommand::kQuerySession, 1, 4, 4, false, &FleetServer::cmd_query);
+  add(HostCommand::kCheckpointSession, 3, 4, 4, true,
       &FleetServer::cmd_checkpoint);
-  add(HostCommand::kRestoreSession, 3, 4, 4, true, true,
-      &FleetServer::cmd_restore);
-  add(HostCommand::kServerStats, 2, 0, 0, false, false,
+  add(HostCommand::kRestoreSession, 3, 4, 4, true, &FleetServer::cmd_restore);
+  add(HostCommand::kServerStats, 2, 0, 0, false,
       &FleetServer::cmd_server_stats);
-  add(HostCommand::kGetSessionHealth, 4, 4, 4, false, true,
+  add(HostCommand::kGetSessionHealth, 4, 4, 4, false,
       &FleetServer::cmd_session_health);
-  add(HostCommand::kGetMetrics, 4, 6, 6, false, false,
-      &FleetServer::cmd_get_metrics);
-  add(HostCommand::kDumpFlightRecorder, 4, 4, 4, true, false,
+  add(HostCommand::kGetMetrics, 4, 6, 6, false, &FleetServer::cmd_get_metrics);
+  add(HostCommand::kDumpFlightRecorder, 4, 4, 4, true,
       &FleetServer::cmd_dump_flight);
 }
 
-void FleetServer::note_outcome(const CommandContext& ctx, HostStatus status) {
-  const auto& req = *ctx.request;
-  if (req.payload_len < 4) return;  // malformed; the handler already said so
-  snapshot::StateReader r(req.payload, req.payload_len);
-  const std::uint32_t id = r.u32();
-  const auto session = find_session(id);
-  if (!session) return;
-  std::lock_guard lock(session->mutex);
-  Session& s = *session;
+void FleetServer::note_outcome(Session& s, const DecodedFrame& req,
+                               HostStatus status) {
   ++s.commands_handled;
   s.last_command = static_cast<std::uint16_t>(req.header.command);
   s.last_status = static_cast<std::uint16_t>(status);
@@ -337,7 +360,8 @@ std::shared_ptr<FleetServer::Session> FleetServer::build_session(
 
 // --- discovery / liveness ---------------------------------------------------
 
-HostStatus FleetServer::cmd_protocol_info(const CommandContext& ctx) {
+HostStatus FleetServer::cmd_protocol_info(const CommandContext& ctx,
+                                          SessionClaim&) {
   auto& w = *ctx.response;
   w.u8(kProtocolVersionMin);
   w.u8(kProtocolVersionCurrent);
@@ -347,20 +371,22 @@ HostStatus FleetServer::cmd_protocol_info(const CommandContext& ctx) {
   return HostStatus::kOk;
 }
 
-HostStatus FleetServer::cmd_capabilities(const CommandContext& ctx) {
+HostStatus FleetServer::cmd_capabilities(const CommandContext& ctx,
+                                         SessionClaim&) {
   ctx.response->u32(kCapDnaSessions | kCapNeuroSessions | kCapFaultInjection |
                     kCapReplayCache | kCapCheckpoint | kCapTelemetry);
   return HostStatus::kOk;
 }
 
-HostStatus FleetServer::cmd_ping(const CommandContext& ctx) {
+HostStatus FleetServer::cmd_ping(const CommandContext& ctx, SessionClaim&) {
   ctx.response->raw(ctx.request->payload, ctx.request->payload_len);
   return HostStatus::kOk;
 }
 
 // --- session lifecycle ------------------------------------------------------
 
-HostStatus FleetServer::cmd_create(const CommandContext& ctx) {
+HostStatus FleetServer::cmd_create(const CommandContext& ctx,
+                                   SessionClaim& claim) {
   const auto& req = *ctx.request;
   snapshot::StateReader r(req.payload, req.payload_len);
   const std::uint32_t id = r.u32();
@@ -372,18 +398,17 @@ HostStatus FleetServer::cmd_create(const CommandContext& ctx) {
   const std::uint16_t ring_depth = r.u16();
   std::uint8_t preset = 0;
   if (req.header.version >= 2 && r.remaining() == 1) preset = r.u8();
-  if (!r.exhausted()) return HostStatus::kBadPayload;
+  if (!r.exhausted()) {
+    // Malformed, but still addressed to (and counted against) a live id.
+    claim.hold(find_session(id));
+    return HostStatus::kBadPayload;
+  }
 
   std::unique_lock lock(registry_mutex_);
   if (const auto it = sessions_.find(id); it != sessions_.end()) {
-    Session& s = *it->second;
-    std::lock_guard session_lock(s.mutex);
-    if (s.has_replay && s.replay_seq == req.header.seq &&
-        s.replay_command == HostCommand::kCreateSession) {
-      // Retried create whose first response was lost: echo it.
-      ctx.response->raw(s.replay_payload.data(), s.replay_payload.size());
-      return s.replay_status;
-    }
+    Session& s = *claim.hold(it->second);
+    // A retried create whose first response was lost is echoed.
+    if (auto hit = s.replay(ctx, HostCommand::kCreateSession)) return *hit;
     return HostStatus::kDuplicateSession;
   }
   if (sessions_.size() >= limits_.max_sessions) {
@@ -412,17 +437,13 @@ HostStatus FleetServer::cmd_create(const CommandContext& ctx) {
                      preset);
 
   ctx.response->u32(id);
-  std::lock_guard session_lock(session->mutex);
-  session->has_replay = true;
-  session->replay_seq = ctx.request->header.seq;
-  session->replay_command = HostCommand::kCreateSession;
-  session->replay_status = HostStatus::kOk;
-  session->replay_payload.assign(ctx.response->data(),
-                                 ctx.response->data() + ctx.response->size());
+  Session& s = *claim.hold(std::move(session));
+  s.remember(ctx, HostCommand::kCreateSession);
   return HostStatus::kOk;
 }
 
-HostStatus FleetServer::cmd_configure(const CommandContext& ctx) {
+HostStatus FleetServer::cmd_configure(const CommandContext& ctx,
+                                      SessionClaim& claim) {
   const auto& req = *ctx.request;
   snapshot::StateReader r(req.payload, req.payload_len);
   const std::uint32_t id = r.u32();
@@ -430,15 +451,9 @@ HostStatus FleetServer::cmd_configure(const CommandContext& ctx) {
   const std::uint64_t value = r.u64();
   if (!r.exhausted()) return HostStatus::kBadPayload;
 
-  const auto session = find_session(id);
-  if (!session) return HostStatus::kNoSuchSession;
-  std::lock_guard lock(session->mutex);
-  Session& s = *session;
-  if (s.has_replay && s.replay_seq == req.header.seq &&
-      s.replay_command == HostCommand::kConfigureSession) {
-    ctx.response->raw(s.replay_payload.data(), s.replay_payload.size());
-    return s.replay_status;
-  }
+  if (!claim.hold(find_session(id))) return HostStatus::kNoSuchSession;
+  Session& s = *claim.session;
+  if (auto hit = s.replay(ctx, HostCommand::kConfigureSession)) return *hit;
 
   switch (param) {
     case 0:  // DNA conversion gate code
@@ -455,30 +470,25 @@ HostStatus FleetServer::cmd_configure(const CommandContext& ctx) {
       return HostStatus::kBadPayload;
   }
 
-  s.has_replay = true;
-  s.replay_seq = req.header.seq;
-  s.replay_command = HostCommand::kConfigureSession;
-  s.replay_status = HostStatus::kOk;
-  s.replay_payload.clear();
+  s.remember(ctx, HostCommand::kConfigureSession);  // empty response
   return HostStatus::kOk;
 }
 
-HostStatus FleetServer::cmd_start(const CommandContext& ctx) {
+HostStatus FleetServer::cmd_start(const CommandContext& ctx,
+                                  SessionClaim& claim) {
   const auto& req = *ctx.request;
   snapshot::StateReader r(req.payload, req.payload_len);
   const std::uint32_t id = r.u32();
   const std::uint32_t frames = r.u32();
-  if (!r.exhausted() || frames == 0) return HostStatus::kBadPayload;
+  const bool well_formed = r.exhausted() && frames != 0;
 
-  const auto session = find_session(id);
-  if (!session) return HostStatus::kNoSuchSession;
-  std::lock_guard lock(session->mutex);
-  Session& s = *session;
-  if (s.has_replay && s.replay_seq == req.header.seq &&
-      s.replay_command == HostCommand::kStartAcquisition) {
-    ctx.response->raw(s.replay_payload.data(), s.replay_payload.size());
-    return s.replay_status;
+  // A malformed start is still counted against the live session it names.
+  if (!claim.hold(find_session(id))) {
+    return well_formed ? HostStatus::kNoSuchSession : HostStatus::kBadPayload;
   }
+  if (!well_formed) return HostStatus::kBadPayload;
+  Session& s = *claim.session;
+  if (auto hit = s.replay(ctx, HostCommand::kStartAcquisition)) return *hit;
 
   if (frames > limits_.max_pending ||
       s.pending > limits_.max_pending - frames) {
@@ -488,12 +498,7 @@ HostStatus FleetServer::cmd_start(const CommandContext& ctx) {
   s.pending += frames;
 
   ctx.response->u32(s.pending);
-  s.has_replay = true;
-  s.replay_seq = req.header.seq;
-  s.replay_command = HostCommand::kStartAcquisition;
-  s.replay_status = HostStatus::kOk;
-  s.replay_payload.assign(ctx.response->data(),
-                          ctx.response->data() + ctx.response->size());
+  s.remember(ctx, HostCommand::kStartAcquisition);
   return HostStatus::kOk;
 }
 
@@ -537,7 +542,8 @@ FleetServer::Record FleetServer::produce_record(Session& s) {
   return record;
 }
 
-HostStatus FleetServer::cmd_poll(const CommandContext& ctx) {
+HostStatus FleetServer::cmd_poll(const CommandContext& ctx,
+                                 SessionClaim& claim) {
   BIOSENSE_SPAN("fleet.poll");
   const auto& req = *ctx.request;
   snapshot::StateReader r(req.payload, req.payload_len);
@@ -546,10 +552,8 @@ HostStatus FleetServer::cmd_poll(const CommandContext& ctx) {
   if (!r.exhausted()) return HostStatus::kBadPayload;
   max_records = std::min(max_records, kMaxPollRecords);
 
-  const auto session = find_session(id);
-  if (!session) return HostStatus::kNoSuchSession;
-  std::lock_guard lock(session->mutex);
-  Session& s = *session;
+  if (!claim.hold(find_session(id))) return HostStatus::kNoSuchSession;
+  Session& s = *claim.session;
 
   // Top the bounded ring up from the backlog, then serve from the ring.
   // The ring is the explicit flow-control point: when it cannot absorb the
@@ -587,22 +591,17 @@ HostStatus FleetServer::cmd_poll(const CommandContext& ctx) {
   return HostStatus::kOk;
 }
 
-HostStatus FleetServer::cmd_drain(const CommandContext& ctx) {
+HostStatus FleetServer::cmd_drain(const CommandContext& ctx,
+                                  SessionClaim& claim) {
   BIOSENSE_SPAN("fleet.drain");
   const auto& req = *ctx.request;
   snapshot::StateReader r(req.payload, req.payload_len);
   const std::uint32_t id = r.u32();
   if (!r.exhausted()) return HostStatus::kBadPayload;
 
-  const auto session = find_session(id);
-  if (!session) return HostStatus::kNoSuchSession;
-  std::lock_guard lock(session->mutex);
-  Session& s = *session;
-  if (s.has_replay && s.replay_seq == req.header.seq &&
-      s.replay_command == HostCommand::kDrainSession) {
-    ctx.response->raw(s.replay_payload.data(), s.replay_payload.size());
-    return s.replay_status;
-  }
+  if (!claim.hold(find_session(id))) return HostStatus::kNoSuchSession;
+  Session& s = *claim.session;
+  if (auto hit = s.replay(ctx, HostCommand::kDrainSession)) return *hit;
 
   // Finish the backlog (records fold into the digest at production) and
   // discard undelivered ring records — drain is the end-of-run barrier,
@@ -631,16 +630,11 @@ HostStatus FleetServer::cmd_drain(const CommandContext& ctx) {
   std::memcpy(&backoff_bits, &backoff, sizeof(backoff_bits));
   w.u64(backoff_bits);
 
-  s.has_replay = true;
-  s.replay_seq = req.header.seq;
-  s.replay_command = HostCommand::kDrainSession;
-  s.replay_status = HostStatus::kOk;
-  s.replay_payload.assign(ctx.response->data(),
-                          ctx.response->data() + ctx.response->size());
+  s.remember(ctx, HostCommand::kDrainSession);
   return HostStatus::kOk;
 }
 
-HostStatus FleetServer::cmd_destroy(const CommandContext& ctx) {
+HostStatus FleetServer::cmd_destroy(const CommandContext& ctx, SessionClaim&) {
   const auto& req = *ctx.request;
   snapshot::StateReader r(req.payload, req.payload_len);
   const std::uint32_t id = r.u32();
@@ -670,16 +664,15 @@ HostStatus FleetServer::cmd_destroy(const CommandContext& ctx) {
   return HostStatus::kOk;
 }
 
-HostStatus FleetServer::cmd_query(const CommandContext& ctx) {
+HostStatus FleetServer::cmd_query(const CommandContext& ctx,
+                                  SessionClaim& claim) {
   const auto& req = *ctx.request;
   snapshot::StateReader r(req.payload, req.payload_len);
   const std::uint32_t id = r.u32();
   if (!r.exhausted()) return HostStatus::kBadPayload;
 
-  const auto session = find_session(id);
-  if (!session) return HostStatus::kNoSuchSession;
-  std::lock_guard lock(session->mutex);
-  Session& s = *session;
+  if (!claim.hold(find_session(id))) return HostStatus::kNoSuchSession;
+  Session& s = *claim.session;
 
   const auto ring_stats = s.ring->stats();
   auto& w = *ctx.response;
@@ -786,22 +779,17 @@ std::vector<std::uint8_t> FleetServer::save_session(const Session& s) const {
   return builder.finish();
 }
 
-HostStatus FleetServer::cmd_checkpoint(const CommandContext& ctx) {
+HostStatus FleetServer::cmd_checkpoint(const CommandContext& ctx,
+                                       SessionClaim& claim) {
   BIOSENSE_SPAN("fleet.checkpoint");
   const auto& req = *ctx.request;
   snapshot::StateReader r(req.payload, req.payload_len);
   const std::uint32_t id = r.u32();
   if (!r.exhausted()) return HostStatus::kBadPayload;
 
-  const auto session = find_session(id);
-  if (!session) return HostStatus::kNoSuchSession;
-  std::lock_guard lock(session->mutex);
-  Session& s = *session;
-  if (s.has_replay && s.replay_seq == req.header.seq &&
-      s.replay_command == HostCommand::kCheckpointSession) {
-    ctx.response->raw(s.replay_payload.data(), s.replay_payload.size());
-    return s.replay_status;
-  }
+  if (!claim.hold(find_session(id))) return HostStatus::kNoSuchSession;
+  Session& s = *claim.session;
+  if (auto hit = s.replay(ctx, HostCommand::kCheckpointSession)) return *hit;
 
   // The mark goes in before serialization so the checkpoint itself carries
   // it — a restored session's ring shows its own checkpoint history.
@@ -832,21 +820,23 @@ HostStatus FleetServer::cmd_checkpoint(const CommandContext& ctx) {
   auto& w = *ctx.response;
   w.u32(static_cast<std::uint32_t>(bytes.size()));
   w.u64(digest);
-  s.has_replay = true;
-  s.replay_seq = req.header.seq;
-  s.replay_command = HostCommand::kCheckpointSession;
-  s.replay_status = HostStatus::kOk;
-  s.replay_payload.assign(ctx.response->data(),
-                          ctx.response->data() + ctx.response->size());
+  s.remember(ctx, HostCommand::kCheckpointSession);
   return HostStatus::kOk;
 }
 
-HostStatus FleetServer::cmd_restore(const CommandContext& ctx) {
+HostStatus FleetServer::cmd_restore(const CommandContext& ctx,
+                                    SessionClaim& claim) {
   BIOSENSE_SPAN("fleet.restore");
   const auto& req = *ctx.request;
   snapshot::StateReader r(req.payload, req.payload_len);
   const std::uint32_t id = r.u32();
   if (!r.exhausted()) return HostStatus::kBadPayload;
+  // A restore refused before the registry check still counts against a
+  // live session of the same id.
+  const auto refuse = [&](HostStatus status) {
+    claim.hold(find_session(id));
+    return status;
+  };
 
   // Fetch the checkpoint: this server's memory first, then the crash-safe
   // store (which falls back to the previous-good slot on corruption —
@@ -859,24 +849,26 @@ HostStatus FleetServer::cmd_restore(const CommandContext& ctx) {
     }
   }
   if (bytes.empty()) {
-    if (limits_.checkpoint_dir.empty()) return HostStatus::kNoSuchSession;
+    if (limits_.checkpoint_dir.empty()) {
+      return refuse(HostStatus::kNoSuchSession);
+    }
     snapshot::CheckpointStore store(limits_.checkpoint_dir,
                                     checkpoint_name(id));
     auto loaded = store.load();
     if (!loaded) {
-      return loaded.error() == snapshot::SnapshotError::kIoError
-                 ? HostStatus::kNoSuchSession
-                 : HostStatus::kFault;
+      return refuse(loaded.error() == snapshot::SnapshotError::kIoError
+                        ? HostStatus::kNoSuchSession
+                        : HostStatus::kFault);
     }
     bytes = std::move(loaded.value());
   }
 
   const auto view = snapshot::SnapshotView::parse(bytes);
-  if (!view) return HostStatus::kFault;
+  if (!view) return refuse(HostStatus::kFault);
 
   // Meta: the create parameters the frozen die state is rebuilt from.
   const snapshot::SectionView* meta = view->find(kSecMeta);
-  if (meta == nullptr) return HostStatus::kFault;
+  if (meta == nullptr) return refuse(HostStatus::kFault);
   snapshot::StateReader mr(meta->payload, meta->size);
   const std::uint32_t saved_id = mr.u32();
   const std::uint8_t kind_raw = mr.u8();
@@ -886,18 +878,14 @@ HostStatus FleetServer::cmd_restore(const CommandContext& ctx) {
   const std::uint16_t pool_frames = mr.u16();
   const std::uint16_t ring_depth = mr.u16();
   const std::uint8_t preset = mr.u8();
-  if (!mr.exhausted() || saved_id != id) return HostStatus::kFault;
+  if (!mr.exhausted() || saved_id != id) return refuse(HostStatus::kFault);
 
   std::unique_lock lock(registry_mutex_);
   if (const auto it = sessions_.find(id); it != sessions_.end()) {
-    Session& live = *it->second;
-    std::lock_guard session_lock(live.mutex);
-    if (live.has_replay && live.replay_seq == req.header.seq &&
-        live.replay_command == HostCommand::kRestoreSession) {
-      // Retried restore whose first response was lost: echo it.
-      ctx.response->raw(live.replay_payload.data(),
-                        live.replay_payload.size());
-      return live.replay_status;
+    Session& live = *claim.hold(it->second);
+    // A retried restore whose first response was lost is echoed.
+    if (auto hit = live.replay(ctx, HostCommand::kRestoreSession)) {
+      return *hit;
     }
     return HostStatus::kBadState;
   }
@@ -1007,17 +995,13 @@ HostStatus FleetServer::cmd_restore(const CommandContext& ctx) {
   auto& w = *ctx.response;
   w.u32(s.frames_produced);
   w.u64(s.digest);
-  std::lock_guard session_lock(s.mutex);
-  s.has_replay = true;
-  s.replay_seq = req.header.seq;
-  s.replay_command = HostCommand::kRestoreSession;
-  s.replay_status = HostStatus::kOk;
-  s.replay_payload.assign(ctx.response->data(),
-                          ctx.response->data() + ctx.response->size());
+  claim.hold(std::move(session));
+  s.remember(ctx, HostCommand::kRestoreSession);
   return HostStatus::kOk;
 }
 
-HostStatus FleetServer::cmd_server_stats(const CommandContext& ctx) {
+HostStatus FleetServer::cmd_server_stats(const CommandContext& ctx,
+                                         SessionClaim&) {
   std::shared_lock lock(registry_mutex_);
   auto& w = *ctx.response;
   w.u32(static_cast<std::uint32_t>(sessions_.size()));
@@ -1030,16 +1014,15 @@ HostStatus FleetServer::cmd_server_stats(const CommandContext& ctx) {
 
 // --- telemetry (v4) ---------------------------------------------------------
 
-HostStatus FleetServer::cmd_session_health(const CommandContext& ctx) {
+HostStatus FleetServer::cmd_session_health(const CommandContext& ctx,
+                                           SessionClaim& claim) {
   const auto& req = *ctx.request;
   snapshot::StateReader r(req.payload, req.payload_len);
   const std::uint32_t id = r.u32();
   if (!r.exhausted()) return HostStatus::kBadPayload;
 
-  const auto session = find_session(id);
-  if (!session) return HostStatus::kNoSuchSession;
-  std::lock_guard lock(session->mutex);
-  Session& s = *session;
+  if (!claim.hold(find_session(id))) return HostStatus::kNoSuchSession;
+  Session& s = *claim.session;
 
   // One flat summary a monitor can poll cheaply: progress, flow control,
   // link quality and outcome tracking in a single fixed-shape response.
@@ -1075,7 +1058,8 @@ HostStatus FleetServer::cmd_session_health(const CommandContext& ctx) {
   return HostStatus::kOk;
 }
 
-HostStatus FleetServer::cmd_get_metrics(const CommandContext& ctx) {
+HostStatus FleetServer::cmd_get_metrics(const CommandContext& ctx,
+                                        SessionClaim&) {
   const auto& req = *ctx.request;
   snapshot::StateReader r(req.payload, req.payload_len);
   const std::uint32_t offset = r.u32();
@@ -1104,7 +1088,8 @@ HostStatus FleetServer::cmd_get_metrics(const CommandContext& ctx) {
   return HostStatus::kOk;
 }
 
-HostStatus FleetServer::cmd_dump_flight(const CommandContext& ctx) {
+HostStatus FleetServer::cmd_dump_flight(const CommandContext& ctx,
+                                        SessionClaim&) {
   const auto& req = *ctx.request;
   snapshot::StateReader r(req.payload, req.payload_len);
   const std::uint32_t id = r.u32();
@@ -1128,11 +1113,7 @@ HostStatus FleetServer::cmd_dump_flight(const CommandContext& ctx) {
   if (!session) return HostStatus::kNoSuchSession;
   std::lock_guard lock(session->mutex);
   Session& s = *session;
-  if (s.has_replay && s.replay_seq == req.header.seq &&
-      s.replay_command == HostCommand::kDumpFlightRecorder) {
-    ctx.response->raw(s.replay_payload.data(), s.replay_payload.size());
-    return s.replay_status;
-  }
+  if (auto hit = s.replay(ctx, HostCommand::kDumpFlightRecorder)) return *hit;
   if (!s.flight || !s.flight->enabled()) return HostStatus::kBadState;
 
   const std::string path = s.flight->dump("fleet.s" + std::to_string(s.id));
@@ -1143,12 +1124,7 @@ HostStatus FleetServer::cmd_dump_flight(const CommandContext& ctx) {
   w.u64(s.flight->recorded());
   w.u64(s.flight->dropped());
   w.str(path);
-  s.has_replay = true;
-  s.replay_seq = req.header.seq;
-  s.replay_command = HostCommand::kDumpFlightRecorder;
-  s.replay_status = HostStatus::kOk;
-  s.replay_payload.assign(ctx.response->data(),
-                          ctx.response->data() + ctx.response->size());
+  s.remember(ctx, HostCommand::kDumpFlightRecorder);
   return HostStatus::kOk;
 }
 

@@ -119,29 +119,32 @@ class FleetServer {
   };
 
   struct Session;
+  struct SessionClaim;
 
   void register_handlers();
 
-  HostStatus cmd_protocol_info(const CommandContext& ctx);
-  HostStatus cmd_capabilities(const CommandContext& ctx);
-  HostStatus cmd_ping(const CommandContext& ctx);
-  HostStatus cmd_create(const CommandContext& ctx);
-  HostStatus cmd_configure(const CommandContext& ctx);
-  HostStatus cmd_start(const CommandContext& ctx);
-  HostStatus cmd_poll(const CommandContext& ctx);
-  HostStatus cmd_drain(const CommandContext& ctx);
-  HostStatus cmd_destroy(const CommandContext& ctx);
-  HostStatus cmd_query(const CommandContext& ctx);
-  HostStatus cmd_checkpoint(const CommandContext& ctx);
-  HostStatus cmd_restore(const CommandContext& ctx);
-  HostStatus cmd_server_stats(const CommandContext& ctx);
-  HostStatus cmd_session_health(const CommandContext& ctx);
-  HostStatus cmd_get_metrics(const CommandContext& ctx);
-  HostStatus cmd_dump_flight(const CommandContext& ctx);
+  // Every handler gets a claim; only session-scoped ones fill it.
+  HostStatus cmd_protocol_info(const CommandContext& ctx, SessionClaim& claim);
+  HostStatus cmd_capabilities(const CommandContext& ctx, SessionClaim& claim);
+  HostStatus cmd_ping(const CommandContext& ctx, SessionClaim& claim);
+  HostStatus cmd_create(const CommandContext& ctx, SessionClaim& claim);
+  HostStatus cmd_configure(const CommandContext& ctx, SessionClaim& claim);
+  HostStatus cmd_start(const CommandContext& ctx, SessionClaim& claim);
+  HostStatus cmd_poll(const CommandContext& ctx, SessionClaim& claim);
+  HostStatus cmd_drain(const CommandContext& ctx, SessionClaim& claim);
+  HostStatus cmd_destroy(const CommandContext& ctx, SessionClaim& claim);
+  HostStatus cmd_query(const CommandContext& ctx, SessionClaim& claim);
+  HostStatus cmd_checkpoint(const CommandContext& ctx, SessionClaim& claim);
+  HostStatus cmd_restore(const CommandContext& ctx, SessionClaim& claim);
+  HostStatus cmd_server_stats(const CommandContext& ctx, SessionClaim& claim);
+  HostStatus cmd_session_health(const CommandContext& ctx,
+                                SessionClaim& claim);
+  HostStatus cmd_get_metrics(const CommandContext& ctx, SessionClaim& claim);
+  HostStatus cmd_dump_flight(const CommandContext& ctx, SessionClaim& claim);
 
-  /// Post-dispatch hook for session-scoped commands when telemetry is on:
-  /// health outcome counters, rejection events, kFault auto-dump.
-  void note_outcome(const CommandContext& ctx, HostStatus status);
+  /// Telemetry-on bookkeeping for a command addressed to `s` (caller holds
+  /// its mutex): health outcome counters, rejection events, kFault dump.
+  void note_outcome(Session& s, const DecodedFrame& req, HostStatus status);
 
   /// Produces the session's next record (advances chip/link state).
   Record produce_record(Session& s);

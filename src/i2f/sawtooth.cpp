@@ -57,9 +57,16 @@ double SawtoothConverter::comparator_offset() const {
 
 Conversion SawtoothConverter::measure(double i_sensor, double gate_time) {
   BIOSENSE_SPAN("i2f.measure");
-  require(gate_time > 0.0, "I2F: gate time must be positive");
+  require(std::isfinite(gate_time) && gate_time > 0.0,
+          "I2F: gate time must be positive and finite");
+  require(std::isfinite(i_sensor), "I2F: sensor current must be finite");
   Conversion out;
   out.gate_time = gate_time;
+
+  // Two comparator decisions, both before any early return, so the noise
+  // stream's position never depends on the currents measured.
+  const double vth_first = comparator_.decision_threshold_up();
+  const double vth_q = comparator_.decision_threshold_up();
 
   // Net integration current: sensor plus leakage (leakage pulls up in this
   // topology — it adds to the ramp; a sign flip would model it pulling
@@ -68,32 +75,34 @@ Conversion SawtoothConverter::measure(double i_sensor, double gate_time) {
   const double i_net = i_sensor + config_.leakage.value();
   if (i_net <= 0.0) return out;
 
-  // Hot loop: unwrap the typed config once at the boundary.
   const double c_int = config_.c_int.value();
   const double v_reset = config_.v_reset.value();
-  const double v_residual = config_.reset_residual_v.value();
   const double t_dead = dead_time();
 
-  double t = 0.0;
-  double v = v_reset;
-  bool first = true;
-  while (true) {
-    // Per-cycle effective threshold: static offset + per-decision noise.
-    const double vth = comparator_.decision_threshold_up();
-    const double dv = std::max(1e-6, vth - v);
-    const double ramp_time = c_int * dv / i_net;
-    const double cycle = ramp_time + t_dead;
-    if (t + cycle > gate_time) break;
-    t += cycle;
-    ++out.count;
-    if (first) {
-      out.first_period = cycle;
-      first = false;
-    }
-    // Reset is slightly incomplete: the ramp restarts a little above
-    // v_reset, and the sensor keeps integrating during the dead time is
-    // already accounted for by restarting from the residual level.
-    v = v_reset + v_residual;
+  // Cycle 1 ramps from v_reset to the noisy threshold, then the dead time.
+  const double first =
+      c_int * std::max(1e-6, vth_first - v_reset) / i_net + t_dead;
+  if (first <= gate_time) {
+    // Incomplete reset: later cycles ramp from v_reset + residual and last
+    // m + s*z each (negative only at z ~ -2300), so the count N' of them
+    // within r = gate - first has P(N' >= n) = Phi((r - n m) / (s sqrt n)).
+    // Inverting at the second decision's noise q: N' = floor(x^2), x > 0
+    // solving m x^2 + q s x = r, with q s = k (vth_q - theta).
+    const double k = c_int / i_net;
+    const double theta =
+        config_.v_threshold.value() + comparator_.static_offset();
+    const double m =
+        k * std::max(1e-6, theta - v_reset - config_.reset_residual_v.value()) +
+        t_dead;
+    const double qs = k * (vth_q - theta);
+    const double r = gate_time - first;
+    const double root = std::sqrt(qs * qs + 4.0 * m * r);
+    // Rationalised root for qs > 0 (no cancellation). The count saturates
+    // at 2^63 (NaN included) rather than overflow on absurd current x gate.
+    const double x = qs > 0.0 ? 2.0 * r / (qs + root) : (root - qs) / (2.0 * m);
+    out.count =
+        1 + static_cast<std::uint64_t>(std::min(0x1p63, std::floor(x * x)));
+    out.first_period = first;
   }
   out.mean_frequency = static_cast<double>(out.count) / gate_time;
   // Conversion effort telemetry: reset cycles per gated conversion span the

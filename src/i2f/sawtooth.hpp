@@ -11,10 +11,10 @@
 //   f(I) = 1/T  ~  I / (C_int * dV)  for  I << C_int*dV/t_dead
 //
 // Two simulation modes:
-//  * `measure()` — exact event-driven simulation: ramp segments are solved
-//    analytically so a 1 pA input (period ~ 2 min with the default sizing)
-//    costs the same CPU as a 100 nA input. Per-cycle comparator noise,
-//    electrode leakage and reset residual are included.
+//  * `measure()` — the count is the first passage of a Gaussian walk (one
+//    noisy cycle length per comparator decision) past the gate time, drawn
+//    exactly in distribution from two comparator draws whatever the current
+//    or gate. Offset, per-cycle noise, leakage and reset residual included.
 //  * `transient_waveform()` — fixed-step simulation using the behavioral
 //    comparator, for waveform inspection (the Fig. 3 sawtooth).
 #pragma once
@@ -71,7 +71,8 @@ class SawtoothConverter {
   /// of the converter's linear range.
   double compression_corner_current() const;
 
-  /// Event-driven conversion of a constant sensor current over `gate_time`.
+  /// Closed-form conversion of a constant sensor current over `gate_time`
+  /// (both finite, gate positive); always exactly two comparator draws.
   Conversion measure(double i_sensor, double gate_time);
 
   /// Fixed-step transient producing the integrator-node waveform.
@@ -81,10 +82,8 @@ class SawtoothConverter {
   const I2fConfig& config() const { return config_; }
   double comparator_offset() const;
 
-  /// The comparator's noise stream is the converter's only evolving state,
-  /// and its advance is data-dependent (one draw per ramp cycle, cycle
-  /// count depends on the measured current) — it cannot be re-derived from
-  /// a frame counter, only restored.
+  /// The comparator's noise stream is the converter's only evolving state:
+  /// two draws per `measure()`, one per `transient_waveform()` step.
   void save_state(snapshot::StateWriter& w) const {
     w.rng(rng_);
     comparator_.save_state(w);

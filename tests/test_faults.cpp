@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "common/error.hpp"
 #include "faults/defect_map.hpp"
@@ -98,6 +100,28 @@ TEST(FaultPlan, JsonRoundtrip) {
 TEST(FaultPlan, FromJsonRejectsGarbage) {
   EXPECT_THROW(FaultPlan::from_json("{}"), ConfigError);
   EXPECT_THROW(FaultPlan::from_json("not json at all"), ConfigError);
+}
+
+TEST(FaultPlan, FromJsonRejectsNonFiniteAmplitudes) {
+  // strtod accepts "inf", "nan" and overflowing literals; the open-ended
+  // amplitudes must not let them through to the converters or channels.
+  const std::string base = FaultPlan(FaultPlanConfig{}).to_json();
+  for (const char* key :
+       {"dna_leakage_outlier_amp", "channel_gain_drift_sigma"}) {
+    for (const char* value : {"inf", "1e999", "nan", "-inf"}) {
+      std::string json = base;
+      const std::string quoted = std::string("\"") + key + "\": ";
+      const std::size_t at = json.find(quoted);
+      ASSERT_NE(at, std::string::npos) << key;
+      const std::size_t begin = at + quoted.size();
+      json.replace(begin, json.find_first_of(",}", begin) - begin, value);
+      EXPECT_THROW(FaultPlan::from_json(json), ConfigError)
+          << key << " = " << value;
+    }
+  }
+  FaultPlanConfig cfg;
+  cfg.dna_leakage_outlier_amp = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(FaultPlan{cfg}, ConfigError);
 }
 
 TEST(FaultPlan, RejectsInvalidConfig) {
