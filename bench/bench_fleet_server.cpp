@@ -159,11 +159,11 @@ std::uint64_t run_command(FleetClient& client, std::uint32_t id, int k,
       // Neural probe amplitude in microvolts, spread per session.
       expect_ok(static_cast<bool>(client.configure(id, 1, 100 + id % 400)));
     } else {
-      // Short conversion gates (codes 0-3 -> 1-8 ms). A conversion costs
-      // the same at any gate, but a poll delivers one site's reading, and
-      // millisecond gates keep those readings at the tens-to-hundreds of
-      // counts a fast-polling client would see rather than the long-gate
-      // counts of an autorange readout.
+      // Short conversion gates (codes 0-3 -> 1-8 ms). They date from the
+      // per-cycle I2F model, when a long gate at nA currents cost ~1e5 loop
+      // iterations per acquire. A conversion now costs the same at any
+      // gate; moving this script to the paper's gate ladder is open work
+      // (ROADMAP).
       expect_ok(static_cast<bool>(client.configure(id, 0, id % 4)));
     }
     return 0;
@@ -268,9 +268,6 @@ class LegRun {
   /// evidence.
   double run_chunk(std::uint32_t first, std::uint32_t last, int sessions,
                    MonitorStats& monitor) {
-    biosense::obs::PhaseTimer phase(
-        "fleet.workers_" + std::to_string(workers_) +
-        (telemetry_ ? ".telemetry" : ".off"));
     const auto run_worker = [&](int w) {
       WorkerResult& r = results_[static_cast<std::size_t>(w)];
       std::vector<FleetClient::Record> scratch;
@@ -341,10 +338,15 @@ class LegRun {
     return chunk_s;
   }
 
-  /// Closes the leg: latency percentiles (closed loop, plus the open-loop
+  /// Closes the leg: its manifest phase (the summed wall time of its
+  /// chunks), latency percentiles (closed loop, plus the open-loop
   /// virtual-time replay) and, for a telemetry leg, the server flight-ring
   /// audit.
   Leg finish(MonitorStats& monitor, std::uint64_t& flight_dropped) {
+    biosense::obs::RunManifest::global().add_phase(
+        "fleet.workers_" + std::to_string(workers_) +
+            (telemetry_ ? ".telemetry" : ".off"),
+        seconds_, biosense::obs::current_rss_kb());
     if (telemetry_) {
       // The server ring saw every session's lifecycle; at bench load it
       // must not have wrapped (dropping post-mortem evidence silently
@@ -448,6 +450,7 @@ int main(int argc, char** argv) {
   MonitorStats monitor;
   std::uint64_t flight_dropped = 0;
   std::vector<double> pair_taxes;
+  std::map<int, int> tax_pairs;  // worker count -> off/on pairs run
 
   // Every worker count runs two legs over the same sessions and scripts:
   // flight recorders off (the shipped configuration, which sets the
@@ -477,6 +480,7 @@ int main(int argc, char** argv) {
         off_s = off.run_chunk(first, last, sessions, monitor);
       }
       pair_taxes.push_back((on_s - off_s) / on_s);
+      ++tax_pairs[workers];
     }
 
     for (LegRun* run : {&off, &on}) {
@@ -658,11 +662,13 @@ int main(int argc, char** argv) {
          << ", \"errors\": " << total_errors
          << ", \"pass\": " << (pass ? "true" : "false")
          << ", \"telemetry\": {\"tax\": " << telemetry_tax
-         << ", \"tax_pairs\": [";
-    for (std::size_t i = 0; i < pair_taxes.size(); ++i) {
-      json << (i > 0 ? ", " : "") << pair_taxes[i];
+         << ", \"tax_pairs\": {";
+    const char* sep = "";
+    for (const auto& [workers, pairs] : tax_pairs) {
+      json << sep << "\"" << workers << "\": " << pairs;
+      sep = ", ";
     }
-    json << "]"
+    json << "}"
          << ", \"telemetry_deterministic\": "
          << (telemetry_deterministic ? "true" : "false")
          << ", \"flight_dropped\": " << flight_dropped

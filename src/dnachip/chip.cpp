@@ -680,6 +680,12 @@ void DnaChip::load_state(snapshot::StateReader& r) {
   const std::int64_t n_sites = sites();
   r.vec_f64(sensor_currents_, n_sites);
   r.vec_f64(extra_leakage_, n_sites);
+  // Each site converts sensor + leakage, and a conversion requires a finite
+  // current: a checkpoint carrying inf, NaN or an overflowing pair is
+  // corrupt, not a reading.
+  for (std::size_t i = 0; i < sensor_currents_.size(); ++i) {
+    if (!std::isfinite(sensor_currents_[i] + extra_leakage_[i])) r.fail();
+  }
   // Count caches are empty until the first conversion, then site-sized.
   r.vec_u64(counts_);
   r.vec_u64(cal_counts_);

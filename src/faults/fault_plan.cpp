@@ -5,6 +5,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -79,9 +80,12 @@ void FaultPlanConfig::validate() const {
               1.0,
           "FaultPlan: neuro fault fractions must sum to <= 1");
   // strtod reads "inf" and "1e999": the open-ended amplitudes need a bound.
-  require(std::isfinite(dna_leakage_outlier_amp) &&
-              dna_leakage_outlier_amp >= 0.0,
-          "FaultPlan: outlier leakage must be finite and non-negative");
+  // Each outlier draws up to 2x the amplitude, which must stay finite.
+  require(dna_leakage_outlier_amp >= 0.0 &&
+              dna_leakage_outlier_amp <=
+                  std::numeric_limits<double>::max() / 2.0,
+          "FaultPlan: outlier leakage must be non-negative and at most "
+          "half the double range");
   require(std::isfinite(channel_gain_drift_sigma) &&
               channel_gain_drift_sigma >= 0.0,
           "FaultPlan: gain drift sigma must be finite and non-negative");

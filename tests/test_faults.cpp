@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -122,6 +123,17 @@ TEST(FaultPlan, FromJsonRejectsNonFiniteAmplitudes) {
   FaultPlanConfig cfg;
   cfg.dna_leakage_outlier_amp = std::numeric_limits<double>::infinity();
   EXPECT_THROW(FaultPlan{cfg}, ConfigError);
+
+  // A finite amplitude whose 2x outlier draw would overflow is refused too.
+  std::string json = base;
+  const std::string quoted = "\"dna_leakage_outlier_amp\": ";
+  const std::size_t begin = json.find(quoted) + quoted.size();
+  json.replace(begin, json.find_first_of(",}", begin) - begin, "1e308");
+  EXPECT_THROW(FaultPlan::from_json(json), ConfigError);
+  cfg.dna_leakage_outlier_amp = std::numeric_limits<double>::max() / 2.0;
+  cfg.dna_leakage_outlier_fraction = 1.0;
+  const SiteFaultSet set = FaultPlan{cfg}.dna_site_faults(4, 4);
+  for (const double value : set.value) EXPECT_TRUE(std::isfinite(value));
 }
 
 TEST(FaultPlan, RejectsInvalidConfig) {

@@ -9,18 +9,23 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.hpp"
+#include "dnachip/chip.hpp"
+#include "faults/fault_plan.hpp"
 #include "host/client.hpp"
 #include "host/fleet_server.hpp"
 #include "obs/metrics.hpp"
 #include "obs/wire.hpp"
 #include "snapshot/atomic_file.hpp"
+#include "snapshot/format.hpp"
 #include "snapshot/state_io.hpp"
 
 namespace biosense::host {
@@ -484,6 +489,78 @@ TEST(FleetServer, CorruptCheckpointFallsBackThenFaultsTyped) {
   ASSERT_FALSE(restored);
   EXPECT_EQ(restored.error(), HostStatus::kFault);
   EXPECT_EQ(replacement.live_sessions(), 0u);
+}
+
+TEST(FleetServer, NonFiniteSiteCurrentCheckpointFaultsTyped) {
+  // A checkpoint whose CRCs hold but whose DNA chip state carries a
+  // non-finite site input (or a sensor + leakage pair that overflows) is
+  // corrupt: restore answers kFault rather than registering a session
+  // whose next poll would hand the converter an infinite current.
+  const std::string dir = ::testing::TempDir() + "fleet_ckpt_nonfinite";
+  FleetLimits limits;
+  limits.checkpoint_dir = dir;
+  {
+    FleetServer worker(limits);
+    ServerLink link(worker);
+    FleetClient client(link);
+    ASSERT_TRUE(client.create(dna_spec(5)));
+    ASSERT_TRUE(client.checkpoint(5));
+  }
+  const snapshot::CheckpointStore store(dir, "s5");
+  const auto good = snapshot::read_file(store.path());
+  ASSERT_TRUE(good);
+  const auto view = snapshot::SnapshotView::parse(*good);
+  ASSERT_TRUE(view);
+  const std::uint16_t chip_section = 0x0003;  // the fleet's chip-state id
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double big = std::numeric_limits<double>::max();
+  // (sensor current, outlier leakage) written into site 0.
+  for (const auto& [current, leakage] :
+       std::vector<std::pair<double, double>>{
+           {inf, 0.0}, {nan, 0.0}, {1e-9, inf}, {big, big}}) {
+    // Re-encode the chip section through a scratch chip of the same shape,
+    // so only site 0's inputs change and every CRC is recomputed.
+    dnachip::DnaChipConfig cfg;
+    cfg.rows = 4;
+    cfg.cols = 4;
+    dnachip::DnaChip chip(cfg, Rng(1));
+    snapshot::SnapshotBuilder builder;
+    for (const snapshot::SectionView& section : view->sections()) {
+      std::vector<std::uint8_t> payload(section.payload,
+                                        section.payload + section.size);
+      if (section.id == chip_section) {
+        snapshot::StateReader r(section.payload, section.size);
+        chip.load_state(r);
+        ASSERT_TRUE(r.exhausted());
+        std::vector<double> currents(16, 1e-9);
+        currents[0] = current;
+        chip.apply_sensor_currents(currents);
+        faults::SiteFaultSet set;
+        set.rows = 4;
+        set.cols = 4;
+        set.type.assign(16, faults::SiteFaultType::kNone);
+        set.value.assign(16, 0.0);
+        set.type[0] = faults::SiteFaultType::kLeakageOutlier;
+        set.value[0] = leakage;
+        chip.inject_faults(set);
+        payload.clear();
+        snapshot::StateWriter w(payload);
+        chip.save_state(w);
+      }
+      builder.add_section(section.id, section.version, payload);
+    }
+    ASSERT_TRUE(snapshot::write_file_atomic(store.path(), builder.finish()));
+
+    FleetServer replacement(limits);
+    ServerLink link(replacement);
+    FleetClient client(link);
+    const auto restored = client.restore(5);
+    ASSERT_FALSE(restored) << current << " + " << leakage;
+    EXPECT_EQ(restored.error(), HostStatus::kFault);
+    EXPECT_EQ(replacement.live_sessions(), 0u);
+  }
 }
 
 TEST(FleetServer, RestoreGuardsAndVersionGate) {

@@ -54,8 +54,8 @@ Comparison rules, per artifact kind:
       - the ``telemetry`` section must show digests unchanged with flight
         recorders on (``telemetry_deterministic``), a throughput tax of at
         most 5% (the median over the bench's alternating off/on chunk
-        pairs; once the baseline records ``tax_pairs``, at least three
-        pairs per worker count), zero server flight-ring drops and zero
+        pairs, with ``tax_pairs`` showing at least three pairs for every
+        worker count covered), zero server flight-ring drops and zero
         monitor errors at baseline load, zero allocations per warm health
         probe, and ordered health/metrics latency percentiles.
       Raw latency magnitudes are machine-dependent and deliberately not
@@ -306,27 +306,29 @@ class Gate:
         if lost:
             self.fail(name, f"worker counts no longer covered: {lost}")
         if "telemetry" in baseline:
-            self.check_fleet_telemetry(name, baseline["telemetry"],
-                                       current.get("telemetry"),
-                                       len(cur_workers))
+            self.check_fleet_telemetry(name, current.get("telemetry"),
+                                       sorted(cur_workers))
 
     # -- fleet telemetry contract (PR 9) -------------------------------------
 
     TELEMETRY_TAX_LIMIT = 0.05
     TAX_PAIRS_PER_WORKER_COUNT = 3
 
-    def check_fleet_telemetry(self, name, base_tel, tel, worker_counts):
+    def check_fleet_telemetry(self, name, tel, worker_counts):
         if not isinstance(tel, dict):
             self.fail(name, "telemetry section missing from fresh run")
             return
-        if "tax_pairs" in base_tel:
-            # One off/on comparison is noisier than the budget; the tax
-            # only means something as a median over repeated pairs.
-            pairs = len(tel.get("tax_pairs", []))
-            need = self.TAX_PAIRS_PER_WORKER_COUNT * worker_counts
-            if pairs < need:
-                self.fail(name, f"telemetry tax read from {pairs} off/on "
-                                f"pairs, need >= {need}")
+        # One off/on comparison is noisier than the budget; the tax only
+        # means something as a median over repeated pairs.
+        pairs = tel.get("tax_pairs")
+        if not isinstance(pairs, dict):
+            pairs = {}
+        for workers in worker_counts:
+            n = pairs.get(str(workers), 0)
+            if n < self.TAX_PAIRS_PER_WORKER_COUNT:
+                self.fail(name, f"workers={workers}: telemetry tax read from "
+                                f"{n} off/on pairs, need >= "
+                                f"{self.TAX_PAIRS_PER_WORKER_COUNT}")
         if not tel.get("telemetry_deterministic", False):
             self.fail(name, "session digests change when flight recorders "
                             "are enabled (telemetry must be invisible to "
