@@ -1,9 +1,10 @@
 // Fixed-capacity recycling pool for the streaming pipeline's frame buffers.
 //
-// The pool owns at most `capacity` objects, created lazily on first use and
-// recycled forever after: steady-state acquisition is a free-list pop, so a
-// pipeline that keeps its buffers size-stable (vector::assign never shrinks
-// capacity) performs zero heap allocation per frame once warm. The stats
+// The pool owns at most `capacity` objects, created lazily on first use (or
+// all at once by `materialize`) and recycled forever after: steady-state
+// acquisition is a free-list pop, so a pipeline that keeps its buffers
+// size-stable (vector::assign never shrinks capacity) performs zero heap
+// allocation per frame once warm. The stats
 // make that claim checkable — `allocations` counts object creations (the
 // warm-up cost, bounded by the capacity), `hits` counts recycled handouts,
 // and `exhaustion_stalls` counts the blocking episodes where every buffer
@@ -131,6 +132,22 @@ class FramePool {
       closed_ = true;
     }
     available_.notify_all();
+  }
+
+  /// Creates every object not yet created, hands each to `shape` (sizing
+  /// its buffers) and parks it on the free list. After this no acquire
+  /// allocates, however far a producer runs ahead of its consumers.
+  /// `shape` runs under the pool's lock and must not call back into it.
+  template <typename Shape>
+  void materialize(Shape&& shape) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (; created_ < capacity_; ++created_) {
+      auto object = std::make_unique<T>();
+      shape(*object);
+      free_.push_back(std::move(object));
+      ++stats_.allocations;
+    }
+    update_gauge();
   }
 
   /// Reopens a closed pool for the next run. Callable only once every

@@ -71,25 +71,15 @@ SessionReport ChipSession::run(const neurochip::SignalSource& source,
   return run_staged(source, t0, n, sink, threads);
 }
 
-SessionReport ChipSession::run(const neurochip::SignalField& field, double t0,
-                               int n, StreamSink<neurochip::NeuroFrame>& sink) {
-  return run(neurochip::FieldSource(field), t0, n, sink);
-}
-
 std::vector<neurochip::NeuroFrame> ChipSession::record(
     const neurochip::SignalSource& source, double t0, int n) {
-  // Batch compat wrapper: collect-all sink.
+  // Batch wrapper: collect-all sink.
   std::vector<neurochip::NeuroFrame> frames;
   frames.reserve(static_cast<std::size_t>(n));
   FunctionSink<neurochip::NeuroFrame> collect(
       [&frames](const neurochip::NeuroFrame& f) { frames.push_back(f); });
   run(source, t0, n, collect);
   return frames;
-}
-
-std::vector<neurochip::NeuroFrame> ChipSession::record(
-    const neurochip::SignalField& field, double t0, int n) {
-  return record(neurochip::FieldSource(field), t0, n);
 }
 
 SessionReport ChipSession::run_serial(const neurochip::SignalSource& source,
@@ -131,6 +121,16 @@ SessionReport ChipSession::run_staged(const neurochip::SignalSource& source,
                    : spare);
   report.stage_threads = fused ? 2 : 2 + wire_workers;
   report.wire_workers = fused ? 1 : wire_workers;
+
+  // Create and shape every pool frame before the stages start. Left lazy,
+  // the number of frames a run creates would depend on how far capture ran
+  // ahead, and a later run could pay the missing ones' allocations.
+  const auto pixels = static_cast<std::size_t>(chip_->config().rows *
+                                               chip_->config().cols);
+  pool_.materialize([pixels](neurochip::NeuroFrame& f) {
+    f.v_in.assign(pixels, 0.0);
+    f.codes.assign(pixels, 0);
+  });
 
   const FrameCodec codec = make_codec();
   const double period = (1.0 / chip_->config().frame_rate).value();

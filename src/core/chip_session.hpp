@@ -89,14 +89,10 @@ class ChipSession {
   /// (`on_end` is not called in that case).
   SessionReport run(const neurochip::SignalSource& source, double t0, int n,
                     StreamSink<neurochip::NeuroFrame>& sink);
-  SessionReport run(const neurochip::SignalField& field, double t0, int n,
-                    StreamSink<neurochip::NeuroFrame>& sink);
 
-  /// Batch compat wrappers: collect-all sink over `run`.
+  /// Batch wrapper: a collect-all sink over `run`.
   std::vector<neurochip::NeuroFrame> record(  // lint:allow-batch-return
       const neurochip::SignalSource& source, double t0, int n);
-  std::vector<neurochip::NeuroFrame> record(  // lint:allow-batch-return
-      const neurochip::SignalField& field, double t0, int n);
 
   const SessionConfig& config() const { return config_; }
 

@@ -12,7 +12,7 @@ namespace biosense::dnachip {
 
 namespace {
 
-/// One data frame per site counter (counters are at most 16 bits wide).
+/// One data word per site counter (kCounterBits wide).
 BitStream encode_counts(const std::vector<std::uint64_t>& counts) {
   std::vector<std::uint16_t> words(counts.size());
   for (std::size_t i = 0; i < counts.size(); ++i) {
@@ -30,8 +30,6 @@ double gate_time_from_code(std::uint16_t code) {
 
 void DnaChipConfig::validate() const {
   require(rows > 0 && cols > 0, "DnaChip: array must be non-empty");
-  require(counter_bits >= 4 && counter_bits <= 16,
-          "DnaChip: counter bits must be in [4,16] (16-bit data words)");
   require(site_leakage_sigma >= Current(0.0),
           "DnaChip: leakage spread must be non-negative");
   require(temp_k > 0.0, "DnaChip: temperature must be positive");
@@ -144,7 +142,6 @@ BitStream DnaChip::process(const BitStream& din) {
 void DnaChip::apply_count_faults(std::vector<std::uint64_t>& counts) const {
   if (!has_site_faults_) return;
   BIOSENSE_COUNT("faults.dna_count_overrides", site_faults_.total());
-  const std::uint64_t max_count = (1ULL << config_.counter_bits) - 1;
   for (std::size_t i = 0; i < counts.size(); ++i) {
     switch (site_faults_.type[i]) {
       case faults::SiteFaultType::kDead:
@@ -154,11 +151,11 @@ void DnaChip::apply_count_faults(std::vector<std::uint64_t>& counts) const {
       case faults::SiteFaultType::kStuck:
         counts[i] = std::min(
             static_cast<std::uint64_t>(site_faults_.value[i] *
-                                       static_cast<double>(max_count)),
-            max_count);
+                                       static_cast<double>(kCounterFullScale)),
+            kCounterFullScale);
         break;
       case faults::SiteFaultType::kRailedHigh:
-        counts[i] = max_count;
+        counts[i] = kCounterFullScale;
         break;
       default:
         break;
@@ -173,7 +170,6 @@ void DnaChip::convert_sites(double gate, double stimulus,
   // closed-form draw of tens of nanoseconds, so one plain loop beats
   // spreading the array over the thread pool; each site's converter owns
   // its comparator-noise stream, so the counts do not depend on the order.
-  const std::uint64_t max_count = (1ULL << config_.counter_bits) - 1;
   counts.resize(converters_.size());
   for (std::size_t i = 0; i < converters_.size(); ++i) {
     const double input =
@@ -181,7 +177,8 @@ void DnaChip::convert_sites(double gate, double stimulus,
         extra_leakage_[i];
     // Saturating counter: the host detects full-scale counts and falls
     // back to a shorter gate (see acquire_autorange).
-    counts[i] = std::min(converters_[i].measure(input, gate).count, max_count);
+    counts[i] =
+        std::min(converters_[i].measure(input, gate).count, kCounterFullScale);
   }
   apply_count_faults(counts);
 }
@@ -566,7 +563,7 @@ HostInterface::Frame HostInterface::acquire_autorange_impl(
       continue;
     }
     for (std::size_t i = 0; i < f.raw_counts.size(); ++i) {
-      if (f.raw_counts[i] < 0xfff0) {  // not saturated at this longer gate
+      if (f.raw_counts[i] < kCounterSaturated) {  // not saturated here
         combined.raw_counts[i] = f.raw_counts[i];
         combined.currents[i] = f.currents[i];
         best_gate[i] = f.gate_time;

@@ -32,16 +32,21 @@
 #include "dnachip/serial.hpp"
 #include "faults/defect_map.hpp"
 #include "faults/fault_plan.hpp"
-#include "i2f/counter.hpp"
 #include "i2f/sawtooth.hpp"
 
 namespace biosense::dnachip {
+
+/// Each site's counter is one 16-bit serial data word wide and holds at
+/// full scale rather than wrapping; the host reads a count within 16 of
+/// full scale as saturated and falls back to a shorter gate.
+inline constexpr int kCounterBits = 16;
+inline constexpr std::uint64_t kCounterFullScale = (1ULL << kCounterBits) - 1;
+inline constexpr std::uint64_t kCounterSaturated = kCounterFullScale - 15;
 
 struct DnaChipConfig {
   int rows = 16;
   int cols = 8;
   i2f::I2fConfig site{};         // nominal converter sizing
-  int counter_bits = 16;
   Current site_leakage_sigma = 10.0_fA;  // per-site leakage spread
   circuit::DacParams dac{};
   circuit::BandgapParams bandgap{};
@@ -50,8 +55,8 @@ struct DnaChipConfig {
   Voltage vdd = 5.0_V;
 
   /// Throws ConfigError when the configuration is inconsistent (empty
-  /// array, counter width outside the 16-bit data words, non-physical
-  /// supply/temperature). Called by the DnaChip constructor.
+  /// array, non-physical supply/temperature). Called by the DnaChip
+  /// constructor.
   void validate() const;
 };
 
@@ -104,8 +109,8 @@ class DnaChip {
   BitStream auto_calibrate(std::uint16_t payload);
   BitStream self_test(std::uint16_t payload);
   BitStream status();
-  /// Converts every site once over `gate` into `counts` (saturated at the
-  /// counter width, then fault-overridden). Site i integrates `stimulus`,
+  /// Converts every site once over `gate` into `counts` (saturated at
+  /// kCounterFullScale, then fault-overridden). Site i integrates `stimulus`,
   /// its sensor current when `sensor_connected`, and its extra leakage.
   void convert_sites(double gate, double stimulus, bool sensor_connected,
                      std::vector<std::uint64_t>& counts);

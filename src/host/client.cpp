@@ -3,7 +3,6 @@
 #include <cstring>
 #include <utility>
 
-#include "common/error.hpp"
 #include "common/hash.hpp"
 #include "obs/wire.hpp"
 
@@ -48,10 +47,8 @@ bool LossyLink::roundtrip(const std::vector<std::uint8_t>& request,
   return true;
 }
 
-FleetClient::FleetClient(ByteLink& link, std::uint8_t version,
-                         dnachip::RetryPolicy retry)
+FleetClient::FleetClient(ByteLink& link, dnachip::RetryPolicy retry)
     : link_(&link),
-      version_(version),
       retry_(retry),
       response_digest_(kFnv1aOffset) {
   request_.reserve(kHeaderSize + kMaxPayload);
@@ -67,11 +64,9 @@ StateWriter FleetClient::begin_request() {
 HostStatus FleetClient::transact(HostCommand command) {
   ++stats_.commands;
   const std::uint16_t seq = seq_++;
-  bool downgraded = false;
 
   for (int attempt = 1;; ++attempt) {
     FrameHeader header;
-    header.version = version_;
     header.command = command;
     header.seq = seq;
     finalize_frame(header, request_);
@@ -84,16 +79,6 @@ HostStatus FleetClient::transact(HostCommand command) {
       const auto decoded = decode_frame(response_.data(), response_.size());
       if (decoded && decoded->header.seq == seq) {
         status = decoded->header.status;
-        if (status == HostStatus::kBadVersion && !downgraded &&
-            decoded->payload_len == 2) {
-          // Server told us its window: adopt the highest version both
-          // sides speak and re-issue once. Not a wire retry — the seq is
-          // kept, the attempt counter is not charged backoff.
-          version_ = std::min<std::uint8_t>(version_, decoded->payload[1]);
-          downgraded = true;
-          ++stats_.downgrades;
-          continue;
-        }
         if (!transient_status(status)) {
           // A deterministic answer (kOk or a typed error). Fold the
           // accepted response into the determinism digest and finish.
@@ -123,8 +108,7 @@ Result<FleetClient::ProtocolInfo, HostStatus> FleetClient::protocol_info() {
   if (status != HostStatus::kOk) return R::err(status);
   StateReader reader(reply_payload_, reply_len_);
   ProtocolInfo info;
-  info.min_version = reader.u8();
-  info.current_version = reader.u8();
+  info.version = reader.u8();
   info.header_size = reader.u8();
   info.max_payload = reader.u16();
   info.commands = reader.u16();
@@ -166,12 +150,7 @@ Result<void, HostStatus> FleetClient::create(const SessionSpec& spec) {
   writer.u64(spec.seed);
   writer.u16(spec.pool_frames);
   writer.u16(spec.ring_depth);
-  if (version_ >= 2) {
-    writer.u8(spec.fault_preset);
-  } else {
-    require(spec.fault_preset == 0,
-            "FleetClient: fault presets need protocol v2");
-  }
+  writer.u8(spec.fault_preset);
   const auto status = transact(HostCommand::kCreateSession);
   if (status != HostStatus::kOk) return R::err(status);
   return {};

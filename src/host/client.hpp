@@ -8,12 +8,8 @@
 // numbers are frozen per logical command across retries, which is what
 // lets the server's replay cache make mutating commands idempotent: a
 // retry of an applied-but-unacknowledged create/start/drain returns the
-// cached response instead of re-executing.
-//
-// Version negotiation is automatic: a kBadVersion response carries the
-// server's [min, current] window and the client downgrades once and
-// re-issues — one extra round trip, then the conversation proceeds at the
-// highest mutually spoken version.
+// cached response instead of re-executing. Every request carries
+// kProtocolVersion, the one version the server speaks.
 #pragma once
 
 #include <cstdint>
@@ -96,15 +92,13 @@ struct ClientStats {
   std::uint64_t commands = 0;   // logical commands issued
   std::uint64_t attempts = 0;   // wire attempts including first tries
   std::uint64_t retries = 0;    // attempts beyond the first
-  std::uint64_t downgrades = 0; // version negotiations performed
   double backoff_s = 0.0;       // cumulative simulated backoff
 };
 
 class FleetClient {
  public:
   struct ProtocolInfo {
-    std::uint8_t min_version = 0;
-    std::uint8_t current_version = 0;
+    std::uint8_t version = 0;
     std::uint8_t header_size = 0;
     std::uint16_t max_payload = 0;
     std::uint16_t commands = 0;
@@ -118,7 +112,7 @@ class FleetClient {
     std::uint64_t seed = 1;
     std::uint16_t pool_frames = 4;
     std::uint16_t ring_depth = 32;
-    std::uint8_t fault_preset = 0;  // v2+ only; must be 0 on a v1 link
+    std::uint8_t fault_preset = 0;  // 0 = fault-free
   };
 
   struct Record {
@@ -163,7 +157,7 @@ class FleetClient {
     std::uint64_t wire_errors = 0;
   };
 
-  /// Live health summary (v4+): one fixed-shape response a monitor polls
+  /// Live health summary: one fixed-shape response a monitor polls
   /// cheaply — progress, flow control, link quality, last outcome and
   /// flight-recorder occupancy in a single round trip.
   struct HealthInfo {
@@ -186,7 +180,7 @@ class FleetClient {
     double backoff_s = 0.0;
   };
 
-  /// Flight-recorder dump receipt (v4+).
+  /// Flight-recorder dump receipt.
   struct FlightDumpInfo {
     std::uint32_t events = 0;       // retained in the ring at dump time
     std::uint64_t recorded = 0;     // lifetime events recorded
@@ -194,11 +188,7 @@ class FleetClient {
     std::string path;               // artifact path on the server host
   };
 
-  /// `version` is what the client *speaks*; it auto-downgrades into the
-  /// server's window on the first kBadVersion answer.
-  explicit FleetClient(ByteLink& link,
-                       std::uint8_t version = kProtocolVersionCurrent,
-                       dnachip::RetryPolicy retry = {});
+  explicit FleetClient(ByteLink& link, dnachip::RetryPolicy retry = {});
 
   Result<ProtocolInfo, HostStatus> protocol_info();
   Result<std::uint32_t, HostStatus> capabilities();
@@ -220,23 +210,22 @@ class FleetClient {
   Result<DrainSummary, HostStatus> drain(std::uint32_t id);
   Result<void, HostStatus> destroy(std::uint32_t id);
   Result<SessionInfo, HostStatus> query(std::uint32_t id);
-  /// Snapshots the session server-side (v3+). The checkpoint persists in
+  /// Snapshots the session server-side. The checkpoint persists in
   /// server memory and, when the server runs with a checkpoint directory,
   /// crash-safely on disk.
   Result<CheckpointInfo, HostStatus> checkpoint(std::uint32_t id);
-  /// Rebuilds a checkpointed session (v3+) — on this server or on a fresh
+  /// Rebuilds a checkpointed session — on this server or on a fresh
   /// one pointed at the same checkpoint directory (dead-worker recovery).
   Result<RestoreInfo, HostStatus> restore(std::uint32_t id);
-  /// Polls one session's health summary (v4+; needs server telemetry on).
+  /// Polls one session's health summary (needs server telemetry on).
   Result<HealthInfo, HostStatus> session_health(std::uint32_t id);
-  /// Fetches and decodes the server's full metrics-registry snapshot
-  /// (v4+), transparently chunking across as many frames as it takes.
+  /// Fetches and decodes the server's full metrics-registry snapshot,
+  /// transparently chunking across as many frames as it takes.
   Result<obs::MetricsSnapshot, HostStatus> metrics();
-  /// Dumps a session's flight-recorder ring (v4+) — or the server-wide
+  /// Dumps a session's flight-recorder ring — or the server-wide
   /// ring when `id` is kServerFlightScope — as a Chrome-trace artifact.
   Result<FlightDumpInfo, HostStatus> dump_flight_recorder(std::uint32_t id);
 
-  std::uint8_t version() const { return version_; }
   const ClientStats& stats() const { return stats_; }
   /// FNV-1a digest over every response frame's bytes, folded in command
   /// order — the bitwise-determinism witness the fleet bench compares
@@ -246,7 +235,7 @@ class FleetClient {
 
  private:
   /// One logical command: payload already built in `request_` behind the
-  /// header placeholder. Handles retry + version downgrade; on success
+  /// header placeholder. Handles retry; on success
   /// the response payload is view-accessible via `reply_*`.
   HostStatus transact(HostCommand command);
   /// Starts a request: clears `request_`, reserves the header, returns a
@@ -254,7 +243,6 @@ class FleetClient {
   snapshot::StateWriter begin_request();
 
   ByteLink* link_;
-  std::uint8_t version_;
   dnachip::RetryPolicy retry_;
   std::uint16_t seq_ = 0;
   ClientStats stats_{};

@@ -32,13 +32,13 @@ HostStatus Dispatcher::dispatch(const std::uint8_t* bytes, std::size_t n,
   BIOSENSE_SPAN("host.dispatch");
   const auto decoded = decode_frame(bytes, n);
 
-  // The reply echoes the request's version (capped at ours), command and
-  // seq. For a frame that failed to decode these are whatever the raw
-  // bytes make legible, so even a reject correlates with its request.
+  // The reply echoes the request's command and seq. For a frame that
+  // failed to decode these are whatever the raw bytes make legible, so
+  // even a reject correlates with its request. The version byte is always
+  // ours: it names the one version this server speaks.
   FrameHeader reply;
   if (n >= kHeaderSize) reply = read_header(bytes);
-  const std::uint8_t req_version = reply.version;
-  reply.version = std::min(req_version, kProtocolVersionCurrent);
+  reply.version = kProtocolVersion;
 
   // The response payload builds directly behind a header placeholder in
   // the caller's buffer — no dispatcher-owned scratch, so concurrent
@@ -49,21 +49,14 @@ HostStatus Dispatcher::dispatch(const std::uint8_t* bytes, std::size_t n,
 
   if (!decoded) {
     reply.status = decoded.error();
-    reply.version = std::max(reply.version, kProtocolVersionMin);
+  } else if (decoded->header.version != kProtocolVersion) {
+    reply.status = HostStatus::kBadVersion;
   } else {
-    if (req_version < kProtocolVersionMin ||
-        req_version > kProtocolVersionCurrent) {
-      // Version negotiation: tell the client the window we speak.
-      reply.status = HostStatus::kBadVersion;
-      writer.u8(kProtocolVersionMin);
-      writer.u8(kProtocolVersionCurrent);
-    } else {
-      reply.status = route(*decoded, writer);
-      if (reply.status != HostStatus::kOk) {
-        // Typed-error responses carry no partial payload: a handler may
-        // have written some bytes before failing.
-        response.resize(kHeaderSize);
-      }
+    reply.status = route(*decoded, writer);
+    if (reply.status != HostStatus::kOk) {
+      // Typed-error responses carry no partial payload: a handler may
+      // have written some bytes before failing.
+      response.resize(kHeaderSize);
     }
   }
 
@@ -77,11 +70,6 @@ HostStatus Dispatcher::route(const DecodedFrame& frame,
                              snapshot::StateWriter& writer) const {
   const CommandSpec* spec = find(frame.header.command);
   if (spec == nullptr) return HostStatus::kUnknownCommand;
-  // A command introduced at v(N) is "unknown" to an older conversation —
-  // exactly what a v(N-1) server would have answered.
-  if (frame.header.version < spec->min_version) {
-    return HostStatus::kUnknownCommand;
-  }
   if (frame.payload_len < spec->min_payload ||
       frame.payload_len > spec->max_payload) {
     return HostStatus::kBadPayload;

@@ -1,11 +1,11 @@
 // Command dispatcher: the table-driven routing core of the fleet server.
 //
 // Commands register once at construction into a sorted registry of
-// `CommandSpec`s — id, diagnostic name, minimum protocol version, declared
-// payload bounds and a mutating flag — and dispatch is a binary search
-// plus schema pre-checks, so adding a command never touches the routing
-// logic. The dispatcher owns every protocol-level decision (magic, CRC,
-// version window, unknown ids, payload bounds); handlers only see frames
+// `CommandSpec`s — id, diagnostic name, declared payload bounds and a
+// mutating flag — and dispatch is a binary search plus schema pre-checks,
+// so adding a command never touches the routing logic. The dispatcher
+// owns every protocol-level decision (magic, CRC, version byte, unknown
+// ids, payload bounds); handlers only see frames
 // that already passed their declared schema, and only produce a status
 // plus response payload bytes. The hot path allocates nothing in steady
 // state: requests decode in place, responses build into caller-owned
@@ -36,7 +36,6 @@ struct CommandContext {
 struct CommandSpec {
   HostCommand id = HostCommand::kPing;
   const char* name = "";
-  std::uint8_t min_version = kProtocolVersionMin;
   std::uint16_t min_payload = 0;
   std::uint16_t max_payload = 0;
   bool mutating = false;
@@ -52,9 +51,10 @@ class Dispatcher {
   /// Full request->response cycle: decode `bytes`, route, and serialize
   /// the response frame into `response` (cleared, capacity retained).
   /// Never throws for wire-level garbage — every failure mode maps to a
-  /// typed status response. Returns the response's status. Undecodable
-  /// frames (bad magic/CRC/truncation) are answered with best-effort
-  /// header echo (version/command/seq from the raw bytes when legible).
+  /// typed status response. Returns the response's status. Every reply
+  /// carries kProtocolVersion; undecodable frames (bad magic/CRC/
+  /// truncation) are answered with a best-effort command/seq echo from
+  /// the raw bytes when legible.
   ///
   /// Re-entrant and const w.r.t. the registry: concurrent dispatches with
   /// distinct `response` buffers are safe as long as the handlers

@@ -22,9 +22,9 @@ namespace {
 /// structure in the low mantissa and hashes are full-width.
 inline constexpr std::uint64_t kRecordErrorBit = 0x8000000000000000ULL;
 
-/// The fault worlds a create command can ask for (v2 adds the byte; v1
-/// sessions always run preset 0). Deterministic per session: the plan seed
-/// derives from the session seed at build time.
+/// The fault worlds a create command can ask for (preset 0 is fault-free).
+/// Deterministic per session: the plan seed derives from the session seed
+/// at build time.
 faults::FaultPlanConfig fault_preset(std::uint8_t preset,
                                      std::uint64_t seed) {
   faults::FaultPlanConfig plan;
@@ -149,7 +149,7 @@ struct FleetServer::Session {
   core::DnaSession dna{};
   int site_index = 0;
 
-  // Telemetry (v4): post-mortem event ring + health outcome counters.
+  // Telemetry: post-mortem event ring + health outcome counters.
   // `flight` is null when FleetLimits::flight_events is 0; the outcome
   // counters are only maintained while telemetry is on.
   std::unique_ptr<obs::FlightRecorder> flight;
@@ -188,15 +188,13 @@ void FleetServer::register_handlers() {
   // A session-scoped handler (payload leads with the session id) returns
   // with the session it addressed still locked in its claim, and the
   // outcome is noted under that lock — one branch while telemetry is off.
-  auto add = [this](HostCommand id, std::uint8_t min_version,
-                    std::uint16_t min_payload, std::uint16_t max_payload,
-                    bool mutating,
+  auto add = [this](HostCommand id, std::uint16_t min_payload,
+                    std::uint16_t max_payload, bool mutating,
                     HostStatus (FleetServer::*fn)(const CommandContext&,
                                                   SessionClaim&)) {
     CommandSpec spec;
     spec.id = id;
     spec.name = host_command_name(id);
-    spec.min_version = min_version;
     spec.min_payload = min_payload;
     spec.max_payload = max_payload;
     spec.mutating = mutating;
@@ -211,28 +209,27 @@ void FleetServer::register_handlers() {
     dispatcher_.register_command(std::move(spec));
   };
 
-  add(HostCommand::kGetProtocolInfo, 1, 0, 0, false,
+  add(HostCommand::kGetProtocolInfo, 0, 0, false,
       &FleetServer::cmd_protocol_info);
-  add(HostCommand::kGetCapabilities, 1, 0, 0, false,
+  add(HostCommand::kGetCapabilities, 0, 0, false,
       &FleetServer::cmd_capabilities);
-  add(HostCommand::kPing, 1, 0, 64, false, &FleetServer::cmd_ping);
-  add(HostCommand::kCreateSession, 1, 21, 22, true, &FleetServer::cmd_create);
-  add(HostCommand::kConfigureSession, 1, 13, 13, true,
+  add(HostCommand::kPing, 0, 64, false, &FleetServer::cmd_ping);
+  add(HostCommand::kCreateSession, 22, 22, true, &FleetServer::cmd_create);
+  add(HostCommand::kConfigureSession, 13, 13, true,
       &FleetServer::cmd_configure);
-  add(HostCommand::kStartAcquisition, 1, 8, 8, true, &FleetServer::cmd_start);
-  add(HostCommand::kPollFrames, 1, 6, 6, false, &FleetServer::cmd_poll);
-  add(HostCommand::kDrainSession, 1, 4, 4, true, &FleetServer::cmd_drain);
-  add(HostCommand::kDestroySession, 1, 4, 4, true, &FleetServer::cmd_destroy);
-  add(HostCommand::kQuerySession, 1, 4, 4, false, &FleetServer::cmd_query);
-  add(HostCommand::kCheckpointSession, 3, 4, 4, true,
+  add(HostCommand::kStartAcquisition, 8, 8, true, &FleetServer::cmd_start);
+  add(HostCommand::kPollFrames, 6, 6, false, &FleetServer::cmd_poll);
+  add(HostCommand::kDrainSession, 4, 4, true, &FleetServer::cmd_drain);
+  add(HostCommand::kDestroySession, 4, 4, true, &FleetServer::cmd_destroy);
+  add(HostCommand::kQuerySession, 4, 4, false, &FleetServer::cmd_query);
+  add(HostCommand::kCheckpointSession, 4, 4, true,
       &FleetServer::cmd_checkpoint);
-  add(HostCommand::kRestoreSession, 3, 4, 4, true, &FleetServer::cmd_restore);
-  add(HostCommand::kServerStats, 2, 0, 0, false,
-      &FleetServer::cmd_server_stats);
-  add(HostCommand::kGetSessionHealth, 4, 4, 4, false,
+  add(HostCommand::kRestoreSession, 4, 4, true, &FleetServer::cmd_restore);
+  add(HostCommand::kServerStats, 0, 0, false, &FleetServer::cmd_server_stats);
+  add(HostCommand::kGetSessionHealth, 4, 4, false,
       &FleetServer::cmd_session_health);
-  add(HostCommand::kGetMetrics, 4, 6, 6, false, &FleetServer::cmd_get_metrics);
-  add(HostCommand::kDumpFlightRecorder, 4, 4, 4, true,
+  add(HostCommand::kGetMetrics, 6, 6, false, &FleetServer::cmd_get_metrics);
+  add(HostCommand::kDumpFlightRecorder, 4, 4, true,
       &FleetServer::cmd_dump_flight);
 }
 
@@ -363,8 +360,7 @@ std::shared_ptr<FleetServer::Session> FleetServer::build_session(
 HostStatus FleetServer::cmd_protocol_info(const CommandContext& ctx,
                                           SessionClaim&) {
   auto& w = *ctx.response;
-  w.u8(kProtocolVersionMin);
-  w.u8(kProtocolVersionCurrent);
+  w.u8(kProtocolVersion);
   w.u8(static_cast<std::uint8_t>(kHeaderSize));
   w.u16(static_cast<std::uint16_t>(kMaxPayload));
   w.u16(static_cast<std::uint16_t>(dispatcher_.commands().size()));
@@ -396,8 +392,7 @@ HostStatus FleetServer::cmd_create(const CommandContext& ctx,
   const std::uint64_t seed = r.u64();
   const std::uint16_t pool_frames = r.u16();
   const std::uint16_t ring_depth = r.u16();
-  std::uint8_t preset = 0;
-  if (req.header.version >= 2 && r.remaining() == 1) preset = r.u8();
+  const std::uint8_t preset = r.u8();
   if (!r.exhausted()) {
     // Malformed, but still addressed to (and counted against) a live id.
     claim.hold(find_session(id));
@@ -1012,7 +1007,7 @@ HostStatus FleetServer::cmd_server_stats(const CommandContext& ctx,
   return HostStatus::kOk;
 }
 
-// --- telemetry (v4) ---------------------------------------------------------
+// --- telemetry --------------------------------------------------------------
 
 HostStatus FleetServer::cmd_session_health(const CommandContext& ctx,
                                            SessionClaim& claim) {

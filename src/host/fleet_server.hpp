@@ -2,7 +2,7 @@
 //
 // The server multiplexes hundreds-to-thousands of concurrent chip sessions
 // — mixed DNA microarray readout and neural streaming — behind the
-// versioned host-command protocol. Every session is built through the
+// host-command protocol. Every session is built through the
 // audited `core::SessionOptions` surface, owns its chips/links/RNGs
 // outright and is guarded by its own mutex, so commands for different
 // sessions execute fully in parallel while commands for one session

@@ -1,4 +1,4 @@
-// Versioned host-command wire protocol (DESIGN.md §12).
+// Host-command wire protocol (DESIGN.md §12).
 //
 // The fleet server speaks a compact binary request/response protocol
 // modeled on embedded-controller host-command interfaces: every frame is a
@@ -10,7 +10,7 @@
 //
 //   offset  size  field
 //        0     1  magic        0xB5
-//        1     1  version      protocol version of this frame
+//        1     1  version      kProtocolVersion
 //        2     2  command      command id (HostCommand)
 //        4     2  seq          client-chosen sequence number, echoed back
 //        6     2  status       HostStatus (0 in requests)
@@ -18,15 +18,10 @@
 //       10     1  reserved     0
 //       11     1  crc          CRC-8 over header (crc byte zeroed) + payload
 //
-// Versioning rules: the server accepts any version in
-// [kProtocolVersionMin, kProtocolVersionCurrent] and answers in the
-// request's version. A frame with a newer version than the server speaks
-// is answered with kBadVersion and a 2-byte payload [min, current] so the
-// client can downgrade — version negotiation costs one round trip, total.
-// Adding a command or appending payload fields bumps the minor behavior
-// under the same version only when old clients are unaffected; anything a
-// v(N) client would misparse bumps the version and declares the new
-// surface via per-command `min_version`.
+// One version: the server speaks kProtocolVersion only and answers any
+// other version byte with kBadVersion and an empty payload; the reply
+// header's version byte names the version it speaks. Optional surface is
+// discovered through the kGetCapabilities bits, not through versions.
 #pragma once
 
 #include <cstddef>
@@ -39,8 +34,7 @@
 namespace biosense::host {
 
 inline constexpr std::uint8_t kFrameMagic = 0xB5;
-inline constexpr std::uint8_t kProtocolVersionMin = 1;
-inline constexpr std::uint8_t kProtocolVersionCurrent = 4;
+inline constexpr std::uint8_t kProtocolVersion = 4;
 inline constexpr std::size_t kHeaderSize = 12;
 inline constexpr std::size_t kMaxPayload = 1024;
 /// Records one kPollFrames response returns at most: [count u16,
@@ -50,9 +44,10 @@ static_assert(3 + 12 * std::size_t{kMaxPollRecords} <= kMaxPayload,
               "a full poll response must fit one frame");
 
 /// Command ids. 0x0x = discovery/liveness, 0x1x = session lifecycle,
-/// 0x2x = server-wide (v2+).
+/// 0x2x = server-wide.
 enum class HostCommand : std::uint16_t {
-  kGetProtocolInfo = 0x01,   // -> [min u8, current u8, header u8, max_payload u16]
+  kGetProtocolInfo = 0x01,   // -> [version u8, header u8, max_payload u16,
+                             //     commands u16]
   kGetCapabilities = 0x02,   // -> [capability bits u32]
   kPing = 0x03,              // echoes payload (<= 64 bytes)
   kCreateSession = 0x10,     // mutating; payload: CreateSessionRequest
@@ -62,23 +57,23 @@ enum class HostCommand : std::uint16_t {
   kDrainSession = 0x14,      // mutating; [session u32]
   kDestroySession = 0x15,    // mutating; [session u32]
   kQuerySession = 0x16,      // [session u32]
-  kCheckpointSession = 0x17, // v3+; mutating; [session u32] -> [size u32, digest u64]
-  kRestoreSession = 0x18,    // v3+; mutating; [session u32] -> [frames u32, digest u64]
-  kGetSessionHealth = 0x19,  // v4+; [session u32] -> health summary
-  kServerStats = 0x20,       // v2+; server-wide occupancy counters
-  kGetMetrics = 0x21,        // v4+; [offset u32, max u16] -> snapshot chunk
-  kDumpFlightRecorder = 0x22,// v4+; mutating; [session u32] -> dump receipt
+  kCheckpointSession = 0x17, // mutating; [session u32] -> [size u32, digest u64]
+  kRestoreSession = 0x18,    // mutating; [session u32] -> [frames u32, digest u64]
+  kGetSessionHealth = 0x19,  // [session u32] -> health summary
+  kServerStats = 0x20,       // server-wide occupancy counters
+  kGetMetrics = 0x21,        // [offset u32, max u16] -> snapshot chunk
+  kDumpFlightRecorder = 0x22,// mutating; [session u32] -> dump receipt
 };
 
 /// Typed outcome of a command, carried in every response header.
 enum class HostStatus : std::uint16_t {
   kOk = 0,
   kBadMagic = 1,         // not a protocol frame at all
-  kBadVersion = 2,       // version outside [min, current]
+  kBadVersion = 2,       // version byte is not kProtocolVersion
   kBadCrc = 3,           // checksum rejected the frame
   kTruncated = 4,        // fewer bytes than the header promises
   kOversized = 5,        // payload_len > kMaxPayload
-  kUnknownCommand = 6,   // command id not in the registry (at this version)
+  kUnknownCommand = 6,   // command id not in the registry
   kBadPayload = 7,       // payload shape violates the command's schema
   kNoSuchSession = 8,    // session id not found (or already destroyed)
   kDuplicateSession = 9, // create with an id that is already live
@@ -108,7 +103,7 @@ inline constexpr std::uint32_t kServerFlightScope = 0xffffffffu;
 
 /// Parsed frame header (byte-order already folded out).
 struct FrameHeader {
-  std::uint8_t version = kProtocolVersionCurrent;
+  std::uint8_t version = kProtocolVersion;
   HostCommand command = HostCommand::kPing;
   std::uint16_t seq = 0;
   HostStatus status = HostStatus::kOk;
@@ -145,9 +140,9 @@ FrameHeader read_header(const std::uint8_t* bytes);
 
 /// Validates magic, size, length and CRC. The error is precisely the
 /// status a server should answer with (kBadMagic/kTruncated/kOversized/
-/// kBadCrc). Version acceptance is left to the dispatcher — the frame of
-/// a too-new client still decodes (the header layout is frozen across
-/// versions by design) so the server can answer kBadVersion in kind.
+/// kBadCrc). Version acceptance is left to the dispatcher — a frame with
+/// a foreign version byte still decodes (the header layout does not
+/// depend on it) so the server can answer kBadVersion.
 Result<DecodedFrame, HostStatus> decode_frame(const std::uint8_t* bytes,
                                               std::size_t n);
 

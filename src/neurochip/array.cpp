@@ -342,10 +342,6 @@ NeuroFrame NeuroChip::capture_frame(const SignalSource& source, double t) {
   return frame;
 }
 
-NeuroFrame NeuroChip::capture_frame(const SignalField& field, double t) {
-  return capture_frame(FieldSource(field), t);
-}
-
 std::vector<double> NeuroChip::capture_pixel_highrate(int row, int col,
                                                       const SignalSource& source,
                                                       double t0,
@@ -456,13 +452,6 @@ Result<faults::DefectMap, dnachip::ChipError> NeuroChip::self_test(
   return map;
 }
 
-std::vector<double> NeuroChip::capture_pixel_highrate(int row, int col,
-                                                      const SignalField& field,
-                                                      double t0,
-                                                      int n_samples) {
-  return capture_pixel_highrate(row, col, FieldSource(field), t0, n_samples);
-}
-
 void NeuroChip::record_stream(const SignalSource& source, double t0, int n,
                               StreamSink<NeuroFrame>& sink) {
   NeuroFrame scratch;
@@ -474,25 +463,15 @@ void NeuroChip::record_stream(const SignalSource& source, double t0, int n,
   sink.on_end();
 }
 
-void NeuroChip::record_stream(const SignalField& field, double t0, int n,
-                              StreamSink<NeuroFrame>& sink) {
-  record_stream(FieldSource(field), t0, n, sink);
-}
-
 std::vector<NeuroFrame> NeuroChip::record(const SignalSource& source, double t0,
                                           int n) {
-  // Batch compat wrapper: collect-all sink over the streaming impl.
+  // Batch wrapper: collect-all sink over the streaming impl.
   std::vector<NeuroFrame> frames;
   frames.reserve(static_cast<std::size_t>(n));
   FunctionSink<NeuroFrame> collect(
       [&frames](const NeuroFrame& f) { frames.push_back(f); });
   record_stream(source, t0, n, collect);
   return frames;
-}
-
-std::vector<NeuroFrame> NeuroChip::record(const SignalField& field, double t0,
-                                          int n) {
-  return record(FieldSource(field), t0, n);
 }
 
 std::pair<double, double> NeuroChip::offset_stats() const {

@@ -175,24 +175,16 @@ class NeuroChip {
   /// Convenience wrapper returning a freshly allocated frame.
   NeuroFrame capture_frame(const SignalSource& source, double t);
 
-  /// Legacy per-pixel callback overload; wraps `field` in a FieldSource
-  /// adapter and produces bitwise-identical frames.
-  NeuroFrame capture_frame(const SignalField& field, double t);
-
   /// Streams `n` consecutive frames starting at t0 into `sink`, one
   /// internal scratch frame reused throughout. The sink sees each frame in
   /// capture order; the referenced frame is invalid after `on_item`
   /// returns.
   void record_stream(const SignalSource& source, double t0, int n,
                      StreamSink<NeuroFrame>& sink);
-  void record_stream(const SignalField& field, double t0, int n,
-                     StreamSink<NeuroFrame>& sink);
 
-  /// Batch compat wrappers: collect-all sinks over `record_stream`.
+  /// Batch wrapper: a collect-all sink over `record_stream`.
   std::vector<NeuroFrame> record(  // lint:allow-batch-return
       const SignalSource& source, double t0, int n);
-  std::vector<NeuroFrame> record(  // lint:allow-batch-return
-      const SignalField& field, double t0, int n);
 
   /// High-rate single-pixel mode: the sequencer parks on one pixel and
   /// streams it at the column-scan rate (frame_rate * cols samples/s,
@@ -201,9 +193,6 @@ class NeuroChip {
   /// waveforms. Returns reconstructed input-referred voltages.
   std::vector<double> capture_pixel_highrate(int row, int col,
                                              const SignalSource& source,
-                                             double t0, int n_samples);
-  std::vector<double> capture_pixel_highrate(int row, int col,
-                                             const SignalField& field,
                                              double t0, int n_samples);
 
   /// Statistics over pixel input-referred offsets (V) — calibration

@@ -9,21 +9,11 @@
 //
 // `eval_column` must be const and thread-safe for concurrent distinct
 // columns: the capture engine evaluates columns in parallel.
-//
-// `FieldSource` adapts the legacy per-pixel `SignalField` callback, so
-// every existing call site keeps working (and produces bitwise-identical
-// frames — the adapter calls the field at the same instants in the same
-// per-pixel order).
 #pragma once
 
-#include <functional>
 #include <span>
-#include <utility>
 
 namespace biosense::neurochip {
-
-/// Legacy signal source: electrode voltage at (row, col) at time t.
-using SignalField = std::function<double(int row, int col, double t)>;
 
 /// Electrode-voltage source sampled column-by-column by the sequencer.
 class SignalSource {
@@ -43,19 +33,6 @@ class SignalSource {
       out[r] = eval(static_cast<int>(r), col, t);
     }
   }
-};
-
-/// Adapter wrapping a `SignalField` callback (source compatibility).
-class FieldSource final : public SignalSource {
- public:
-  explicit FieldSource(SignalField field) : field_(std::move(field)) {}
-
-  double eval(int row, int col, double t) const override {
-    return field_(row, col, t);
-  }
-
- private:
-  SignalField field_;
 };
 
 /// Uniform electrode voltage everywhere — quiet baseline or test step.

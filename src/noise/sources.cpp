@@ -19,18 +19,6 @@ double WhiteNoise::sample(double dt) {
   return rng_.normal(0.0, sigma);
 }
 
-double thermal_voltage_psd(double resistance_ohm, double temp_k) {
-  return 4.0 * constants::kBoltzmann * temp_k * resistance_ohm;
-}
-
-double mosfet_thermal_current_psd(double gm, double temp_k, double gamma) {
-  return 4.0 * constants::kBoltzmann * temp_k * gamma * gm;
-}
-
-double shot_current_psd(double dc_current_a) {
-  return 2.0 * constants::kElectronCharge * std::abs(dc_current_a);
-}
-
 FlickerPlan::FlickerPlan(double kf, double f_lo, double f_hi,
                          int poles_per_decade) {
   require(kf >= 0.0, "FlickerNoise: kf must be non-negative");
@@ -98,56 +86,19 @@ double FlickerNoise::analytic_psd(double f) const {
   return s;
 }
 
-RtsNoise::RtsNoise(double amplitude, double mean_time_high,
-                   double mean_time_low, Rng rng)
-    : amplitude_(amplitude),
-      rate_down_(1.0 / mean_time_high),
-      rate_up_(1.0 / mean_time_low),
-      rng_(rng) {
-  require(mean_time_high > 0.0 && mean_time_low > 0.0,
-          "RtsNoise: dwell times must be positive");
-  // Start in the stationary distribution.
-  const double p_high = mean_time_high / (mean_time_high + mean_time_low);
-  high_ = rng_.bernoulli(p_high);
-}
-
-double RtsNoise::sample(double dt) {
-  const double rate = high_ ? rate_down_ : rate_up_;
-  if (rng_.bernoulli(1.0 - std::exp(-rate * dt))) high_ = !high_;
-  return high_ ? 0.5 * amplitude_ : -0.5 * amplitude_;
-}
-
 void CompositeNoise::add_white(double psd_one_sided, Rng rng) {
   white_.emplace_back(psd_one_sided, rng);
-  white_psd_.push_back(psd_one_sided);
 }
 
 void CompositeNoise::add_flicker(double kf, double f_lo, double f_hi, Rng rng) {
   flicker_.emplace_back(kf, f_lo, f_hi, rng);
-  flicker_kf_.push_back(kf);
-}
-
-void CompositeNoise::add_rts(double amplitude, double t_high, double t_low,
-                             Rng rng) {
-  rts_.emplace_back(amplitude, t_high, t_low, rng);
 }
 
 double CompositeNoise::sample(double dt) {
   double sum = 0.0;
   for (auto& s : white_) sum += s.sample(dt);
   for (auto& s : flicker_) sum += s.sample(dt);
-  for (auto& s : rts_) sum += s.sample(dt);
   return sum;
-}
-
-double CompositeNoise::analytic_rms(double f_lo, double f_hi) const {
-  // White integrates to S*(f_hi-f_lo); ideal 1/f integrates to
-  // kf*ln(f_hi/f_lo). RTS is excluded (its PSD depends on dwell times and
-  // it is rarely part of a band-integrated budget).
-  double var = 0.0;
-  for (double s : white_psd_) var += s * (f_hi - f_lo);
-  for (double kf : flicker_kf_) var += kf * std::log(f_hi / f_lo);
-  return std::sqrt(var);
 }
 
 }  // namespace biosense::noise

@@ -7,9 +7,11 @@
 // one-sided PSD * 1/(2 dt)), which is the correct discrete-time equivalent
 // for a sampled continuous system.
 //
-// These models feed the sensor-site ADC (comparator noise, leakage), the
-// neural pixel (input-referred transistor noise) and the electrochemical
-// current model (shot noise on pA-level currents).
+// `PixelBank` synthesizes the neural pixel's input-referred noise through
+// the strided FlickerPlan helpers below. The object classes (WhiteNoise,
+// FlickerNoise, CompositeNoise) are the seed's per-pixel model that the
+// golden-frame test rebuilds pixels from, and they own the per-pixel
+// snapshot layout PixelBank still emits.
 #pragma once
 
 #include <cmath>
@@ -85,8 +87,7 @@ inline double flicker_sample_strided(const FlickerStepConsts& c, Rng& rng,
 /// Band-limited white noise with a given one-sided PSD (units^2/Hz).
 class WhiteNoise {
  public:
-  /// `psd_one_sided` in units^2/Hz. For a resistor's Johnson voltage noise
-  /// use `thermal_voltage_psd`; for shot noise use `shot_current_psd`.
+  /// `psd_one_sided` in units^2/Hz.
   WhiteNoise(double psd_one_sided, Rng rng);
 
   double sample(double dt);
@@ -100,34 +101,6 @@ class WhiteNoise {
   double psd_;  // analyze:transient - frozen config
   Rng rng_;
 };
-
-/// One-sided Johnson (thermal) voltage-noise PSD of a resistance:
-/// S_v = 4 k T R  [V^2/Hz].
-double thermal_voltage_psd(double resistance_ohm, double temp_k);
-
-/// Typed overload: dimension-checked resistance in, V^2/Hz quantity out.
-inline VoltagePsd thermal_voltage_psd(Resistance r, double temp_k) {
-  return VoltagePsd(thermal_voltage_psd(r.value(), temp_k));
-}
-
-/// One-sided thermal channel-current PSD of a MOSFET in saturation:
-/// S_i = 4 k T gamma g_m [A^2/Hz], gamma ~ 2/3 long channel.
-double mosfet_thermal_current_psd(double gm, double temp_k,
-                                  double gamma = 2.0 / 3.0);
-
-/// Typed overload: transconductance in, A^2/Hz quantity out.
-inline CurrentPsd mosfet_thermal_current_psd(Conductance gm, double temp_k,
-                                             double gamma = 2.0 / 3.0) {
-  return CurrentPsd(mosfet_thermal_current_psd(gm.value(), temp_k, gamma));
-}
-
-/// One-sided shot-noise current PSD of a DC current: S_i = 2 q I [A^2/Hz].
-double shot_current_psd(double dc_current_a);
-
-/// Typed overload: dimension-checked DC current in, A^2/Hz quantity out.
-inline CurrentPsd shot_current_psd(Current i) {
-  return CurrentPsd(shot_current_psd(i.value()));
-}
 
 /// 1/f (flicker) noise synthesized as a sum of Ornstein-Uhlenbeck processes
 /// with log-spaced corner frequencies. The resulting one-sided PSD
@@ -172,59 +145,27 @@ class FlickerNoise {
   Rng rng_;
 };
 
-/// Random telegraph signal: two-state Markov process toggling between
-/// +amplitude/2 and -amplitude/2 with mean capture/emission times.
-/// Models single-trap RTS noise in small-area MOSFETs.
-class RtsNoise {
- public:
-  RtsNoise(double amplitude, double mean_time_high, double mean_time_low,
-           Rng rng);
-
-  double sample(double dt);
-  bool high() const { return high_; }
-
-  void save_state(snapshot::StateWriter& w) const {
-    w.rng(rng_);
-    w.b(high_);
-  }
-  void load_state(snapshot::StateReader& r) {
-    r.rng(rng_);
-    high_ = r.b();
-  }
-
- private:
-  double amplitude_;  // analyze:transient - frozen config
-  double rate_down_;  // 1/mean_time_high; analyze:transient - frozen config
-  double rate_up_;    // 1/mean_time_low; analyze:transient - frozen config
-  bool high_;
-  Rng rng_;
-};
-
-/// Composite input-referred noise for an analog front-end: white + flicker
-/// (+ optional RTS), all referred to one node.
+/// Composite input-referred noise for an analog front-end: white + flicker,
+/// both referred to one node.
 class CompositeNoise {
  public:
   CompositeNoise() = default;
 
   void add_white(double psd_one_sided, Rng rng);
   void add_flicker(double kf, double f_lo, double f_hi, Rng rng);
-  void add_rts(double amplitude, double t_high, double t_low, Rng rng);
 
   double sample(double dt);
 
-  /// Integrated RMS over the band [f_lo, f_hi] predicted analytically from
-  /// the configured PSDs (white: S*(f_hi-f_lo); flicker: kf*ln(f_hi/f_lo)).
-  double analytic_rms(double f_lo, double f_hi) const;
-
   /// The source composition is frozen at wiring time, so the counts act as
-  /// shape checks and only per-source evolving state is serialized.
+  /// shape checks and only per-source evolving state is serialized. The
+  /// third count is the seed's RTS-source slot: always 0, kept so the
+  /// per-pixel snapshot layout stays byte-identical.
   void save_state(snapshot::StateWriter& w) const {
     w.u32(static_cast<std::uint32_t>(white_.size()));
     for (const WhiteNoise& s : white_) s.save_state(w);
     w.u32(static_cast<std::uint32_t>(flicker_.size()));
     for (const FlickerNoise& s : flicker_) s.save_state(w);
-    w.u32(static_cast<std::uint32_t>(rts_.size()));
-    for (const RtsNoise& s : rts_) s.save_state(w);
+    w.u32(0);
   }
   void load_state(snapshot::StateReader& r) {
     if (r.u32() != white_.size()) {
@@ -237,19 +178,12 @@ class CompositeNoise {
       return;
     }
     for (FlickerNoise& s : flicker_) s.load_state(r);
-    if (r.u32() != rts_.size()) {
-      r.fail();
-      return;
-    }
-    for (RtsNoise& s : rts_) s.load_state(r);
+    if (r.u32() != 0) r.fail();
   }
 
  private:
   std::vector<WhiteNoise> white_;
   std::vector<FlickerNoise> flicker_;
-  std::vector<RtsNoise> rts_;
-  std::vector<double> white_psd_;    // analyze:transient - frozen config
-  std::vector<double> flicker_kf_;   // analyze:transient - frozen config
 };
 
 }  // namespace biosense::noise

@@ -1,12 +1,10 @@
 #include "screening/funnel.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <vector>
 #include <limits>
+#include <utility>
 
 #include "common/error.hpp"
-#include "common/stats.hpp"
 
 namespace biosense::screening {
 
@@ -86,52 +84,6 @@ FunnelResult ScreeningFunnel::run() {
   result.final_candidates = actives + inactives;
   result.final_true_actives = actives;
   return result;
-}
-
-FunnelStatistics monte_carlo_funnel(const FunnelConfig& config, int runs,
-                                    Rng rng) {
-  require(runs >= 1, "monte_carlo_funnel: need at least one run");
-  std::vector<double> costs;
-  std::vector<double> hits;
-  costs.reserve(static_cast<std::size_t>(runs));
-  hits.reserve(static_cast<std::size_t>(runs));
-  int failures = 0;
-  for (int k = 0; k < runs; ++k) {
-    ScreeningFunnel funnel(config, rng.fork());
-    const auto r = funnel.run();
-    costs.push_back(r.total_cost);
-    hits.push_back(static_cast<double>(r.final_true_actives));
-    if (r.final_true_actives == 0) ++failures;
-  }
-  FunnelStatistics s;
-  s.runs = runs;
-  s.cost_mean = mean(costs);
-  s.cost_p10 = percentile(costs, 10.0);
-  s.cost_p90 = percentile(costs, 90.0);
-  s.hits_mean = mean(hits);
-  s.hits_min = *std::min_element(hits.begin(), hits.end());
-  s.failure_probability = static_cast<double>(failures) / runs;
-  return s;
-}
-
-StageParams stage_from_confusion(std::string name, double cost_per_datapoint,
-                                 double datapoints_per_day,
-                                 std::size_t false_positives,
-                                 std::size_t true_negatives,
-                                 std::size_t false_negatives,
-                                 std::size_t true_positives) {
-  StageParams p;
-  p.name = std::move(name);
-  p.cost_per_datapoint = cost_per_datapoint;
-  p.datapoints_per_day = datapoints_per_day;
-  // Laplace (add-half) smoothing keeps finite-sample rates off 0 and 1.
-  p.false_positive_rate =
-      (static_cast<double>(false_positives) + 0.5) /
-      (static_cast<double>(false_positives + true_negatives) + 1.0);
-  p.false_negative_rate =
-      (static_cast<double>(false_negatives) + 0.5) /
-      (static_cast<double>(false_negatives + true_positives) + 1.0);
-  return p;
 }
 
 double FunnelResult::cost_per_hit() const {

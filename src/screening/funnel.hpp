@@ -75,30 +75,4 @@ class ScreeningFunnel {
   Rng rng_;
 };
 
-/// Distributional view over repeated funnel runs (assays are stochastic, so
-/// programme cost and hit count are random variables).
-struct FunnelStatistics {
-  int runs = 0;
-  double cost_mean = 0.0;
-  double cost_p10 = 0.0;
-  double cost_p90 = 0.0;
-  double hits_mean = 0.0;
-  double hits_min = 0.0;
-  /// Fraction of runs that ended with zero surviving true actives.
-  double failure_probability = 0.0;
-};
-
-/// Monte Carlo over `runs` independent funnel executions.
-FunnelStatistics monte_carlo_funnel(const FunnelConfig& config, int runs,
-                                    Rng rng);
-
-/// Builds a stage from a measured confusion matrix (e.g. from a chip
-/// simulation): false-positive/negative rates with Laplace smoothing.
-StageParams stage_from_confusion(std::string name, double cost_per_datapoint,
-                                 double datapoints_per_day,
-                                 std::size_t false_positives,
-                                 std::size_t true_negatives,
-                                 std::size_t false_negatives,
-                                 std::size_t true_positives);
-
 }  // namespace biosense::screening

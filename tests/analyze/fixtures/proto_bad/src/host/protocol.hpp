@@ -1,16 +1,15 @@
 // Seeded violations: proto-schema (duplicate wire value, missing entry,
-// duplicate entry, unknown enumerator, min_version out of window),
-// proto-caps (unreferenced capability bit), proto-names (enumerator
-// missing from host_command_name). kGetMetrics models a v4 telemetry
-// command that was added to the enum but wired nowhere else.
+// duplicate entry, unknown enumerator), proto-caps (unreferenced
+// capability bit), proto-names (enumerator missing from
+// host_command_name). kGetMetrics models a telemetry command that was
+// added to the enum but wired nowhere else.
 #pragma once
 
 #include <cstdint>
 
 namespace demo::host {
 
-inline constexpr std::uint32_t kProtocolVersionMin = 1;
-inline constexpr std::uint32_t kProtocolVersionCurrent = 3;
+inline constexpr std::uint32_t kProtocolVersion = 4;
 
 inline constexpr std::uint32_t kCapUsed = 1u << 0;
 inline constexpr std::uint32_t kCapUnused = 1u << 1;  // [MUST-FIRE: proto-caps]

@@ -4,16 +4,16 @@ namespace demo::host {
 
 struct Server {
   void register_handlers();
-  void add(HostCommand c, int min_version);
+  void add(HostCommand c, int max_payload);
   std::uint32_t caps() const { return kCapUsed; }
 };
 
 void Server::register_handlers() {
-  add(HostCommand::kPing, 1);
-  add(HostCommand::kQuery, 9);   // [MUST-FIRE: min_version outside window]
-  add(HostCommand::kQuery, 1);   // [MUST-FIRE: duplicate schema entry]
-  add(HostCommand::kClash, 2);
-  add(HostCommand::kGhost, 1);   // [MUST-FIRE: unknown enumerator]
+  add(HostCommand::kPing, 64);
+  add(HostCommand::kQuery, 4);
+  add(HostCommand::kQuery, 4);   // [MUST-FIRE: duplicate schema entry]
+  add(HostCommand::kClash, 4);
+  add(HostCommand::kGhost, 4);   // [MUST-FIRE: unknown enumerator]
 }
 
 }  // namespace demo::host

@@ -1,15 +1,13 @@
 // Clean control for the protocol rules: every command has exactly one
-// schema entry inside the version window, both name functions cover
-// every enumerator (including the v4 telemetry commands), and every
-// capability bit is referenced.
+// schema entry, both name functions cover every enumerator (including the
+// telemetry commands), and every capability bit is referenced.
 #pragma once
 
 #include <cstdint>
 
 namespace demo::host {
 
-inline constexpr std::uint32_t kProtocolVersionMin = 1;
-inline constexpr std::uint32_t kProtocolVersionCurrent = 4;
+inline constexpr std::uint32_t kProtocolVersion = 4;
 
 inline constexpr std::uint32_t kCapSessions = 1u << 0;
 inline constexpr std::uint32_t kCapTelemetry = 1u << 1;

@@ -4,15 +4,15 @@ namespace demo::host {
 
 struct Server {
   void register_handlers();
-  void add(HostCommand c, int min_version);
+  void add(HostCommand c, int max_payload);
   std::uint32_t caps() const { return kCapSessions | kCapTelemetry; }
 };
 
 void Server::register_handlers() {
-  add(HostCommand::kPing, 1);
-  add(HostCommand::kQuery, 2);
+  add(HostCommand::kPing, 64);
+  add(HostCommand::kQuery, 4);
   add(HostCommand::kGetSessionHealth, 4);
-  add(HostCommand::kGetMetrics, 4);
+  add(HostCommand::kGetMetrics, 6);
   add(HostCommand::kDumpFlightRecorder, 4);
 }
 

@@ -112,13 +112,11 @@ TEST(AnalyzeProtocol, SeededViolationsFire) {
       << dump(findings);
   EXPECT_TRUE(has_finding(findings, "proto-schema", "unknown command 'kGhost'"))
       << dump(findings);
-  EXPECT_TRUE(has_finding(findings, "proto-schema", "min_version 9"))
-      << dump(findings);
   EXPECT_TRUE(has_finding(findings, "proto-caps", "'kCapUnused'"))
       << dump(findings);
   EXPECT_TRUE(has_finding(findings, "proto-names", "'kOrphan'"))
       << dump(findings);
-  // A v4 telemetry command added to the enum but wired nowhere else must
+  // A telemetry command added to the enum but wired nowhere else must
   // trip both the schema-table and the name-switch coverage.
   EXPECT_TRUE(has_finding(findings, "proto-schema",
                           "'kGetMetrics' has no dispatcher schema entry"))

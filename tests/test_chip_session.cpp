@@ -4,9 +4,12 @@
 // and robust (still deterministic) when the host link misbehaves.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/hash.hpp"
@@ -27,9 +30,13 @@ neurochip::NeuroChipConfig small_chip_config() {
   return cfg;
 }
 
-double test_field(int r, int c, double t) {
-  return 1e-3 * std::sin(6283.0 * t + 0.13 * c + 0.07 * r);
-}
+/// A 1 mV travelling sine, evaluated pixel by pixel.
+class TestField final : public neurochip::SignalSource {
+ public:
+  double eval(int r, int c, double t) const override {
+    return 1e-3 * std::sin(6283.0 * t + 0.13 * c + 0.07 * r);
+  }
+};
 
 std::uint64_t hash_frames(const std::vector<neurochip::NeuroFrame>& frames) {
   std::uint64_t h = kFnv1aOffset;
@@ -55,21 +62,18 @@ std::uint64_t session_hash(int threads, core::SessionConfig cfg, int n_frames,
   set_max_threads(threads);
   auto chip = make_chip();
   core::ChipSession session(chip, cfg, Rng(session_seed));
-  const auto frames =
-      session.record(neurochip::SignalField(test_field), 0.0, n_frames);
+  const auto frames = session.record(TestField(), 0.0, n_frames);
   return hash_frames(frames);
 }
 
 TEST(ChipSession, LosslessStreamingMatchesBatchBitwise) {
   set_max_threads(4);
   auto batch_chip = make_chip();
-  const auto batch =
-      batch_chip.record(neurochip::SignalField(test_field), 0.0, 8);
+  const auto batch = batch_chip.record(TestField(), 0.0, 8);
 
   auto stream_chip = make_chip();
   core::ChipSession session(stream_chip, {}, Rng(42));
-  const auto streamed =
-      session.record(neurochip::SignalField(test_field), 0.0, 8);
+  const auto streamed = session.record(TestField(), 0.0, 8);
 
   ASSERT_EQ(streamed.size(), batch.size());
   EXPECT_EQ(hash_frames(streamed), hash_frames(batch));
@@ -122,8 +126,7 @@ TEST(ChipSession, SinkSeesFramesInCaptureOrder) {
   } end_sink;
   end_sink.times = &times;
   end_sink.ends = &ends;
-  const auto report =
-      session.run(neurochip::SignalField(test_field), 0.0, 12, end_sink);
+  const auto report = session.run(TestField(), 0.0, 12, end_sink);
   set_max_threads(1);
   ASSERT_EQ(times.size(), 12u);
   for (std::size_t k = 1; k < times.size(); ++k) {
@@ -141,8 +144,7 @@ TEST(ChipSession, ReportAccountsWireTraffic) {
   auto chip = make_chip();
   core::ChipSession session(chip, {}, Rng(42));
   CollectSink<neurochip::NeuroFrame> sink;
-  const auto report =
-      session.run(neurochip::SignalField(test_field), 0.0, 4, sink);
+  const auto report = session.run(TestField(), 0.0, 4, sink);
   EXPECT_EQ(report.stage_threads, 1);  // serial fallback on one thread
   EXPECT_EQ(report.wire.frames, 4u);
   // 8 header words + 2 per pixel, per frame, all in one attempt.
@@ -165,8 +167,7 @@ TEST(ChipSession, NoisyLinkRecoversAndStaysDeterministic) {
   auto chip = make_chip();
   core::ChipSession session(chip, noisy, Rng(42));
   CollectSink<neurochip::NeuroFrame> sink;
-  const auto report =
-      session.run(neurochip::SignalField(test_field), 0.0, 6, sink);
+  const auto report = session.run(TestField(), 0.0, 6, sink);
   EXPECT_GT(report.wire.retries, 0u);             // the BER actually bit
   EXPECT_GT(report.wire.recovered_words, 0u);     // and merging recovered
   EXPECT_EQ(report.wire.lost_words, 0u);          // everything, eventually
@@ -178,16 +179,14 @@ TEST(ChipSession, NoisyLinkMatchesBatchOncePerfectlyRecovered) {
   // over to the streaming path.
   set_max_threads(2);
   auto batch_chip = make_chip();
-  const auto batch =
-      batch_chip.record(neurochip::SignalField(test_field), 0.0, 6);
+  const auto batch = batch_chip.record(TestField(), 0.0, 6);
 
   core::SessionConfig noisy;
   noisy.bit_error_rate = 2e-4;
   auto chip = make_chip();
   core::ChipSession session(chip, noisy, Rng(42));
   CollectSink<neurochip::NeuroFrame> sink;
-  const auto report =
-      session.run(neurochip::SignalField(test_field), 0.0, 6, sink);
+  const auto report = session.run(TestField(), 0.0, 6, sink);
   set_max_threads(1);
   ASSERT_EQ(report.wire.lost_words, 0u);
   EXPECT_EQ(hash_frames(sink.items()), hash_frames(batch));
@@ -205,17 +204,59 @@ TEST(ChipSession, SinkExceptionUnwindsAndSessionStaysUsable) {
     }
     void on_end() override { ended = true; }
   } boom;
-  EXPECT_THROW(session.run(neurochip::SignalField(test_field), 0.0, 10, boom),
-               std::runtime_error);
+  EXPECT_THROW(session.run(TestField(), 0.0, 10, boom), std::runtime_error);
   EXPECT_FALSE(boom.ended);
 
   // The pool reopened; the next run on the same session completes.
   CollectSink<neurochip::NeuroFrame> sink;
-  const auto report =
-      session.run(neurochip::SignalField(test_field), 0.0, 3, sink);
+  const auto report = session.run(TestField(), 0.0, 3, sink);
   set_max_threads(1);
   EXPECT_EQ(report.frames, 3);
   EXPECT_EQ(sink.items().size(), 3u);
+}
+
+TEST(ChipSession, FirstStagedRunCreatesTheWholePool) {
+  // How many frames a staged run leaves behind must not depend on how far
+  // capture ran ahead. A slow source keeps one or two frames in flight; a
+  // slow sink then lets capture fill the pool. Frames created in that
+  // second run would be heap allocations inside what a resumed session
+  // relies on being an allocation-free steady state.
+  class SlowSource final : public neurochip::SignalSource {
+   public:
+    double eval(int r, int c, double t) const override {
+      return field_.eval(r, c, t);
+    }
+    void eval_column(int col, double t, std::span<double> out) const override {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+      for (std::size_t r = 0; r < out.size(); ++r) {
+        out[r] = field_.eval(static_cast<int>(r), col, t);
+      }
+    }
+
+   private:
+    TestField field_;
+  };
+  struct SlowSink final : StreamSink<neurochip::NeuroFrame> {
+    void on_item(const neurochip::NeuroFrame&) override {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    void on_end() override {}
+  };
+
+  for (const int threads : {2, 4, 8}) {
+    set_max_threads(threads);
+    auto chip = make_chip();
+    core::ChipSession session(chip, {}, Rng(42));
+    CollectSink<neurochip::NeuroFrame> fast;
+    const auto first = session.run(SlowSource(), 0.0, 8, fast);
+    SlowSink slow;
+    const auto second = session.run(TestField(), 0.0, 8, slow);
+    EXPECT_EQ(first.pool.allocations, session.config().pool_frames)
+        << "threads=" << threads;
+    EXPECT_EQ(second.pool.allocations, first.pool.allocations)
+        << "threads=" << threads;
+  }
+  set_max_threads(1);
 }
 
 TEST(ChipSession, RunsInsideParallelJobFallBackSerially) {
@@ -226,8 +267,7 @@ TEST(ChipSession, RunsInsideParallelJobFallBackSerially) {
   parallel_for(0, 2, [&hashes](std::int64_t i) {
     auto chip = make_chip();
     core::ChipSession session(chip, {}, Rng(42));
-    const auto frames =
-        session.record(neurochip::SignalField(test_field), 0.0, 3);
+    const auto frames = session.record(TestField(), 0.0, 3);
     hashes[static_cast<std::size_t>(i)] = hash_frames(frames);
   });
   set_max_threads(1);

@@ -1,11 +1,9 @@
-// Switch, capacitor node, sample-and-hold, trace and reference tests.
+// Switch, trace and reference tests.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "circuit/capacitor.hpp"
 #include "circuit/references.hpp"
-#include "circuit/sample_hold.hpp"
 #include "circuit/switch.hpp"
 #include "circuit/trace.hpp"
 #include "common/error.hpp"
@@ -54,71 +52,6 @@ TEST(AnalogSwitch, RejectsInvalidConfig) {
   p = SwitchParams{};
   p.compensation = 1.5;
   EXPECT_THROW(AnalogSwitch(p, Rng(1)), ConfigError);
-}
-
-// --- CapacitorNode ----------------------------------------------------------
-
-TEST(CapacitorNode, IntegratesCurrent) {
-  CapacitorNode c(100e-15, 0.0);
-  c.integrate(1e-12, 1e-3);  // 1 pA for 1 ms -> 1 fC -> 10 mV on 100 fF
-  EXPECT_NEAR(c.voltage(), 10e-3, 1e-12);
-}
-
-TEST(CapacitorNode, ChargePackets) {
-  CapacitorNode c(50e-15, 1.0);
-  c.add_charge(-5e-15);  // -5 fC on 50 fF: -100 mV
-  EXPECT_NEAR(c.voltage(), 0.9, 1e-12);
-}
-
-TEST(CapacitorNode, RampTime) {
-  CapacitorNode c(140e-15);
-  // t = C dV / I: 140 fF * 0.7 V / 1 nA = 98 us.
-  EXPECT_NEAR(c.ramp_time(1e-9, 0.7), 98e-6, 1e-9);
-}
-
-TEST(CapacitorNode, RejectsNonPositiveCapacitance) {
-  EXPECT_THROW(CapacitorNode(0.0), ConfigError);
-}
-
-// --- SampleHold -------------------------------------------------------------
-
-TEST(SampleHold, TracksInput) {
-  SampleHold sh(SampleHoldParams{}, Rng(1));
-  for (int i = 0; i < 10000; ++i) sh.track(1.5, 1e-9);
-  EXPECT_NEAR(sh.output(), 1.5, 1e-6);
-}
-
-TEST(SampleHold, HoldAppliesPedestalOnce) {
-  SampleHoldParams p;
-  p.sw.injection_sigma = 0.0;
-  SampleHold sh(p, Rng(1));
-  for (int i = 0; i < 10000; ++i) sh.track(2.0, 1e-9);
-  sh.hold();
-  EXPECT_NEAR(sh.output() - 2.0, sh.expected_pedestal(), 1e-9);
-  const double held = sh.output();
-  sh.hold();  // idempotent
-  EXPECT_DOUBLE_EQ(sh.output(), held);
-}
-
-TEST(SampleHold, DroopsWhileHolding) {
-  SampleHoldParams p;
-  p.droop_current = Current(10e-15);
-  p.hold_cap = 100.0_fF;
-  SampleHold sh(p, Rng(1));
-  for (int i = 0; i < 10000; ++i) sh.track(1.0, 1e-9);
-  sh.hold();
-  const double v0 = sh.output();
-  sh.idle(1e-3);  // 10 fA * 1 ms / 100 fF = 100 uV droop
-  EXPECT_NEAR(v0 - sh.output(), 100e-6, 1e-9);
-}
-
-TEST(SampleHold, AcquisitionBandwidthLimited) {
-  SampleHoldParams p;
-  p.sw.r_on = 100e3;
-  p.hold_cap = 1.0_pF;  // tau = 100 ns
-  SampleHold sh(p, Rng(1));
-  sh.track(1.0, 100e-9);  // one tau
-  EXPECT_NEAR(sh.output(), 1.0 - std::exp(-1.0), 0.01);
 }
 
 // --- Trace ------------------------------------------------------------------

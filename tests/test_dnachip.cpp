@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
+#include "common/stream.hpp"
 
 namespace biosense::dnachip {
 namespace {
@@ -104,6 +106,38 @@ INSTANTIATE_TEST_SUITE_P(FiveDecades, DnaChipDecades,
                          ::testing::Values(1e-12, 1e-11, 1e-10, 1e-9, 1e-8,
                                            1e-7));
 
+TEST(HostInterface, CounterHoldsFullScaleAndAutorangeShortensTheGate) {
+  // At the 8.192 s gate a 100 nA site would count far past 2^16. The
+  // 16-bit counter holds at full scale instead of wrapping to a small,
+  // plausible-looking count, and autorange keeps a shorter gate for that
+  // site while a 1 pA site keeps the longest.
+  static_assert(kCounterFullScale == 0xffff);
+  static_assert(kCounterSaturated == 0xfff0);
+  DnaChip chip(small_chip(), Rng(13));
+  HostInterface host(chip, SerialLink(0.0, Rng(14)));
+  ASSERT_TRUE(host.auto_calibrate());
+  std::vector<double> currents(16, 1e-12);
+  currents[0] = 100e-9;
+  chip.apply_sensor_currents(currents);
+
+  const auto frame = host.acquire(13);
+  ASSERT_EQ(frame.status, TxStatus::kOk);
+  EXPECT_EQ(frame.raw_counts[0], kCounterFullScale);
+  EXPECT_LT(frame.raw_counts[1], kCounterSaturated);
+
+  std::vector<HostInterface::SiteReading> readings;
+  FunctionSink<HostInterface::SiteReading> collect(
+      [&readings](const HostInterface::SiteReading& r) {
+        readings.push_back(r);
+      });
+  host.acquire_autorange(collect);
+  ASSERT_EQ(readings.size(), 16u);
+  EXPECT_LT(readings[0].gate_time, gate_time_from_code(13));
+  EXPECT_LT(readings[0].raw_count, kCounterSaturated);
+  EXPECT_NEAR(readings[0].current / 100e-9, 1.0, 0.25);
+  EXPECT_DOUBLE_EQ(readings[1].gate_time, gate_time_from_code(13));
+}
+
 TEST(HostInterface, AutoCalibrationRemovesLeakageBias) {
   DnaChipConfig cfg = small_chip();
   cfg.site.leakage = Current(200e-15);       // strong common leakage
@@ -196,9 +230,6 @@ TEST(DnaChip, NoisySerialLinkRecoveredByRetries) {
 TEST(DnaChip, RejectsInvalidConfig) {
   DnaChipConfig c = small_chip();
   c.rows = 0;
-  EXPECT_THROW(DnaChip(c, Rng(1)), ConfigError);
-  c = small_chip();
-  c.counter_bits = 20;
   EXPECT_THROW(DnaChip(c, Rng(1)), ConfigError);
   DnaChip ok(small_chip(), Rng(1));
   EXPECT_THROW(ok.apply_sensor_currents({1e-9}), ConfigError);

@@ -256,7 +256,7 @@ TEST(FleetServer, IdempotentRetryUnderLossyLink) {
   const auto run_script = [](ByteLink& link) {
     dnachip::RetryPolicy retry;
     retry.max_attempts = 64;  // the lossy leg needs headroom
-    FleetClient client(link, kProtocolVersionCurrent, retry);
+    FleetClient client(link, retry);
     EXPECT_TRUE(client.create(neuro_spec(9)));
     EXPECT_TRUE(client.configure(9, 1, 300));
     std::vector<FleetClient::Record> records;
@@ -353,7 +353,7 @@ TEST(FleetServer, MixedFleetDeterministicAcrossWorkerThreads) {
   EXPECT_EQ(one, four);
 }
 
-// --- checkpoint / restore (protocol v3) -------------------------------------
+// --- checkpoint / restore ---------------------------------------------------
 
 /// Drives a session from wherever it stands to completion: polls until the
 /// backlog and ring are empty, then drains. Production is a pure function
@@ -563,7 +563,7 @@ TEST(FleetServer, NonFiniteSiteCurrentCheckpointFaultsTyped) {
   }
 }
 
-TEST(FleetServer, RestoreGuardsAndVersionGate) {
+TEST(FleetServer, RestoreGuardsAndCapabilityBit) {
   FleetServer server;
   ServerLink link(server);
   FleetClient client(link);
@@ -581,14 +581,7 @@ TEST(FleetServer, RestoreGuardsAndVersionGate) {
   ASSERT_FALSE(absent);
   EXPECT_EQ(absent.error(), HostStatus::kNoSuchSession);
 
-  // v2 clients cannot reach the v3 surface: the command id is unknown
-  // inside their version window.
-  FleetClient old_client(link, 2);
-  const auto refused = old_client.checkpoint(1);
-  ASSERT_FALSE(refused);
-  EXPECT_EQ(refused.error(), HostStatus::kUnknownCommand);
-
-  // Capability bit advertises the surface to v3 clients.
+  // The capability bit advertises the surface.
   const auto caps = client.capabilities();
   ASSERT_TRUE(caps);
   EXPECT_TRUE(*caps & kCapCheckpoint);
@@ -613,7 +606,7 @@ TEST(FleetServer, PerSessionInstrumentsAreCollisionFree) {
   EXPECT_NE(json.find("fleettest.s1.ring#2.depth"), std::string::npos);
 }
 
-// --- telemetry (protocol v4) ------------------------------------------------
+// --- telemetry --------------------------------------------------------------
 
 FleetLimits telemetry_limits() {
   FleetLimits limits;
@@ -846,35 +839,6 @@ TEST(FleetTelemetry, RestoredSessionKeepsFlightHistory) {
 
   unsetenv("BIOSENSE_RESULTS_DIR");
   fs::remove_all(results);
-}
-
-TEST(FleetTelemetry, V2ClientDegradesGracefullyOnTelemetrySurface) {
-  FleetServer server(telemetry_limits());
-  ServerLink link(server);
-  FleetClient v4(link);
-  ASSERT_TRUE(v4.create(neuro_spec(3)));
-
-  FleetClient v2(link, 2);
-  // The v2 conversation still works end to end...
-  ASSERT_TRUE(v2.ping(nullptr, 0));
-  const auto q = v2.query(3);
-  ASSERT_TRUE(q);
-  // ...and the v4 surface answers kUnknownCommand, exactly like a v2-era
-  // server, instead of a misparse or a crash.
-  const auto health = v2.session_health(3);
-  ASSERT_FALSE(health);
-  EXPECT_EQ(health.error(), HostStatus::kUnknownCommand);
-  const auto snap = v2.metrics();
-  ASSERT_FALSE(snap);
-  EXPECT_EQ(snap.error(), HostStatus::kUnknownCommand);
-  const auto dump = v2.dump_flight_recorder(3);
-  ASSERT_FALSE(dump);
-  EXPECT_EQ(dump.error(), HostStatus::kUnknownCommand);
-
-  // Capability discovery advertises the surface to clients that speak v4.
-  const auto caps = v4.capabilities();
-  ASSERT_TRUE(caps);
-  EXPECT_TRUE(*caps & kCapTelemetry);
 }
 
 TEST(FleetTelemetry, TelemetryDoesNotPerturbSessionDigests) {

@@ -1,6 +1,6 @@
-// Frame pool: lazy warm-up, recycling, exhaustion backpressure, shutdown
-// while blocked, and handle lifetime (run under ASan/TSan in the ci.sh
-// matrix — handle misuse shows up there).
+// Frame pool: lazy and eager warm-up, recycling, exhaustion backpressure,
+// shutdown while blocked, and handle lifetime (run under ASan/TSan in the
+// ci.sh matrix — handle misuse shows up there).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -45,6 +45,30 @@ TEST(FramePool, RecyclingIsAllocationFree) {
   EXPECT_EQ(stats.allocations, 1u);  // only the first acquire created one
   EXPECT_EQ(stats.hits, 100u);
   EXPECT_EQ(stats.exhaustion_stalls, 0u);
+}
+
+TEST(FramePool, MaterializeCreatesAndShapesTheRest) {
+  FramePool<std::vector<double>> pool(3);
+  { auto warm = pool.acquire(); }  // one object already exists
+  int shaped = 0;
+  const auto shape = [&shaped](std::vector<double>& v) {
+    v.assign(64, 0.0);
+    ++shaped;
+  };
+  pool.materialize(shape);
+  EXPECT_EQ(shaped, 2);  // only the two not yet created
+  EXPECT_EQ(pool.stats().allocations, 3u);
+  pool.materialize(shape);  // a full pool is left alone
+  EXPECT_EQ(shaped, 2);
+
+  std::vector<FramePool<std::vector<double>>::Handle> held;
+  for (int i = 0; i < 3; ++i) held.push_back(pool.acquire());
+  const auto stats = pool.stats();
+  EXPECT_EQ(stats.allocations, 3u);
+  EXPECT_EQ(stats.hits, 3u);  // every handout came off the free list
+  int sized = 0;
+  for (const auto& h : held) sized += h->size() == 64u ? 1 : 0;
+  EXPECT_EQ(sized, 2);  // the lazily created one was never shaped
 }
 
 TEST(FramePool, TryAcquireFailsWhenExhausted) {

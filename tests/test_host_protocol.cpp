@@ -1,7 +1,7 @@
-// Wire protocol + dispatcher: frame encode/decode round trips, version
-// negotiation in both directions (old client/new server and new client/
-// old-style conversation), malformed-frame rejection (truncated header,
-// bad CRC, unknown command, oversized payload) and payload-schema bounds.
+// Wire protocol + dispatcher: frame encode/decode round trips, the one
+// protocol version (any other version byte is refused), malformed-frame
+// rejection (truncated header, bad CRC, unknown command, oversized
+// payload) and payload-schema bounds.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,7 +20,7 @@ using snapshot::StateReader;
 using snapshot::StateWriter;
 
 FrameHeader request_header(HostCommand cmd, std::uint16_t seq = 1,
-                           std::uint8_t version = kProtocolVersionCurrent) {
+                           std::uint8_t version = kProtocolVersion) {
   FrameHeader h;
   h.version = version;
   h.command = cmd;
@@ -44,7 +44,7 @@ TEST(Protocol, EncodeDecodeRoundTrip) {
   ASSERT_EQ(wire.size(), kHeaderSize + sizeof(payload));
 
   const auto frame = must_decode(wire);
-  EXPECT_EQ(frame.header.version, kProtocolVersionCurrent);
+  EXPECT_EQ(frame.header.version, kProtocolVersion);
   EXPECT_EQ(frame.header.command, HostCommand::kPing);
   EXPECT_EQ(frame.header.seq, 0x1234);
   ASSERT_EQ(frame.payload_len, sizeof(payload));
@@ -127,7 +127,7 @@ TEST(Protocol, FullPayloadBuiltBehindHeaderFinalizesAndDecodes) {
                ConfigError);
 }
 
-// --- dispatcher-level negotiation and rejection ---------------------------
+// --- dispatcher-level rejection ---------------------------------------------
 
 class DispatcherTest : public ::testing::Test {
  protected:
@@ -144,74 +144,42 @@ class DispatcherTest : public ::testing::Test {
   std::vector<std::uint8_t> response_;
 };
 
-TEST_F(DispatcherTest, NewClientOldServerNegotiation) {
-  // A client speaking a future version gets kBadVersion plus the server's
-  // window [min, current] so it can downgrade — the response is framed in
-  // the highest version the server speaks, never the client's.
-  FrameHeader h = request_header(HostCommand::kPing, 9,
-                                 kProtocolVersionCurrent + 1);
-  EXPECT_EQ(send(h), HostStatus::kBadVersion);
-  const auto frame = response_frame();
-  EXPECT_EQ(frame.header.status, HostStatus::kBadVersion);
-  EXPECT_EQ(frame.header.version, kProtocolVersionCurrent);
-  EXPECT_EQ(frame.header.seq, 9);
-  ASSERT_EQ(frame.payload_len, 2u);
-  EXPECT_EQ(frame.payload[0], kProtocolVersionMin);
-  EXPECT_EQ(frame.payload[1], kProtocolVersionCurrent);
-}
-
-TEST_F(DispatcherTest, OldClientNewServerSpeaksOldVersion) {
-  // A v1 client stays fully served: the server answers in v1.
-  EXPECT_EQ(send(request_header(HostCommand::kGetProtocolInfo, 3,
-                                kProtocolVersionMin)),
-            HostStatus::kOk);
-  const auto frame = response_frame();
-  EXPECT_EQ(frame.header.version, kProtocolVersionMin);
-  StateReader r(frame.payload, frame.payload_len);
-  EXPECT_EQ(r.u8(), kProtocolVersionMin);
-  EXPECT_EQ(r.u8(), kProtocolVersionCurrent);
-}
-
-TEST_F(DispatcherTest, V2CommandUnknownToV1Conversation) {
-  // kServerStats was introduced at v2: a v1 request gets exactly what a
-  // v1-era server would have said — unknown command.
-  EXPECT_EQ(send(request_header(HostCommand::kServerStats, 4,
-                                kProtocolVersionMin)),
-            HostStatus::kUnknownCommand);
-  EXPECT_EQ(send(request_header(HostCommand::kServerStats, 5,
-                                kProtocolVersionCurrent)),
-            HostStatus::kOk);
-}
-
-TEST_F(DispatcherTest, V4TelemetryCommandsUnknownToOlderConversations) {
-  // The telemetry surface arrived at v4: a v3 (or older) conversation gets
-  // exactly what a v3-era server would have said — unknown command — so an
-  // old client degrades gracefully instead of misparsing a new payload.
-  const std::vector<std::uint8_t> session_id{1, 2, 3, 4};
-  const std::vector<std::uint8_t> metrics_req{0, 0, 0, 0, 0xff, 0xff};
-  for (const std::uint8_t version : {std::uint8_t{2}, std::uint8_t{3}}) {
-    EXPECT_EQ(send(request_header(HostCommand::kGetSessionHealth, 20,
-                                  version),
-                   session_id),
-              HostStatus::kUnknownCommand);
-    EXPECT_EQ(send(request_header(HostCommand::kGetMetrics, 21, version),
-                   metrics_req),
-              HostStatus::kUnknownCommand);
-    EXPECT_EQ(send(request_header(HostCommand::kDumpFlightRecorder, 22,
-                                  version),
-                   session_id),
-              HostStatus::kUnknownCommand);
+TEST_F(DispatcherTest, ForeignVersionRefusedWithoutPayload) {
+  // The server speaks one version. Any other version byte, older or
+  // newer, gets kBadVersion with no payload; the reply header's version
+  // byte names the version the server speaks.
+  for (const std::uint8_t version :
+       {std::uint8_t{0}, std::uint8_t{1}, std::uint8_t{2}, std::uint8_t{3},
+        std::uint8_t{kProtocolVersion + 1}, std::uint8_t{0xff}}) {
+    EXPECT_EQ(send(request_header(HostCommand::kPing, 9, version)),
+              HostStatus::kBadVersion);
+    const auto frame = response_frame();
+    EXPECT_EQ(frame.header.status, HostStatus::kBadVersion);
+    EXPECT_EQ(frame.header.version, kProtocolVersion);
+    EXPECT_EQ(frame.header.seq, 9);
+    EXPECT_EQ(frame.payload_len, 0u);
   }
-  // At v4 the same frames pass the version gate (and fail later for
-  // reasons of their own — no session, telemetry disabled).
-  EXPECT_EQ(send(request_header(HostCommand::kGetSessionHealth, 23),
-                 session_id),
-            HostStatus::kNoSuchSession);
-  EXPECT_EQ(send(request_header(HostCommand::kGetMetrics, 24), metrics_req),
+}
+
+TEST_F(DispatcherTest, CreateRequiresThePresetByte) {
+  // [id u32, kind u8, rows u16, cols u16, seed u64, pool u16, ring u16,
+  // preset u8] = 22 bytes; the 21-byte form without the preset is refused.
+  std::vector<std::uint8_t> create;
+  StateWriter w(create);
+  w.u32(1);
+  w.u8(0);  // neuro
+  w.u16(8);
+  w.u16(8);
+  w.u64(7);
+  w.u16(4);
+  w.u16(8);
+  const std::vector<std::uint8_t> no_preset = create;
+  w.u8(0);
+  ASSERT_EQ(create.size(), 22u);
+  EXPECT_EQ(send(request_header(HostCommand::kCreateSession, 1), no_preset),
+            HostStatus::kBadPayload);
+  EXPECT_EQ(send(request_header(HostCommand::kCreateSession, 2), create),
             HostStatus::kOk);
-  EXPECT_EQ(send(request_header(HostCommand::kDumpFlightRecorder, 25),
-                 session_id),
-            HostStatus::kNoSuchSession);
 }
 
 TEST_F(DispatcherTest, UnknownCommandId) {
@@ -281,11 +249,11 @@ TEST_F(DispatcherTest, DiscoveryReportsCapabilitiesAndCommandCount) {
             HostStatus::kOk);
   frame = response_frame();
   StateReader info(frame.payload, frame.payload_len);
-  EXPECT_EQ(info.u8(), kProtocolVersionMin);
-  EXPECT_EQ(info.u8(), kProtocolVersionCurrent);
+  EXPECT_EQ(info.u8(), kProtocolVersion);
   EXPECT_EQ(info.u8(), kHeaderSize);
   EXPECT_EQ(info.u16(), kMaxPayload);
   EXPECT_EQ(info.u16(), server_.dispatcher().commands().size());
+  EXPECT_TRUE(info.exhausted());
 }
 
 }  // namespace

@@ -11,6 +11,44 @@
 namespace biosense::neurochip {
 namespace {
 
+/// `volts` on pixel (row, col), 0 V everywhere else.
+class OnePixelSource final : public SignalSource {
+ public:
+  OnePixelSource(int row, int col, double volts)
+      : row_(row), col_(col), volts_(volts) {}
+  double eval(int r, int c, double) const override {
+    return (r == row_ && c == col_) ? volts_ : 0.0;
+  }
+
+ private:
+  int row_, col_;
+  double volts_;
+};
+
+/// A 1 mV, 1 kHz sine on pixel (row, col), 0 V everywhere else.
+class OnePixelSine final : public SignalSource {
+ public:
+  OnePixelSine(int row, int col) : row_(row), col_(col) {}
+  double eval(int r, int c, double t) const override {
+    return (r == row_ && c == col_)
+               ? 1e-3 * std::sin(2.0 * 3.14159265358979 * 1e3 * t)
+               : 0.0;
+  }
+
+ private:
+  int row_, col_;
+};
+
+/// Uniform k mV during frame k of a 2 kframes/s scan. Quantized on the
+/// frame *start* time: the field is sampled mid-frame at t + col*dwell,
+/// so round down.
+class FrameStepSource final : public SignalSource {
+ public:
+  double eval(int, int, double t) const override {
+    return 1e-3 * std::floor(t / 500e-6 + 1e-6);
+  }
+};
+
 NeuroChipConfig tiny_chip(int n = 16) {
   NeuroChipConfig c;
   c.rows = n;
@@ -55,9 +93,8 @@ TEST(NeuroChip, CalibrationImprovesOffsetsByOrderOfMagnitude) {
 TEST(NeuroChip, FrameDifferentialGainNearUnity) {
   NeuroChip chip(tiny_chip(), Rng(3));
   chip.calibrate_all();
-  const auto f0 = chip.capture_frame([](int, int, double) { return 0.0; }, 0.0);
-  const auto f1 =
-      chip.capture_frame([](int, int, double) { return 1e-3; }, 1.0);
+  const auto f0 = chip.capture_frame(ConstantSource(0.0), 0.0);
+  const auto f1 = chip.capture_frame(ConstantSource(1e-3), 1.0);
   RunningStats diff;
   for (std::size_t i = 0; i < f0.v_in.size(); ++i) {
     diff.add(f1.v_in[i] - f0.v_in[i]);
@@ -68,11 +105,8 @@ TEST(NeuroChip, FrameDifferentialGainNearUnity) {
 TEST(NeuroChip, FrameLocalizesSignalToDrivenPixel) {
   NeuroChip chip(tiny_chip(), Rng(4));
   chip.calibrate_all();
-  auto field = [](int r, int c, double) {
-    return (r == 3 && c == 5) ? 2e-3 : 0.0;
-  };
-  const auto f0 = chip.capture_frame([](int, int, double) { return 0.0; }, 0.0);
-  const auto f = chip.capture_frame(field, 1.0);
+  const auto f0 = chip.capture_frame(ConstantSource(0.0), 0.0);
+  const auto f = chip.capture_frame(OnePixelSource(3, 5, 2e-3), 1.0);
   EXPECT_NEAR(f.at(3, 5) - f0.at(3, 5), 2e-3, 0.4e-3);
   // Neighbours see (almost) nothing.
   EXPECT_LT(std::abs(f.at(3, 6) - f0.at(3, 6)), 0.3e-3);
@@ -85,7 +119,7 @@ TEST(NeuroChip, UncalibratedChipSaturates) {
   NeuroChipConfig cfg = tiny_chip();
   NeuroChip chip(cfg, Rng(5));
   chip.decalibrate_all();
-  const auto f = chip.capture_frame([](int, int, double) { return 0.0; }, 0.0);
+  const auto f = chip.capture_frame(ConstantSource(0.0), 0.0);
   const auto full_code =
       static_cast<std::int32_t>(1 << (cfg.adc.bits - 1)) - 1;
   int clipped = 0;
@@ -99,7 +133,7 @@ TEST(NeuroChip, AdcQuantizesToLsb) {
   NeuroChipConfig cfg = tiny_chip();
   NeuroChip chip(cfg, Rng(6));
   chip.calibrate_all();
-  const auto f = chip.capture_frame([](int, int, double) { return 0.5e-3; }, 0.0);
+  const auto f = chip.capture_frame(ConstantSource(0.5e-3), 0.0);
   // Reconstruction uses code * lsb / conv_gain: verify consistency.
   const double lsb =
       (2.0 * cfg.adc.full_scale).value() / (1 << cfg.adc.bits);
@@ -112,8 +146,7 @@ TEST(NeuroChip, AdcQuantizesToLsb) {
 TEST(NeuroChip, RecordProducesRequestedFrames) {
   NeuroChip chip(tiny_chip(8), Rng(7));
   chip.calibrate_all();
-  const auto frames =
-      chip.record([](int, int, double) { return 0.0; }, 0.0, 5);
+  const auto frames = chip.record(ConstantSource(0.0), 0.0, 5);
   ASSERT_EQ(frames.size(), 5u);
   for (int k = 0; k < 5; ++k) {
     EXPECT_NEAR(frames[static_cast<std::size_t>(k)].t, k * 500e-6, 1e-12);
@@ -128,7 +161,7 @@ TEST(NeuroChip, PeriodicRecalibrationCountersDroop) {
   chip.calibrate_all();
   // Run 100 frames = 50 ms; recalibration every 10 ms bounds the offset.
   for (int k = 0; k < 100; ++k) {
-    chip.capture_frame([](int, int, double) { return 0.0; }, k * 500e-6);
+    chip.capture_frame(ConstantSource(0.0), k * 500e-6);
   }
   const auto [mean_off, max_off] = chip.offset_stats();
   const double droop_rate =
@@ -142,13 +175,8 @@ TEST(NeuroChip, TimeMultiplexedSignalRoundtrip) {
   // Time-varying field: frame k sees k mV; reconstruction tracks it.
   NeuroChip chip(tiny_chip(8), Rng(9));
   chip.calibrate_all();
-  // Constant within each frame: quantize on the frame *start* time (the
-  // field is sampled mid-frame at t + col*dwell, so round down).
-  auto field = [](int, int, double t) {
-    return 1e-3 * std::floor(t / 500e-6 + 1e-6);
-  };
-  const auto f0 = chip.capture_frame([](int, int, double) { return 0.0; }, 0.0);
-  const auto frames = chip.record(field, 0.0, 3);
+  const auto f0 = chip.capture_frame(ConstantSource(0.0), 0.0);
+  const auto frames = chip.record(FrameStepSource(), 0.0, 3);
   for (std::size_t k = 1; k < frames.size(); ++k) {
     RunningStats d;
     for (std::size_t i = 0; i < frames[k].v_in.size(); ++i) {
@@ -177,14 +205,9 @@ TEST(NeuroChip, HighRateSinglePixelMode) {
   chip.calibrate_all();
   const double fs =
       (chip.config().frame_rate * chip.config().cols).value();
-  // 1 kHz sine, 1 mV amplitude on the target pixel.
-  auto field = [fs](int r, int c, double t) {
-    return (r == 5 && c == 7)
-               ? 1e-3 * std::sin(2.0 * 3.14159265358979 * 1e3 * t)
-               : 0.0;
-  };
   const int n = static_cast<int>(fs * 20e-3);  // 20 ms
-  const auto trace = chip.capture_pixel_highrate(5, 7, field, 0.0, n);
+  const auto trace =
+      chip.capture_pixel_highrate(5, 7, OnePixelSine(5, 7), 0.0, n);
   ASSERT_EQ(trace.size(), static_cast<std::size_t>(n));
   // Peak-to-peak ~ 2 mV after the (settled) chain.
   double mn = 1e9, mx = -1e9;
@@ -207,8 +230,7 @@ TEST(NeuroChip, HighRateSinglePixelMode) {
 TEST(NeuroChip, HighRateModeRejectsBadPixel) {
   NeuroChip chip(tiny_chip(8), Rng(11));
   EXPECT_THROW(
-      chip.capture_pixel_highrate(9, 0, [](int, int, double) { return 0.0; },
-                                  0.0, 10),
+      chip.capture_pixel_highrate(9, 0, ConstantSource(0.0), 0.0, 10),
       ConfigError);
 }
 

@@ -3,12 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
-#include "common/units.hpp"
 #include "dsp/fft.hpp"
+#include "snapshot/state_io.hpp"
 
 namespace biosense::noise {
 namespace {
@@ -27,18 +28,6 @@ TEST(WhiteNoise, VarianceMatchesPsdAndStep) {
 
 TEST(WhiteNoise, RejectsNegativePsd) {
   EXPECT_THROW(WhiteNoise(-1.0, Rng(1)), ConfigError);
-}
-
-TEST(NoisePsdFormulas, ThermalShotMosfet) {
-  // Johnson noise of 1 kOhm at 300 K: 4kTR = 1.657e-17 V^2/Hz.
-  EXPECT_NEAR(thermal_voltage_psd(1e3, 300.0), 1.657e-17, 2e-20);
-  // Shot noise of 1 nA: 2qI = 3.204e-28 A^2/Hz.
-  EXPECT_NEAR(shot_current_psd(1e-9), 3.204e-28, 1e-31);
-  EXPECT_DOUBLE_EQ(shot_current_psd(-1e-9), shot_current_psd(1e-9));
-  // MOSFET channel noise: 4kT*gamma*gm.
-  const double gm = 1e-3;
-  EXPECT_NEAR(mosfet_thermal_current_psd(gm, 300.0),
-              4.0 * constants::kBoltzmann * 300.0 * (2.0 / 3.0) * gm, 1e-30);
 }
 
 TEST(FlickerNoise, AnalyticPsdTracksOneOverF) {
@@ -78,42 +67,40 @@ TEST(FlickerNoise, RejectsBadBand) {
   EXPECT_THROW(FlickerNoise(1e-10, 0.0, 1.0, Rng(1)), ConfigError);
 }
 
-TEST(RtsNoise, TwoLevelsAndDutyCycle) {
-  RtsNoise n(2.0, 1e-3, 3e-3, Rng(7));
-  RunningStats s;
-  int high_count = 0;
-  const int steps = 200000;
-  for (int i = 0; i < steps; ++i) {
-    const double v = n.sample(10e-6);
-    EXPECT_TRUE(v == 1.0 || v == -1.0);
-    if (v > 0) ++high_count;
-  }
-  // Stationary duty cycle = t_high / (t_high + t_low) = 0.25.
-  EXPECT_NEAR(high_count / static_cast<double>(steps), 0.25, 0.03);
-}
-
-TEST(RtsNoise, RejectsNonPositiveDwell) {
-  EXPECT_THROW(RtsNoise(1.0, 0.0, 1.0, Rng(1)), ConfigError);
-}
-
-TEST(CompositeNoise, AnalyticRmsCombines) {
-  CompositeNoise c;
-  c.add_white(1e-16, Rng(1));
-  c.add_flicker(1e-12, 1.0, 1e5, Rng(2));
-  const double f_lo = 10.0, f_hi = 1e4;
-  const double expected = std::sqrt(1e-16 * (f_hi - f_lo) +
-                                    1e-12 * std::log(f_hi / f_lo));
-  EXPECT_NEAR(c.analytic_rms(f_lo, f_hi), expected, 1e-12);
-}
-
 TEST(CompositeNoise, SampleSumsSources) {
+  // The composite draws each source in wiring order, so it equals the sum
+  // of the same sources stepped on their own.
   CompositeNoise c;
   c.add_white(1e-16, Rng(3));
-  c.add_rts(1e-3, 1e-3, 1e-3, Rng(4));
-  RunningStats s;
-  for (int i = 0; i < 50000; ++i) s.add(c.sample(1e-5));
-  // Variance at least the RTS plateau (amplitude/2)^2 = 2.5e-7.
-  EXPECT_GT(s.variance(), 2e-7);
+  c.add_flicker(1e-12, 1.0, 1e5, Rng(4));
+  WhiteNoise w(1e-16, Rng(3));
+  FlickerNoise f(1e-12, 1.0, 1e5, Rng(4));
+  for (int i = 0; i < 1000; ++i) {
+    const double expected = w.sample(1e-5) + f.sample(1e-5);
+    ASSERT_EQ(c.sample(1e-5), expected) << "step " << i;
+  }
+}
+
+TEST(CompositeNoise, SnapshotKeepsTheEmptyRtsSlot) {
+  // Layout: white count, white streams, flicker count, flicker states, and
+  // the seed's RTS count, written and checked as 0.
+  CompositeNoise c;
+  c.add_white(1e-16, Rng(5));
+  std::vector<std::uint8_t> buf;
+  snapshot::StateWriter w(buf);
+  c.save_state(w);
+  ASSERT_GE(buf.size(), 4u);
+  EXPECT_EQ(std::vector<std::uint8_t>(buf.end() - 4, buf.end()),
+            (std::vector<std::uint8_t>{0, 0, 0, 0}));
+  {
+    snapshot::StateReader r(buf.data(), buf.size());
+    c.load_state(r);
+    EXPECT_TRUE(r.ok());
+  }
+  buf[buf.size() - 4] = 1;  // a stale RTS source cannot restore
+  snapshot::StateReader r(buf.data(), buf.size());
+  c.load_state(r);
+  EXPECT_FALSE(r.ok());
 }
 
 }  // namespace

@@ -28,6 +28,14 @@ std::uint64_t hash_frames(const std::vector<neurochip::NeuroFrame>& frames) {
   return h;
 }
 
+/// A 1 mV travelling sine, evaluated pixel by pixel.
+class SineField final : public neurochip::SignalSource {
+ public:
+  double eval(int r, int c, double t) const override {
+    return 1e-3 * std::sin(6283.0 * t + 0.13 * c + 0.07 * r);
+  }
+};
+
 std::uint64_t capture_hash(int threads) {
   set_max_threads(threads);
   neurochip::NeuroChipConfig cfg;
@@ -35,11 +43,7 @@ std::uint64_t capture_hash(int threads) {
   cfg.cols = 16;
   neurochip::NeuroChip chip(cfg, Rng(777));
   chip.calibrate_all();
-  const auto frames = chip.record(
-      [](int r, int c, double t) {
-        return 1e-3 * std::sin(6283.0 * t + 0.13 * c + 0.07 * r);
-      },
-      0.0, 6);
+  const auto frames = chip.record(SineField(), 0.0, 6);
   return hash_frames(frames);
 }
 
@@ -79,11 +83,7 @@ TEST(ObsDeterminism, StreamingSessionIsBitwiseIdenticalAcrossThreadCounts) {
     core::SessionConfig session_cfg;
     session_cfg.bit_error_rate = 1e-4;  // exercise the retry path too
     core::ChipSession session(chip, session_cfg, Rng(99));
-    const auto frames = session.record(
-        neurochip::SignalField([](int r, int c, double t) {
-          return 1e-3 * std::sin(6283.0 * t + 0.13 * c + 0.07 * r);
-        }),
-        0.0, 6);
+    const auto frames = session.record(SineField(), 0.0, 6);
     return hash_frames(frames);
   };
 

@@ -128,40 +128,6 @@ TEST_F(ParallelTest, NeuroFramesBitwiseIdenticalAcrossThreadCounts) {
   expect_bitwise_equal(f1, f8);
 }
 
-TEST_F(ParallelTest, FieldAdapterMatchesBatchedSourceBitwise) {
-  set_max_threads(4);
-  auto lambda = [](int row, int col, double t) {
-    return 1e-3 * std::sin(2000.0 * t + 0.1 * row + 0.2 * col);
-  };
-
-  neurochip::NeuroChip chip_a(noisy_chip(), Rng(77));
-  chip_a.calibrate_all();
-  // Legacy path: per-pixel std::function through the FieldSource adapter.
-  const auto frames_a = chip_a.record(neurochip::SignalField(lambda), 0.0, 3);
-
-  neurochip::NeuroChip chip_b(noisy_chip(), Rng(77));
-  chip_b.calibrate_all();
-  SineSource source;  // same math, batched interface
-  const auto frames_b = chip_b.record(source, 0.0, 3);
-
-  expect_bitwise_equal(frames_a, frames_b);
-}
-
-TEST_F(ParallelTest, HighRateModeAcceptsBothInterfaces) {
-  set_max_threads(2);
-  neurochip::NeuroChip chip_a(noisy_chip(8), Rng(5));
-  chip_a.calibrate_all();
-  neurochip::NeuroChip chip_b(noisy_chip(8), Rng(5));
-  chip_b.calibrate_all();
-
-  neurochip::ConstantSource half_mv(0.5e-3);
-  const auto a = chip_a.capture_pixel_highrate(2, 3, half_mv, 0.0, 64);
-  const auto b = chip_b.capture_pixel_highrate(
-      2, 3, [](int, int, double) { return 0.5e-3; }, 0.0, 64);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
-}
-
 TEST_F(ParallelTest, DnaChipCountsIdenticalAcrossThreadCounts) {
   auto run = [](int threads) {
     set_max_threads(threads);

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
+#include "dsp/fft.hpp"
 
 namespace biosense::neurochip {
 namespace {
@@ -177,6 +179,78 @@ TEST(Pixel, NoiseDrawRequiresPositiveDt) {
   const double a = px.read_current(0, 1e-3, 1e-6);
   const double b = px.read_current(0, 1e-3, 1e-6);
   EXPECT_NE(a, b);
+}
+
+// --- S1 charge injection --------------------------------------------------
+
+TEST(Pixel, SwitchPedestalIsNegativeElectronCharge) {
+  // With neither dummy-switch compensation nor random spread, opening S1
+  // dumps the nominal fraction of the channel's electrons onto the storage
+  // cap: a pedestal of -Q_ch * f / C_store.
+  PixelParams p = quiet_pixel();
+  p.s1.compensation = 0.0;
+  p.s1.injection_sigma = 0.0;
+  auto ms = sampler(51);
+  Rng rng(16);
+  auto px = one_pixel(p, ms, rng);
+  px.calibrate(0);
+  const double pedestal = -p.s1.channel_charge * p.s1.injection_fraction /
+                          p.store_cap.value();
+  EXPECT_LT(px.input_referred_offset(0), 0.0);
+  EXPECT_NEAR(px.input_referred_offset(0), pedestal, 1e-12);
+}
+
+TEST(Pixel, CompensationCancelsNominalPedestalNotItsSpread) {
+  // A perfect dummy switch cancels the nominal charge; the random part
+  // remains, spread sigma * Q_ch * f / C_store across the bank.
+  PixelParams p = quiet_pixel();
+  p.s1.compensation = 1.0;
+  p.s1.injection_sigma = 0.1;
+  auto ms = sampler(52);
+  Rng rng(17);
+  PixelBank bank;
+  bank.build(p, 64, 64, ms, rng);
+  RunningStats offsets;
+  for (std::size_t i = 0; i < bank.size(); ++i) {
+    bank.calibrate(i);
+    offsets.add(bank.input_referred_offset(i));
+  }
+  const double nominal =
+      p.s1.channel_charge * p.s1.injection_fraction / p.store_cap.value();
+  EXPECT_NEAR(offsets.mean(), 0.0, 0.05 * nominal);
+  EXPECT_NEAR(offsets.stddev(), 0.1 * nominal, 0.01 * nominal);
+}
+
+// --- Flicker noise ----------------------------------------------------------
+
+TEST(Pixel, FlickerNoiseHasOneOverFSlope) {
+  // The bank's strided 1/f synthesis, read through M1 and referred back
+  // to the gate: fit the Welch PSD's log-log slope over two decades. White
+  // noise is off so the fit sees the flicker poles alone.
+  const double fs = 100e3;
+  PixelParams p = quiet_pixel();
+  p.noise_flicker_kf = PixelParams{}.noise_flicker_kf;
+  auto ms = sampler(53);
+  Rng rng(18);
+  auto px = one_pixel(p, ms, rng);
+  px.calibrate(0);
+  const double gm = px.gm(0);
+  std::vector<double> sig;
+  sig.reserve(1 << 18);
+  for (int i = 0; i < (1 << 18); ++i) {
+    sig.push_back((px.read_current(0, 0.0, 1.0 / fs) - px.quiet_current(0)) /
+                  gm);
+  }
+  const auto est = dsp::welch_psd(sig, fs, 4096);
+
+  std::vector<double> logf, logp;
+  for (std::size_t k = 0; k < est.freq.size(); ++k) {
+    if (est.freq[k] < 50.0 || est.freq[k] > 5000.0) continue;
+    logf.push_back(std::log10(est.freq[k]));
+    logp.push_back(std::log10(est.psd[k]));
+  }
+  const auto fit = linear_fit(logf, logp);
+  EXPECT_NEAR(fit.slope, -1.0, 0.15);
 }
 
 TEST(Pixel, RejectsInvalidConfig) {

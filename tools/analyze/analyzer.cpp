@@ -74,8 +74,7 @@ std::vector<std::pair<std::string, std::string>> rule_catalogue() {
        "a class defining one of save_state/load_state defines the other"},
       {"proto-schema",
        "every HostCommand enumerator has exactly one dispatcher schema "
-       "entry with min_version inside [kProtocolVersionMin, "
-       "kProtocolVersionCurrent]; no duplicate command values"},
+       "entry; no duplicate command values"},
       {"proto-caps",
        "every kCap* capability bit is referenced by the server"},
       {"proto-names",

@@ -88,9 +88,8 @@ bool in_typed_header_scope(const std::string& path) {
                                       "src/neurochip/", "src/circuit/",
                                       "src/noise/"};
   static const char* const kFiles[] = {
-      "src/dna/electrochemistry.hpp", "src/dna/electrode.hpp",
-      "src/dna/labelfree.hpp", "src/core/dna_workbench.hpp",
-      "src/core/neural_workbench.hpp"};
+      "src/dna/electrochemistry.hpp", "src/dna/labelfree.hpp",
+      "src/core/dna_workbench.hpp", "src/core/neural_workbench.hpp"};
   if (!is_header(path)) return false;
   for (const char* d : kDirs) {
     if (path_starts_with(path, d)) return true;

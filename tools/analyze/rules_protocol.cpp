@@ -7,9 +7,7 @@
 // whole-program:
 //
 //   proto-schema  every HostCommand enumerator has exactly one schema
-//                 entry; entry min_version lies in [kProtocolVersionMin,
-//                 kProtocolVersionCurrent]; no two enumerators share a
-//                 wire value.
+//                 entry; no two enumerators share a wire value.
 //   proto-caps    every kCap* bit declared in src/host/ is referenced
 //                 by server code (an unreferenced bit is either dead or
 //                 — worse — silently unimplemented advertised surface).
@@ -46,11 +44,10 @@ EnumSite find_enum(const Tree& tree, const std::string& name) {
 struct SchemaEntry {
   std::string enumerator;
   int line = 0;
-  std::optional<std::int64_t> min_version;
 };
 
-/// Schema entries = `HostCommand::kX, <int>` occurrences inside the
-/// body of register_handlers.
+/// Schema entries = `HostCommand::kX` occurrences inside the body of
+/// register_handlers.
 std::vector<SchemaEntry> collect_entries(const Tree& tree,
                                          const AnalyzedFile** where) {
   for (const AnalyzedFile& file : tree) {
@@ -69,30 +66,11 @@ std::vector<SchemaEntry> collect_entries(const Tree& tree,
           tokens[i + 2].kind != TokenKind::kIdentifier) {
         continue;
       }
-      SchemaEntry entry;
-      entry.enumerator = tokens[i + 2].text;
-      entry.line = tokens[i + 2].line;
-      if (i + 4 < body.end && tokens[i + 3].text == "," &&
-          tokens[i + 4].kind == TokenKind::kNumber) {
-        char* end = nullptr;
-        entry.min_version = std::strtoll(tokens[i + 4].text.c_str(), &end, 0);
-      }
-      entries.push_back(std::move(entry));
+      entries.push_back(SchemaEntry{tokens[i + 2].text, tokens[i + 2].line});
     }
     return entries;
   }
   return {};
-}
-
-std::optional<std::int64_t> find_const(const Tree& tree,
-                                       const std::string& name) {
-  for (const AnalyzedFile& file : tree) {
-    if (!path_starts_with(file.src.path, "src/host/")) continue;
-    for (const ConstInt& c : file.facts.const_ints) {
-      if (c.name == name) return c.value;
-    }
-  }
-  return std::nullopt;
 }
 
 void check_name_coverage(const Tree& tree, const EnumSite& site,
@@ -180,27 +158,6 @@ void rule_protocol(const Tree& tree, Findings& out) {
           "command '" + e.name +
               "' has no dispatcher schema entry in register_handlers()"});
     }
-  }
-
-  const auto vmin = find_const(tree, "kProtocolVersionMin");
-  const auto vcur = find_const(tree, "kProtocolVersionCurrent");
-  if (vmin && vcur) {
-    for (const SchemaEntry& entry : entries) {
-      if (!entry.min_version) continue;
-      if (*entry.min_version < *vmin || *entry.min_version > *vcur) {
-        out.push_back(Finding{
-            table_file->src.path, entry.line, "proto-schema",
-            "schema entry for '" + entry.enumerator + "' declares "
-                "min_version " + std::to_string(*entry.min_version) +
-                " outside [kProtocolVersionMin=" + std::to_string(*vmin) +
-                ", kProtocolVersionCurrent=" + std::to_string(*vcur) + "]"});
-      }
-    }
-  } else {
-    out.push_back(Finding{
-        commands.file->src.path, commands.decl->line, "proto-schema",
-        "kProtocolVersionMin/kProtocolVersionCurrent not found as integer "
-        "constants under src/host/; cannot validate the version window"});
   }
 
   // --- proto-caps ------------------------------------------------------------

@@ -11,7 +11,7 @@
 //   * enums (scoped or not) with enumerator names, values and lines;
 //   * namespace-scope integer constants (`inline constexpr T kFoo = N;`)
 //     with small-expression evaluation (literals and `a << b`), enough
-//     for protocol version windows and capability bit masks;
+//     for capability bit masks;
 //   * macro-style instrument calls (`BIOSENSE_COUNT("name", ...)`).
 //
 // The scanner is heuristic by design — it does not build an AST, it
