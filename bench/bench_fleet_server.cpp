@@ -705,7 +705,7 @@ int main(int argc, char** argv) {
     std::cout << "\nartifact: " << json_path << "\n";
   }
 
-  // Fetch the process registry back over the wire (v4 kGetMetrics,
+  // Fetch the process registry back over the wire (kGetMetrics,
   // chunked) and render the decoded snapshot — the same bytes a live
   // monitor would see, and the artifact tools/obs_report.py consumes.
   {

@@ -6,14 +6,14 @@
 # -fno-sanitize-recover=all so any report is a hard test failure).
 #
 # All configurations build with BIOSENSE_WERROR=ON: a warning anywhere in
-# the tree fails CI. After the sanitizer matrix four gates run: the
-# bench-regression gate (reruns the key benches and diffs their JSON
-# artifacts against bench/baselines/ via tools/bench_check.py), a run of
-# every example, clang-tidy (if installed — skipped with a note otherwise)
-# and the repo-invariant analyzer (biosense-analyze, DESIGN.md §14). Each
-# configuration also builds biosense-analyze first and runs it before the
-# full build, so an invariant break fails fast instead of after a long
-# sanitizer compile.
+# the tree fails CI. After the sanitizer matrix four gates run: a run of
+# every example, the bench-regression gate (reruns the key benches and
+# diffs their JSON artifacts against bench/baselines/ via
+# tools/bench_check.py), clang-tidy (if installed — skipped with a note
+# otherwise) and the repo-invariant analyzer (biosense-analyze, DESIGN.md
+# §14). Each configuration also builds biosense-analyze first and runs it
+# before the full build, so an invariant break fails fast instead of after
+# a long sanitizer compile.
 #
 # Usage: ./ci.sh [extra ctest args...]
 set -euo pipefail
@@ -49,6 +49,14 @@ run_config asan address ON "$@"
 run_config tsan thread ON "$@"
 run_config ubsan undefined OFF "$@"
 
+# The examples are the user-facing API surface: each must run to completion
+# (a non-zero exit fails CI). They write no artifacts.
+echo "=== [examples] every example runs end to end ==="
+for example in quickstart dna_assay drug_screening neural_recording \
+               neural_stimulation network_activity tissue_wave; do
+  "build-ci-default/examples/${example}" >/dev/null
+done
+
 echo "=== [bench-gate] bench artifacts vs committed baselines ==="
 if command -v python3 >/dev/null 2>&1; then
   BENCH_SCRATCH="$(mktemp -d)"
@@ -79,20 +87,12 @@ if command -v python3 >/dev/null 2>&1; then
   python3 tools/bench_check.py --results-dir "${BENCH_SCRATCH}"
   # Smoke the first-party report tool over the fresh artifacts: run
   # manifests plus the wire-decoded metrics snapshot the fleet bench
-  # fetched via the v4 kGetMetrics command.
+  # fetched via the kGetMetrics command.
   python3 tools/obs_report.py --results-dir "${BENCH_SCRATCH}" \
     --metrics "${BENCH_SCRATCH}/bench_fleet_server.metrics.json" >/dev/null
 else
   echo "python3 not installed; skipping bench gate (tools/bench_check.py)"
 fi
-
-# The examples are the user-facing API surface: each must run to completion
-# (a non-zero exit fails CI). They write no artifacts.
-echo "=== [examples] every example runs end to end ==="
-for example in quickstart dna_assay drug_screening neural_recording \
-               neural_stimulation network_activity tissue_wave; do
-  "build-ci-default/examples/${example}" >/dev/null
-done
 
 echo "=== [clang-tidy] static analysis ==="
 if command -v clang-tidy >/dev/null 2>&1; then

@@ -220,8 +220,12 @@ TEST_F(DispatcherTest, PayloadSchemaBoundsEnforced) {
                  {1, 2, 3, 4, 5}),
             HostStatus::kBadPayload);
   // Well-formed but unknown session: the schema passes, the lookup fails.
-  EXPECT_EQ(send(request_header(HostCommand::kQuerySession), {1, 2, 3, 4}),
-            HostStatus::kNoSuchSession);
+  for (const HostCommand cmd :
+       {HostCommand::kQuerySession, HostCommand::kGetSessionHealth,
+        HostCommand::kDumpFlightRecorder}) {
+    EXPECT_EQ(send(request_header(cmd), {1, 2, 3, 4}),
+              HostStatus::kNoSuchSession);
+  }
 }
 
 TEST_F(DispatcherTest, TypedErrorResponsesCarryNoPartialPayload) {

@@ -11,7 +11,7 @@ CI bench scratch dir):
   * a decoded metrics snapshot (``--metrics FILE``) in the registry JSON
     shape ``{"counters": {...}, "gauges": {...}, "histograms": {...}}`` —
     e.g. ``bench_fleet_server.metrics.json``, which the fleet bench
-    fetches over the wire via the v4 kGetMetrics command, so the report
+    fetches over the wire via the kGetMetrics command, so the report
     shows exactly what a remote monitor sees.
 
 The report has one section per manifest (phase table: wall seconds,
