@@ -6,8 +6,9 @@
 # -fno-sanitize-recover=all so any report is a hard test failure).
 #
 # All configurations build with BIOSENSE_WERROR=ON: a warning anywhere in
-# the tree fails CI. After the sanitizer matrix four gates run: a run of
-# every example, the bench-regression gate (reruns the key benches and
+# the tree fails CI. After the sanitizer matrix five gates run: the golden
+# frames rebuilt for the host ISA, a run of every example, the
+# bench-regression gate (reruns the key benches and
 # diffs their JSON artifacts against bench/baselines/ via
 # tools/bench_check.py), clang-tidy (if installed — skipped with a note
 # otherwise) and the repo-invariant analyzer (biosense-analyze, DESIGN.md
@@ -48,6 +49,16 @@ run_config default "" OFF "$@"
 run_config asan address ON "$@"
 run_config tsan thread ON "$@"
 run_config ubsan undefined OFF "$@"
+
+# The golden contract across instruction sets: test_neuro_golden rebuilt
+# for the host's own ISA (AVX2 / AVX-512 / FMA where present) must match
+# its object model bitwise and reproduce the pinned digest of the baseline
+# x86-64 build (the src/ libraries compile with -ffp-contract=off).
+echo "=== [golden-native] test_neuro_golden built with -march=native ==="
+cmake -B build-ci-native -S . -DCMAKE_CXX_FLAGS=-march=native \
+      -DBIOSENSE_WERROR=ON >/dev/null
+cmake --build build-ci-native -j "${JOBS}" --target test_neuro_golden
+build-ci-native/tests/test_neuro_golden
 
 # The examples are the user-facing API surface: each must run to completion
 # (a non-zero exit fails CI). They write no artifacts.

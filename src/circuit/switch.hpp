@@ -1,14 +1,12 @@
-// Analog MOS switch with on-resistance and charge injection.
+// Analog MOS switch parameters: on-resistance and charge injection.
 //
 // Charge injection is the dominant residual error of the neural pixel's
 // calibration (Fig. 6): when S1 opens after storing the calibration voltage
 // on M1's gate capacitance, half of the switch channel charge
 // Q_ch = W L Cox (V_GS,sw - V_T,sw) lands on the storage node, producing a
 // systematic pedestal plus a device-dependent random part.
+// `neurochip::PixelBank::calibrate` applies it per pixel.
 #pragma once
-
-#include "common/rng.hpp"
-#include "snapshot/state_io.hpp"
 
 namespace biosense::circuit {
 
@@ -22,36 +20,6 @@ struct SwitchParams {
   double compensation = 0.9;
   double injection_sigma = 0.1;     // relative spread of injected charge
   double leak_off = 1e-15;          // off-state leakage, A
-};
-
-class AnalogSwitch {
- public:
-  AnalogSwitch(SwitchParams params, Rng rng);
-
-  void close() { closed_ = true; }
-
-  /// Opens the switch and returns the charge (C, signed) injected into the
-  /// hold node. NMOS switches inject negative (electron) charge.
-  double open();
-
-  bool closed() const { return closed_; }
-  double r_on() const { return params_.r_on; }
-  double leak_off() const { return params_.leak_off; }
-
-  /// Injection-spread draw stream + switch position.
-  void save_state(snapshot::StateWriter& w) const {
-    w.rng(rng_);
-    w.b(closed_);
-  }
-  void load_state(snapshot::StateReader& r) {
-    r.rng(rng_);
-    closed_ = r.b();
-  }
-
- private:
-  SwitchParams params_;  // analyze:transient - frozen config
-  Rng rng_;
-  bool closed_ = false;
 };
 
 }  // namespace biosense::circuit

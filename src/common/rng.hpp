@@ -23,6 +23,14 @@ inline std::uint64_t rotl64(std::uint64_t x, int k) {
 }
 }  // namespace detail
 
+/// The SplitMix64 finalizer: a bijective 64-bit mix. It seeds `Rng` and is
+/// the whole generator of the counter-based pixel noise (noise/counter.hpp).
+inline std::uint64_t mix64(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 /// Complete serialized state of an `Rng` — the four xoshiro256++ words plus
 /// the Box-Muller cache. `restore()`-ing this state reproduces the exact
 /// draw sequence of the saved generator; every snapshot/resume guarantee in

@@ -1,6 +1,8 @@
 #include "core/session_snapshot.hpp"
 
 #include "common/hash.hpp"
+#include "dnachip/chip.hpp"
+#include "neurochip/array.hpp"
 #include "snapshot/state_io.hpp"
 
 namespace biosense::core {
@@ -20,10 +22,8 @@ Result<SessionCheckpointMeta, snapshot::SnapshotError> read_meta(
     const snapshot::SnapshotView& view, ChipKind expected_kind, int rows,
     int cols) {
   using R = Result<SessionCheckpointMeta, snapshot::SnapshotError>;
-  const snapshot::SectionView* section = view.find(snap_section::kMeta);
-  if (section == nullptr) {
-    return R::err(snapshot::SnapshotError::kMissingSection);
-  }
+  const auto section = view.section(snap_section::kMeta, 1);
+  if (!section) return R::err(section.error());
   snapshot::StateReader r(section->payload, section->size);
   const std::uint8_t kind = r.u8();
   const std::uint64_t fingerprint = r.u64();
@@ -41,16 +41,15 @@ Result<SessionCheckpointMeta, snapshot::SnapshotError> read_meta(
   return R::ok(meta);
 }
 
-/// Runs one hook against a required section; kBadPayload unless the hook
-/// consumed the section exactly.
+/// Runs one hook against a required section at the schema version the
+/// hook reads; kBadPayload unless the hook consumed the section exactly.
 template <typename Target>
 Result<void, snapshot::SnapshotError> load_section(
-    const snapshot::SnapshotView& view, std::uint16_t id, Target& target) {
+    const snapshot::SnapshotView& view, std::uint16_t id,
+    std::uint16_t version, Target& target) {
   using R = Result<void, snapshot::SnapshotError>;
-  const snapshot::SectionView* section = view.find(id);
-  if (section == nullptr) {
-    return R::err(snapshot::SnapshotError::kMissingSection);
-  }
+  const auto section = view.section(id, version);
+  if (!section) return R::err(section.error());
   snapshot::StateReader r(section->payload, section->size);
   target.load_state(r);
   if (!r.exhausted()) return R::err(snapshot::SnapshotError::kBadPayload);
@@ -73,7 +72,7 @@ Result<void, snapshot::SnapshotError> maybe_load_fault_section(
   // The section is optional (older checkpoints have none) — a plan cursor
   // only restores when the producer saved one.
   if (view.find(snap_section::kFaults) == nullptr) return R::ok();
-  return load_section(view, snap_section::kFaults, *plan);
+  return load_section(view, snap_section::kFaults, 1, *plan);
 }
 
 }  // namespace
@@ -104,7 +103,8 @@ std::vector<std::uint8_t> checkpoint_neuro(const NeuroSession& session,
     std::vector<std::uint8_t> payload;
     snapshot::StateWriter w(payload);
     session.chip->save_state(w);
-    builder.add_section(snap_section::kChip, 1, payload);
+    builder.add_section(snap_section::kChip, neurochip::kChipStateVersion,
+                        payload);
   }
   {
     std::vector<std::uint8_t> payload;
@@ -131,7 +131,8 @@ std::vector<std::uint8_t> checkpoint_dna(const DnaSession& session,
     std::vector<std::uint8_t> payload;
     snapshot::StateWriter w(payload);
     session.chip->save_state(w);
-    builder.add_section(snap_section::kChip, 1, payload);
+    builder.add_section(snap_section::kChip, dnachip::kChipStateVersion,
+                        payload);
   }
   {
     std::vector<std::uint8_t> payload;
@@ -152,12 +153,13 @@ Result<SessionCheckpointMeta, snapshot::SnapshotError> restore_neuro(
   auto meta = read_meta(*view, ChipKind::kNeuro, session.chip->rows(),
                         session.chip->cols());
   if (!meta) return meta;
-  if (auto chip = load_section(*view, snap_section::kChip, *session.chip);
+  if (auto chip = load_section(*view, snap_section::kChip,
+                               neurochip::kChipStateVersion, *session.chip);
       !chip) {
     return R::err(chip.error());
   }
   if (auto driver =
-          load_section(*view, snap_section::kDriver, *session.session);
+          load_section(*view, snap_section::kDriver, 1, *session.session);
       !driver) {
     return R::err(driver.error());
   }
@@ -176,11 +178,13 @@ Result<SessionCheckpointMeta, snapshot::SnapshotError> restore_dna(
   auto meta = read_meta(*view, ChipKind::kDna, session.chip->rows(),
                         session.chip->cols());
   if (!meta) return meta;
-  if (auto chip = load_section(*view, snap_section::kChip, *session.chip);
+  if (auto chip = load_section(*view, snap_section::kChip,
+                               dnachip::kChipStateVersion, *session.chip);
       !chip) {
     return R::err(chip.error());
   }
-  if (auto driver = load_section(*view, snap_section::kDriver, *session.host);
+  if (auto driver =
+          load_section(*view, snap_section::kDriver, 1, *session.host);
       !driver) {
     return R::err(driver.error());
   }

@@ -57,8 +57,10 @@ std::vector<std::uint8_t> checkpoint_dna(const DnaSession& session,
 /// Restores a checkpoint into a freshly reconstructed session bundle.
 /// Typed failure — never UB, never a partially-applied meta/driver rewind
 /// that the caller cannot detect: kStateMismatch when the checkpoint was
-/// taken from a different session shape, kMissingSection / kBadPayload
-/// when required sections are absent or fail schema validation.
+/// taken from a different session shape, kBadSectionVersion when a section
+/// carries a schema version this reader does not know (checked before its
+/// payload is parsed), kMissingSection / kBadPayload when required
+/// sections are absent or fail schema validation.
 Result<SessionCheckpointMeta, snapshot::SnapshotError> restore_neuro(
     NeuroSession& session, const std::vector<std::uint8_t>& bytes,
     faults::FaultPlan* plan = nullptr);

@@ -60,6 +60,10 @@ struct DnaChipConfig {
   void validate() const;
 };
 
+/// Schema version of DnaChip::save_state's layout, written on the chip
+/// section of every checkpoint; readers refuse other versions.
+inline constexpr std::uint16_t kChipStateVersion = 1;
+
 /// Chip-side model. All analog non-idealities (per-site comparator offsets,
 /// leakage spread, DAC INL, bandgap trim error) are frozen at construction
 /// from the seed, like a fabricated die.

@@ -67,6 +67,12 @@ inline constexpr std::uint16_t kSecRing = 0x0005;      // undelivered records
 inline constexpr std::uint16_t kSecReplay = 0x0006;    // replay cache
 inline constexpr std::uint16_t kSecFlight = 0x0007;    // flight-recorder ring
 
+/// Schema version of a session's chip section: the chip's own layout.
+std::uint16_t chip_state_version(core::ChipKind kind) {
+  return kind == core::ChipKind::kNeuro ? neurochip::kChipStateVersion
+                                        : dnachip::kChipStateVersion;
+}
+
 std::string checkpoint_name(std::uint32_t id) {
   return "s" + std::to_string(id);
 }
@@ -736,7 +742,7 @@ std::vector<std::uint8_t> FleetServer::save_session(const Session& s) const {
     } else {
       s.dna.chip->save_state(w);
     }
-    builder.add_section(kSecChip, 1, payload);
+    builder.add_section(kSecChip, chip_state_version(s.kind), payload);
   }
   if (s.kind == core::ChipKind::kDna) {
     std::vector<std::uint8_t> payload;
@@ -862,8 +868,8 @@ HostStatus FleetServer::cmd_restore(const CommandContext& ctx,
   if (!view) return refuse(HostStatus::kFault);
 
   // Meta: the create parameters the frozen die state is rebuilt from.
-  const snapshot::SectionView* meta = view->find(kSecMeta);
-  if (meta == nullptr) return refuse(HostStatus::kFault);
+  const auto meta = view->section(kSecMeta, 1);
+  if (!meta) return refuse(HostStatus::kFault);
   snapshot::StateReader mr(meta->payload, meta->size);
   const std::uint32_t saved_id = mr.u32();
   const std::uint8_t kind_raw = mr.u8();
@@ -899,9 +905,13 @@ HostStatus FleetServer::cmd_restore(const CommandContext& ctx,
   if (!session) return HostStatus::kFault;
   Session& s = *session;
 
-  const auto load = [&view](std::uint16_t section_id, auto&& fn) {
-    const snapshot::SectionView* section = view->find(section_id);
-    if (section == nullptr) return false;
+  // Every section is checked against the one schema version this reader
+  // knows before a byte of it is parsed: the chip's own layout version for
+  // the chip section, 1 for the others.
+  const auto load = [&view, &s](std::uint16_t section_id, auto&& fn) {
+    const auto section = view->section(
+        section_id, section_id == kSecChip ? chip_state_version(s.kind) : 1);
+    if (!section) return false;
     snapshot::StateReader sr(section->payload, section->size);
     fn(sr);
     return sr.exhausted();
@@ -959,12 +969,10 @@ HostStatus FleetServer::cmd_restore(const CommandContext& ctx,
   // come from a telemetry-off server) but must parse cleanly when present
   // and the restoring server has a recorder to receive it.
   bool flight_ok = true;
-  if (s.flight) {
-    if (const snapshot::SectionView* section = view->find(kSecFlight)) {
-      snapshot::StateReader sr(section->payload, section->size);
+  if (s.flight && view->find(kSecFlight) != nullptr) {
+    flight_ok = load(kSecFlight, [&s](snapshot::StateReader& sr) {
       s.flight->load_state(sr);
-      flight_ok = sr.exhausted();
-    }
+    });
   }
   if (!counters_ok || !chip_ok || !driver_ok || !ring_ok || !replay_ok ||
       !flight_ok || s.site_index < 0 ||

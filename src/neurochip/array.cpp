@@ -36,8 +36,7 @@ NeuroChip::NeuroChip(NeuroChipConfig config, Rng rng)
       mismatch_(config.pelgrom, rng_.fork()) {
   config.validate();
 
-  // Same per-pixel draw sequence as constructing the old pixel vector:
-  // row-major, one master fork + two mismatch samples per pixel.
+  // One master draw keys the pixel noise; two mismatch samples per pixel.
   bank_.build(config.pixel, config.rows, config.cols, mismatch_, rng_);
 
   row_chains_.reserve(static_cast<std::size_t>(config.rows));
@@ -144,8 +143,8 @@ TimingBudget NeuroChip::timing() const {
 }
 
 void NeuroChip::calibrate_pixels() {
-  // Each pixel's calibration draws only from its own switch RNG stream, so
-  // the sweep parallelizes without affecting results.
+  // Each pixel's calibration draws only from its own counter, so the sweep
+  // parallelizes without affecting results.
   PixelBank* bank = &bank_;
   parallel_for(
       0, static_cast<std::int64_t>(bank_.size()),
@@ -225,8 +224,7 @@ void NeuroChip::capture_frame_into(const SignalSource& source, double t,
   // constants (white sigma + flicker pole decays), the gain stages'
   // single-pole decay factors (identical across chains of a kind — decay
   // depends only on bandwidth), the per-frame droop step, and the sparse
-  // threshold. Each was previously recomputed rows*cols (or more) times
-  // per frame with bit-identical results.
+  // threshold.
   const PixelBank::FrameConsts& fc = bank_.prepare(tb.column_dwell);
   require(row_chains_.front().stages.size() == 2 &&
               channel_chains_.front().stages.size() == 2,
@@ -239,17 +237,18 @@ void NeuroChip::capture_frame_into(const SignalSource& source, double t,
   const double quiesce = config_.quiescence_threshold.value();
 
   // Phase 2 — the analog signal path, one output channel per work item.
-  // A channel owns its mux group of rows: their plane runs (and noise RNG
-  // streams), their row chains, and the shared channel chain. Columns stay
+  // A channel owns its mux group of rows: their plane runs (and noise
+  // counters), their row chains, and the shared channel chain. Columns stay
   // in sequence inside a channel because the amplifiers' single-pole
   // settling state carries from column to column; every state object sees
   // the exact operation sequence of the serial scan, so frames are
   // bitwise-identical for any thread count. The planes are column-major, so
   // a channel's 8-row run per column is one contiguous cache line — no
-  // false sharing between channel workers. Hold-time droop is folded into
-  // this phase (each pixel is read exactly once, then drooped; masking and
-  // recalibration below only run after the parallel region), which saves
-  // the seed's separate whole-array phase-3 sweep.
+  // false sharing between channel workers. Each run draws its active
+  // pixels' noise in one batch, then walks the rows in mux order. Hold-time
+  // droop is folded into this phase (each pixel is read exactly once, then
+  // drooped; masking and recalibration below only run after the parallel
+  // region).
   struct ChannelCtx {
     NeuroChip& chip;
     NeuroFrame& frame;
@@ -272,50 +271,72 @@ void NeuroChip::capture_frame_into(const SignalSource& source, double t,
     NeuroChip& chip = ch_ctx.chip;
     PixelBank& bank = chip.bank_;
     const int row_begin = static_cast<int>(ch) * ch_ctx.mux;
+    const int row_end = row_begin + ch_ctx.mux;
     auto& cc = chip.channel_chains_[static_cast<std::size_t>(ch)];
     const double drift = chip.channel_drift_[static_cast<std::size_t>(ch)];
     for (int col = 0; col < ch_ctx.cols; ++col) {
-      for (int row = row_begin; row < row_begin + ch_ctx.mux; ++row) {
+      for (int run = row_begin; run < row_end; run += PixelBank::kBatch) {
+        const int run_end = std::min(run + PixelBank::kBatch, row_end);
         // Column-major planes: the pixel's plane slot is the same index
         // phase 1 wrote its signal to.
-        const std::size_t pi =
+        const std::size_t run_pi =
             static_cast<std::size_t>(col) * static_cast<std::size_t>(ch_ctx.rows) +
-            static_cast<std::size_t>(row);
-        const double v_sig = ch_ctx.scratch[pi];
+            static_cast<std::size_t>(run);
         // Sparse path: a quiescent pixel (source signal below threshold)
-        // reports its cached zero-signal current and draws no noise. The
-        // decision depends only on phase-1 output, which is identical for
-        // every thread count — see DESIGN.md §16.
-        const double i_diff =
-            (ch_ctx.quiesce > 0.0 && std::abs(v_sig) < ch_ctx.quiesce)
-                ? bank.quiet_current(pi)
-                : bank.read_current_prepared(pi, v_sig, ch_ctx.fc);
-        // Row amplifier settles within the column dwell; two half-dwell
-        // steps capture the residual first-order settling.
-        auto& rc = chip.row_chains_[static_cast<std::size_t>(row)];
-        rc.step_with(i_diff, ch_ctx.row_decay);
-        const double i_row = rc.step_with(i_diff, ch_ctx.row_decay);
+        // reports its cached zero-signal current and draws no noise; its
+        // flicker poles catch up on its next active read. The decision
+        // depends only on phase-1 output, which is identical for every
+        // thread count — see DESIGN.md §16.
+        std::size_t active[PixelBank::kBatch];
+        double noise[PixelBank::kBatch];
+        int n_active = 0;
+        for (int r = 0; r < run_end - run; ++r) {
+          const std::size_t pi = run_pi + static_cast<std::size_t>(r);
+          const double v_sig = ch_ctx.scratch[pi];
+          if (ch_ctx.quiesce > 0.0 && std::abs(v_sig) < ch_ctx.quiesce) {
+            bank.skip(pi);
+          } else {
+            active[n_active++] = pi;
+          }
+        }
+        if (n_active > 0) bank.draw_noise(active, n_active, ch_ctx.fc, noise);
+        int next_active = 0;
+        for (int row = run; row < run_end; ++row) {
+          const std::size_t pi = run_pi + static_cast<std::size_t>(row - run);
+          double i_diff = 0.0;
+          if (next_active < n_active && active[next_active] == pi) {
+            i_diff = bank.front_end(pi, ch_ctx.scratch[pi], noise[next_active]);
+            ++next_active;
+          } else {
+            i_diff = bank.quiet_current(pi);
+          }
+          // Row amplifier settles within the column dwell; two half-dwell
+          // steps capture the residual first-order settling.
+          auto& rc = chip.row_chains_[static_cast<std::size_t>(row)];
+          rc.step_with(i_diff, ch_ctx.row_decay);
+          const double i_row = rc.step_with(i_diff, ch_ctx.row_decay);
 
-        // The channel chain serves mux_factor rows in sequence within the
-        // column dwell (one mux slot each). Gain-chain drift scales the
-        // delivered current.
-        cc.step_with(i_row, ch_ctx.ch_decay);
-        const double i_out = cc.step_with(i_row, ch_ctx.ch_decay) * drift;
+          // The channel chain serves mux_factor rows in sequence within the
+          // column dwell (one mux slot each). Gain-chain drift scales the
+          // delivered current.
+          cc.step_with(i_row, ch_ctx.ch_decay);
+          const double i_out = cc.step_with(i_row, ch_ctx.ch_decay) * drift;
 
-        // Off-chip ADC.
-        const double clipped =
-            std::clamp(i_out, -ch_ctx.full_scale, ch_ctx.full_scale);
-        auto code = static_cast<std::int32_t>(
-            std::lround(clipped / ch_ctx.adc_lsb));
-        const std::size_t idx =
-            static_cast<std::size_t>(row * ch_ctx.cols + col);
-        if (chip.has_pixel_faults_) code = chip.apply_pixel_fault(idx, code);
-        ch_ctx.frame.codes[idx] = code;
-        ch_ctx.frame.v_in[idx] =
-            static_cast<double>(code) * ch_ctx.adc_lsb / ch_ctx.conv_gain;
+          // Off-chip ADC.
+          const double clipped =
+              std::clamp(i_out, -ch_ctx.full_scale, ch_ctx.full_scale);
+          auto code = static_cast<std::int32_t>(
+              std::lround(clipped / ch_ctx.adc_lsb));
+          const std::size_t idx =
+              static_cast<std::size_t>(row * ch_ctx.cols + col);
+          if (chip.has_pixel_faults_) code = chip.apply_pixel_fault(idx, code);
+          ch_ctx.frame.codes[idx] = code;
+          ch_ctx.frame.v_in[idx] =
+              static_cast<double>(code) * ch_ctx.adc_lsb / ch_ctx.conv_gain;
 
-        // Hold-time droop for this frame (the seed's phase 3, folded in).
-        bank.droop(pi, ch_ctx.droop_step);
+          // Hold-time droop for this frame.
+          bank.droop(pi, ch_ctx.droop_step);
+        }
       }
     }
   });
@@ -364,7 +385,7 @@ std::vector<double> NeuroChip::capture_pixel_highrate(int row, int col,
   const std::size_t idx = static_cast<std::size_t>(row * config_.cols + col);
 
   // Fixed dt throughout: hoist the per-dt constants once, like the frame
-  // kernel (bit-identical to stepping with dt directly).
+  // kernel. Each sample is a draw_noise run of 1.
   const PixelBank::FrameConsts& fc = bank_.prepare(dt);
   require(rc.stages.size() == 2 && cc.stages.size() == 2,
           "NeuroChip: expected two-stage gain chains");
@@ -493,14 +514,7 @@ std::pair<double, double> NeuroChip::offset_stats() const {
 void NeuroChip::save_state(snapshot::StateWriter& w) const {
   w.rng(rng_);
   mismatch_.save_state(w);
-  // Row-major per-pixel sections in the exact byte layout of the old
-  // per-pixel object model (old checkpoints and the bank interchange).
-  w.u32(static_cast<std::uint32_t>(bank_.size()));
-  for (int r = 0; r < bank_.rows(); ++r) {
-    for (int c = 0; c < bank_.cols(); ++c) {
-      bank_.save_pixel_state(bank_.plane_index(r, c), w);
-    }
-  }
+  bank_.save_state(w);
   w.u32(static_cast<std::uint32_t>(row_chains_.size()));
   for (const circuit::GainChain& c : row_chains_) c.save_state(w);
   w.u32(static_cast<std::uint32_t>(channel_chains_.size()));
@@ -513,16 +527,7 @@ void NeuroChip::save_state(snapshot::StateWriter& w) const {
 void NeuroChip::load_state(snapshot::StateReader& r) {
   r.rng(rng_);
   mismatch_.load_state(r);
-  if (r.u32() != bank_.size()) {
-    r.fail();
-    return;
-  }
-  for (int row = 0; row < bank_.rows(); ++row) {
-    for (int col = 0; col < bank_.cols(); ++col) {
-      bank_.load_pixel_state(bank_.plane_index(row, col), r);
-    }
-  }
-  bank_.refresh_quiet_all();
+  bank_.load_state(r);
   if (r.u32() != row_chains_.size()) {
     r.fail();
     return;

@@ -17,9 +17,9 @@
 // deterministic phases — batched `SignalSource` evaluation across columns,
 // then the analog signal path across output channels (a channel owns its
 // mux group of rows, their pixels, row chains and the channel chain, so
-// every piece of mutable state — including each pixel's forked RNG noise
-// stream — is touched by exactly one worker, in the same order as the
-// serial scan). Frames are bitwise-identical for any thread count.
+// every piece of mutable state — including each pixel's noise counter and
+// flicker poles — is touched by exactly one worker, in the same order as
+// the serial scan). Frames are bitwise-identical for any thread count.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +39,12 @@
 #include "noise/mismatch.hpp"
 
 namespace biosense::neurochip {
+
+/// Schema version of NeuroChip::save_state's layout, written on the chip
+/// section of every checkpoint. Version 1 was the per-pixel object layout
+/// with three generator states per pixel; version 2 is the counter-based
+/// bank (PixelBank::save_state). Readers refuse other versions.
+inline constexpr std::uint16_t kChipStateVersion = 2;
 
 struct AdcParams {
   int bits = 10;
@@ -62,11 +68,11 @@ struct NeuroChipConfig {
   /// accumulates).
   Time recalibration_interval = 0.25_s;
   /// Event-driven sparse readout: pixels whose source signal magnitude is
-  /// below this threshold skip the full front-end physics and report their
-  /// cached quiescent current (noise streams pause while quiescent — see
-  /// DESIGN.md §16 for the determinism argument and the approximations).
-  /// 0 (the default) disables the sparse path; frames are then bitwise
-  /// identical to the dense kernel.
+  /// below this threshold skip the full front-end physics, draw no noise
+  /// and report their cached quiescent current; their flicker poles
+  /// fast-forward exactly on the next active read (DESIGN.md §16 has the
+  /// determinism argument and the remaining approximation). 0 (the
+  /// default) disables the sparse path.
   Voltage quiescence_threshold = 0.0_V;
 
   /// Throws ConfigError when the configuration is inconsistent (empty
@@ -141,7 +147,7 @@ class NeuroChip {
 
   /// Injects manufacturing defects: dead/stuck/railed pixels override the
   /// ADC code at the observation point (every pixel's analog model still
-  /// runs, keeping RNG streams aligned with a fault-free die), and
+  /// runs, keeping its noise draws aligned with a fault-free die), and
   /// `channel_drift` multiplies each output channel's gain chain (size must
   /// be `channels()`; empty = no drift).
   void inject_faults(const faults::SiteFaultSet& set,
@@ -203,12 +209,13 @@ class NeuroChip {
   /// input volts -> output amps (gm * total gain).
   double nominal_conversion_gain() const;
 
-  /// Serializes every evolving piece of chip state: the master RNG, all
-  /// pixel streams/storage caps, gain-chain filter memories and
+  /// Serializes every evolving piece of chip state (layout version
+  /// kChipStateVersion): the master RNG, the pixel bank's step counters,
+  /// storage caps and flicker poles, gain-chain filter memories and
   /// calibration corrections, the calibration clock and the installed
-  /// defect map. Frozen die properties (mismatch draws, fault injection,
-  /// channel drift) are reproduced by reconstructing the chip from the
-  /// same config + seed before `load_state`.
+  /// defect map. Frozen die properties (mismatch draws, the noise key,
+  /// fault injection, channel drift) are reproduced by reconstructing the
+  /// chip from the same config + seed before `load_state`.
   void save_state(snapshot::StateWriter& w) const;
   void load_state(snapshot::StateReader& r);
 

@@ -18,30 +18,31 @@
 //    difference current Delta_I = gm * (v_signal + v_residual) flows into
 //    the column regulation loop (A, M3, M4) toward the gain stages.
 //
-// The seed implementation stored one pixel object per site, each
-// owning two `Mosfet`s, an `AnalogSwitch` and a `CompositeNoise` — ~0.5 kB
-// of scattered state and three levels of indirection per pixel visit, which
-// capped capture at ~105 frames/s against the chip's 2 k frames/s.
-// `PixelBank` keeps the same physics as contiguous cache-line-aligned planes
-// (DESIGN.md §16):
+// `PixelBank` keeps the array's pixel physics as contiguous
+// cache-line-aligned planes (DESIGN.md §16):
 //
 //   * per-pixel die constants: effective V_T / specific current of M1
 //     (inside a `circuit::MosfetSpan`), M2's as-fabricated current
 //     `i_m2`, the balance voltage `v_balance`;
 //   * per-pixel evolving state: the storage-cap voltage `v_store`, the
-//     calibration flag, the S1 position, and the RNG + OU-pole state of the
-//     noise streams;
+//     calibration flag, the flicker pole values, the pixel's noise step
+//     counter and the quiet reads its poles still owe;
 //   * shared frame constants hoisted once per `dt`: the white-noise step
 //     sigma and the flicker per-pole decay/innovation pairs
 //     (`FrameConsts`, via `prepare()`).
 //
+// Noise is counter-based (noise/counter.hpp): every draw is a pure
+// function of (chip key, pixel, step), and every event that draws — a
+// noisy read or a calibration — consumes one step of the pixel's counter.
+// The key is frozen config derived from the chip seed at build(), so a
+// checkpoint carries one step count per pixel instead of generator state.
+// Reads draw in batches (draw_noise) over the 8-row run a phase-2 channel
+// worker owns per column; a single-pixel read is a run of 1 with the same
+// bits.
+//
 // Planes are column-major (`plane_index(r, c) = c * rows + r`) so an output
 // channel's 8-row run per column is one contiguous 64-byte cache line —
-// parallel channel workers never share a line. Every method reproduces the
-// corresponding seed pixel member bit for bit (tests/test_neuro_golden
-// locks this against an in-test replica of the seed object model), and
-// `save_pixel_state`/`load_pixel_state` emit the exact per-pixel byte
-// layout of the old object model so historical checkpoints restore.
+// parallel channel workers never share a line.
 #pragma once
 
 #include <cstddef>
@@ -77,6 +78,9 @@ struct PixelParams {
 
 class PixelBank {
  public:
+  /// Most pixels one draw_noise call takes: a channel's 8-row run.
+  static constexpr int kBatch = 8;
+
   /// Per-dt frame constants hoisted out of the pixel loop by prepare().
   struct FrameConsts {
     double dt = 0.0;
@@ -87,17 +91,13 @@ class PixelBank {
 
   PixelBank() = default;
 
-  /// Builds a rows x cols bank: per pixel (row-major, the seed's
-  /// construction order) draws M1/M2 mismatch from `mismatch` and forks the
-  /// per-pixel generator from `master`, reproducing the draw sequence of
-  /// constructing `rows*cols` seed pixels.
+  /// Builds a rows x cols bank: derives the noise key from one `master`
+  /// draw, then per pixel (row-major) draws M1/M2 mismatch from `mismatch`
+  /// and starts each flicker pole in its stationary distribution.
   void build(const PixelParams& params, int rows, int cols,
              noise::MismatchSampler& mismatch, Rng& master);
 
   std::size_t size() const { return n_; }
-  int rows() const { return rows_; }
-  int cols() const { return cols_; }
-  const PixelParams& params() const { return params_; }
 
   /// Column-major plane index: a channel's 8-row run per column is one
   /// contiguous cache line of doubles.
@@ -106,15 +106,12 @@ class PixelBank {
            static_cast<std::size_t>(r);
   }
 
-  // --- Per-pixel operations (the seed pixel's members) ---------------------
+  // --- Per-pixel operations ------------------------------------------------
 
-  void calibrate(std::size_t i) {
-    v_store_[i] = v_balance_[i];
-    s1_closed_[i] = 1;
-    v_store_[i] += (Charge(switch_open(i)) / params_.store_cap).value();
-    calibrated_[i] = 1;
-    i_quiet_[i] = quiet_of(i);
-  }
+  /// S1 closes, stores the balance voltage on the gate cap, and opens:
+  /// its charge injection (nominal residual after dummy compensation plus
+  /// a random part drawn at the pixel's next step) leaves a pedestal.
+  void calibrate(std::size_t i);
 
   void decalibrate(std::size_t i) {
     v_store_[i] = v_bias_nominal_m1_;
@@ -122,10 +119,10 @@ class PixelBank {
     i_quiet_[i] = quiet_of(i);
   }
 
+  /// Difference current for one read; dt > 0 draws noise for a step of dt.
   double read_current(std::size_t i, double v_signal, double dt) {
     if (dt > 0.0) return read_current_prepared(i, v_signal, prepare(dt));
-    const double v_gate = v_store_[i] + v_signal;
-    return m1_.drain_current(i, v_gate, v_drain_, 0.0) - i_m2_[i];
+    return front_end(i, v_signal, 0.0);
   }
 
   double input_referred_offset(std::size_t i) const {
@@ -139,32 +136,48 @@ class PixelBank {
   double m2_current(std::size_t i) const { return i_m2_[i]; }
   bool calibrated(std::size_t i) const { return calibrated_[i] != 0; }
 
+  /// Flicker pole k of pixel i (input-referred volts).
+  double pole(std::size_t i, std::size_t k) const {
+    return flicker_states_[k * n_ + i];
+  }
+
   // --- Hot-path kernel API -------------------------------------------------
 
   /// Hoists the per-dt noise constants; cached while dt is unchanged.
   /// Call once per frame, outside the pixel loop.
   const FrameConsts& prepare(double dt);
 
-  /// Storage droop for an interval, hoisted out of the loop (same value the
-  /// seed recomputed per pixel).
+  /// Storage droop for an interval, hoisted out of the loop.
   double droop_dv(double dt) const {
     return (params_.droop_leak * Time(dt) / params_.store_cap).value();
   }
 
-  /// read_current with the per-dt constants prepared; bit-identical to the
-  /// seed pixel's noise-on read at the same dt.
-  double read_current_prepared(std::size_t i, double v_signal,
-                               const FrameConsts& fc) {
-    double noise = 0.0;
-    noise += white_rng_[i].normal(0.0, fc.white_sigma);
-    if (has_flicker_) {
-      noise += noise::flicker_sample_strided(fc.flicker, flicker_rng_[i],
-                                             flicker_states_.data() + i, n_);
-    }
+  /// Draws the input-referred noise of `count` <= kBatch pixels (plane
+  /// indices `idx`, distinct) into noise[j]. Each pixel consumes one step;
+  /// its flicker poles advance by the steps they owe (this read plus the
+  /// quiet reads since its last draw). A pixel's bits do not depend on the
+  /// batch it rides in.
+  void draw_noise(const std::size_t* idx, int count, const FrameConsts& fc,
+                  double* noise);
+
+  /// M1's difference current against M2 with `noise` on the gate.
+  double front_end(std::size_t i, double v_signal, double noise) const {
     double v_gate = v_store_[i] + v_signal;
     v_gate += noise;
     return m1_.drain_current(i, v_gate, v_drain_, 0.0) - i_m2_[i];
   }
+
+  /// One noisy read: a draw_noise run of 1, then the front end.
+  double read_current_prepared(std::size_t i, double v_signal,
+                               const FrameConsts& fc) {
+    double noise = 0.0;
+    draw_noise(&i, 1, fc, &noise);
+    return front_end(i, v_signal, noise);
+  }
+
+  /// A quiescent read: no draws; the poles owe one more step, paid on the
+  /// pixel's next draw.
+  void skip(std::size_t i) { ++lag_[i]; }
 
   /// Advances pixel i's hold-time droop by `dv` (from droop_dv()).
   void droop(std::size_t i, double dv) { v_store_[i] -= dv; }
@@ -175,53 +188,32 @@ class PixelBank {
 
   // --- Snapshot ------------------------------------------------------------
 
-  /// Emits pixel i in the exact byte layout of the old per-pixel object
-  /// model (switch stream+position, composite-noise section, v_store,
-  /// calibrated flag) so old checkpoints and the bank interchange freely.
-  void save_pixel_state(std::size_t i, snapshot::StateWriter& w) const;
-  void load_pixel_state(std::size_t i, snapshot::StateReader& r);
-
-  /// Re-derives every pixel's quiescent current after a bulk state load.
-  void refresh_quiet_all();
+  /// Evolving state in plane order: per pixel the step count, the owed
+  /// quiet reads, v_store, the calibration flag and the pole values.
+  void save_state(snapshot::StateWriter& w) const;
+  void load_state(snapshot::StateReader& r);
 
  private:
-  void init_pixel(std::size_t i, Rng child, noise::MismatchSampler& mismatch);
-  void validate_and_size(const PixelParams& params, int rows, int cols);
-
-  /// AnalogSwitch::open() over plane state: charge injected into the hold
-  /// node when S1 opens (0 if it was not closed).
-  double switch_open(std::size_t i) {
-    if (!s1_closed_[i]) return 0.0;
-    s1_closed_[i] = 0;
-    const double nominal =
-        -params_.s1.channel_charge * params_.s1.injection_fraction;
-    return nominal * (1.0 - params_.s1.compensation) +
-           nominal * s1_rng_[i].normal(0.0, params_.s1.injection_sigma);
-  }
-
   double quiet_of(std::size_t i) const {
     return m1_.drain_current(i, v_store_[i], v_drain_, 0.0) - i_m2_[i];
   }
 
   PixelParams params_;  // analyze:transient - frozen config
-  int rows_ = 0;
-  int cols_ = 0;
+  int rows_ = 0;  // analyze:transient - frozen config
   std::size_t n_ = 0;
   double v_drain_ = 0.0;  // analyze:transient - frozen config (cached value)
-  // analyze:transient - frozen die/bias constants, re-derived at build
-  double v_bias_m2_ = 0.0;
   double v_bias_nominal_m1_ = 0.0;  // analyze:transient - frozen bias constant
-  bool has_flicker_ = false;  // analyze:transient - frozen config
+  bool has_flicker_ = false;
   noise::FlickerPlan flicker_plan_;  // analyze:transient - frozen config
   circuit::MosfetSpan m1_;  // analyze:transient - frozen die constants
+  // analyze:transient - frozen config, derived from the chip seed at build
+  std::uint64_t key_ = 0;
 
-  // Evolving per-pixel planes (serialized via save_pixel_state).
+  // Evolving per-pixel planes.
   Plane<double> v_store_;
-  Plane<Rng> s1_rng_;
-  Plane<Rng> white_rng_;
-  Plane<Rng> flicker_rng_;
+  Plane<std::uint64_t> step_;     // noise steps consumed
+  Plane<std::uint64_t> lag_;      // quiet reads since the last draw
   Plane<double> flicker_states_;  // pole-major: [pole * n_ + pixel]
-  Plane<std::uint8_t> s1_closed_;
   Plane<std::uint8_t> calibrated_;
 
   // analyze:transient - frozen die constants, re-derived at build

@@ -21,6 +21,7 @@ const char* snapshot_error_name(SnapshotError err) {
     case SnapshotError::kBadPayload: return "bad_payload";
     case SnapshotError::kStateMismatch: return "state_mismatch";
     case SnapshotError::kIoError: return "io_error";
+    case SnapshotError::kBadSectionVersion: return "bad_section_version";
   }
   return "unknown";
 }
@@ -129,6 +130,17 @@ const SectionView* SnapshotView::find(std::uint16_t id) const {
     if (s.id == id) return &s;
   }
   return nullptr;
+}
+
+Result<SectionView, SnapshotError> SnapshotView::section(
+    std::uint16_t id, std::uint16_t version) const {
+  using R = Result<SectionView, SnapshotError>;
+  const SectionView* found = find(id);
+  if (found == nullptr) return R::err(SnapshotError::kMissingSection);
+  if (found->version != version) {
+    return R::err(SnapshotError::kBadSectionVersion);
+  }
+  return R::ok(*found);
 }
 
 }  // namespace biosense::snapshot

@@ -31,7 +31,9 @@
 // Forward compatibility: readers iterate the section table and skip ids
 // they do not recognize, so a newer writer can append sections without
 // breaking older readers; bumping kSnapshotVersion is reserved for layout
-// changes an old reader would misparse.
+// changes an old reader would misparse. A section whose payload layout
+// changes gets a new section version instead, and readers refuse any
+// version they do not know (`SnapshotView::section`).
 #pragma once
 
 #include <cstddef>
@@ -64,6 +66,7 @@ enum class SnapshotError : std::uint8_t {
   kBadPayload,          // a section payload failed schema validation
   kStateMismatch,       // snapshot disagrees with the restore target
   kIoError,             // filesystem failure (open/write/rename)
+  kBadSectionVersion,   // a section's schema version is unknown to its reader
 };
 
 /// Stable diagnostic name ("truncated", "bad_section_crc", ...).
@@ -114,6 +117,12 @@ class SnapshotView {
   /// The section with this id, or nullptr when absent (unknown ids are
   /// simply never asked for — that is the forward-compatible skip).
   const SectionView* find(std::uint16_t id) const;
+
+  /// The section with this id, checked against the one schema `version`
+  /// its reader knows before any payload byte is parsed:
+  /// kMissingSection when absent, kBadSectionVersion at another version.
+  Result<SectionView, SnapshotError> section(std::uint16_t id,
+                                             std::uint16_t version) const;
 
   const std::vector<SectionView>& sections() const { return sections_; }
 

@@ -1,58 +1,14 @@
-// Switch, trace and reference tests.
+// Trace and reference tests.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "circuit/references.hpp"
-#include "circuit/switch.hpp"
 #include "circuit/trace.hpp"
 #include "common/error.hpp"
-#include "common/stats.hpp"
 
 namespace biosense::circuit {
 namespace {
-
-// --- AnalogSwitch -----------------------------------------------------------
-
-TEST(AnalogSwitch, OpenWithoutCloseInjectsNothing) {
-  AnalogSwitch sw(SwitchParams{}, Rng(1));
-  EXPECT_DOUBLE_EQ(sw.open(), 0.0);
-}
-
-TEST(AnalogSwitch, InjectionIsNegativeElectronCharge) {
-  SwitchParams p;
-  p.compensation = 0.0;
-  p.injection_sigma = 0.0;
-  AnalogSwitch sw(p, Rng(1));
-  sw.close();
-  const double q = sw.open();
-  EXPECT_NEAR(q, -p.channel_charge * p.injection_fraction, 1e-20);
-}
-
-TEST(AnalogSwitch, CompensationCancelsNominalNotRandom) {
-  SwitchParams p;
-  p.compensation = 1.0;  // perfect dummy switch
-  p.injection_sigma = 0.1;
-  RunningStats s;
-  for (int i = 0; i < 5000; ++i) {
-    AnalogSwitch sw(p, Rng(100 + i));
-    sw.close();
-    s.add(sw.open());
-  }
-  // Mean cancelled, spread remains at sigma * nominal.
-  const double nominal = p.channel_charge * p.injection_fraction;
-  EXPECT_NEAR(s.mean(), 0.0, 0.05 * nominal);
-  EXPECT_NEAR(s.stddev(), 0.1 * nominal, 0.02 * nominal);
-}
-
-TEST(AnalogSwitch, RejectsInvalidConfig) {
-  SwitchParams p;
-  p.r_on = 0.0;
-  EXPECT_THROW(AnalogSwitch(p, Rng(1)), ConfigError);
-  p = SwitchParams{};
-  p.compensation = 1.5;
-  EXPECT_THROW(AnalogSwitch(p, Rng(1)), ConfigError);
-}
 
 // --- Trace ------------------------------------------------------------------
 

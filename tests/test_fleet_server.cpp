@@ -563,6 +563,67 @@ TEST(FleetServer, NonFiniteSiteCurrentCheckpointFaultsTyped) {
   }
 }
 
+TEST(FleetServer, ChipSectionVersionIsCheckedOnRestore) {
+  // A neural chip section in the version-1 per-pixel layout is refused
+  // with kFault before it is parsed; the version-2 section round-trips:
+  // the restored session checkpoints its chip to the same bytes (the
+  // replay and flight sections then carry the restore itself).
+  const std::string dir = ::testing::TempDir() + "fleet_ckpt_version";
+  FleetLimits limits;
+  limits.checkpoint_dir = dir;
+  {
+    FleetServer worker(limits);
+    ServerLink link(worker);
+    FleetClient client(link);
+    ASSERT_TRUE(client.create(neuro_spec(6)));
+    ASSERT_TRUE(client.start(6, 4));
+    ASSERT_TRUE(client.checkpoint(6));
+  }
+  const snapshot::CheckpointStore store(dir, "s6");
+  const auto good = snapshot::read_file(store.path());
+  ASSERT_TRUE(good);
+  const auto view = snapshot::SnapshotView::parse(*good);
+  ASSERT_TRUE(view);
+  const std::uint16_t chip_section = 0x0003;  // the fleet's chip-state id
+  ASSERT_NE(view->find(chip_section), nullptr);
+  EXPECT_EQ(view->find(chip_section)->version, 2);
+
+  snapshot::SnapshotBuilder builder;
+  for (const snapshot::SectionView& section : view->sections()) {
+    builder.add_section(
+        section.id, section.id == chip_section ? 1 : section.version,
+        std::vector<std::uint8_t>(section.payload,
+                                  section.payload + section.size));
+  }
+  ASSERT_TRUE(snapshot::write_file_atomic(store.path(), builder.finish()));
+  {
+    FleetServer replacement(limits);
+    ServerLink link(replacement);
+    FleetClient client(link);
+    const auto restored = client.restore(6);
+    ASSERT_FALSE(restored);
+    EXPECT_EQ(restored.error(), HostStatus::kFault);
+    EXPECT_EQ(replacement.live_sessions(), 0u);
+  }
+
+  ASSERT_TRUE(snapshot::write_file_atomic(store.path(), *good));
+  FleetServer replacement(limits);
+  ServerLink link(replacement);
+  FleetClient client(link);
+  ASSERT_TRUE(client.restore(6));
+  ASSERT_TRUE(client.checkpoint(6));
+  const auto again = snapshot::read_file(store.path());
+  ASSERT_TRUE(again);
+  const auto again_view = snapshot::SnapshotView::parse(*again);
+  ASSERT_TRUE(again_view);
+  const snapshot::SectionView* before = view->find(chip_section);
+  const snapshot::SectionView* after = again_view->find(chip_section);
+  ASSERT_NE(after, nullptr);
+  EXPECT_EQ(after->version, 2);
+  ASSERT_EQ(after->size, before->size);
+  EXPECT_EQ(0, std::memcmp(after->payload, before->payload, before->size));
+}
+
 TEST(FleetServer, RestoreGuardsAndCapabilityBit) {
   FleetServer server;
   ServerLink link(server);

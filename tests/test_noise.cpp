@@ -1,106 +1,203 @@
-#include "noise/sources.hpp"
+// The counter-based noise engine's statistics and the flicker pole plan.
+//
+// The normals behind every pixel's white and flicker noise come from
+// noise/counter.hpp; these tests hold them to N(0, 1) (moments and a KS
+// test over 2^20 draws per key), to independence across steps, pixels and
+// the two outputs of a Box-Muller pair, and the polynomial log/sincos to
+// libm-grade accuracy. The bank-level checks (white variance, 1/f slope,
+// fast-forward, partition invariance) live in test_pixel.
+#include "noise/counter.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
-#include "dsp/fft.hpp"
-#include "snapshot/state_io.hpp"
+#include "noise/sources.hpp"
 
 namespace biosense::noise {
 namespace {
 
-TEST(WhiteNoise, VarianceMatchesPsdAndStep) {
-  // Band-limited white: var = S / (2 dt).
-  const double psd = 4e-18;  // V^2/Hz
-  const double dt = 1e-6;
-  WhiteNoise n(psd, Rng(1));
-  RunningStats s;
-  for (int i = 0; i < 200000; ++i) s.add(n.sample(dt));
-  const double expected_var = psd / (2.0 * dt);
-  EXPECT_NEAR(s.variance(), expected_var, 0.02 * expected_var);
-  EXPECT_NEAR(s.mean(), 0.0, 3.0 * std::sqrt(expected_var / 200000.0));
+constexpr int kPairs = 4;  // one pixel-step of the engine: 8 normals
+
+/// n normals at `key`: pixel-steps in (pixel, step) order, 8 per step.
+std::vector<double> draw(std::uint64_t key, std::size_t n) {
+  std::vector<double> out;
+  out.reserve(n);
+  double z[2 * kPairs];
+  for (std::uint64_t pixel = 0; out.size() < n; ++pixel) {
+    for (std::uint64_t step = 0; step < 64 && out.size() < n; ++step) {
+      step_normals(key, pixel, step, kPairs, z);
+      for (double v : z) {
+        if (out.size() < n) out.push_back(v);
+      }
+    }
+  }
+  return out;
 }
 
-TEST(WhiteNoise, RejectsNegativePsd) {
-  EXPECT_THROW(WhiteNoise(-1.0, Rng(1)), ConfigError);
+double sample_correlation(const std::vector<double>& x,
+                          const std::vector<double>& y) {
+  RunningStats sx;
+  RunningStats sy;
+  double sxy = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    sx.add(x[i]);
+    sy.add(y[i]);
+    sxy += x[i] * y[i];
+  }
+  const double n = static_cast<double>(x.size());
+  return (sxy / n - sx.mean() * sy.mean()) / (sx.stddev() * sy.stddev());
 }
 
-TEST(FlickerNoise, AnalyticPsdTracksOneOverF) {
-  FlickerNoise n(1e-10, 1.0, 1e5, Rng(3), 3);
-  // In the synthesized band the analytic PSD should be within ~1.5 dB of
-  // kf/f.
-  for (double f : {10.0, 100.0, 1e3, 1e4}) {
-    const double target = 1e-10 / f;
-    const double actual = n.analytic_psd(f);
-    EXPECT_GT(actual, target / 1.5) << "f=" << f;
-    EXPECT_LT(actual, target * 1.5) << "f=" << f;
+TEST(CounterNormals, UniformsLieInsideTheOpenUnitInterval) {
+  EXPECT_GT(open_uniform(0), 0.0);
+  EXPECT_LT(open_uniform(~0ULL), 1.0);
+  EXPECT_EQ(open_uniform(0), 0x1.0p-53);
+  EXPECT_EQ(open_uniform(~0ULL), 1.0 - 0x1.0p-53);
+}
+
+TEST(CounterNormals, MomentsAndKsMatchStandardNormal) {
+  // 2^20 draws per key. Bounds are ~5 standard errors for the moments;
+  // the KS bound is the 1 % critical value 1.628 / sqrt(n).
+  const std::size_t n = std::size_t{1} << 20;
+  for (std::uint64_t key : {1ULL, 0x5eedULL, 0xdeadbeefcafef00dULL}) {
+    std::vector<double> z = draw(key, n);
+    double m1 = 0.0, m2 = 0.0, m3 = 0.0, m4 = 0.0;
+    for (double v : z) {
+      m1 += v;
+      m2 += v * v;
+      m3 += v * v * v;
+      m4 += v * v * v * v;
+    }
+    const double dn = static_cast<double>(n);
+    m1 /= dn;
+    m2 /= dn;
+    m3 /= dn;
+    m4 /= dn;
+    EXPECT_NEAR(m1, 0.0, 5.0 / std::sqrt(dn)) << "key " << key;
+    EXPECT_NEAR(m2, 1.0, 5.0 * std::sqrt(2.0 / dn)) << "key " << key;
+    EXPECT_NEAR(m3, 0.0, 5.0 * std::sqrt(15.0 / dn)) << "key " << key;
+    EXPECT_NEAR(m4, 3.0, 5.0 * std::sqrt(96.0 / dn)) << "key " << key;
+
+    std::sort(z.begin(), z.end());
+    double d = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double cdf = 0.5 * std::erfc(-z[i] / std::sqrt(2.0));
+      d = std::max({d, cdf - static_cast<double>(i) / dn,
+                    static_cast<double>(i + 1) / dn - cdf});
+    }
+    EXPECT_LT(d, 1.628 / std::sqrt(dn)) << "key " << key;
   }
 }
 
-TEST(FlickerNoise, MeasuredSpectrumHasOneOverFSlope) {
-  // Integration test against the Welch estimator: fit log-log slope over
-  // two decades; expect approximately -1.
-  const double fs = 100e3;
-  FlickerNoise n(1e-10, 0.1, 50e3, Rng(5), 2);
-  std::vector<double> sig;
-  sig.reserve(1 << 18);
-  for (int i = 0; i < (1 << 18); ++i) sig.push_back(n.sample(1.0 / fs));
-  const auto est = dsp::welch_psd(sig, fs, 4096);
-
-  std::vector<double> logf, logp;
-  for (std::size_t k = 0; k < est.freq.size(); ++k) {
-    if (est.freq[k] < 50.0 || est.freq[k] > 5000.0) continue;
-    logf.push_back(std::log10(est.freq[k]));
-    logp.push_back(std::log10(est.psd[k]));
+TEST(CounterNormals, StepsPixelsAndPairHalvesAreUncorrelated) {
+  // Lag-1 in step, neighbouring pixels at one step, and the cosine/sine
+  // outputs of one pair: |r| within 5 standard errors of 0.
+  const std::uint64_t key = 42;
+  const std::size_t n = std::size_t{1} << 18;
+  std::vector<double> a, lag1, nbr, pair_sin;
+  a.reserve(n);
+  lag1.reserve(n);
+  nbr.reserve(n);
+  pair_sin.reserve(n);
+  double z[2 * kPairs];
+  double z_next[2 * kPairs];
+  double z_nbr[2 * kPairs];
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t pixel = i / 256;
+    const std::uint64_t step = i % 256;
+    step_normals(key, pixel, step, kPairs, z);
+    step_normals(key, pixel, step + 1, kPairs, z_next);
+    step_normals(key, pixel + 1, step, kPairs, z_nbr);
+    a.push_back(z[0]);
+    lag1.push_back(z_next[0]);
+    nbr.push_back(z_nbr[0]);
+    pair_sin.push_back(z[1]);
   }
-  const auto fit = linear_fit(logf, logp);
-  EXPECT_NEAR(fit.slope, -1.0, 0.15);
+  const double bound = 5.0 / std::sqrt(static_cast<double>(n));
+  EXPECT_LT(std::abs(sample_correlation(a, lag1)), bound);
+  EXPECT_LT(std::abs(sample_correlation(a, nbr)), bound);
+  EXPECT_LT(std::abs(sample_correlation(a, pair_sin)), bound);
 }
 
-TEST(FlickerNoise, RejectsBadBand) {
-  EXPECT_THROW(FlickerNoise(1e-10, 10.0, 1.0, Rng(1)), ConfigError);
-  EXPECT_THROW(FlickerNoise(1e-10, 0.0, 1.0, Rng(1)), ConfigError);
+TEST(CounterNormals, PolynomialLogAndSincosMatchLibm) {
+  // Against long-double libm: log to 5e-16 relative, sin/cos of 2 pi u to
+  // 1e-15 absolute, over a million draws plus the interval's ends.
+  std::vector<double> us = {open_uniform(0), open_uniform(~0ULL), 0.125,
+                            0.25, 0.5, 0.75, 1.0 / 3.0};
+  for (std::uint64_t i = 0; i < 1000000; ++i) {
+    us.push_back(open_uniform(counter_draw(counter_base(9, i, 0), 0)));
+  }
+  double worst_log = 0.0;
+  double worst_sincos = 0.0;
+  for (const double u : us) {
+    const long double ref_log = std::log(static_cast<long double>(u));
+    worst_log = std::max(
+        worst_log,
+        static_cast<double>(std::abs((log_open_unit(u) - ref_log) / ref_log)));
+    double s = 0.0;
+    double c = 0.0;
+    sincos_turn(u, s, c);
+    const long double theta =
+        2.0L * 3.14159265358979323846264338327950288L * u;
+    worst_sincos = std::max(
+        {worst_sincos, static_cast<double>(std::abs(s - std::sin(theta))),
+         static_cast<double>(std::abs(c - std::cos(theta)))});
+  }
+  EXPECT_LT(worst_log, 5e-16);
+  EXPECT_LT(worst_sincos, 1e-15);
 }
 
-TEST(CompositeNoise, SampleSumsSources) {
-  // The composite draws each source in wiring order, so it equals the sum
-  // of the same sources stepped on their own.
-  CompositeNoise c;
-  c.add_white(1e-16, Rng(3));
-  c.add_flicker(1e-12, 1.0, 1e5, Rng(4));
-  WhiteNoise w(1e-16, Rng(3));
-  FlickerNoise f(1e-12, 1.0, 1e5, Rng(4));
-  for (int i = 0; i < 1000; ++i) {
-    const double expected = w.sample(1e-5) + f.sample(1e-5);
-    ASSERT_EQ(c.sample(1e-5), expected) << "step " << i;
+TEST(CounterNormals, DrawsArePureFunctionsOfTheCounter) {
+  // No hidden state: the same (key, pixel, step) gives the same bits in
+  // any call order, and any coordinate change gives different draws.
+  double first[2 * kPairs];
+  double again[2 * kPairs];
+  double other[2 * kPairs];
+  step_normals(3, 17, 5, kPairs, first);
+  step_normals(3, 18, 5, kPairs, other);
+  step_normals(3, 17, 5, kPairs, again);
+  EXPECT_EQ(0, std::memcmp(first, again, sizeof(first)));
+  EXPECT_NE(first[0], other[0]);
+  EXPECT_NE(counter_base(3, 17, 5), counter_base(4, 17, 5));
+  EXPECT_NE(counter_base(3, 17, 5), counter_base(3, 17, 6));
+}
+
+TEST(FlickerPlan, AnalyticPsdWithinHalfDbOfOneOverF) {
+  // Six poles, one per decade from 1 Hz to 100 kHz: across the detector's
+  // 10 Hz - 10 kHz band the summed OU spectrum stays within +/-0.5 dB of
+  // kf / f (the plan's ripple is -0.27/+0.23 dB).
+  const double kf = 1e-10;
+  const FlickerPlan plan(kf);
+  EXPECT_NEAR(1.0 / (2.0 * 3.141592653589793 * plan.tau.front()), 1.0, 1e-9);
+  EXPECT_NEAR(1.0 / (2.0 * 3.141592653589793 * plan.tau.back()), 1e5, 1e-4);
+  for (int i = 0; i <= 300; ++i) {
+    const double f = std::pow(10.0, 1.0 + 3.0 * i / 300.0);
+    const double db = 10.0 * std::log10(plan.analytic_psd(f) / (kf / f));
+    EXPECT_LT(std::abs(db), 0.5) << "f=" << f;
   }
 }
 
-TEST(CompositeNoise, SnapshotKeepsTheEmptyRtsSlot) {
-  // Layout: white count, white streams, flicker count, flicker states, and
-  // the seed's RTS count, written and checked as 0.
-  CompositeNoise c;
-  c.add_white(1e-16, Rng(5));
-  std::vector<std::uint8_t> buf;
-  snapshot::StateWriter w(buf);
-  c.save_state(w);
-  ASSERT_GE(buf.size(), 4u);
-  EXPECT_EQ(std::vector<std::uint8_t>(buf.end() - 4, buf.end()),
-            (std::vector<std::uint8_t>{0, 0, 0, 0}));
-  {
-    snapshot::StateReader r(buf.data(), buf.size());
-    c.load_state(r);
-    EXPECT_TRUE(r.ok());
+TEST(FlickerPlan, StepConstantsAreStationary) {
+  // Each pole's innovation keeps its variance at sigma2: a^2 sigma2 + s^2.
+  const FlickerPlan plan(1e-10);
+  FlickerStepConsts c;
+  c.prepare(plan, 1e-5);
+  for (std::size_t k = 0; k < kFlickerPoles; ++k) {
+    EXPECT_NEAR(c.a[k] * c.a[k] * plan.sigma2 + c.s[k] * c.s[k], plan.sigma2,
+                1e-12 * plan.sigma2);
+    EXPECT_DOUBLE_EQ(c.a[k], std::exp(-c.rate[k]));
   }
-  buf[buf.size() - 4] = 1;  // a stale RTS source cannot restore
-  snapshot::StateReader r(buf.data(), buf.size());
-  c.load_state(r);
-  EXPECT_FALSE(r.ok());
+}
+
+TEST(FlickerPlan, RejectsNegativeCoefficient) {
+  EXPECT_THROW(FlickerPlan(-1e-10), ConfigError);
 }
 
 }  // namespace

@@ -14,7 +14,9 @@
 #include "common/rng.hpp"
 #include "core/session_options.hpp"
 #include "core/session_snapshot.hpp"
+#include "neurochip/array.hpp"
 #include "neurochip/signal_source.hpp"
+#include "snapshot/format.hpp"
 
 namespace biosense::core {
 namespace {
@@ -226,6 +228,71 @@ TEST(Resume, WrongShapeIsTypedStateMismatch) {
             0xfb7cfd959bcfa540ULL);
   EXPECT_EQ(session_fingerprint(ChipKind::kDna, 16, 19),
             0x92e558643572c021ULL);
+}
+
+/// `bytes` re-encoded with section `id` at schema `version`, payload and
+/// every other section unchanged (all CRCs recomputed).
+std::vector<std::uint8_t> with_section_version(
+    const std::vector<std::uint8_t>& bytes, std::uint16_t id,
+    std::uint16_t version) {
+  const auto view = snapshot::SnapshotView::parse(bytes);
+  EXPECT_TRUE(view);
+  snapshot::SnapshotBuilder builder;
+  for (const snapshot::SectionView& section : view->sections()) {
+    builder.add_section(
+        section.id, section.id == id ? version : section.version,
+        std::vector<std::uint8_t>(section.payload,
+                                  section.payload + section.size));
+  }
+  return builder.finish();
+}
+
+TEST(Resume, ChipSectionVersionIsCheckedBeforeParsing) {
+  // The neural chip section is version 2 (the counter-based bank); a
+  // version-1 section (the per-pixel generator layout) is refused typed
+  // before a byte of it is parsed, and version 2 round-trips bit-exactly.
+  const auto opts = neuro_options(false);
+  auto source = opts.build_neuro();
+  (void)source.session->record(neurochip::ConstantSource(2e-4), 0.0, 3);
+  SessionCheckpointMeta meta;
+  meta.kind = ChipKind::kNeuro;
+  meta.frames_done = 3;
+  meta.t = 3 * neuro_period(source);
+  const auto bytes = checkpoint_neuro(source, meta);
+  const auto view = snapshot::SnapshotView::parse(bytes);
+  ASSERT_TRUE(view);
+  ASSERT_NE(view->find(snap_section::kChip), nullptr);
+  EXPECT_EQ(view->find(snap_section::kChip)->version, 2);
+  EXPECT_EQ(neurochip::kChipStateVersion, 2);
+
+  for (std::uint16_t version : {std::uint16_t{1}, std::uint16_t{3}}) {
+    auto target = opts.build_neuro();
+    const auto restored = restore_neuro(
+        target, with_section_version(bytes, snap_section::kChip, version));
+    ASSERT_FALSE(restored) << "version " << version;
+    EXPECT_EQ(restored.error(), snapshot::SnapshotError::kBadSectionVersion);
+    EXPECT_STREQ(snapshot::snapshot_error_name(restored.error()),
+                 "bad_section_version");
+  }
+
+  auto twin = opts.build_neuro();
+  const auto restored = restore_neuro(twin, bytes);
+  ASSERT_TRUE(restored);
+  EXPECT_EQ(checkpoint_neuro(twin, *restored), bytes);
+
+  // The DNA chip layout did not change: its section stays version 1.
+  auto dna = dna_options().build_dna();
+  SessionCheckpointMeta dna_meta;
+  dna_meta.kind = ChipKind::kDna;
+  const auto dna_bytes = checkpoint_dna(dna, dna_meta);
+  const auto dna_view = snapshot::SnapshotView::parse(dna_bytes);
+  ASSERT_TRUE(dna_view);
+  EXPECT_EQ(dna_view->find(snap_section::kChip)->version, 1);
+  auto dna_target = dna_options().build_dna();
+  EXPECT_EQ(restore_dna(dna_target,
+                        with_section_version(dna_bytes, snap_section::kChip, 2))
+                .error(),
+            snapshot::SnapshotError::kBadSectionVersion);
 }
 
 TEST(Resume, CorruptedSessionCheckpointIsTypedNeverUB) {
