@@ -47,8 +47,8 @@ void print_comparison() {
   dna::RedoxCyclingSensor redox(dna::RedoxParams{}, rng.fork());
   dna::FluorescenceScanner optical(dna::FluorescenceScannerParams{},
                                    rng.fork());
-  dna::ImpedanceSensor impedance(dna::RandlesParams{}, rng.fork());
-  dna::FbarSensor fbar(dna::FbarParams{}, rng.fork());
+  dna::ImpedanceSensor impedance{dna::RandlesParams{}};
+  dna::FbarSensor fbar{dna::FbarParams{}};
 
   const double probe_density = 1e16;   // 1/m^2
   const double spot_probes = 1e7;      // probes per spot
@@ -125,7 +125,7 @@ void BM_CyclicVoltammetry(benchmark::State& state) {
 BENCHMARK(BM_CyclicVoltammetry)->Name("cyclic_voltammetry_full_cycle");
 
 void BM_ImpedanceSpectrum(benchmark::State& state) {
-  dna::ImpedanceSensor s(dna::RandlesParams{}, Rng(82));
+  dna::ImpedanceSensor s{dna::RandlesParams{}};
   for (auto _ : state) {
     double acc = 0.0;
     for (double f = 10.0; f < 1e6; f *= 1.5) {

@@ -166,7 +166,6 @@ core::SessionOptions soak_options(int rows, int cols) {
       .chip_seed(20260809)
       .link_seed(4242)
       .pool_frames(4)
-      .queue_depth(4)
       .label("");
   faults::FaultPlanConfig plan;
   plan.seed = 1312;

@@ -6,21 +6,42 @@
 # -fno-sanitize-recover=all so any report is a hard test failure).
 #
 # All configurations build with BIOSENSE_WERROR=ON: a warning anywhere in
-# the tree fails CI. After the sanitizer matrix five gates run: the golden
-# frames rebuilt for the host ISA, a run of every example, the
-# bench-regression gate (reruns the key benches and
-# diffs their JSON artifacts against bench/baselines/ via
-# tools/bench_check.py), clang-tidy (if installed — skipped with a note
-# otherwise) and the repo-invariant analyzer (biosense-analyze, DESIGN.md
-# §14). Each configuration also builds biosense-analyze first and runs it
-# before the full build, so an invariant break fails fast instead of after
-# a long sanitizer compile.
+# the tree fails CI. After the sanitizer matrix come the golden frames
+# rebuilt for the host ISA, a run of every example, the bench-regression
+# gates (each key bench, then tools/bench_check.py diffing their JSON
+# artifacts against bench/baselines/, then tools/obs_report.py),
+# clang-tidy (if installed — skipped with a note otherwise) and the
+# repo-invariant analyzer (biosense-analyze, DESIGN.md §14). Each
+# configuration also builds biosense-analyze first and runs it before the
+# full build, so an invariant break fails fast instead of after a long
+# sanitizer compile.
+#
+# Every one of these is a gate: it stops at its own first failing command,
+# its exit status is recorded, and the gates after it still run. The script
+# exits non-zero at the end and names every gate that failed.
 #
 # Usage: ./ci.sh [extra ctest args...]
 set -euo pipefail
 cd "$(dirname "$0")"
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
+FAILED_GATES=()
+
+# gate <name> <command...>: runs the command in a subshell that stops at its
+# first failing command (set -e holds there, since the subshell is not in a
+# conditional), and records <name> if it exited non-zero.
+gate() {
+  local name="$1"
+  shift
+  set +e
+  (set -e; "$@")
+  local status=$?
+  set -e
+  if [ "${status}" -ne 0 ]; then
+    echo "!!! [${name}] failed (exit ${status})" >&2
+    FAILED_GATES+=("${name}")
+  fi
+}
 
 run_config() {
   local name="$1" sanitize="$2" obs="$3"
@@ -45,79 +66,98 @@ run_config() {
 # an instrumentation bug would hide. The default and ubsan passes keep
 # OBS=OFF so the shipped (instrumentation-free) configuration is what the
 # bench gate below times.
-run_config default "" OFF "$@"
-run_config asan address ON "$@"
-run_config tsan thread ON "$@"
-run_config ubsan undefined OFF "$@"
+gate default run_config default "" OFF "$@"
+gate asan run_config asan address ON "$@"
+gate tsan run_config tsan thread ON "$@"
+gate ubsan run_config ubsan undefined OFF "$@"
 
 # The golden contract across instruction sets: test_neuro_golden rebuilt
 # for the host's own ISA (AVX2 / AVX-512 / FMA where present) must match
 # its object model bitwise and reproduce the pinned digest of the baseline
 # x86-64 build (the src/ libraries compile with -ffp-contract=off).
-echo "=== [golden-native] test_neuro_golden built with -march=native ==="
-cmake -B build-ci-native -S . -DCMAKE_CXX_FLAGS=-march=native \
-      -DBIOSENSE_WERROR=ON >/dev/null
-cmake --build build-ci-native -j "${JOBS}" --target test_neuro_golden
-build-ci-native/tests/test_neuro_golden
+golden_native() {
+  echo "=== [golden-native] test_neuro_golden built with -march=native ==="
+  cmake -B build-ci-native -S . -DCMAKE_CXX_FLAGS=-march=native \
+        -DBIOSENSE_WERROR=ON >/dev/null
+  cmake --build build-ci-native -j "${JOBS}" --target test_neuro_golden
+  build-ci-native/tests/test_neuro_golden
+}
+gate golden-native golden_native
 
 # The examples are the user-facing API surface: each must run to completion
 # (a non-zero exit fails CI). They write no artifacts.
-echo "=== [examples] every example runs end to end ==="
-for example in quickstart dna_assay drug_screening neural_recording \
-               neural_stimulation network_activity tissue_wave; do
-  "build-ci-default/examples/${example}" >/dev/null
-done
+run_examples() {
+  echo "=== [examples] every example runs end to end ==="
+  for example in quickstart dna_assay drug_screening neural_recording \
+                 neural_stimulation network_activity tissue_wave; do
+    "build-ci-default/examples/${example}" >/dev/null
+  done
+}
+gate examples run_examples
 
-echo "=== [bench-gate] bench artifacts vs committed baselines ==="
+# bench <name> [args...]: one bench run writing its artifacts to the
+# scratch results directory.
+bench() {
+  local name="$1"
+  shift
+  echo "=== [bench-gate] ${name} ==="
+  BIOSENSE_RESULTS_DIR="${BENCH_SCRATCH}" "build-ci-default/bench/${name}" \
+    "$@" >/dev/null
+}
+
 if command -v python3 >/dev/null 2>&1; then
   BENCH_SCRATCH="$(mktemp -d)"
   trap 'rm -rf "${BENCH_SCRATCH}"' EXIT
-  for bench in bench_fig3_i2f bench_fig4_dnachip bench_fig6_neurochip \
-               bench_robust_readout; do
-    BIOSENSE_RESULTS_DIR="${BENCH_SCRATCH}" \
-      "build-ci-default/bench/${bench}" --benchmark_filter='^$' >/dev/null
+  for name in bench_fig3_i2f bench_fig4_dnachip bench_fig6_neurochip \
+              bench_robust_readout; do
+    gate "${name}" bench "${name}" --benchmark_filter='^$'
   done
-  BIOSENSE_RESULTS_DIR="${BENCH_SCRATCH}" \
-    build-ci-default/bench/bench_parallel_scaling \
-    --frames 32 --rows 32 --cols 32 >/dev/null
-  BIOSENSE_RESULTS_DIR="${BENCH_SCRATCH}" \
-    build-ci-default/bench/bench_streaming_pipeline \
-    --frames 48 --rows 32 --cols 32 >/dev/null
+  gate bench_parallel_scaling bench bench_parallel_scaling \
+    --frames 32 --rows 32 --cols 32
+  gate bench_streaming_pipeline bench bench_streaming_pipeline \
+    --frames 48 --rows 32 --cols 32
   # Full-scale fleet load: >=1M commands over 256 mixed sessions at 1/2/8
   # workers, with the bitwise-determinism and zero-steady-alloc contracts
   # checked both in-process (the bench exits nonzero itself) and again by
   # bench_check.py against the committed baseline.
-  BIOSENSE_RESULTS_DIR="${BENCH_SCRATCH}" \
-    build-ci-default/bench/bench_fleet_server >/dev/null
+  gate bench_fleet_server bench bench_fleet_server
   # Sharded soak replay: every shard checkpoints through the crash-safe
   # store and resumes independently; the merged digest must equal the
   # unsharded reference and a resumed session must stay alloc-free —
   # enforced in-process (nonzero exit) and re-checked by bench_check.py.
-  BIOSENSE_RESULTS_DIR="${BENCH_SCRATCH}" \
-    build-ci-default/bench/bench_soak_replay >/dev/null
-  python3 tools/bench_check.py --results-dir "${BENCH_SCRATCH}"
+  gate bench_soak_replay bench bench_soak_replay
+  echo "=== [bench-gate] bench artifacts vs committed baselines ==="
+  gate bench_check python3 tools/bench_check.py --results-dir "${BENCH_SCRATCH}"
   # Smoke the first-party report tool over the fresh artifacts: run
   # manifests plus the wire-decoded metrics snapshot the fleet bench
   # fetched via the kGetMetrics command.
-  python3 tools/obs_report.py --results-dir "${BENCH_SCRATCH}" \
+  gate obs_report python3 tools/obs_report.py --results-dir "${BENCH_SCRATCH}" \
     --metrics "${BENCH_SCRATCH}/bench_fleet_server.metrics.json" >/dev/null
 else
   echo "python3 not installed; skipping bench gate (tools/bench_check.py)"
 fi
 
-echo "=== [clang-tidy] static analysis ==="
-if command -v clang-tidy >/dev/null 2>&1; then
-  # Reuse the default config's compile commands; .clang-tidy at the repo
-  # root selects the checks.
-  cmake -B build-ci-default -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
-  find src -name '*.cpp' -print0 |
-    xargs -0 clang-tidy -p build-ci-default --quiet --warnings-as-errors='*'
-else
-  echo "clang-tidy not installed; skipping (checks are configured in"
-  echo ".clang-tidy and run automatically where the tool is available)"
-fi
+clang_tidy() {
+  echo "=== [clang-tidy] static analysis ==="
+  if command -v clang-tidy >/dev/null 2>&1; then
+    # Reuse the default config's compile commands; .clang-tidy at the repo
+    # root selects the checks.
+    cmake -B build-ci-default -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON \
+      >/dev/null
+    find src -name '*.cpp' -print0 |
+      xargs -0 clang-tidy -p build-ci-default --quiet --warnings-as-errors='*'
+  else
+    echo "clang-tidy not installed; skipping (checks are configured in"
+    echo ".clang-tidy and run automatically where the tool is available)"
+  fi
+}
+gate clang-tidy clang_tidy
 
 echo "=== [lint] repo invariants ==="
-build-ci-default/tools/analyze/biosense-analyze --root .
+gate lint build-ci-default/tools/analyze/biosense-analyze --root .
 
+if [ "${#FAILED_GATES[@]}" -ne 0 ]; then
+  echo "=== CI: ${#FAILED_GATES[@]} gate(s) failed: ${FAILED_GATES[*]} ==="
+  exit 1
+fi
 echo "=== CI: all four sanitizer configurations + static gates passed ==="

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/math_util.hpp"
 #include "common/units.hpp"
 
 namespace biosense::circuit {
@@ -18,8 +17,7 @@ GainStage::GainStage(GainStageParams params, Rng rng) : params_(params) {
 }
 
 double GainStage::step(double i_in, double dt) {
-  // tau > 0 always (bandwidth required positive), so one_pole_step reduces
-  // to the decay/step_with pair exactly.
+  // One single-pole update; tau > 0 always (bandwidth required positive).
   return step_with(i_in, decay(dt));
 }
 
@@ -40,12 +38,6 @@ void GainStage::calibrate(double i_ref, double residual) {
   corr_gain_ = ideal_corr * (1.0 + residual);
   corr_offset_ = -out0 * corr_gain_ * (1.0 - residual);
   calibrated_ = true;
-}
-
-void GainStage::clear_calibration() {
-  calibrated_ = false;
-  corr_gain_ = 1.0;
-  corr_offset_ = 0.0;
 }
 
 GainChain::GainChain(const std::vector<StageSpec>& specs, Rng rng,
@@ -101,12 +93,6 @@ void GainChain::calibrate(double i_ref, double residual) {
 double GainChain::total_nominal_gain() const {
   double g = 1.0;
   for (const auto& s : stages) g *= s.nominal_gain();
-  return g;
-}
-
-double GainChain::total_actual_gain() const {
-  double g = 1.0;
-  for (const auto& s : stages) g *= s.actual_gain();
   return g;
 }
 

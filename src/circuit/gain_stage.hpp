@@ -63,9 +63,6 @@ class GainStage {
   /// (relative), modeling the finite resolution of the correction DAC.
   void calibrate(double i_ref, double residual = 1e-3);
 
-  void clear_calibration();
-  bool calibrated() const { return calibrated_; }
-
   /// True (post-fab) gain including mismatch — what calibration estimates.
   double actual_gain() const { return actual_gain_; }
   double nominal_gain() const { return params_.nominal_gain; }
@@ -146,7 +143,6 @@ struct GainChain {
   void calibrate(double i_ref, double residual = 1e-3);
 
   double total_nominal_gain() const;  // = 100*7*4*2 = 5600
-  double total_actual_gain() const;
 
   void save_state(snapshot::StateWriter& w) const {
     w.u32(static_cast<std::uint32_t>(stages.size()));

@@ -53,12 +53,6 @@ double Mosfet::gm(double vg, double vd, double vs) const {
          (2.0 * dv);
 }
 
-double Mosfet::gds(double vg, double vd, double vs) const {
-  const double dv = 1e-6;
-  return (drain_current(vg, vd + dv, vs) - drain_current(vg, vd - dv, vs)) /
-         (2.0 * dv);
-}
-
 double Mosfet::vgs_for_current(double id, double vd, double vs) const {
   require(id > 0.0, "Mosfet::vgs_for_current: current must be positive");
   // I(VG) is monotonic (increasing for NMOS, decreasing for PMOS); bracket

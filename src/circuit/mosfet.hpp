@@ -74,9 +74,6 @@ class Mosfet {
   /// Transconductance dI_D/dV_G at the given bias (numeric, central diff).
   double gm(double vg, double vd, double vs) const;
 
-  /// Output conductance dI_D/dV_D at the given bias.
-  double gds(double vg, double vd, double vs) const;
-
   /// Gate voltage (referred to bulk) that makes the device carry `id` with
   /// the given drain/source potentials. Solved by bisection; this is what a
   /// diode-connection or a calibration feedback loop settles to.

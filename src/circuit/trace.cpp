@@ -13,31 +13,12 @@ double Trace::max_value() const {
   return *std::max_element(v_.begin(), v_.end());
 }
 
-std::optional<double> Trace::first_up_crossing(double level) const {
-  for (std::size_t i = 1; i < v_.size(); ++i) {
-    if (v_[i - 1] < level && v_[i] >= level) return t_[i];
-  }
-  return std::nullopt;
-}
-
 std::vector<double> Trace::up_crossings(double level) const {
   std::vector<double> out;
   for (std::size_t i = 1; i < v_.size(); ++i) {
     if (v_[i - 1] < level && v_[i] >= level) out.push_back(t_[i]);
   }
   return out;
-}
-
-std::optional<double> Trace::settling_time(double tol) const {
-  if (v_.empty()) return std::nullopt;
-  const double final_v = v_.back();
-  // Walk backwards to the last sample outside the band.
-  for (std::size_t i = v_.size(); i-- > 0;) {
-    if (std::abs(v_[i] - final_v) > tol) {
-      return i + 1 < t_.size() ? std::optional<double>(t_[i + 1]) : std::nullopt;
-    }
-  }
-  return t_.front();
 }
 
 }  // namespace biosense::circuit

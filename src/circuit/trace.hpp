@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 namespace biosense::circuit {
@@ -32,14 +31,8 @@ class Trace {
   double min_value() const;
   double max_value() const;
 
-  /// First time the signal crosses `level` upward; nullopt if never.
-  std::optional<double> first_up_crossing(double level) const;
-
   /// Times of all upward crossings of `level`.
   std::vector<double> up_crossings(double level) const;
-
-  /// Time after which the signal stays within +/-tol of its final value.
-  std::optional<double> settling_time(double tol) const;
 
   void clear() {
     t_.clear();

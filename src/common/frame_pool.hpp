@@ -117,13 +117,6 @@ class FramePool {
     return take(lock);
   }
 
-  /// Non-blocking acquire; empty handle when exhausted or closed.
-  Handle try_acquire() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (free_.empty() && created_ >= capacity_) return Handle{};
-    return take(lock);
-  }
-
   /// Wakes blocked acquirers; they and all later acquires receive empty
   /// handles. In-flight handles still recycle safely. Idempotent.
   void close() {

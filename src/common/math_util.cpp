@@ -1,22 +1,8 @@
 #include "common/math_util.hpp"
 
-#include <algorithm>
 #include <stdexcept>
-#include <vector>
 
 namespace biosense {
-
-double interp1(std::span<const double> xs, std::span<const double> ys, double x) {
-  if (xs.size() != ys.size() || xs.empty()) {
-    throw std::invalid_argument("interp1: need equal non-empty tables");
-  }
-  if (x <= xs.front()) return ys.front();
-  if (x >= xs.back()) return ys.back();
-  const auto it = std::upper_bound(xs.begin(), xs.end(), x);
-  const auto i = static_cast<std::size_t>(it - xs.begin());
-  const double t = (x - xs[i - 1]) / (xs[i] - xs[i - 1]);
-  return lerp(ys[i - 1], ys[i], t);
-}
 
 double bisect(const std::function<double(double)>& f, double lo, double hi,
               int iters) {
@@ -38,24 +24,6 @@ double bisect(const std::function<double(double)>& f, double lo, double hi,
     }
   }
   return 0.5 * (lo + hi);
-}
-
-void rk4_step(const std::function<void(double, std::span<const double>,
-                                       std::span<double>)>& f,
-              double t, double dt, std::span<double> y) {
-  const std::size_t n = y.size();
-  std::vector<double> k1(n), k2(n), k3(n), k4(n), tmp(n);
-
-  f(t, y, k1);
-  for (std::size_t i = 0; i < n; ++i) tmp[i] = y[i] + 0.5 * dt * k1[i];
-  f(t + 0.5 * dt, tmp, k2);
-  for (std::size_t i = 0; i < n; ++i) tmp[i] = y[i] + 0.5 * dt * k2[i];
-  f(t + 0.5 * dt, tmp, k3);
-  for (std::size_t i = 0; i < n; ++i) tmp[i] = y[i] + dt * k3[i];
-  f(t + dt, tmp, k4);
-  for (std::size_t i = 0; i < n; ++i) {
-    y[i] += dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-  }
 }
 
 }  // namespace biosense

@@ -1,53 +1,13 @@
-// Numeric helpers shared across modules: interpolation, root finding,
-// dB conversions and a few ODE stepping primitives.
+// Numeric helpers shared across modules: bisection root finding.
 #pragma once
 
-#include <cmath>
 #include <functional>
-#include <span>
 
 namespace biosense {
-
-/// Linear interpolation between a and b by t in [0,1].
-constexpr double lerp(double a, double b, double t) { return a + (b - a) * t; }
-
-/// Piecewise-linear interpolation of y(x) over sorted xs. Clamps outside the
-/// table range.
-double interp1(std::span<const double> xs, std::span<const double> ys, double x);
 
 /// Bisection root find of f on [lo, hi]; requires a sign change. Returns the
 /// midpoint after `iters` halvings (53 iterations reach double precision).
 double bisect(const std::function<double(double)>& f, double lo, double hi,
               int iters = 60);
-
-/// Power ratio to decibel, guarded against zero.
-inline double to_db_power(double ratio) {
-  return 10.0 * std::log10(ratio > 0 ? ratio : 1e-300);
-}
-
-/// Amplitude ratio to decibel.
-inline double to_db_amplitude(double ratio) {
-  return 20.0 * std::log10(ratio > 0 ? ratio : 1e-300);
-}
-
-/// One classic RK4 step for dy/dt = f(t, y) on a state vector stored in a
-/// caller-provided buffer. `f` writes dy/dt into its output span.
-void rk4_step(const std::function<void(double, std::span<const double>,
-                                       std::span<double>)>& f,
-              double t, double dt, std::span<double> y);
-
-/// First-order low-pass tracking step: returns the new output of a single
-/// pole with time constant tau driven by `input` for `dt`.
-inline double one_pole_step(double state, double input, double dt, double tau) {
-  if (tau <= 0.0) return input;
-  const double a = std::exp(-dt / tau);
-  return state * a + input * (1.0 - a);
-}
-
-/// True if |a-b| <= atol + rtol*max(|a|,|b|).
-inline bool approx_equal(double a, double b, double rtol = 1e-9,
-                         double atol = 0.0) {
-  return std::abs(a - b) <= atol + rtol * std::max(std::abs(a), std::abs(b));
-}
 
 }  // namespace biosense

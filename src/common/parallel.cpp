@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -101,15 +102,22 @@ void ThreadPool::worker_loop() {
 void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end,
                               std::int64_t grain,
                               const std::function<void(std::int64_t)>& body) {
-  if (begin >= end) return;
+  if (begin >= end || try_parallel_for(begin, end, grain, body)) return;
+  BIOSENSE_COUNT("parallel.serial_runs", 1);
+  for (std::int64_t i = begin; i < end; ++i) body(i);
+}
+
+bool ThreadPool::try_parallel_for(
+    std::int64_t begin, std::int64_t end, std::int64_t grain,
+    const std::function<void(std::int64_t)>& body) {
   grain = std::max<std::int64_t>(1, grain);
   const std::int64_t n = end - begin;
-  // Serial fast paths: one thread, one chunk, or a nested call from inside
-  // a job (re-entrant use of the shared pool would deadlock).
-  if (n_threads_ == 1 || n <= grain || t_inside_job) {
-    BIOSENSE_COUNT("parallel.serial_runs", 1);
-    for (std::int64_t i = begin; i < end; ++i) body(i);
-    return;
+  // One thread, one chunk, or a nested call from inside a job (re-entrant
+  // use of the shared pool would deadlock); then a second top-level caller,
+  // which would overwrite the running job.
+  if (n_threads_ == 1 || n <= grain || t_inside_job ||
+      busy_.exchange(true)) {
+    return false;
   }
 
   BIOSENSE_SPAN("parallel.for");
@@ -129,11 +137,15 @@ void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end,
 
   run_chunks(job_);  // the caller participates
 
+  std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock(mutex_);
     done_cv_.wait(lock, [&] { return active_workers_ == 0; });
+    error = std::exchange(first_error_, nullptr);
   }
-  if (first_error_) std::rethrow_exception(first_error_);
+  busy_.store(false);
+  if (error) std::rethrow_exception(error);
+  return true;
 }
 
 ThreadPool& ThreadPool::global() {
@@ -147,8 +159,6 @@ int max_threads() {
   if (g_requested_threads == 0) g_requested_threads = default_threads();
   return g_requested_threads;
 }
-
-bool inside_parallel_job() { return t_inside_job; }
 
 void set_max_threads(int n) {
   std::lock_guard<std::mutex> lock(g_pool_mutex);

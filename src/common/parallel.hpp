@@ -13,7 +13,8 @@
 //     debuggability are unchanged.
 //  3. Re-entrancy: a `parallel_for` issued from inside a worker runs
 //     serially instead of deadlocking, so library layers can parallelize
-//     without coordinating with their callers.
+//     without coordinating with their callers. So does one issued by a
+//     second thread while another caller's job holds the pool.
 //
 // Thread count defaults to the hardware concurrency and can be overridden
 // globally (`set_max_threads`) or by the BIOSENSE_THREADS environment
@@ -50,9 +51,18 @@ class ThreadPool {
   /// Runs `body(i)` for every i in [begin, end), distributing grain-sized
   /// chunks over the pool. Blocks until every index has been processed.
   /// The first exception thrown by any invocation is rethrown on the
-  /// caller after the range completes or drains.
+  /// caller after the range completes or drains. Runs inline when
+  /// `try_parallel_for` would decline.
   void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
                     const std::function<void(std::int64_t)>& body);
+
+  /// As `parallel_for`, but runs nothing and returns false instead of
+  /// running inline: with one thread, one chunk, from inside a pool job,
+  /// or while another caller's job holds the pool. For bodies that must
+  /// run concurrently, such as stage loops that block on each other.
+  bool try_parallel_for(std::int64_t begin, std::int64_t end,
+                        std::int64_t grain,
+                        const std::function<void(std::int64_t)>& body);
 
   /// The process-wide pool used by the free `parallel_for`. Sized by
   /// `set_max_threads`, the BIOSENSE_THREADS environment variable, or the
@@ -83,17 +93,11 @@ class ThreadPool {
   std::mutex error_mutex_;
   std::exception_ptr first_error_;
   std::atomic<std::int64_t> next_{0};  // next unclaimed index of the job
+  std::atomic<bool> busy_{false};      // a top-level caller holds the pool
 };
 
 /// Threads used by the global pool (>= 1).
 int max_threads();
-
-/// True when the calling thread is executing inside a pool job — a nested
-/// `parallel_for` would run serially. Long-lived stage loops (the streaming
-/// pipeline) must check this and fall back to their stepwise serial path:
-/// scheduling blocking stages through a serialized parallel_for would
-/// deadlock, since no second stage ever starts.
-bool inside_parallel_job();
 
 /// Resizes the global pool to `n` threads (clamped to >= 1). Takes effect
 /// immediately; intended for benches and determinism tests. Not safe to
@@ -103,7 +107,8 @@ void set_max_threads(int n);
 /// Runs `body(i)` for i in [begin, end) on the global pool. `grain` is the
 /// number of consecutive indices a thread claims at once; use larger grains
 /// for cheap bodies. Runs inline when the range fits one chunk, the pool
-/// has one thread, or the caller is itself a pool worker.
+/// has one thread, the caller is itself a pool worker, or another caller's
+/// job holds the pool.
 void parallel_for(std::int64_t begin, std::int64_t end,
                   const std::function<void(std::int64_t)>& body,
                   std::int64_t grain = 1);

@@ -7,13 +7,6 @@
 namespace biosense {
 
 void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
   ++n_;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(n_);
@@ -84,13 +77,6 @@ double stddev(std::span<const double> values) {
   return s.stddev();
 }
 
-double rms(std::span<const double> values) {
-  if (values.empty()) return 0.0;
-  double acc = 0.0;
-  for (double v : values) acc += v * v;
-  return std::sqrt(acc / static_cast<double>(values.size()));
-}
-
 double mad_sigma(std::span<const double> values) {
   if (values.empty()) return 0.0;
   std::vector<double> work(values.begin(), values.end());
@@ -99,27 +85,6 @@ double mad_sigma(std::span<const double> values) {
   for (auto& v : work) v = std::abs(v - med);
   std::nth_element(work.begin(), work.begin() + work.size() / 2, work.end());
   return 1.4826 * work[work.size() / 2];
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (!(hi > lo) || bins == 0) {
-    throw std::invalid_argument("Histogram: need hi > lo and bins > 0");
-  }
-}
-
-void Histogram::add(double x) {
-  const double t = (x - lo_) / (hi_ - lo_) * static_cast<double>(counts_.size());
-  auto idx = t <= 0.0 ? 0
-                      : std::min(counts_.size() - 1,
-                                 static_cast<std::size_t>(t));
-  ++counts_[idx];
-  ++total_;
-}
-
-double Histogram::bin_center(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + (static_cast<double>(i) + 0.5) * width;
 }
 
 }  // namespace biosense

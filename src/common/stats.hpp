@@ -1,5 +1,5 @@
 // Small statistics toolkit used by tests and benchmark harnesses:
-// streaming moments, percentiles, histograms and least-squares fits.
+// streaming moments, percentiles, robust sigma and least-squares fits.
 #pragma once
 
 #include <cstddef>
@@ -18,15 +18,11 @@ class RunningStats {
   /// Unbiased sample variance; 0 for fewer than two samples.
   double variance() const;
   double stddev() const;
-  double min() const { return min_; }
-  double max() const { return max_; }
 
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 /// Result of an ordinary least-squares line fit y = slope*x + intercept.
@@ -48,32 +44,9 @@ double percentile(std::span<const double> values, double p);
 double mean(std::span<const double> values);
 double stddev(std::span<const double> values);
 
-/// Root-mean-square of a sample.
-double rms(std::span<const double> values);
-
 /// Median absolute deviation, scaled to estimate sigma for a normal
 /// distribution (factor 1.4826). Robust noise estimator used by the spike
 /// detector.
 double mad_sigma(std::span<const double> values);
-
-/// Fixed-bin histogram over [lo, hi); values outside are clamped into the
-/// first/last bin.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  /// Center value of bin i.
-  double bin_center(std::size_t i) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 }  // namespace biosense

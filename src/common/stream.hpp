@@ -5,8 +5,7 @@
 // thread (the pipeline's sink stage delivers in frame order regardless of
 // how many workers ran upstream). Items arrive by const reference and are
 // recycled after the call returns — a sink that wants to keep one copies
-// it. `CollectSink` is exactly that collect-all compat behaviour, and is
-// what the retained `record()`/`run()` wrappers are implemented with.
+// it, as the retained `record()`/`run()` wrappers do through `FunctionSink`.
 #pragma once
 
 #include <functional>
@@ -27,19 +26,6 @@ class StreamSink {
   /// End of stream: called exactly once, after the last item, on the same
   /// thread that delivered it. Not called when the producer throws.
   virtual void on_end() {}
-};
-
-/// Collect-all sink: the batch compatibility path. Copies every item.
-template <typename T>
-class CollectSink final : public StreamSink<T> {
- public:
-  void on_item(const T& item) override { items_.push_back(item); }
-
-  std::vector<T> take() { return std::move(items_); }
-  const std::vector<T>& items() const { return items_; }
-
- private:
-  std::vector<T> items_;
 };
 
 /// Adapter for ad-hoc consumers (examples, tests) without a sink subclass.

@@ -1,27 +1,25 @@
 // Staged streaming acquisition session (DESIGN.md §11).
 //
 // One `ChipSession` owns the acquisition data path of a neural chip as a
-// stage graph:
+// two-stage graph:
 //
-//   capture -> [capture_q] -> wire (serialize + link + host decode) ->
-//   [decode_q] -> sink
+//   capture -> [capture_q] -> wire (serialize + link + host decode) + sink
 //
-// Frames travel as pooled handles (`FramePool`) through bounded channels
-// (`Channel`), so memory is fixed by the pool budget regardless of run
-// length and the steady state allocates nothing. The stages run on the
-// existing deterministic `common/parallel` engine: with T configured
-// threads the session schedules exactly T long-lived stage loops through
-// one `parallel_for` (capture | T-2 wire lanes | sink; at T=2 wire and
-// sink fuse; at T=1 — or re-entrantly, inside another pool job — the
-// stages run stepwise serial inline, no threads, no channels).
+// Frames travel as pooled handles (`FramePool`) through one bounded
+// channel (`Channel`), so memory is fixed by the pool budget regardless of
+// run length and the steady state allocates nothing. Every queued frame
+// holds a pool handle, so the pool is the one backpressure point. With two
+// or more configured threads the two stages run as long-lived loops on the
+// `common/parallel` engine; with one thread, inside another pool job, or
+// while another caller holds the pool, they run stepwise serial inline (no
+// threads, no channel).
 //
-// Determinism: capture is always sequential on one stage (the chip is one
+// Determinism: capture is sequential on one stage (the chip is one
 // physical scan chain), each frame's link RNG is forked in capture order,
-// and the sink reorders completed frames back into capture order through
-// an allocation-free ring bounded by the pool capacity. Output is
-// therefore bitwise identical for any thread count and any pool size that
-// admits the stage graph (>= 1), and identical to the batch
-// `NeuroChip::record` path when the link is lossless.
+// and the single wire+sink stage consumes frames in that order. Output is
+// therefore bitwise identical for any thread count and any pool size
+// (>= 1), and identical to the batch `NeuroChip::record` path when the
+// link is lossless.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "common/channel.hpp"
 #include "common/frame_pool.hpp"
 #include "common/rng.hpp"
 #include "common/stream.hpp"
@@ -40,13 +37,9 @@
 namespace biosense::core {
 
 struct SessionConfig {
-  /// Frame buffers in flight, end to end. Also bounds the sink's reorder
-  /// window. Minimum 1; >= stage count keeps every stage busy.
+  /// Frame buffers in flight, end to end. Minimum 1; >= 2 lets capture
+  /// run ahead of the wire.
   std::size_t pool_frames = 8;
-  /// Depth of each inter-stage channel (backpressure granularity).
-  std::size_t queue_depth = 4;
-  /// Wire lanes when >= 3 threads run; 0 = one lane per spare thread.
-  int wire_workers = 0;
   /// Host link imperfections, as for the DNA chip's 6-pin interface.
   double bit_error_rate = 0.0;
   std::optional<faults::LinkFaultModel> link_faults{};
@@ -69,11 +62,8 @@ struct SessionReport {
   int frames = 0;
   /// Stage loops actually scheduled (1 = stepwise serial fallback).
   int stage_threads = 1;
-  int wire_workers = 0;
-  WireStats wire{};              // summed in frame order
-  FramePoolStats pool{};         // cumulative across the session's runs
-  ChannelStats capture_queue{};  // this run
-  ChannelStats decode_queue{};   // this run (empty when stages fused)
+  WireStats wire{};       // summed in frame order
+  FramePoolStats pool{};  // cumulative across the session's runs
 };
 
 class ChipSession {
@@ -104,20 +94,14 @@ class ChipSession {
   void load_state(snapshot::StateReader& r);
 
  private:
-  struct FrameTask {
-    FramePool<neurochip::NeuroFrame>::Handle frame;
-    int index = 0;
-    Rng link_rng{0};
-    WireStats stats{};
-    std::uint64_t begin_ns = 0;  // pipeline span start (0 = tracing off)
-  };
-
-  FrameCodec make_codec() const;
-  SessionReport run_serial(const neurochip::SignalSource& source, double t0,
-                           int n, StreamSink<neurochip::NeuroFrame>& sink);
-  SessionReport run_staged(const neurochip::SignalSource& source, double t0,
-                           int n, StreamSink<neurochip::NeuroFrame>& sink,
-                           int threads);
+  void run_serial(const neurochip::SignalSource& source, double t0, int n,
+                  StreamSink<neurochip::NeuroFrame>& sink,
+                  SessionReport& report);
+  /// Runs nothing and returns false when the pool cannot give the two
+  /// stage loops a thread each.
+  bool run_staged(const neurochip::SignalSource& source, double t0, int n,
+                  StreamSink<neurochip::NeuroFrame>& sink,
+                  SessionReport& report);
 
   neurochip::NeuroChip* chip_;  // analyze:transient - non-owning, rebound at construction
   SessionConfig config_;        // analyze:transient - frozen config
@@ -128,6 +112,7 @@ class ChipSession {
   /// before pool_, which derives its instrument names from it.
   std::string obs_name_;  // analyze:transient - registry claim, re-claimed at construction
   FramePool<neurochip::NeuroFrame> pool_;
+  FrameWire wire_;  // analyze:transient - per-frame scratch, reset every frame
 };
 
 }  // namespace biosense::core

@@ -33,17 +33,6 @@ DnaWorkbench::DnaWorkbench(DnaWorkbenchConfig config,
 }
 
 WorkbenchRun DnaWorkbench::run(const std::vector<dna::TargetSpecies>& sample) {
-  return run_impl(sample, nullptr);
-}
-
-WorkbenchRun DnaWorkbench::run(const std::vector<dna::TargetSpecies>& sample,
-                               StreamSink<SpotCall>& sink) {
-  return run_impl(sample, &sink);
-}
-
-WorkbenchRun DnaWorkbench::run_impl(
-    const std::vector<dna::TargetSpecies>& sample,
-    StreamSink<SpotCall>* sink) {
   BIOSENSE_SPAN("dna.run");
   std::vector<dna::SpotResult> assay_results;
   {
@@ -70,7 +59,6 @@ WorkbenchRun DnaWorkbench::run_impl(
   chip_.apply_sensor_currents(currents);
 
   const int cols = chip_.cols();
-  const int rows = chip_.rows();
   run.calls.reserve(assay_results.size());
 
   const auto make_call = [&](std::size_t i, double measured_value) {
@@ -88,11 +76,11 @@ WorkbenchRun DnaWorkbench::run_impl(
   };
 
   dnachip::HostInterface::Frame frame;
-  if (sink == nullptr) {
-    {
-      obs::PhaseTimer phase("dna.acquire");
-      frame = host_.acquire_autorange();
-    }
+  {
+    obs::PhaseTimer phase("dna.acquire");
+    frame = host_.acquire_autorange();
+  }
+  {
     obs::PhaseTimer calls_phase("dna.calls");
     // Graceful degradation: BIST-flagged sites are masked and replaced by
     // their good neighbours' mean so one dead spot can't poison a call.
@@ -102,52 +90,9 @@ WorkbenchRun DnaWorkbench::run_impl(
       faults::mask_interpolate(run.defects, measured);
     }
     for (std::size_t i = 0; i < assay_results.size(); ++i) {
-      run.calls.push_back(make_call(i, i < measured.size() ? measured[i] : 0.0));
+      run.calls.push_back(
+          make_call(i, i < measured.size() ? measured[i] : 0.0));
     }
-  } else {
-    // Per-site streaming: the chip's readings land in a three-row ring of
-    // pre-mask currents, and a row's calls are emitted once the next row
-    // has arrived — the point where every 4-neighbour a masked site could
-    // interpolate from is known. Values match the batch path bitwise
-    // (`mask_interpolate` also reads only good pre-mask neighbours, in the
-    // same up/down/left/right order).
-    obs::PhaseTimer phase("dna.acquire");
-    std::vector<double> ring(static_cast<std::size_t>(3 * cols), 0.0);
-    const auto slot = [&ring, cols](int r, int c) -> double& {
-      return ring[static_cast<std::size_t>((r % 3) * cols + c)];
-    };
-    const auto site_value = [&](int r, int c) {
-      if (run.defects.empty() || run.defects.good(r, c)) return slot(r, c);
-      double sum = 0.0;
-      int n = 0;
-      const int nbr[4][2] = {{r - 1, c}, {r + 1, c}, {r, c - 1}, {r, c + 1}};
-      for (const auto& rc : nbr) {
-        if (rc[0] < 0 || rc[0] >= rows || rc[1] < 0 || rc[1] >= cols) continue;
-        if (!run.defects.good(rc[0], rc[1])) continue;
-        sum += slot(rc[0], rc[1]);
-        ++n;
-      }
-      return n > 0 ? sum / n : 0.0;
-    };
-    const auto emit_row = [&](int r) {
-      for (int c = 0; c < cols; ++c) {
-        const std::size_t i = static_cast<std::size_t>(r * cols + c);
-        if (i >= assay_results.size()) return;
-        SpotCall call = make_call(i, site_value(r, c));
-        sink->on_item(call);
-        run.calls.push_back(std::move(call));
-      }
-    };
-    FunctionSink<dnachip::HostInterface::SiteReading> site_sink(
-        [&](const dnachip::HostInterface::SiteReading& reading) {
-          const int r = reading.index / cols;
-          const int c = reading.index % cols;
-          slot(r, c) = reading.current;
-          if (c == cols - 1 && r >= 1) emit_row(r - 1);
-        });
-    frame = host_.acquire_autorange(site_sink);
-    emit_row(rows - 1);
-    sink->on_end();
   }
 
   run.gate_time = frame.gate_time;

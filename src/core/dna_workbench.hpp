@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/stream.hpp"
 #include "common/units.hpp"
 #include "dna/assay.hpp"
 #include "dnachip/chip.hpp"
@@ -64,23 +63,11 @@ class DnaWorkbench {
   /// Runs the wet protocol and a full chip acquisition against `sample`.
   WorkbenchRun run(const std::vector<dna::TargetSpecies>& sample);
 
-  /// Streaming variant: identical wire traffic and identical calls, but
-  /// each `SpotCall` is emitted to `sink` as soon as it is decidable. A
-  /// masked site interpolates from its 4-neighbours, so a row's calls
-  /// finalize once the next row's readings arrive — emission lags the chip
-  /// scan by one row and buffers three rows of currents, never the array.
-  /// The returned run still carries the collected calls (they are small).
-  WorkbenchRun run(const std::vector<dna::TargetSpecies>& sample,
-                   StreamSink<SpotCall>& sink);
-
   int spots_capacity() const { return chip_.sites(); }
   const dnachip::DnaChip& chip() const { return chip_; }
   const dnachip::HostInterface& host() const { return host_; }
 
  private:
-  WorkbenchRun run_impl(const std::vector<dna::TargetSpecies>& sample,
-                        StreamSink<SpotCall>* sink);
-
   DnaWorkbenchConfig config_;
   dna::MicroarrayAssay assay_;
   dnachip::DnaChip chip_;

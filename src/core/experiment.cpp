@@ -17,16 +17,6 @@ std::vector<double> log_space(double lo, double hi, std::size_t n) {
   return out;
 }
 
-std::vector<double> lin_space(double lo, double hi, std::size_t n) {
-  require(n >= 2, "lin_space: need at least two points");
-  std::vector<double> out(n);
-  const double step = (hi - lo) / static_cast<double>(n - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = lo + step * static_cast<double>(i);
-  }
-  return out;
-}
-
 void ClaimReport::add(std::string quantity, std::string paper_value,
                       std::string measured_value, bool pass) {
   checks_.push_back({std::move(quantity), std::move(paper_value),

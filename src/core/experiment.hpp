@@ -13,9 +13,6 @@ namespace biosense::core {
 /// `n` logarithmically spaced values over [lo, hi] (inclusive).
 std::vector<double> log_space(double lo, double hi, std::size_t n);
 
-/// `n` linearly spaced values over [lo, hi] (inclusive).
-std::vector<double> lin_space(double lo, double hi, std::size_t n);
-
 /// One paper-claim check: the quantity, what the paper states, what the
 /// simulation measured, and whether the measurement is inside the accepted
 /// band.

@@ -12,11 +12,6 @@ SessionOptions& SessionOptions::neuro_config(neurochip::NeuroChipConfig cfg) {
   return *this;
 }
 
-SessionOptions& SessionOptions::dna_config(dnachip::DnaChipConfig cfg) {
-  dna_cfg_ = std::move(cfg);
-  return *this;
-}
-
 SessionOptions& SessionOptions::fault_plan(faults::FaultPlanConfig plan) {
   plan_ = std::move(plan);
   return *this;
@@ -34,10 +29,6 @@ NeuroSession SessionOptions::build_neuro() const {
 
   SessionConfig session_cfg;
   session_cfg.pool_frames = pool_frames_;
-  session_cfg.queue_depth = queue_depth_;
-  session_cfg.wire_workers = wire_workers_;
-  session_cfg.bit_error_rate = ber_;
-  session_cfg.retry = retry_;
   session_cfg.name = label_;
   if (plan_) {
     const faults::FaultPlan plan(*plan_);
@@ -47,7 +38,7 @@ NeuroSession SessionOptions::build_neuro() const {
     }
     if (plan.link_faults().any()) session_cfg.link_faults = plan.link_faults();
   }
-  if (calibrate_) out.chip->calibrate_all();
+  out.chip->calibrate_all();
 
   out.session = std::make_unique<ChipSession>(*out.chip, session_cfg,
                                               Rng(link_seed_));
@@ -57,7 +48,7 @@ NeuroSession SessionOptions::build_neuro() const {
 DnaSession SessionOptions::build_dna() const {
   require(kind_ == ChipKind::kDna,
           "SessionOptions: build_dna on a non-dna kind");
-  dnachip::DnaChipConfig cfg = dna_cfg_;
+  dnachip::DnaChipConfig cfg;
   if (rows_) cfg.rows = *rows_;
   if (cols_) cfg.cols = *cols_;
 
@@ -76,7 +67,7 @@ DnaSession SessionOptions::build_dna() const {
     out.chip->apply_sensor_currents(std::move(currents));
   }
   out.host = std::make_unique<dnachip::HostInterface>(
-      *out.chip, dnachip::SerialLink(ber_, Rng(link_seed_)), cfg.site, retry_);
+      *out.chip, dnachip::SerialLink(0.0, Rng(link_seed_)), cfg.site);
   if (plan_) {
     const faults::FaultPlan plan(*plan_);
     if (plan.any_dna_faults()) {
@@ -86,12 +77,10 @@ DnaSession SessionOptions::build_dna() const {
       out.host->link().inject_faults(plan.link_faults());
     }
   }
-  if (calibrate_) {
-    out.host->set_electrode_potentials(1.2_V, 0.8_V);
-    // May fail under an adverse link plan; the session then runs on raw
-    // counts, the same graceful degradation the workbenches report.
-    (void)out.host->auto_calibrate(gate_code_);
-  }
+  out.host->set_electrode_potentials(1.2_V, 0.8_V);
+  // May fail under an adverse link plan; the session then runs on raw
+  // counts, the same graceful degradation the workbenches report.
+  (void)out.host->auto_calibrate();
   return out;
 }
 

@@ -1,15 +1,13 @@
 // Unified session construction (DESIGN.md §12.6).
 //
-// Before this builder every layer wired chips, links, fault plans and
-// streaming sessions together by hand: the workbenches, each bench, the
-// examples and now the fleet server all had their own ad-hoc constructor
-// sequence (chip, Rng seeds, SerialLink, inject_faults, calibrate, session
-// config). `SessionOptions` is the one audited surface for that wiring —
-// pick a chip kind, override what differs from the defaults, and `build_*`
-// returns an owning, ready-to-drive session bundle. The underlying
-// constructors (`ChipSession(...)`, `HostInterface(...)`) stay public as
-// thin compatibility wrappers for existing code, but new call sites should
-// come through here.
+// `SessionOptions` is the one audited surface that wires a chip, its link,
+// an optional fault plan and, for the neural chip, the streaming
+// `ChipSession` together: pick a chip kind, override what differs from the
+// defaults, and `build_*` returns an owning, ready-to-drive session bundle.
+// It carries only the knobs the benches, examples and fleet server set; the
+// DNA chip config, the link retry policy and the DNA calibration gate code
+// keep their defaults. The underlying constructors (`ChipSession(...)`,
+// `HostInterface(...)`) stay public for callers that need more.
 #pragma once
 
 #include <cstdint>
@@ -47,10 +45,10 @@ class SessionOptions {
  public:
   SessionOptions& kind(ChipKind k) { kind_ = k; return *this; }
 
-  /// Full chip configs (kind-specific). `rows`/`cols` below override the
-  /// array shape of whichever config applies.
+  /// Full neural chip config; DNA sessions use the default
+  /// `DnaChipConfig`. `rows`/`cols` below override the array shape of
+  /// whichever config applies.
   SessionOptions& neuro_config(neurochip::NeuroChipConfig cfg);
-  SessionOptions& dna_config(dnachip::DnaChipConfig cfg);
   SessionOptions& rows(int r) { rows_ = r; return *this; }
   SessionOptions& cols(int c) { cols_ = c; return *this; }
 
@@ -59,55 +57,37 @@ class SessionOptions {
   SessionOptions& chip_seed(std::uint64_t seed) { chip_seed_ = seed; return *this; }
   SessionOptions& link_seed(std::uint64_t seed) { link_seed_ = seed; return *this; }
 
-  /// Run calibration during build (default true): `calibrate_all()` for the
-  /// neural chip, electrode setup + `auto_calibrate(gate_code)` for the DNA
-  /// chip. Calibration failure under an adverse fault plan is not fatal —
-  /// the session degrades exactly like a lab run with a flaky cable.
-  SessionOptions& calibrate(bool on) { calibrate_ = on; return *this; }
-  SessionOptions& gate_code(std::uint16_t code) { gate_code_ = code; return *this; }
-
   /// Fault plan applied at build: die defects + channel drift on the chip,
   /// link faults on the transport.
   SessionOptions& fault_plan(faults::FaultPlanConfig plan);
 
-  /// Streaming-pipeline sizing (neural sessions; ignored for DNA).
+  /// Streaming-pipeline frame budget (neural sessions; ignored for DNA).
   SessionOptions& pool_frames(std::size_t n) { pool_frames_ = n; return *this; }
-  SessionOptions& queue_depth(std::size_t n) { queue_depth_ = n; return *this; }
-  SessionOptions& wire_workers(int n) { wire_workers_ = n; return *this; }
-
-  /// Transport knobs (both kinds).
-  SessionOptions& bit_error_rate(double ber) { ber_ = ber; return *this; }
-  SessionOptions& retry(dnachip::RetryPolicy policy) { retry_ = policy; return *this; }
 
   /// Obs label: instrument prefix for the session's pool/channels (a
   /// collision-free variant is claimed at construction). Empty disables
   /// per-session instruments.
   SessionOptions& label(std::string name) { label_ = std::move(name); return *this; }
 
-  ChipKind chip_kind() const { return kind_; }
-
-  /// Builds the configured session. `build_neuro` requires kind kNeuro,
-  /// `build_dna` kind kDna (ConfigError otherwise — a kind mismatch is a
-  /// programming bug, not a runtime condition).
+  /// Builds and calibrates the configured session: `calibrate_all()` for
+  /// the neural chip, electrode setup + `auto_calibrate()` for the DNA chip.
+  /// Calibration failure under an adverse fault plan is not fatal — the
+  /// session degrades exactly like a lab run with a flaky cable.
+  /// `build_neuro` requires kind kNeuro, `build_dna` kind kDna (ConfigError
+  /// otherwise — a kind mismatch is a programming bug, not a runtime
+  /// condition).
   NeuroSession build_neuro() const;
   DnaSession build_dna() const;
 
  private:
   ChipKind kind_ = ChipKind::kNeuro;
   neurochip::NeuroChipConfig neuro_cfg_{};
-  dnachip::DnaChipConfig dna_cfg_{};
   std::optional<int> rows_{};
   std::optional<int> cols_{};
   std::uint64_t chip_seed_ = 1;
   std::uint64_t link_seed_ = 2;
-  bool calibrate_ = true;
-  std::uint16_t gate_code_ = 7;
   std::optional<faults::FaultPlanConfig> plan_{};
   std::size_t pool_frames_ = 8;
-  std::size_t queue_depth_ = 4;
-  int wire_workers_ = 0;
-  double ber_ = 0.0;
-  dnachip::RetryPolicy retry_{};
   std::string label_ = "session";
 };
 

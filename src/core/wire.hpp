@@ -44,15 +44,9 @@ class FrameCodec {
   FrameCodec(double adc_lsb, double conv_gain)
       : adc_lsb_(adc_lsb), conv_gain_(conv_gain) {}
 
-  /// Words per frame for the given geometry: 8 header words (seq, rows,
-  /// cols, masked, 4x time) + 2 words per pixel code.
-  static std::size_t words_for(int rows, int cols) {
-    return 8 + 2 * static_cast<std::size_t>(rows) *
-                   static_cast<std::size_t>(cols);
-  }
-
-  /// Encodes `frame` into `words` (overwritten, capacity retained). `seq`
-  /// is a 16-bit frame tag checked on decode.
+  /// Encodes `frame` into `words` (overwritten, capacity retained): 8
+  /// header words (seq, rows, cols, masked, 4x time), then 2 words per
+  /// pixel code. `seq` is a 16-bit frame tag checked on decode.
   void encode(const neurochip::NeuroFrame& frame, std::uint16_t seq,
               std::vector<std::uint16_t>& words) const;
 

@@ -76,13 +76,6 @@ void SpotKinetics::wash(double duration, double dt) {
   }
 }
 
-double SpotKinetics::equilibrium_theta(std::size_t i) const {
-  double denom = 1.0;
-  for (const auto& s : species_) denom += s.concentration / s.kd;
-  const auto& si = species_.at(i);
-  return (si.concentration / si.kd) / denom;
-}
-
 double SpotKinetics::total_theta() const {
   double t = 0.0;
   for (const auto& s : species_) t += s.theta;

@@ -46,10 +46,6 @@ class SpotKinetics {
   /// Runs the washing phase: zero bulk concentration for `duration`.
   void wash(double duration, double dt = 1.0);
 
-  /// Equilibrium occupancy of species i under the current concentrations
-  /// (competitive Langmuir isotherm) — the t->infinity limit of step().
-  double equilibrium_theta(std::size_t i) const;
-
   double total_theta() const;
   double theta(std::size_t i) const { return species_.at(i).theta; }
   std::size_t species_count() const { return species_.size(); }

@@ -7,8 +7,7 @@
 
 namespace biosense::dna {
 
-ImpedanceSensor::ImpedanceSensor(RandlesParams params, Rng rng)
-    : params_(params), rng_(rng) {
+ImpedanceSensor::ImpedanceSensor(RandlesParams params) : params_(params) {
   require(params.r_solution > Resistance(0.0) &&
               params.c_double_layer > Capacitance(0.0) &&
               params.r_charge_transfer > Resistance(0.0),
@@ -52,14 +51,7 @@ double ImpedanceSensor::optimal_frequency(double f_lo, double f_hi) const {
   return best_f;
 }
 
-double ImpedanceSensor::measure_magnitude(double f_hz, double theta,
-                                          double sigma_rel) {
-  const double z = std::abs(impedance(f_hz, theta));
-  return z * (1.0 + rng_.normal(0.0, sigma_rel));
-}
-
-FbarSensor::FbarSensor(FbarParams params, Rng rng)
-    : params_(params), rng_(rng) {
+FbarSensor::FbarSensor(FbarParams params) : params_(params) {
   require(params.f0 > 0.0 && params.q_factor > 0.0,
           "FbarSensor: resonator parameters must be positive");
   require(params.mass_sensitivity > 0.0,
@@ -79,13 +71,6 @@ double FbarSensor::dna_areal_mass(double probe_density, double theta,
 
 double FbarSensor::frequency_shift(double areal_mass) const {
   return -params_.mass_sensitivity * areal_mass;
-}
-
-double FbarSensor::measure_shift(double areal_mass, double temp_mismatch_k) {
-  const double thermal =
-      params_.f0 * params_.tcf * rng_.normal(0.0, temp_mismatch_k);
-  return frequency_shift(areal_mass) + thermal +
-         rng_.normal(0.0, params_.readout_noise * std::sqrt(2.0));
 }
 
 double FbarSensor::mass_resolution() const {

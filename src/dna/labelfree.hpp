@@ -22,7 +22,6 @@
 #include <complex>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "common/units.hpp"
 
 namespace biosense::dna {
@@ -42,7 +41,7 @@ struct RandlesParams {
 
 class ImpedanceSensor {
  public:
-  ImpedanceSensor(RandlesParams params, Rng rng);
+  explicit ImpedanceSensor(RandlesParams params);
 
   /// Complex impedance at frequency f for hybridization coverage theta.
   std::complex<double> impedance(double f_hz, double theta) const;
@@ -54,14 +53,10 @@ class ImpedanceSensor {
   /// where the chip should measure.
   double optimal_frequency(double f_lo = 10.0, double f_hi = 1e6) const;
 
-  /// One noisy |Z| measurement (relative measurement noise `sigma_rel`).
-  double measure_magnitude(double f_hz, double theta, double sigma_rel = 1e-3);
-
   const RandlesParams& params() const { return params_; }
 
  private:
   RandlesParams params_;
-  Rng rng_;
 };
 
 // --- mass (FBAR) sensing -----------------------------------------------------
@@ -74,13 +69,11 @@ struct FbarParams {
   double mass_sensitivity = 2e11;
   /// Allan-deviation-limited frequency readout noise, Hz rms.
   double readout_noise = 300.0;
-  /// Temperature coefficient of frequency, 1/K (uncompensated).
-  double tcf = -20e-6;
 };
 
 class FbarSensor {
  public:
-  FbarSensor(FbarParams params, Rng rng);
+  explicit FbarSensor(FbarParams params);
 
   /// Areal mass density of a hybridized DNA layer (kg/m^2) for a probe
   /// density (1/m^2), coverage theta and target length (bases).
@@ -90,10 +83,6 @@ class FbarSensor {
   /// Resonance shift for an added areal mass (negative = down), Hz.
   double frequency_shift(double areal_mass) const;
 
-  /// One noisy differential measurement (sensor minus reference resonator,
-  /// which cancels the common temperature term to `temp_mismatch_k`).
-  double measure_shift(double areal_mass, double temp_mismatch_k = 0.01);
-
   /// Smallest detectable areal mass (3 sigma of readout noise), kg/m^2.
   double mass_resolution() const;
 
@@ -101,18 +90,6 @@ class FbarSensor {
 
  private:
   FbarParams params_;
-  Rng rng_;
-};
-
-/// Comparison record used by the detection-principles bench.
-struct DetectionComparison {
-  double bound_fraction = 0.0;
-  double redox_current = 0.0;       // A
-  double impedance_contrast = 0.0;  // relative |Z| change
-  double fbar_shift = 0.0;          // Hz
-  bool redox_detectable = false;
-  bool impedance_detectable = false;
-  bool fbar_detectable = false;
 };
 
 }  // namespace biosense::dna

@@ -56,13 +56,6 @@ std::string Sequence::str() const {
   return s;
 }
 
-Sequence Sequence::complemented() const {
-  std::vector<Base> b(bases_.size());
-  std::transform(bases_.begin(), bases_.end(), b.begin(),
-                 [](Base x) { return complement(x); });
-  return Sequence(std::move(b));
-}
-
 Sequence Sequence::reverse_complement() const {
   std::vector<Base> b(bases_.size());
   for (std::size_t i = 0; i < bases_.size(); ++i) {
@@ -71,23 +64,10 @@ Sequence Sequence::reverse_complement() const {
   return Sequence(std::move(b));
 }
 
-Sequence Sequence::reversed() const {
-  std::vector<Base> b(bases_.rbegin(), bases_.rend());
-  return Sequence(std::move(b));
-}
-
 Sequence Sequence::subsequence(std::size_t pos, std::size_t len) const {
   require(pos + len <= bases_.size(), "Sequence::subsequence out of range");
   return Sequence(std::vector<Base>(bases_.begin() + static_cast<long>(pos),
                                     bases_.begin() + static_cast<long>(pos + len)));
-}
-
-double Sequence::gc_content() const {
-  if (bases_.empty()) return 0.0;
-  const auto gc = std::count_if(bases_.begin(), bases_.end(), [](Base b) {
-    return b == Base::kC || b == Base::kG;
-  });
-  return static_cast<double>(gc) / static_cast<double>(bases_.size());
 }
 
 std::size_t Sequence::mismatches_when_hybridized(const Sequence& other) const {

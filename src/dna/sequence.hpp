@@ -40,15 +40,9 @@ class Sequence {
 
   std::string str() const;
 
-  /// Watson-Crick complement (same orientation).
-  Sequence complemented() const;
   /// Reverse complement: the strand that hybridizes to this one.
   Sequence reverse_complement() const;
-  Sequence reversed() const;
   Sequence subsequence(std::size_t pos, std::size_t len) const;
-
-  /// Fraction of G/C bases.
-  double gc_content() const;
 
   /// Number of positions where `other` is NOT the Watson-Crick complement
   /// of this sequence when the two are aligned antiparallel (i.e. comparing

@@ -76,14 +76,4 @@ double dissociation_constant(const Sequence& probe, std::size_t mismatches,
   return std::exp(dg / rt);
 }
 
-double melting_temperature(const Sequence& probe, const ThermoConditions& cond,
-                           double ct_molar) {
-  require(ct_molar > 0.0, "melting_temperature: ct must be positive");
-  const DuplexEnergy e = duplex_energy(probe, cond);
-  const double denom =
-      e.ds + constants::kGasConstant * std::log(ct_molar / 4.0);
-  require(denom < 0.0, "melting_temperature: degenerate duplex");
-  return e.dh / denom;
-}
-
 }  // namespace biosense::dna

@@ -48,9 +48,4 @@ double duplex_dg(const Sequence& probe, std::size_t mismatches,
 double dissociation_constant(const Sequence& probe, std::size_t mismatches,
                              const ThermoConditions& cond);
 
-/// Two-state melting temperature (K) at total strand concentration `ct`
-/// (molar, non-self-complementary): Tm = dH / (dS + R ln(ct/4)).
-double melting_temperature(const Sequence& probe, const ThermoConditions& cond,
-                           double ct_molar = 1e-6);
-
 }  // namespace biosense::dna

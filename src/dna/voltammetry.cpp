@@ -18,24 +18,6 @@ double nf_over_rt(const RedoxCouple& couple, double temp_k) {
 
 }  // namespace
 
-double nernst_potential(const RedoxCouple& couple, double temp_k,
-                        double ratio_o_over_r) {
-  require(ratio_o_over_r > 0.0, "nernst_potential: ratio must be positive");
-  return couple.e0 + std::log(ratio_o_over_r) / nf_over_rt(couple, temp_k);
-}
-
-double butler_volmer_current_density(const RedoxCouple& couple,
-                                     const ElectrodeParams& electrode,
-                                     double eta, double c_o, double c_r) {
-  const double f = nf_over_rt(couple, electrode.temp_k);
-  // Anodic (oxidation) positive; rate constants in m/s.
-  const double k_a = couple.k0 * std::exp((1.0 - couple.alpha) * f * eta);
-  const double k_c = couple.k0 * std::exp(-couple.alpha * f * eta);
-  const double rate = k_a * c_r * electrode.bulk_conc -
-                      k_c * c_o * electrode.bulk_conc;  // mol/(m^2 s)
-  return couple.n_electrons * constants::kFaraday * rate;
-}
-
 double randles_sevcik_peak(const RedoxCouple& couple,
                            const ElectrodeParams& electrode,
                            double scan_rate) {

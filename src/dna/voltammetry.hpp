@@ -3,11 +3,11 @@
 // The DNA chip's periphery DACs exist to hold the generator and collector
 // electrodes at precise potentials around the label chemistry's redox
 // potential ([4-6]). This module models the underlying electrochemistry:
-// Butler-Volmer electron-transfer kinetics at a (gold) working electrode,
-// Nernst equilibrium, and a semi-infinite diffusion simulation good enough
-// to reproduce the classic cyclic-voltammetry signatures (Randles-Sevcik
-// peak current scaling with sqrt(scan rate), ~59/n mV peak separation for
-// a reversible couple at room temperature).
+// a semi-infinite diffusion simulation with Butler-Volmer electron-transfer
+// kinetics at a (gold) working electrode, good enough to reproduce the
+// classic cyclic-voltammetry signatures (Randles-Sevcik peak current
+// scaling with sqrt(scan rate), ~59/n mV peak separation for a reversible
+// couple at room temperature).
 //
 // Used by the chip model to pick electrode potentials and by tests to pin
 // the chemistry to textbook behaviour.
@@ -32,18 +32,6 @@ struct ElectrodeParams {
   double temp_k = 298.15;
   double bulk_conc = 1.0;    // mol/m^3 (= 1 mM) of the reduced species
 };
-
-/// Butler-Volmer current density (A/m^2) at overpotential eta (V) with
-/// surface concentrations expressed as fractions of bulk (c_o, c_r in
-/// [0, inf), 1 = bulk).
-double butler_volmer_current_density(const RedoxCouple& couple,
-                                     const ElectrodeParams& electrode,
-                                     double eta, double c_o, double c_r);
-
-/// Equilibrium (Nernst) potential for the given surface concentration
-/// ratio c_o / c_r.
-double nernst_potential(const RedoxCouple& couple, double temp_k,
-                        double ratio_o_over_r);
 
 struct Voltammogram {
   std::vector<double> potential;  // V

@@ -533,23 +533,12 @@ Result<double, ChipError> HostInterface::acquire_site(int row, int col,
 }
 
 HostInterface::Frame HostInterface::acquire_autorange() {
-  return acquire_autorange_impl(nullptr);
-}
-
-HostInterface::Frame HostInterface::acquire_autorange(
-    StreamSink<SiteReading>& sink) {
-  return acquire_autorange_impl(&sink);
-}
-
-HostInterface::Frame HostInterface::acquire_autorange_impl(
-    StreamSink<SiteReading>* sink) {
   BIOSENSE_SPAN("host.acquire_autorange");
   // Gate ladder: 2 ms, 128 ms, 8.192 s. Keep the longest non-saturated
   // measurement per site (saturation = counter near full scale).
   const std::uint16_t codes[] = {1, 7, 13};
   Frame combined;
   combined.status = TxStatus::kRetriesExhausted;
-  std::vector<double> best_gate;
   std::uint64_t bits = 0;
   std::uint64_t retries = 0;
   for (std::uint16_t code : codes) {
@@ -559,35 +548,17 @@ HostInterface::Frame HostInterface::acquire_autorange_impl(
     if (f.status != TxStatus::kOk) continue;
     if (combined.raw_counts.empty()) {
       combined = f;
-      best_gate.assign(f.raw_counts.size(), f.gate_time);
       continue;
     }
     for (std::size_t i = 0; i < f.raw_counts.size(); ++i) {
       if (f.raw_counts[i] < kCounterSaturated) {  // not saturated here
         combined.raw_counts[i] = f.raw_counts[i];
         combined.currents[i] = f.currents[i];
-        best_gate[i] = f.gate_time;
       }
     }
   }
   combined.serial_bits = bits;
   combined.retries = retries;
-  if (sink != nullptr) {
-    // Each site's range choice is final once the whole ladder has been read
-    // back; emit the finalized readings in row-major order and return only
-    // the run summary.
-    SiteReading reading;
-    for (std::size_t i = 0; i < combined.raw_counts.size(); ++i) {
-      reading.index = static_cast<int>(i);
-      reading.raw_count = combined.raw_counts[i];
-      reading.current = combined.currents[i];
-      reading.gate_time = best_gate[i];
-      sink->on_item(reading);
-    }
-    sink->on_end();
-    combined.raw_counts.clear();
-    combined.currents.clear();
-  }
   return combined;
 }
 

@@ -27,7 +27,6 @@
 #include "circuit/references.hpp"
 #include "common/result.hpp"
 #include "common/rng.hpp"
-#include "common/stream.hpp"
 #include "common/units.hpp"
 #include "dnachip/serial.hpp"
 #include "faults/defect_map.hpp"
@@ -219,23 +218,6 @@ class HostInterface {
   /// counter did not overflow.
   Frame acquire_autorange();
 
-  /// One finalized site of an autorange sweep, emitted in row-major order.
-  struct SiteReading {
-    int index = 0;                 // row * cols + col
-    std::uint64_t raw_count = 0;   // at the kept gate
-    double current = 0.0;          // reconstructed, A
-    double gate_time = 0.0;        // the kept (longest non-saturated) gate, s
-  };
-
-  /// Streaming autorange: identical wire traffic and per-site values as
-  /// `acquire_autorange()`, but site readings are emitted to `sink` in
-  /// row-major order as they finalize instead of materializing a Frame.
-  /// The gate ladder itself is a physical barrier — a site's range choice
-  /// is only final once the longest gate has been read back — so emission
-  /// happens per site after the ladder, not per gate. Returns the run
-  /// summary with `raw_counts`/`currents` left empty.
-  Frame acquire_autorange(StreamSink<SiteReading>& sink);
-
   /// BIST sweep: converts the internal ~1 nA test current at a short and a
   /// long gate (dead sites answer zero, stuck sites don't scale with gate
   /// time) plus a leakage-only long-gate pass (leakage outliers stand out
@@ -309,7 +291,6 @@ class HostInterface {
   /// Sends `din` to the chip over the link and returns the chip's reply
   /// (empty when the command was lost or arrived corrupt).
   BitStream exchange(const BitStream& din);
-  Frame acquire_autorange_impl(StreamSink<SiteReading>* sink);
 
   DnaChip* chip_;  // analyze:transient - non-owning, rebound at construction
   SerialLink link_;

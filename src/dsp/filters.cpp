@@ -1,7 +1,6 @@
 #include "dsp/filters.hpp"
 
 #include <cmath>
-#include <complex>
 
 #include "common/error.hpp"
 #include "common/units.hpp"
@@ -40,16 +39,6 @@ Biquad Biquad::highpass(double f_cut, double fs, double q) {
                 -2.0 * cw / a0, (1.0 - alpha) / a0);
 }
 
-Biquad Biquad::bandpass(double f_center, double fs, double q) {
-  check_freq(f_center, fs);
-  const double w0 = 2.0 * constants::kPi * f_center / fs;
-  const double alpha = std::sin(w0) / (2.0 * q);
-  const double cw = std::cos(w0);
-  const double a0 = 1.0 + alpha;
-  return Biquad(alpha / a0, 0.0, -alpha / a0, -2.0 * cw / a0,
-                (1.0 - alpha) / a0);
-}
-
 double Biquad::process(double x) {
   const double y = b0_ * x + z1_;
   z1_ = b1_ * x - a1_ * y + z2_;
@@ -57,99 +46,9 @@ double Biquad::process(double x) {
   return y;
 }
 
-void Biquad::reset() { z1_ = z2_ = 0.0; }
-
-double Biquad::magnitude(double f, double fs) const {
-  const double w = 2.0 * constants::kPi * f / fs;
-  const std::complex<double> z = std::polar(1.0, w);
-  const auto z1 = 1.0 / z;
-  const auto z2 = z1 * z1;
-  const auto num = b0_ + b1_ * z1 + b2_ * z2;
-  const auto den = 1.0 + a1_ * z1 + a2_ * z2;
-  return std::abs(num / den);
-}
-
-BiquadCascade BiquadCascade::butterworth4_lowpass(double f_cut, double fs) {
-  return BiquadCascade({Biquad::lowpass(f_cut, fs, 0.54119610),
-                        Biquad::lowpass(f_cut, fs, 1.30656296)});
-}
-
-BiquadCascade BiquadCascade::butterworth4_highpass(double f_cut, double fs) {
-  return BiquadCascade({Biquad::highpass(f_cut, fs, 0.54119610),
-                        Biquad::highpass(f_cut, fs, 1.30656296)});
-}
-
-BiquadCascade BiquadCascade::bandpass(double f_lo, double f_hi, double fs) {
-  require(f_hi > f_lo, "BiquadCascade::bandpass: inverted band");
-  auto hp = butterworth4_highpass(f_lo, fs);
-  auto lp = butterworth4_lowpass(f_hi, fs);
-  std::vector<Biquad> all;
-  all.reserve(4);
-  for (auto& s : hp.sections_) all.push_back(s);
-  for (auto& s : lp.sections_) all.push_back(s);
-  return BiquadCascade(std::move(all));
-}
-
 double BiquadCascade::process(double x) {
   for (auto& s : sections_) x = s.process(x);
   return x;
-}
-
-void BiquadCascade::reset() {
-  for (auto& s : sections_) s.reset();
-}
-
-std::vector<double> BiquadCascade::filter(std::span<const double> in) {
-  reset();
-  std::vector<double> out;
-  out.reserve(in.size());
-  for (double x : in) out.push_back(process(x));
-  return out;
-}
-
-double BiquadCascade::magnitude(double f, double fs) const {
-  double m = 1.0;
-  for (const auto& s : sections_) m *= s.magnitude(f, fs);
-  return m;
-}
-
-std::vector<double> design_fir_lowpass(double f_cut, double fs,
-                                       std::size_t taps) {
-  require(taps >= 3 && taps % 2 == 1, "design_fir_lowpass: taps must be odd >= 3");
-  check_freq(f_cut, fs);
-  const double fc = f_cut / fs;  // normalized
-  const auto m = static_cast<double>(taps - 1);
-  std::vector<double> h(taps);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < taps; ++i) {
-    const double n = static_cast<double>(i) - m / 2.0;
-    const double sinc = n == 0.0 ? 2.0 * fc
-                                 : std::sin(2.0 * constants::kPi * fc * n) /
-                                       (constants::kPi * n);
-    const double hamming =
-        0.54 - 0.46 * std::cos(2.0 * constants::kPi * static_cast<double>(i) / m);
-    h[i] = sinc * hamming;
-    sum += h[i];
-  }
-  for (auto& x : h) x /= sum;  // unity DC gain
-  return h;
-}
-
-std::vector<double> fir_filter(std::span<const double> in,
-                               std::span<const double> taps) {
-  std::vector<double> out(in.size(), 0.0);
-  const std::size_t half = taps.size() / 2;
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    double acc = 0.0;
-    for (std::size_t k = 0; k < taps.size(); ++k) {
-      const auto j = static_cast<std::ptrdiff_t>(i + k) -
-                     static_cast<std::ptrdiff_t>(half);
-      if (j < 0 || j >= static_cast<std::ptrdiff_t>(in.size())) continue;
-      acc += taps[taps.size() - 1 - k] * in[static_cast<std::size_t>(j)];
-    }
-    out[i] = acc;
-  }
-  return out;
 }
 
 }  // namespace biosense::dsp

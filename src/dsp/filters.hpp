@@ -1,17 +1,17 @@
-// Digital filters: biquad sections, Butterworth designs, windowed-sinc FIR.
+// Digital filters: biquad sections and their cascade.
 //
 // The neural recording pipeline band-passes pixel traces before spike
 // detection (action potential energy is concentrated in ~0.1..3 kHz at the
 // chip's 2 kHz frame rate per pixel, plus faster content on dedicated
-// high-rate channels).
+// high-rate channels); `detect_spikes` builds its own second-order
+// high-pass + low-pass cascade from these sections.
 #pragma once
 
-#include <span>
 #include <vector>
 
 namespace biosense::dsp {
 
-/// Direct-form-II-transposed biquad section.
+/// Direct-form-II-transposed biquad section (RBJ cookbook designs).
 class Biquad {
  public:
   /// Coefficients normalized so a0 = 1.
@@ -19,47 +19,24 @@ class Biquad {
 
   static Biquad lowpass(double f_cut, double fs, double q = 0.7071);
   static Biquad highpass(double f_cut, double fs, double q = 0.7071);
-  static Biquad bandpass(double f_center, double fs, double q);
 
   double process(double x);
-  void reset();
-
-  /// Magnitude response at frequency f.
-  double magnitude(double f, double fs) const;
 
  private:
   double b0_, b1_, b2_, a1_, a2_;
   double z1_ = 0.0, z2_ = 0.0;
 };
 
-/// Cascade of biquads (e.g. higher-order Butterworth).
+/// Cascade of biquads, applied in order.
 class BiquadCascade {
  public:
   explicit BiquadCascade(std::vector<Biquad> sections)
       : sections_(std::move(sections)) {}
 
-  /// 4th-order Butterworth low/high-pass as two cascaded biquads with the
-  /// standard pole-Q values (0.5412, 1.3066).
-  static BiquadCascade butterworth4_lowpass(double f_cut, double fs);
-  static BiquadCascade butterworth4_highpass(double f_cut, double fs);
-  /// Band-pass built as HP(f_lo) + LP(f_hi), 4th order each.
-  static BiquadCascade bandpass(double f_lo, double f_hi, double fs);
-
   double process(double x);
-  void reset();
-  std::vector<double> filter(std::span<const double> in);
-
-  double magnitude(double f, double fs) const;
 
  private:
   std::vector<Biquad> sections_;
 };
-
-/// Windowed-sinc (Hamming) low-pass FIR design.
-std::vector<double> design_fir_lowpass(double f_cut, double fs, std::size_t taps);
-
-/// FIR convolution (same-length output, zero-padded edges).
-std::vector<double> fir_filter(std::span<const double> in,
-                               std::span<const double> taps);
 
 }  // namespace biosense::dsp

@@ -24,37 +24,6 @@ std::vector<double> population_rate(
   return rate;
 }
 
-Correlogram cross_correlogram(const std::vector<double>& a,
-                              const std::vector<double>& b, double window,
-                              std::size_t bins) {
-  require(window > 0.0 && bins >= 1, "cross_correlogram: invalid arguments");
-  Correlogram out;
-  out.lag.resize(bins);
-  out.count.assign(bins, 0.0);
-  const double bin_w = 2.0 * window / static_cast<double>(bins);
-  for (std::size_t i = 0; i < bins; ++i) {
-    out.lag[i] = -window + (static_cast<double>(i) + 0.5) * bin_w;
-  }
-  // b is sorted (spike trains are); binary search the window per a-spike.
-  for (double ta : a) {
-    auto lo = std::lower_bound(b.begin(), b.end(), ta - window);
-    auto hi = std::upper_bound(b.begin(), b.end(), ta + window);
-    for (auto it = lo; it != hi; ++it) {
-      const double lag = *it - ta;
-      auto bin = static_cast<std::size_t>((lag + window) / bin_w);
-      if (bin >= bins) bin = bins - 1;
-      out.count[bin] += 1.0;
-    }
-  }
-  for (std::size_t i = 0; i < bins; ++i) {
-    if (out.count[i] > out.peak_count) {
-      out.peak_count = out.count[i];
-      out.peak_lag = out.lag[i];
-    }
-  }
-  return out;
-}
-
 double synchrony_index(const std::vector<double>& a,
                        const std::vector<double>& b, double tol) {
   if (a.empty() || b.empty()) return 0.0;
@@ -68,43 +37,6 @@ double synchrony_index(const std::vector<double>& a,
     return static_cast<double>(n) / static_cast<double>(x.size());
   };
   return 0.5 * (coincident(a, b) + coincident(b, a));
-}
-
-double rate_correlation(const std::vector<double>& ra,
-                        const std::vector<double>& rb) {
-  require(ra.size() == rb.size() && !ra.empty(),
-          "rate_correlation: size mismatch");
-  double ma = 0.0, mb = 0.0;
-  for (std::size_t i = 0; i < ra.size(); ++i) {
-    ma += ra[i];
-    mb += rb[i];
-  }
-  ma /= static_cast<double>(ra.size());
-  mb /= static_cast<double>(rb.size());
-  double num = 0.0, da = 0.0, db = 0.0;
-  for (std::size_t i = 0; i < ra.size(); ++i) {
-    const double xa = ra[i] - ma;
-    const double xb = rb[i] - mb;
-    num += xa * xb;
-    da += xa * xa;
-    db += xb * xb;
-  }
-  const double denom = std::sqrt(da * db);
-  return denom > 0.0 ? num / denom : 0.0;
-}
-
-double estimate_wave_velocity(double x1, double y1,
-                              const std::vector<double>& spikes1, double x2,
-                              double y2, const std::vector<double>& spikes2,
-                              double max_lag) {
-  if (spikes1.empty() || spikes2.empty()) return -1.0;
-  const double dist = std::hypot(x2 - x1, y2 - y1);
-  if (dist <= 0.0) return -1.0;
-  const auto cg = cross_correlogram(spikes1, spikes2, max_lag, 200);
-  if (cg.peak_count <= 0.0) return -1.0;
-  const double lag = cg.peak_lag;  // positive: site 2 fires after site 1
-  if (lag <= 0.0) return -1.0;     // wave reached site 2 first or no delay
-  return dist / lag;
 }
 
 WavefrontFit fit_wavefront(const std::vector<double>& xs,

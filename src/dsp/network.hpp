@@ -2,8 +2,8 @@
 //
 // The point of recording 16k sites in parallel (rather than a patch
 // pipette) is network activity: who fires with whom, when, and how the
-// population behaves. Standard first-line measures: binned population
-// rate, pairwise cross-correlograms, and a synchrony index.
+// population behaves. First-line measures: binned population rate, a
+// pairwise synchrony index and a plane-fit wavefront.
 #pragma once
 
 #include <cstddef>
@@ -17,37 +17,10 @@ std::vector<double> population_rate(
     const std::vector<std::vector<double>>& trains, double duration,
     double bin_width);
 
-struct Correlogram {
-  std::vector<double> lag;    // bin centers, s
-  std::vector<double> count;  // coincidences per bin
-  /// Peak lag (s) and its count.
-  double peak_lag = 0.0;
-  double peak_count = 0.0;
-};
-
-/// Cross-correlogram of spike train `b` relative to `a` within +/-window,
-/// `bins` bins. A peak at positive lag means b tends to fire after a.
-Correlogram cross_correlogram(const std::vector<double>& a,
-                              const std::vector<double>& b, double window,
-                              std::size_t bins);
-
 /// Zero-lag synchrony index in [0, 1]: fraction of a-spikes with a b-spike
 /// within +/-tol, symmetrized.
 double synchrony_index(const std::vector<double>& a,
                        const std::vector<double>& b, double tol = 2e-3);
-
-/// Pearson correlation of two equally-binned rate vectors.
-double rate_correlation(const std::vector<double>& ra,
-                        const std::vector<double>& rb);
-
-/// Estimates a propagating wave's velocity from two recording sites:
-/// distance divided by the cross-correlogram peak lag of their spike
-/// trains. Returns a negative value if no usable (positive-lag) peak
-/// exists — e.g. empty trains or the wave reaching site 2 first.
-double estimate_wave_velocity(double x1, double y1,
-                              const std::vector<double>& spikes1, double x2,
-                              double y2, const std::vector<double>& spikes2,
-                              double max_lag = 50e-3);
 
 /// Plane-fit wavefront estimator: least-squares fit of arrival time
 /// t(x, y) = t0 + sx x + sy y over many sites; the slowness magnitude

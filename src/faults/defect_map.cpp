@@ -1,22 +1,10 @@
 #include "faults/defect_map.hpp"
 
 #include <cmath>
-#include <ostream>
 
 #include "common/error.hpp"
 
 namespace biosense::faults {
-
-const char* defect_type_name(DefectType t) {
-  switch (t) {
-    case DefectType::kGood: return "good";
-    case DefectType::kDead: return "dead";
-    case DefectType::kStuck: return "stuck";
-    case DefectType::kRailed: return "railed";
-    case DefectType::kLeakage: return "leakage";
-  }
-  return "unknown";
-}
 
 DefectMap::DefectMap(int rows, int cols) : rows_(rows), cols_(cols) {
   require(rows > 0 && cols > 0, "DefectMap: grid must be non-empty");
@@ -71,23 +59,6 @@ std::size_t DefectMap::false_negatives(const SiteFaultSet& truth) const {
   return missed;
 }
 
-void DefectMap::to_json(std::ostream& os) const {
-  os << "{\"rows\": " << rows_ << ", \"cols\": " << cols_
-     << ", \"yield\": " << yield() << ", \"defects\": [";
-  bool first = true;
-  for (int r = 0; r < rows_; ++r) {
-    for (int c = 0; c < cols_; ++c) {
-      const DefectType t = at(r, c);
-      if (t == DefectType::kGood) continue;
-      if (!first) os << ", ";
-      first = false;
-      os << "{\"row\": " << r << ", \"col\": " << c << ", \"type\": \""
-         << defect_type_name(t) << "\"}";
-    }
-  }
-  os << "]}";
-}
-
 void mask_interpolate(const DefectMap& map, std::vector<double>& values) {
   if (map.empty()) return;
   require(values.size() ==
@@ -112,13 +83,6 @@ void mask_interpolate(const DefectMap& map, std::vector<double>& values) {
       values[static_cast<std::size_t>(r * cols + c)] = n > 0 ? sum / n : 0.0;
     }
   }
-}
-
-void DegradationSummary::to_json(std::ostream& os) const {
-  os << "{\"yield\": " << yield << ", \"masked\": " << masked
-     << ", \"retries\": " << retries << ", \"crc_failures\": " << crc_failures
-     << ", \"timeouts\": " << timeouts << ", \"backoff_s\": " << backoff_s
-     << ", \"bist_ok\": " << (bist_ok ? "true" : "false") << "}";
 }
 
 }  // namespace biosense::faults

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <utility>
 #include <vector>
 
@@ -29,8 +28,6 @@ enum class DefectType : std::uint8_t {
   kRailed,   // pinned at ADC full scale
   kLeakage,  // leakage far above the population baseline
 };
-
-const char* defect_type_name(DefectType t);
 
 /// Per-site defect status of one die, row-major.
 class DefectMap {
@@ -57,10 +54,6 @@ class DefectMap {
   /// count. A type mismatch (e.g. stuck classified as dead) still counts
   /// as flagged.
   std::size_t false_negatives(const SiteFaultSet& truth) const;
-
-  /// {"rows": ..., "cols": ..., "yield": ..., "defects": [{"row": ...,
-  ///  "col": ..., "type": "dead"}, ...]}
-  void to_json(std::ostream& os) const;
 
   /// A defect map is host-measured state (BIST output), so it travels in
   /// snapshots rather than being re-derived on restore.
@@ -118,8 +111,6 @@ struct DegradationSummary {
   std::uint64_t timeouts = 0;
   double backoff_s = 0.0;  // cumulative retry backoff (simulated)
   bool bist_ok = true;     // the self-test sweep itself completed
-
-  void to_json(std::ostream& os) const;
 };
 
 }  // namespace biosense::faults

@@ -101,32 +101,6 @@ HostStatus FleetClient::transact(HostCommand command) {
   }
 }
 
-Result<FleetClient::ProtocolInfo, HostStatus> FleetClient::protocol_info() {
-  using R = Result<ProtocolInfo, HostStatus>;
-  begin_request();
-  const auto status = transact(HostCommand::kGetProtocolInfo);
-  if (status != HostStatus::kOk) return R::err(status);
-  StateReader reader(reply_payload_, reply_len_);
-  ProtocolInfo info;
-  info.version = reader.u8();
-  info.header_size = reader.u8();
-  info.max_payload = reader.u16();
-  info.commands = reader.u16();
-  if (!reader.ok()) return R::err(HostStatus::kBadPayload);
-  return info;
-}
-
-Result<std::uint32_t, HostStatus> FleetClient::capabilities() {
-  using R = Result<std::uint32_t, HostStatus>;
-  begin_request();
-  const auto status = transact(HostCommand::kGetCapabilities);
-  if (status != HostStatus::kOk) return R::err(status);
-  StateReader reader(reply_payload_, reply_len_);
-  const auto caps = reader.u32();
-  if (!reader.ok()) return R::err(HostStatus::kBadPayload);
-  return caps;
-}
-
 Result<void, HostStatus> FleetClient::ping(const std::uint8_t* payload,
                                            std::size_t n) {
   using R = Result<void, HostStatus>;

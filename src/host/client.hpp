@@ -97,13 +97,6 @@ struct ClientStats {
 
 class FleetClient {
  public:
-  struct ProtocolInfo {
-    std::uint8_t version = 0;
-    std::uint8_t header_size = 0;
-    std::uint16_t max_payload = 0;
-    std::uint16_t commands = 0;
-  };
-
   struct SessionSpec {
     std::uint32_t id = 0;
     core::ChipKind kind = core::ChipKind::kNeuro;
@@ -190,8 +183,6 @@ class FleetClient {
 
   explicit FleetClient(ByteLink& link, dnachip::RetryPolicy retry = {});
 
-  Result<ProtocolInfo, HostStatus> protocol_info();
-  Result<std::uint32_t, HostStatus> capabilities();
   /// Echo check: sends `payload`, errors with kInternal on a mismatched
   /// echo (which would indicate response corruption past the CRC — never
   /// expected).

@@ -319,7 +319,6 @@ std::shared_ptr<FleetServer::Session> FleetServer::build_session(
       .chip_seed(seed)
       .link_seed(seed ^ 0x5eedULL)
       .pool_frames(pool_frames)
-      .queue_depth(ring_depth)
       .label(label);
   if (preset != 0) opts.fault_plan(fault_preset(preset, seed));
 

@@ -90,31 +90,12 @@ std::vector<const PlacedNeuron*> NeuronCulture::neurons_at(double x,
   return out;
 }
 
-std::vector<double> NeuronCulture::waveform_at(double x, double y, double fs,
-                                               std::size_t n_samples) const {
-  std::vector<double> wave(n_samples, 0.0);
-  for (const auto& n : neurons_) {
-    const double w = footprint_weight(n, x, y);
-    if (w <= 0.01) continue;
-    const auto contrib = render_spike_waveform(
-        n.spike_times, n.templ, config_.template_fs, fs, n_samples);
-    for (std::size_t i = 0; i < n_samples; ++i) wave[i] += w * contrib[i];
-  }
-  return wave;
-}
-
 void NeuronCulture::assign_spike_trains(
     const std::vector<std::vector<double>>& trains) {
   require(!trains.empty(), "NeuronCulture: need at least one spike train");
   for (std::size_t i = 0; i < neurons_.size(); ++i) {
     neurons_[i].spike_times = trains[i % trains.size()];
   }
-}
-
-double NeuronCulture::max_amplitude() const {
-  double m = 0.0;
-  for (const auto& n : neurons_) m = std::max(m, n.peak_amplitude);
-  return m;
 }
 
 }  // namespace biosense::neuro

@@ -51,15 +51,6 @@ class NeuronCulture {
   /// contact disk, smooth roll-off over one cleft-coupling length outside.
   double footprint_weight(const PlacedNeuron& n, double x, double y) const;
 
-  /// Electrode-referred voltage waveform at position (x, y), sampled at
-  /// `fs` for `n_samples` starting at t = 0. Sums all overlapping neurons.
-  std::vector<double> waveform_at(double x, double y, double fs,
-                                  std::size_t n_samples) const;
-
-  /// Largest spike amplitude any point on the array can see (for checking
-  /// the paper's 100 uV .. 5 mV range).
-  double max_amplitude() const;
-
   /// Neurons whose footprint covers the point.
   std::vector<const PlacedNeuron*> neurons_at(double x, double y) const;
 

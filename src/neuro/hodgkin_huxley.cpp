@@ -81,18 +81,4 @@ void HodgkinHuxley::step(double i_stim_si, double dt_s) {
   currents_.capacitive = params_.c_m * 1e-2 * dv_dt;
 }
 
-std::vector<double> HodgkinHuxley::run_pulse(double i_stim_si, double t_on,
-                                             double t_off, double duration,
-                                             double dt) {
-  reset();
-  std::vector<double> trace;
-  trace.reserve(static_cast<std::size_t>(duration / dt) + 1);
-  for (double t = 0.0; t < duration; t += dt) {
-    const double stim = (t >= t_on && t < t_off) ? i_stim_si : 0.0;
-    step(stim, dt);
-    trace.push_back(v_m());
-  }
-  return trace;
-}
-
 }  // namespace biosense::neuro

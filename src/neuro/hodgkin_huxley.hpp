@@ -12,8 +12,6 @@
 // accessors convert to SI.
 #pragma once
 
-#include <vector>
-
 namespace biosense::neuro {
 
 struct HhParams {
@@ -34,7 +32,6 @@ struct MembraneCurrents {
   double sodium = 0.0;
   double potassium = 0.0;
   double leak = 0.0;
-  double total() const { return capacitive + sodium + potassium + leak; }
 };
 
 class HodgkinHuxley {
@@ -51,9 +48,6 @@ class HodgkinHuxley {
   /// Ionic + capacitive current densities of the last step, A/m^2.
   const MembraneCurrents& currents() const { return currents_; }
 
-  /// True while the membrane is above the spike detection level (0 mV).
-  bool spiking() const { return v_ > 0.0; }
-
   double gate_m() const { return m_; }
   double gate_h() const { return h_; }
   double gate_n() const { return n_; }
@@ -64,12 +58,6 @@ class HodgkinHuxley {
 
   /// Resets to resting state.
   void reset();
-
-  /// Convenience: simulates `duration` at `dt` with a current pulse of
-  /// density `i_stim` applied during [t_on, t_off); returns the membrane
-  /// voltage trace (V) sampled every step.
-  std::vector<double> run_pulse(double i_stim_si, double t_on, double t_off,
-                                double duration, double dt);
 
  private:
   HhParams params_;

@@ -28,13 +28,4 @@ bool Izhikevich::step(double i, double dt_s) {
   return false;
 }
 
-std::vector<double> Izhikevich::run(double i, double duration, double dt) {
-  reset();
-  std::vector<double> spikes;
-  for (double t = 0.0; t < duration; t += dt) {
-    if (step(i, dt)) spikes.push_back(t);
-  }
-  return spikes;
-}
-
 }  // namespace biosense::neuro

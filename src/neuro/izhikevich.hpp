@@ -10,8 +10,6 @@
 //   du/dt = a (b v - u);  v >= 30 mV  =>  v <- c, u <- u + d
 #pragma once
 
-#include <vector>
-
 namespace biosense::neuro {
 
 struct IzhikevichParams {
@@ -19,14 +17,6 @@ struct IzhikevichParams {
   double b = 0.2;
   double c = -65.0;
   double d = 8.0;
-
-  /// Common presets (Izhikevich 2003, Fig. 2).
-  static IzhikevichParams regular_spiking() { return {0.02, 0.2, -65.0, 8.0}; }
-  static IzhikevichParams fast_spiking() { return {0.1, 0.2, -65.0, 2.0}; }
-  static IzhikevichParams chattering() { return {0.02, 0.2, -50.0, 2.0}; }
-  static IzhikevichParams intrinsically_bursting() {
-    return {0.02, 0.2, -55.0, 4.0};
-  }
 };
 
 class Izhikevich {
@@ -39,10 +29,6 @@ class Izhikevich {
 
   double v_mv() const { return v_; }
   void reset();
-
-  /// Simulates `duration` seconds at `dt` with constant drive `i`; returns
-  /// spike times (s).
-  std::vector<double> run(double i, double duration, double dt);
 
  private:
   IzhikevichParams params_;

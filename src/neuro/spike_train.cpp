@@ -77,15 +77,6 @@ double isi_cv(const std::vector<double>& spikes) {
   return m > 0.0 ? stddev(intervals) / m : 0.0;
 }
 
-std::vector<double> render_spike_waveform(const std::vector<double>& spikes,
-                                          const std::vector<double>& templ,
-                                          double templ_fs, double fs,
-                                          std::size_t n_samples) {
-  std::vector<double> out;
-  render_spike_waveform_into(spikes, templ, templ_fs, fs, n_samples, out);
-  return out;
-}
-
 void render_spike_waveform_into(const std::vector<double>& spikes,
                                 const std::vector<double>& templ,
                                 double templ_fs, double fs,

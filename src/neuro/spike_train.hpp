@@ -34,14 +34,8 @@ std::vector<double> isi(const std::vector<double>& spikes);
 double isi_cv(const std::vector<double>& spikes);
 
 /// Renders spike times into a sampled waveform by placing `templ` at each
-/// spike (additive), sampling at `fs`. Returns `n_samples` values.
-std::vector<double> render_spike_waveform(const std::vector<double>& spikes,
-                                          const std::vector<double>& templ,
-                                          double templ_fs, double fs,
-                                          std::size_t n_samples);
-
-/// In-place variant writing into `out` (resized to `n_samples`, capacity
-/// retained) — for callers rendering many waveforms in a loop.
+/// spike (additive), sampling at `fs`. Writes `n_samples` values into `out`
+/// (resized, capacity retained), so a loop can reuse one buffer.
 void render_spike_waveform_into(const std::vector<double>& spikes,
                                 const std::vector<double>& templ,
                                 double templ_fs, double fs,

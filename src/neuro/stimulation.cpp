@@ -22,13 +22,6 @@ double CapacitiveStimulator::voltage_coupling() const {
   return cap_per_area_ / (cap_per_area_ + kMembraneCapSi);
 }
 
-double CapacitiveStimulator::coupling_current_density(double dv_dt) const {
-  // Series capacitance of dielectric and membrane per area times the slew.
-  const double c_series =
-      cap_per_area_ * kMembraneCapSi / (cap_per_area_ + kMembraneCapSi);
-  return c_series * dv_dt;
-}
-
 StimulationResult CapacitiveStimulator::stimulate(const StimulusPulse& pulse,
                                                   double duration,
                                                   double dt) const {

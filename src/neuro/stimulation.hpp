@@ -39,11 +39,6 @@ class CapacitiveStimulator {
   /// dV_m = dV_el * C_dielectric / (C_dielectric + C_membrane), per area.
   double voltage_coupling() const;
 
-  /// Membrane current density (A/m^2, depolarizing positive) injected into
-  /// the junction membrane by an electrode voltage slew dV/dt (slow-edge
-  /// picture; the fast-edge limit is the voltage step above).
-  double coupling_current_density(double dv_dt) const;
-
   /// Applies one pulse to a fresh Hodgkin-Huxley neuron and simulates
   /// `duration` seconds at `dt`.
   StimulationResult stimulate(const StimulusPulse& pulse,

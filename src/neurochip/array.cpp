@@ -363,57 +363,6 @@ NeuroFrame NeuroChip::capture_frame(const SignalSource& source, double t) {
   return frame;
 }
 
-std::vector<double> NeuroChip::capture_pixel_highrate(int row, int col,
-                                                      const SignalSource& source,
-                                                      double t0,
-                                                      int n_samples) {
-  require(row >= 0 && row < config_.rows && col >= 0 && col < config_.cols,
-          "NeuroChip: pixel out of range");
-  require(n_samples > 0, "NeuroChip: need at least one sample");
-
-  const double fs = config_.frame_rate.value() * config_.cols;  // scan rate
-  const double dt = 1.0 / fs;
-  const double full_scale = config_.adc.full_scale.value();
-  const double adc_lsb =
-      2.0 * full_scale / static_cast<double>(1 << config_.adc.bits);
-  const double conv_gain = nominal_conversion_gain();
-
-  const std::size_t pi = bank_.plane_index(row, col);
-  auto& rc = row_chains_[static_cast<std::size_t>(row)];
-  const auto ch = static_cast<std::size_t>(row / config_.mux_factor);
-  auto& cc = channel_chains_[ch];
-  const std::size_t idx = static_cast<std::size_t>(row * config_.cols + col);
-
-  // Fixed dt throughout: hoist the per-dt constants once, like the frame
-  // kernel. Each sample is a draw_noise run of 1.
-  const PixelBank::FrameConsts& fc = bank_.prepare(dt);
-  require(rc.stages.size() == 2 && cc.stages.size() == 2,
-          "NeuroChip: expected two-stage gain chains");
-  double row_decay[2];
-  double ch_decay[2];
-  rc.decays(0.5 * dt, row_decay);
-  cc.decays(0.5 * dt, ch_decay);
-  const double droop_step = bank_.droop_dv(dt);
-
-  std::vector<double> out;
-  out.reserve(static_cast<std::size_t>(n_samples));
-  for (int k = 0; k < n_samples; ++k) {
-    const double t = t0 + k * dt;
-    const double i_diff =
-        bank_.read_current_prepared(pi, source.eval(row, col, t), fc);
-    rc.step_with(i_diff, row_decay);
-    const double i_row = rc.step_with(i_diff, row_decay);
-    cc.step_with(i_row, ch_decay);
-    const double i_out = cc.step_with(i_row, ch_decay) * channel_drift_[ch];
-    const double clipped = std::clamp(i_out, -full_scale, full_scale);
-    auto code = static_cast<std::int32_t>(std::lround(clipped / adc_lsb));
-    if (has_pixel_faults_) code = apply_pixel_fault(idx, code);
-    out.push_back(static_cast<double>(code) * adc_lsb / conv_gain);
-    bank_.droop(pi, droop_step);
-  }
-  return out;
-}
-
 Result<faults::DefectMap, dnachip::ChipError> NeuroChip::self_test(
     Voltage v_probe) {
   using R = Result<faults::DefectMap, dnachip::ChipError>;

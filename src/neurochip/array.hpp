@@ -192,15 +192,6 @@ class NeuroChip {
   std::vector<NeuroFrame> record(  // lint:allow-batch-return
       const SignalSource& source, double t0, int n);
 
-  /// High-rate single-pixel mode: the sequencer parks on one pixel and
-  /// streams it at the column-scan rate (frame_rate * cols samples/s,
-  /// 256 kS/s for the paper's chip), trading spatial coverage for the
-  /// temporal resolution needed to resolve full action-potential
-  /// waveforms. Returns reconstructed input-referred voltages.
-  std::vector<double> capture_pixel_highrate(int row, int col,
-                                             const SignalSource& source,
-                                             double t0, int n_samples);
-
   /// Statistics over pixel input-referred offsets (V) — calibration
   /// quality. Pair: (mean absolute, max absolute).
   std::pair<double, double> offset_stats() const;

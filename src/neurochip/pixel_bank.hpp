@@ -119,10 +119,12 @@ class PixelBank {
     i_quiet_[i] = quiet_of(i);
   }
 
-  /// Difference current for one read; dt > 0 draws noise for a step of dt.
+  /// Difference current for one read; dt > 0 draws noise for a step of dt
+  /// (a draw_noise run of 1).
   double read_current(std::size_t i, double v_signal, double dt) {
-    if (dt > 0.0) return read_current_prepared(i, v_signal, prepare(dt));
-    return front_end(i, v_signal, 0.0);
+    double noise = 0.0;
+    if (dt > 0.0) draw_noise(&i, 1, prepare(dt), &noise);
+    return front_end(i, v_signal, noise);
   }
 
   double input_referred_offset(std::size_t i) const {
@@ -165,14 +167,6 @@ class PixelBank {
     double v_gate = v_store_[i] + v_signal;
     v_gate += noise;
     return m1_.drain_current(i, v_gate, v_drain_, 0.0) - i_m2_[i];
-  }
-
-  /// One noisy read: a draw_noise run of 1, then the front end.
-  double read_current_prepared(std::size_t i, double v_signal,
-                               const FrameConsts& fc) {
-    double noise = 0.0;
-    draw_noise(&i, 1, fc, &noise);
-    return front_end(i, v_signal, noise);
   }
 
   /// A quiescent read: no draws; the poles owe one more step, paid on the

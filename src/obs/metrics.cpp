@@ -59,13 +59,6 @@ std::vector<double> decade_buckets(double lo, int n) {
   return out;
 }
 
-std::vector<double> linear_buckets(double lo, double width, int n) {
-  std::vector<double> out;
-  out.reserve(static_cast<std::size_t>(std::max(0, n)));
-  for (int i = 0; i < n; ++i) out.push_back(lo + i * width);
-  return out;
-}
-
 Registry& Registry::global() {
   static Registry registry;
   return registry;

@@ -85,9 +85,6 @@ class Histogram {
 /// natural sizing for quantities spanning decades (the I2F converter's five).
 std::vector<double> decade_buckets(double lo, int n);
 
-/// `n` linear bucket upper bounds: lo, lo+width, ..., lo+(n-1)*width.
-std::vector<double> linear_buckets(double lo, double width, int n);
-
 /// Point-in-time value copy of one histogram (bounds + per-bucket counts;
 /// `counts` has one entry per bound plus the trailing overflow bucket).
 struct HistogramValue {

@@ -38,6 +38,12 @@ class TestField final : public neurochip::SignalSource {
   }
 };
 
+/// Keeps a copy of every delivered frame (the pool recycles the buffer).
+struct Collect final : StreamSink<neurochip::NeuroFrame> {
+  std::vector<neurochip::NeuroFrame> items;
+  void on_item(const neurochip::NeuroFrame& f) override { items.push_back(f); }
+};
+
 std::uint64_t hash_frames(const std::vector<neurochip::NeuroFrame>& frames) {
   std::uint64_t h = kFnv1aOffset;
   for (const auto& f : frames) {
@@ -86,20 +92,23 @@ TEST(ChipSession, LosslessStreamingMatchesBatchBitwise) {
 
 TEST(ChipSession, BitwiseIdenticalAcrossThreadCounts) {
   const std::uint64_t h1 = session_hash(1, {}, 8);
-  const std::uint64_t h2 = session_hash(2, {}, 8);
-  const std::uint64_t h8 = session_hash(8, {}, 8);
-  EXPECT_EQ(h1, h2);
-  EXPECT_EQ(h1, h8);
+  for (const int threads : {2, 3, 4, 8}) {
+    set_max_threads(threads);
+    auto chip = make_chip();
+    core::ChipSession session(chip, {}, Rng(42));
+    Collect sink;
+    const auto report = session.run(TestField(), 0.0, 8, sink);
+    EXPECT_EQ(report.stage_threads, 2) << "threads=" << threads;
+    EXPECT_EQ(hash_frames(sink.items), h1) << "threads=" << threads;
+  }
   set_max_threads(1);
 }
 
-TEST(ChipSession, BitwiseIdenticalAcrossPoolAndQueueSizes) {
+TEST(ChipSession, BitwiseIdenticalAcrossPoolSizes) {
   core::SessionConfig small;
   small.pool_frames = 1;
-  small.queue_depth = 1;
   core::SessionConfig large;
   large.pool_frames = 16;
-  large.queue_depth = 8;
   const std::uint64_t h_small = session_hash(8, small, 8);
   const std::uint64_t h_large = session_hash(8, large, 8);
   const std::uint64_t h_default = session_hash(8, {}, 8);
@@ -143,7 +152,7 @@ TEST(ChipSession, ReportAccountsWireTraffic) {
   set_max_threads(1);
   auto chip = make_chip();
   core::ChipSession session(chip, {}, Rng(42));
-  CollectSink<neurochip::NeuroFrame> sink;
+  Collect sink;
   const auto report = session.run(TestField(), 0.0, 4, sink);
   EXPECT_EQ(report.stage_threads, 1);  // serial fallback on one thread
   EXPECT_EQ(report.wire.frames, 4u);
@@ -166,7 +175,7 @@ TEST(ChipSession, NoisyLinkRecoversAndStaysDeterministic) {
   set_max_threads(1);
   auto chip = make_chip();
   core::ChipSession session(chip, noisy, Rng(42));
-  CollectSink<neurochip::NeuroFrame> sink;
+  Collect sink;
   const auto report = session.run(TestField(), 0.0, 6, sink);
   EXPECT_GT(report.wire.retries, 0u);             // the BER actually bit
   EXPECT_GT(report.wire.recovered_words, 0u);     // and merging recovered
@@ -185,11 +194,11 @@ TEST(ChipSession, NoisyLinkMatchesBatchOncePerfectlyRecovered) {
   noisy.bit_error_rate = 2e-4;
   auto chip = make_chip();
   core::ChipSession session(chip, noisy, Rng(42));
-  CollectSink<neurochip::NeuroFrame> sink;
+  Collect sink;
   const auto report = session.run(TestField(), 0.0, 6, sink);
   set_max_threads(1);
   ASSERT_EQ(report.wire.lost_words, 0u);
-  EXPECT_EQ(hash_frames(sink.items()), hash_frames(batch));
+  EXPECT_EQ(hash_frames(sink.items), hash_frames(batch));
 }
 
 TEST(ChipSession, SinkExceptionUnwindsAndSessionStaysUsable) {
@@ -208,11 +217,11 @@ TEST(ChipSession, SinkExceptionUnwindsAndSessionStaysUsable) {
   EXPECT_FALSE(boom.ended);
 
   // The pool reopened; the next run on the same session completes.
-  CollectSink<neurochip::NeuroFrame> sink;
+  Collect sink;
   const auto report = session.run(TestField(), 0.0, 3, sink);
   set_max_threads(1);
   EXPECT_EQ(report.frames, 3);
-  EXPECT_EQ(sink.items().size(), 3u);
+  EXPECT_EQ(sink.items.size(), 3u);
 }
 
 TEST(ChipSession, FirstStagedRunCreatesTheWholePool) {
@@ -247,7 +256,7 @@ TEST(ChipSession, FirstStagedRunCreatesTheWholePool) {
     set_max_threads(threads);
     auto chip = make_chip();
     core::ChipSession session(chip, {}, Rng(42));
-    CollectSink<neurochip::NeuroFrame> fast;
+    Collect fast;
     const auto first = session.run(SlowSource(), 0.0, 8, fast);
     SlowSink slow;
     const auto second = session.run(TestField(), 0.0, 8, slow);
@@ -274,6 +283,29 @@ TEST(ChipSession, RunsInsideParallelJobFallBackSerially) {
   EXPECT_EQ(hashes[0], hashes[1]);
   EXPECT_EQ(hashes[0], session_hash(1, {}, 3));
   set_max_threads(1);
+}
+
+TEST(ChipSession, SecondCallerOfABusyPoolRunsSerially) {
+  // Two sessions started at once from plain threads: one holds the pool
+  // for its two stage loops; the other gets no second thread and must run
+  // serially rather than wait on a stage loop that never starts.
+  const std::uint64_t expected = session_hash(1, {}, 24);
+  set_max_threads(4);
+  std::uint64_t hashes[2] = {};
+  const auto run = [](std::uint64_t* out) {
+    auto chip = make_chip();
+    core::SessionConfig cfg;
+    cfg.pool_frames = 2;
+    core::ChipSession session(chip, cfg, Rng(42));
+    *out = hash_frames(session.record(TestField(), 0.0, 24));
+  };
+  std::thread a(run, &hashes[0]);
+  std::thread b(run, &hashes[1]);
+  a.join();
+  b.join();
+  set_max_threads(1);
+  EXPECT_EQ(hashes[0], expected);
+  EXPECT_EQ(hashes[1], expected);
 }
 
 }  // namespace

@@ -21,11 +21,10 @@ TEST(Trace, CrossingsDetected) {
   // ambiguous zero crossings at the sample ends).
   const auto ups = t.up_crossings(0.5);
   EXPECT_EQ(ups.size(), 2u);
-  EXPECT_TRUE(t.first_up_crossing(0.5).has_value());
-  EXPECT_FALSE(t.first_up_crossing(2.0).has_value());
+  EXPECT_TRUE(t.up_crossings(2.0).empty());
 }
 
-TEST(Trace, MinMaxAndSettling) {
+TEST(Trace, MinMax) {
   Trace t;
   for (int i = 0; i <= 1000; ++i) {
     const double v = 1.0 - std::exp(-i / 100.0);
@@ -33,10 +32,6 @@ TEST(Trace, MinMaxAndSettling) {
   }
   EXPECT_NEAR(t.max_value(), 1.0, 1e-3);
   EXPECT_DOUBLE_EQ(t.min_value(), 0.0);
-  const auto st = t.settling_time(0.01);
-  ASSERT_TRUE(st.has_value());
-  // Settles within 1% after ~4.6 tau = 460 steps.
-  EXPECT_NEAR(*st, 460e-6, 20e-6);
 }
 
 // --- BandgapReference -------------------------------------------------------

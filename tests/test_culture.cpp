@@ -53,7 +53,6 @@ TEST(Culture, AmplitudesInPaperRange) {
   }
   // The bulk of the population lands inside the quoted window.
   EXPECT_GT(in_range, 40);
-  EXPECT_LE(culture.max_amplitude(), 10e-3);
 }
 
 TEST(Culture, FootprintFullInsideContactDisk) {
@@ -86,42 +85,6 @@ TEST(Culture, NeuronsAtFindsCoveringCells) {
     if (p == &n) found = true;
   }
   EXPECT_TRUE(found);
-}
-
-TEST(Culture, WaveformSuperposition) {
-  // The waveform at a point equals the weighted sum of each covering
-  // neuron's rendered train — verified against a manual recomputation.
-  CultureConfig cfg = small_culture();
-  cfg.n_neurons = 5;
-  NeuronCulture culture(cfg, Rng(7));
-  const double x = cfg.area_size / 2.0, y = cfg.area_size / 2.0;
-  const double fs = 2000.0;
-  const std::size_t n_samples = 400;
-  const auto wave = culture.waveform_at(x, y, fs, n_samples);
-
-  std::vector<double> manual(n_samples, 0.0);
-  for (const auto& n : culture.neurons()) {
-    const double w = culture.footprint_weight(n, x, y);
-    if (w <= 0.01) continue;
-    const auto c = render_spike_waveform(n.spike_times, n.templ,
-                                         cfg.template_fs, fs, n_samples);
-    for (std::size_t i = 0; i < n_samples; ++i) manual[i] += w * c[i];
-  }
-  for (std::size_t i = 0; i < n_samples; ++i) {
-    EXPECT_NEAR(wave[i], manual[i], 1e-15);
-  }
-}
-
-TEST(Culture, UncoveredPointIsSilent) {
-  CultureConfig cfg = small_culture();
-  cfg.n_neurons = 1;
-  NeuronCulture culture(cfg, Rng(8));
-  const auto& n = culture.neurons().front();
-  // Far corner from the only neuron.
-  const double x = n.x < cfg.area_size / 2.0 ? cfg.area_size : 0.0;
-  const double y = n.y < cfg.area_size / 2.0 ? cfg.area_size : 0.0;
-  const auto wave = culture.waveform_at(x, y, 2000.0, 100);
-  for (double v : wave) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
 TEST(Culture, SpikeTimesWithinDuration) {

@@ -24,18 +24,9 @@ TEST(Sweeps, LogSpaceEndpointsAndRatio) {
   }
 }
 
-TEST(Sweeps, LinSpaceEndpointsAndStep) {
-  const auto v = lin_space(0.0, 10.0, 11);
-  ASSERT_EQ(v.size(), 11u);
-  EXPECT_DOUBLE_EQ(v.front(), 0.0);
-  EXPECT_DOUBLE_EQ(v.back(), 10.0);
-  EXPECT_DOUBLE_EQ(v[3], 3.0);
-}
-
 TEST(Sweeps, RejectDegenerate) {
   EXPECT_THROW(log_space(0.0, 1.0, 5), ConfigError);
   EXPECT_THROW(log_space(1.0, 0.5, 5), ConfigError);
-  EXPECT_THROW(lin_space(0.0, 1.0, 1), ConfigError);
 }
 
 TEST(ClaimReport, PassFailTracking) {

@@ -4,7 +4,6 @@
 
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <string>
 
 #include "common/error.hpp"
@@ -204,33 +203,6 @@ TEST(DefectMap, MaskInterpolateIsolatedDefectGetsZero) {
   EXPECT_DOUBLE_EQ(values[0], 0.0);
   EXPECT_DOUBLE_EQ(values[1], 0.0);
   EXPECT_DOUBLE_EQ(values[2], 0.0);
-}
-
-TEST(DefectMap, JsonListsEveryDefect) {
-  DefectMap map(2, 2);
-  map.mark(0, 1, DefectType::kRailed);
-  std::ostringstream os;
-  map.to_json(os);
-  const std::string json = os.str();
-  EXPECT_NE(json.find("\"rows\": 2"), std::string::npos);
-  EXPECT_NE(json.find("\"railed\""), std::string::npos);
-  EXPECT_NE(json.find("\"row\": 0"), std::string::npos);
-  EXPECT_NE(json.find("\"col\": 1"), std::string::npos);
-}
-
-TEST(DegradationSummary, JsonHasAllFields) {
-  DegradationSummary s;
-  s.yield = 0.95;
-  s.masked = 6;
-  s.retries = 12;
-  s.bist_ok = true;
-  std::ostringstream os;
-  s.to_json(os);
-  const std::string json = os.str();
-  EXPECT_NE(json.find("\"yield\": 0.95"), std::string::npos);
-  EXPECT_NE(json.find("\"masked\": 6"), std::string::npos);
-  EXPECT_NE(json.find("\"retries\": 12"), std::string::npos);
-  EXPECT_NE(json.find("\"bist_ok\": true"), std::string::npos);
 }
 
 }  // namespace

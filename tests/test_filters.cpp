@@ -12,126 +12,40 @@ namespace {
 
 constexpr double kFs = 10e3;
 
-double sine_gain(BiquadCascade& f, double freq, double fs) {
-  // Drive with a sinusoid and measure steady-state amplitude ratio.
-  f.reset();
+double sine_gain(Biquad f, double freq) {
+  // Drive with a unit sinusoid and measure the steady-state amplitude from
+  // the output power over the second half (a whole number of periods at
+  // the test frequencies, so sampling does not bias it).
   const int n = 4000;
-  double peak = 0.0;
+  double power = 0.0;
   for (int i = 0; i < n; ++i) {
-    const double x = std::sin(2.0 * constants::kPi * freq * i / fs);
+    const double x = std::sin(2.0 * constants::kPi * freq * i / kFs);
     const double y = f.process(x);
-    if (i > n / 2) peak = std::max(peak, std::abs(y));
+    if (i >= n / 2) power += y * y;
   }
-  return peak;
+  return std::sqrt(2.0 * power / (n / 2));
 }
 
 TEST(Biquad, LowpassMinus3dbAtCutoff) {
-  Biquad lp = Biquad::lowpass(1000.0, kFs);
-  EXPECT_NEAR(lp.magnitude(1000.0, kFs), 1.0 / std::sqrt(2.0), 0.01);
-  EXPECT_NEAR(lp.magnitude(10.0, kFs), 1.0, 0.01);
-  EXPECT_LT(lp.magnitude(4000.0, kFs), 0.1);
+  const Biquad lp = Biquad::lowpass(1000.0, kFs);
+  EXPECT_NEAR(sine_gain(lp, 1000.0), 1.0 / std::sqrt(2.0), 0.01);
+  EXPECT_NEAR(sine_gain(lp, 100.0), 1.0, 0.01);
+  EXPECT_LT(sine_gain(lp, 4000.0), 0.1);
 }
 
 TEST(Biquad, HighpassBlocksDc) {
   Biquad hp = Biquad::highpass(500.0, kFs);
-  EXPECT_NEAR(hp.magnitude(5.0, kFs), 0.0, 0.01);
-  EXPECT_NEAR(hp.magnitude(4000.0, kFs), 1.0, 0.02);
+  EXPECT_NEAR(sine_gain(hp, 4000.0), 1.0, 0.02);
+  EXPECT_LT(sine_gain(hp, 50.0), 0.02);
   // Process a DC signal: output decays to zero.
   double y = 0.0;
   for (int i = 0; i < 10000; ++i) y = hp.process(1.0);
   EXPECT_NEAR(y, 0.0, 1e-6);
 }
 
-TEST(Biquad, BandpassPeaksAtCenter) {
-  Biquad bp = Biquad::bandpass(1000.0, kFs, 5.0);
-  EXPECT_NEAR(bp.magnitude(1000.0, kFs), 1.0, 0.02);
-  EXPECT_LT(bp.magnitude(200.0, kFs), 0.2);
-  EXPECT_LT(bp.magnitude(4500.0, kFs), 0.2);
-}
-
 TEST(Biquad, RejectsOutOfRangeCutoff) {
   EXPECT_THROW(Biquad::lowpass(0.0, kFs), ConfigError);
   EXPECT_THROW(Biquad::lowpass(kFs, kFs), ConfigError);
-}
-
-TEST(Butterworth4, FlatPassbandSteepRolloff) {
-  auto lp = BiquadCascade::butterworth4_lowpass(1000.0, kFs);
-  EXPECT_NEAR(lp.magnitude(100.0, kFs), 1.0, 0.01);
-  EXPECT_NEAR(lp.magnitude(1000.0, kFs), 1.0 / std::sqrt(2.0), 0.02);
-  // 4th order: -24 dB/octave asymptotic; bilinear-transform warping toward
-  // Nyquist makes the digital realization a few dB steeper at 2 kHz.
-  const double db = 20.0 * std::log10(lp.magnitude(2000.0, kFs));
-  EXPECT_LT(db, -22.0);
-  EXPECT_GT(db, -35.0);
-}
-
-TEST(Butterworth4, HighpassMirrors) {
-  auto hp = BiquadCascade::butterworth4_highpass(1000.0, kFs);
-  EXPECT_NEAR(hp.magnitude(4000.0, kFs), 1.0, 0.02);
-  EXPECT_NEAR(hp.magnitude(1000.0, kFs), 1.0 / std::sqrt(2.0), 0.02);
-  EXPECT_LT(hp.magnitude(250.0, kFs), 0.1);
-}
-
-TEST(Bandpass, PassesBandRejectsOutside) {
-  auto bp = BiquadCascade::bandpass(300.0, 3000.0, kFs);
-  EXPECT_NEAR(sine_gain(bp, 1000.0, kFs), 1.0, 0.05);
-  EXPECT_LT(sine_gain(bp, 30.0, kFs), 0.05);
-  EXPECT_LT(sine_gain(bp, 4800.0, kFs), 0.25);
-}
-
-TEST(Bandpass, RejectsInvertedBand) {
-  EXPECT_THROW(BiquadCascade::bandpass(3000.0, 300.0, kFs), ConfigError);
-}
-
-TEST(BiquadCascade, FilterResetsStateFirst) {
-  auto lp = BiquadCascade::butterworth4_lowpass(1000.0, kFs);
-  std::vector<double> x(100, 1.0);
-  const auto y1 = lp.filter(x);
-  const auto y2 = lp.filter(x);
-  EXPECT_EQ(y1, y2);  // no history leaks between calls
-}
-
-TEST(Fir, LowpassDesignHasUnityDcGain) {
-  const auto taps = design_fir_lowpass(1000.0, kFs, 63);
-  double sum = 0.0;
-  for (double t : taps) sum += t;
-  EXPECT_NEAR(sum, 1.0, 1e-12);
-  EXPECT_EQ(taps.size(), 63u);
-}
-
-TEST(Fir, LowpassAttenuatesHighFrequency) {
-  const auto taps = design_fir_lowpass(500.0, kFs, 101);
-  // Build a high-frequency sinusoid and filter it.
-  std::vector<double> hf(1000), lf(1000);
-  for (int i = 0; i < 1000; ++i) {
-    hf[static_cast<std::size_t>(i)] =
-        std::sin(2.0 * constants::kPi * 3000.0 * i / kFs);
-    lf[static_cast<std::size_t>(i)] =
-        std::sin(2.0 * constants::kPi * 100.0 * i / kFs);
-  }
-  const auto hf_out = fir_filter(hf, taps);
-  const auto lf_out = fir_filter(lf, taps);
-  double hf_peak = 0.0, lf_peak = 0.0;
-  for (int i = 200; i < 800; ++i) {
-    hf_peak = std::max(hf_peak, std::abs(hf_out[static_cast<std::size_t>(i)]));
-    lf_peak = std::max(lf_peak, std::abs(lf_out[static_cast<std::size_t>(i)]));
-  }
-  EXPECT_LT(hf_peak, 0.02);
-  EXPECT_NEAR(lf_peak, 1.0, 0.02);
-}
-
-TEST(Fir, ImpulseResponseIsTaps) {
-  const auto taps = design_fir_lowpass(1000.0, kFs, 9);
-  std::vector<double> impulse(32, 0.0);
-  impulse[16] = 1.0;
-  const auto out = fir_filter(impulse, taps);
-  for (std::size_t k = 0; k < taps.size(); ++k) {
-    EXPECT_NEAR(out[16 - 4 + k], taps[k], 1e-12);
-  }
-}
-
-TEST(Fir, RejectsEvenTapCount) {
-  EXPECT_THROW(design_fir_lowpass(1000.0, kFs, 10), ConfigError);
 }
 
 }  // namespace

@@ -641,11 +641,6 @@ TEST(FleetServer, RestoreGuardsAndCapabilityBit) {
   const auto absent = client.restore(42);
   ASSERT_FALSE(absent);
   EXPECT_EQ(absent.error(), HostStatus::kNoSuchSession);
-
-  // The capability bit advertises the surface.
-  const auto caps = client.capabilities();
-  ASSERT_TRUE(caps);
-  EXPECT_TRUE(*caps & kCapCheckpoint);
 }
 
 TEST(FleetServer, PerSessionInstrumentsAreCollisionFree) {

@@ -70,11 +70,19 @@ bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+/// Words per frame: 8 header words + 2 per pixel code.
+std::size_t words_for(int rows, int cols) {
+  return 8 + 2 * static_cast<std::size_t>(rows) *
+                 static_cast<std::size_t>(cols);
+}
+
 TEST(FrameCodec, LosslessRoundtripIsBitwiseIdentical) {
   const auto sent = make_frame(5, 7);
-  ASSERT_EQ(FrameCodec::words_for(5, 7), 8u + 2u * 35u);
+  std::vector<std::uint16_t> words;
+  FrameCodec(kLsb, kGain).encode(sent, kSeq, words);
+  ASSERT_EQ(words.size(), words_for(5, 7));
   const auto merged =
-      transmit(sent, FrameCodec::words_for(5, 7), [](auto&) {});
+      transmit(sent, words_for(5, 7), [](auto&) {});
   ASSERT_TRUE(merged.complete());
   auto got = blank_like(sent);
   EXPECT_EQ(FrameCodec(kLsb, kGain).decode(merged, kSeq, got), 0u);
@@ -90,7 +98,7 @@ TEST(FrameCodec, LosslessRoundtripIsBitwiseIdentical) {
 TEST(FrameCodec, BadHeaderWordsAreCountedLostNotThrown) {
   const auto sent = make_frame(2, 3);
   const FrameCodec codec(kLsb, kGain);
-  const std::size_t n = FrameCodec::words_for(2, 3);
+  const std::size_t n = words_for(2, 3);
 
   // Missing seq, rows and cols words: each counts once, pixels still decode.
   const auto missing = transmit(sent, n, [](dnachip::BitStream& bits) {
@@ -132,7 +140,7 @@ TEST(FrameCodec, PixelMissingAHalfDecodesToZero) {
   const FrameCodec codec(kLsb, kGain);
   // Pixel 1 loses its hi half, pixel 4 its lo half, pixel 5 both.
   const auto merged = transmit(
-      sent, FrameCodec::words_for(2, 3), [](dnachip::BitStream& bits) {
+      sent, words_for(2, 3), [](dnachip::BitStream& bits) {
         kill_word(bits, 8 + 2 * 1);
         kill_word(bits, 9 + 2 * 4);
         kill_word(bits, 8 + 2 * 5);
@@ -150,7 +158,7 @@ TEST(FrameCodec, PixelMissingAHalfDecodesToZero) {
 TEST(FrameCodec, ShortWordVectorCountsTheMissingTail) {
   const auto sent = make_frame(2, 3);
   const FrameCodec codec(kLsb, kGain);
-  const std::size_t n = FrameCodec::words_for(2, 3);
+  const std::size_t n = words_for(2, 3);
 
   // Three words short: pixel 5 loses both halves, pixel 4 its lo half.
   const auto short3 = transmit(sent, n - 3, [](auto&) {});

@@ -65,16 +65,6 @@ TEST(GainStage, CalibrationCancelsGainErrorAndOffset) {
   EXPECT_NEAR(out, 0.0, 1e-3 * p.nominal_gain * 1e-6);
 }
 
-TEST(GainStage, ClearCalibrationRestoresRawBehaviour) {
-  GainStageParams p;
-  p.gain_sigma = 0.10;
-  GainStage g(p, Rng(78));
-  g.calibrate(1e-6);
-  EXPECT_TRUE(g.calibrated());
-  g.clear_calibration();
-  EXPECT_FALSE(g.calibrated());
-}
-
 TEST(GainStage, OutputClipsAtCompliance) {
   GainStageParams p = ideal_params();
   p.out_limit = 1e-6;
@@ -107,6 +97,12 @@ TEST(GainChain, OnChipOffChipSplit) {
   EXPECT_DOUBLE_EQ(on.total_nominal_gain() * off.total_nominal_gain(), 5600.0);
 }
 
+double actual_gain(const GainChain& chain) {
+  double g = 1.0;
+  for (const auto& s : chain.stages) g *= s.actual_gain();
+  return g;
+}
+
 TEST(GainChain, SettledCascadeGain) {
   GainChain chain(Rng(5), 0.0, 0.0);
   double out = 0.0;
@@ -122,7 +118,7 @@ TEST_P(GainChainCalibration, CalibrationRecoversNominalGain) {
   const double sigma = GetParam();
   GainChain chain(Rng(31), sigma, 10e-9);
   const double uncal_err =
-      std::abs(chain.total_actual_gain() / chain.total_nominal_gain() - 1.0);
+      std::abs(actual_gain(chain) / chain.total_nominal_gain() - 1.0);
   chain.calibrate(1e-7, 1e-4);
   double out = 0.0;
   for (int i = 0; i < 300000; ++i) out = chain.step(1e-7, 1e-9);

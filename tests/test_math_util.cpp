@@ -8,21 +8,6 @@
 namespace biosense {
 namespace {
 
-TEST(Interp1, InterpolatesAndClamps) {
-  std::vector<double> xs{0.0, 1.0, 2.0};
-  std::vector<double> ys{0.0, 10.0, 40.0};
-  EXPECT_DOUBLE_EQ(interp1(xs, ys, 0.5), 5.0);
-  EXPECT_DOUBLE_EQ(interp1(xs, ys, 1.5), 25.0);
-  EXPECT_DOUBLE_EQ(interp1(xs, ys, -1.0), 0.0);
-  EXPECT_DOUBLE_EQ(interp1(xs, ys, 3.0), 40.0);
-}
-
-TEST(Interp1, ThrowsOnMismatchedTables) {
-  std::vector<double> xs{0.0, 1.0};
-  std::vector<double> ys{0.0};
-  EXPECT_THROW(interp1(xs, ys, 0.5), std::invalid_argument);
-}
-
 TEST(Bisect, FindsRootOfCubic) {
   const double root = bisect([](double x) { return x * x * x - 2.0; }, 0.0, 2.0);
   EXPECT_NEAR(root, std::cbrt(2.0), 1e-12);
@@ -40,65 +25,6 @@ TEST(Bisect, ReturnsEndpointRoot) {
 TEST(Bisect, ThrowsWithoutSignChange) {
   EXPECT_THROW(bisect([](double) { return 1.0; }, 0.0, 1.0),
                std::invalid_argument);
-}
-
-TEST(OnePole, ConvergesToInput) {
-  double y = 0.0;
-  for (int i = 0; i < 1000; ++i) y = one_pole_step(y, 5.0, 1e-3, 10e-3);
-  EXPECT_NEAR(y, 5.0, 1e-9);
-}
-
-TEST(OnePole, SingleTauReaches63Percent) {
-  // One step of exactly tau: 1 - e^-1 of the way.
-  const double y = one_pole_step(0.0, 1.0, 10e-3, 10e-3);
-  EXPECT_NEAR(y, 1.0 - std::exp(-1.0), 1e-12);
-}
-
-TEST(OnePole, ZeroTauPassesThrough) {
-  EXPECT_DOUBLE_EQ(one_pole_step(0.0, 7.0, 1e-3, 0.0), 7.0);
-}
-
-TEST(Rk4, IntegratesExponentialDecay) {
-  // dy/dt = -y, y(0) = 1 -> y(1) = 1/e.
-  std::vector<double> y{1.0};
-  auto f = [](double, std::span<const double> s, std::span<double> d) {
-    d[0] = -s[0];
-  };
-  const double dt = 1e-3;
-  for (int i = 0; i < 1000; ++i) rk4_step(f, i * dt, dt, y);
-  EXPECT_NEAR(y[0], std::exp(-1.0), 1e-9);
-}
-
-TEST(Rk4, HarmonicOscillatorConservesEnergy) {
-  // y'' = -y as a 2-state system; after one full period energy preserved.
-  std::vector<double> y{1.0, 0.0};
-  auto f = [](double, std::span<const double> s, std::span<double> d) {
-    d[0] = s[1];
-    d[1] = -s[0];
-  };
-  const double dt = 1e-3;
-  const int steps = static_cast<int>(2.0 * 3.14159265358979 / dt);
-  for (int i = 0; i < steps; ++i) rk4_step(f, i * dt, dt, y);
-  const double energy = y[0] * y[0] + y[1] * y[1];
-  EXPECT_NEAR(energy, 1.0, 1e-6);
-}
-
-TEST(Db, Conversions) {
-  EXPECT_NEAR(to_db_power(100.0), 20.0, 1e-12);
-  EXPECT_NEAR(to_db_amplitude(100.0), 40.0, 1e-12);
-  EXPECT_LT(to_db_power(0.0), -1000.0);  // guarded, not -inf crash
-}
-
-TEST(ApproxEqual, Behaviour) {
-  EXPECT_TRUE(approx_equal(1.0, 1.0 + 1e-12));
-  EXPECT_FALSE(approx_equal(1.0, 1.1));
-  EXPECT_TRUE(approx_equal(0.0, 1e-12, 1e-9, 1e-9));
-}
-
-TEST(Lerp, Endpoints) {
-  EXPECT_DOUBLE_EQ(lerp(2.0, 4.0, 0.0), 2.0);
-  EXPECT_DOUBLE_EQ(lerp(2.0, 4.0, 1.0), 4.0);
-  EXPECT_DOUBLE_EQ(lerp(2.0, 4.0, 0.5), 3.0);
 }
 
 }  // namespace

@@ -74,8 +74,13 @@ TEST(Mosfet, GdsReflectsChannelLengthModulation) {
   Mosfet ideal(p);
   p.lambda = 0.1;
   Mosfet real(p);
-  const double gds_ideal = ideal.gds(1.5, 2.5, 0.0);
-  const double gds_real = real.gds(1.5, 2.5, 0.0);
+  // Output conductance from the drain-current slope in saturation.
+  const auto gds = [](const Mosfet& m) {
+    return (m.drain_current(1.5, 2.6, 0.0) - m.drain_current(1.5, 2.4, 0.0)) /
+           0.2;
+  };
+  const double gds_ideal = gds(ideal);
+  const double gds_real = gds(real);
   EXPECT_GT(gds_real, gds_ideal);
   EXPECT_GT(gds_real, 0.0);
 }

@@ -198,42 +198,6 @@ TEST(NeuroChip, RejectsInvalidConfig) {
   EXPECT_THROW(NeuroChip(c, Rng(1)), ConfigError);
 }
 
-TEST(NeuroChip, HighRateSinglePixelMode) {
-  // The parked-pixel mode streams at frame_rate * cols (256 kS/s on the
-  // full chip): verify rate, gain and localization.
-  NeuroChip chip(tiny_chip(16), Rng(10));
-  chip.calibrate_all();
-  const double fs =
-      (chip.config().frame_rate * chip.config().cols).value();
-  const int n = static_cast<int>(fs * 20e-3);  // 20 ms
-  const auto trace =
-      chip.capture_pixel_highrate(5, 7, OnePixelSine(5, 7), 0.0, n);
-  ASSERT_EQ(trace.size(), static_cast<std::size_t>(n));
-  // Peak-to-peak ~ 2 mV after the (settled) chain.
-  double mn = 1e9, mx = -1e9;
-  for (double v : trace) {
-    mn = std::min(mn, v);
-    mx = std::max(mx, v);
-  }
-  EXPECT_NEAR(mx - mn, 2e-3, 0.6e-3);
-  // Count zero crossings of the AC component: 1 kHz for 20 ms -> ~20 up
-  // crossings.
-  double mean_v = 0.0;
-  for (double v : trace) mean_v += v / trace.size();
-  int ups = 0;
-  for (std::size_t i = 1; i < trace.size(); ++i) {
-    if (trace[i - 1] < mean_v && trace[i] >= mean_v) ++ups;
-  }
-  EXPECT_NEAR(ups, 20, 3);
-}
-
-TEST(NeuroChip, HighRateModeRejectsBadPixel) {
-  NeuroChip chip(tiny_chip(8), Rng(11));
-  EXPECT_THROW(
-      chip.capture_pixel_highrate(9, 0, ConstantSource(0.0), 0.0, 10),
-      ConfigError);
-}
-
 TEST(RecordingSession, GroundTruthAlignsWithRecordedSpikes) {
   // End-to-end: one synthetic neuron over a small array; the chip's
   // recorded trace at the covered pixel must correlate with the ground

@@ -72,10 +72,6 @@ TEST(Histogram, BucketHelpers) {
   ASSERT_EQ(dec.size(), 5u);
   EXPECT_DOUBLE_EQ(dec[0], 1.0);
   EXPECT_DOUBLE_EQ(dec[4], 1e4);
-  const auto lin = linear_buckets(0.0, 0.5, 4);
-  ASSERT_EQ(lin.size(), 4u);
-  EXPECT_DOUBLE_EQ(lin[0], 0.0);
-  EXPECT_DOUBLE_EQ(lin[3], 1.5);
 }
 
 TEST(Registry, ReferencesAreStable) {

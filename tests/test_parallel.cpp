@@ -5,7 +5,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "dnachip/chip.hpp"
@@ -69,6 +71,35 @@ TEST_F(ParallelTest, NestedCallsRunSerially) {
     parallel_for(0, 16, [&](std::int64_t) { sum.fetch_add(1); });
   });
   EXPECT_EQ(sum.load(), 8 * 16);
+}
+
+TEST_F(ParallelTest, ConcurrentTopLevelCallersEachCoverTheirRange) {
+  // Two non-worker threads share the global pool: the second caller must
+  // not overwrite the job the first is running, so it runs inline instead.
+  set_max_threads(4);
+  constexpr std::int64_t kRange = 20000;
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<std::atomic<int>> hits_a(kRange);
+    std::vector<std::atomic<int>> hits_b(kRange);
+    const auto cover = [](std::vector<std::atomic<int>>& hits) {
+      parallel_for(
+          0, kRange,
+          [&hits](std::int64_t i) {
+            hits[static_cast<std::size_t>(i)].fetch_add(1);
+          },
+          64);
+    };
+    std::thread a(cover, std::ref(hits_a));
+    std::thread b(cover, std::ref(hits_b));
+    a.join();
+    b.join();
+    int bad = 0;
+    for (std::int64_t i = 0; i < kRange; ++i) {
+      bad += hits_a[static_cast<std::size_t>(i)].load() != 1;
+      bad += hits_b[static_cast<std::size_t>(i)].load() != 1;
+    }
+    ASSERT_EQ(bad, 0) << "trial " << trial;
+  }
 }
 
 TEST_F(ParallelTest, SetMaxThreadsClampsToOne) {

@@ -56,58 +56,6 @@ TEST(Propagation, SpikesSortedAndBounded) {
   }
 }
 
-TEST(Propagation, VelocityRecoveredFromSpikeTrains) {
-  NeuronCulture culture(wave_culture(), Rng(5));
-  Rng rng(6);
-  const WaveConfig w = slow_wave();
-  apply_wave_activity(culture, w, rng);
-
-  // Pick two neurons roughly along the propagation direction with a decent
-  // separation, then recover the velocity from their spike trains.
-  const PlacedNeuron* near = nullptr;
-  const PlacedNeuron* far = nullptr;
-  for (const auto& n : culture.neurons()) {
-    const double d = std::hypot(n.x, n.y);
-    if (!near || d < std::hypot(near->x, near->y)) near = &n;
-    if (!far || d > std::hypot(far->x, far->y)) far = &n;
-  }
-  ASSERT_TRUE(near && far && near != far);
-  const double v = dsp::estimate_wave_velocity(
-      near->x, near->y, near->spike_times, far->x, far->y, far->spike_times);
-  ASSERT_GT(v, 0.0);
-  // The estimate uses straight-line distance vs radial delay difference:
-  // accept 40%.
-  EXPECT_NEAR(v / w.velocity, 1.0, 0.4);
-}
-
-TEST(Propagation, FasterWaveShorterLags) {
-  auto recover = [](double velocity) {
-    NeuronCulture culture(wave_culture(), Rng(7));
-    Rng rng(8);
-    WaveConfig w = slow_wave();
-    w.velocity = velocity;
-    apply_wave_activity(culture, w, rng);
-    const auto& a = culture.neurons().front();
-    // Find the neuron farthest from a.
-    const PlacedNeuron* b = &a;
-    double best = 0.0;
-    for (const auto& n : culture.neurons()) {
-      const double d = std::hypot(n.x - a.x, n.y - a.y);
-      if (d > best) {
-        best = d;
-        b = &n;
-      }
-    }
-    return dsp::estimate_wave_velocity(a.x, a.y, a.spike_times, b->x, b->y,
-                                       b->spike_times, 100e-3);
-  };
-  const double v_slow = recover(20e-3);
-  const double v_fast = recover(60e-3);
-  if (v_slow > 0.0 && v_fast > 0.0) {
-    EXPECT_GT(v_fast, v_slow);
-  }
-}
-
 TEST(Propagation, PlaneFitRecoversSpeedAndDirection) {
   // Synthetic planar wavefront: t = t0 + (x cos a + y sin a) / v.
   const double v_true = 25e-3;
@@ -140,12 +88,6 @@ TEST(Propagation, PlaneFitRejectsDegenerateGeometry) {
   (void)fit;
   EXPECT_LT(dsp::fit_wavefront({}, {}, {}).speed, 0.0);
   EXPECT_LT(dsp::fit_wavefront({1.0}, {1.0}, {1.0}).speed, 0.0);
-}
-
-TEST(Propagation, EstimatorHandlesDegenerateInputs) {
-  std::vector<double> some{0.1, 0.2};
-  EXPECT_LT(dsp::estimate_wave_velocity(0, 0, {}, 1e-3, 0, some), 0.0);
-  EXPECT_LT(dsp::estimate_wave_velocity(0, 0, some, 0, 0, some), 0.0);
 }
 
 TEST(Propagation, RejectsInvalidConfig) {

@@ -40,7 +40,6 @@ SessionOptions neuro_options(bool lossy) {
       .chip_seed(20260808)
       .link_seed(555)
       .pool_frames(4)
-      .queue_depth(4)
       .label("");
   if (lossy) {
     faults::FaultPlanConfig plan;
@@ -133,8 +132,10 @@ SessionOptions dna_options() {
       .cols(4)
       .chip_seed(424242)
       .link_seed(99)
-      .bit_error_rate(2e-4)  // exercises the retry/merge path
       .label("");
+  faults::FaultPlanConfig plan;
+  plan.link.bit_error_rate = 2e-4;  // exercises the retry/merge path
+  opts.fault_plan(plan);
   return opts;
 }
 

@@ -69,11 +69,19 @@ TEST(SpikeTrain, SpikesSortedAndInWindow) {
   }
 }
 
+std::vector<double> render(const std::vector<double>& spikes,
+                           const std::vector<double>& templ, double templ_fs,
+                           double fs, std::size_t n_samples) {
+  std::vector<double> out;
+  render_spike_waveform_into(spikes, templ, templ_fs, fs, n_samples, out);
+  return out;
+}
+
 TEST(SpikeTrain, RenderPlacesTemplateAtSpikeTime) {
   // Template: a triangle sampled at 10 kHz; one spike at t = 0.1 s,
   // rendered at 1 kHz.
   std::vector<double> templ{0.0, 0.5, 1.0, 0.5, 0.0};
-  const auto wave = render_spike_waveform({0.1}, templ, 10e3, 1e3, 200);
+  const auto wave = render({0.1}, templ, 10e3, 1e3, 200);
   // At 1 kHz, sample 100 corresponds to t=0.1 s: template value at rel=0.
   EXPECT_NEAR(wave[100], 0.0, 1e-12);
   // The template lasts 0.5 ms < one output sample; sample 101 is past it.
@@ -83,7 +91,7 @@ TEST(SpikeTrain, RenderPlacesTemplateAtSpikeTime) {
 
 TEST(SpikeTrain, RenderResolvesTemplateAtHighRate) {
   std::vector<double> templ{0.0, 0.5, 1.0, 0.5, 0.0};  // 10 kHz
-  const auto wave = render_spike_waveform({0.01}, templ, 10e3, 10e3, 200);
+  const auto wave = render({0.01}, templ, 10e3, 10e3, 200);
   // Rendered at the template rate, the full shape appears verbatim.
   EXPECT_NEAR(wave[100], 0.0, 1e-12);
   EXPECT_NEAR(wave[101], 0.5, 1e-12);
@@ -93,15 +101,14 @@ TEST(SpikeTrain, RenderResolvesTemplateAtHighRate) {
 
 TEST(SpikeTrain, RenderSuperposesOverlappingSpikes) {
   std::vector<double> templ(40, 1.0);  // 4 ms of constant 1 at 10 kHz
-  const auto wave =
-      render_spike_waveform({0.010, 0.012}, templ, 10e3, 10e3, 300);
+  const auto wave = render({0.010, 0.012}, templ, 10e3, 10e3, 300);
   // Between 12 and 14 ms both copies overlap -> amplitude 2.
   EXPECT_NEAR(wave[125], 2.0, 1e-12);
 }
 
 TEST(SpikeTrain, RenderIgnoresOutOfWindowSpikes) {
   std::vector<double> templ{1.0, 1.0};
-  const auto wave = render_spike_waveform({5.0, -1.0}, templ, 10e3, 1e3, 100);
+  const auto wave = render({5.0, -1.0}, templ, 10e3, 1e3, 100);
   for (double v : wave) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 

@@ -20,8 +20,9 @@ std::vector<double> make_trace(const std::vector<double>& spike_times,
   neuro::PointContactJunction junction{neuro::JunctionParams{}};
   auto templ = junction.spike_template(10e-6);
   for (auto& v : templ) v *= amplitude_scale;
-  auto trace = neuro::render_spike_waveform(spike_times, templ, 100e3, fs,
-                                            n_samples);
+  std::vector<double> trace;
+  neuro::render_spike_waveform_into(spike_times, templ, 100e3, fs, n_samples,
+                                    trace);
   for (auto& v : trace) v += rng.normal(0.0, noise_rms);
   return trace;
 }

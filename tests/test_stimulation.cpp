@@ -17,15 +17,6 @@ TEST(Stimulation, VoltageCouplingIsCapacitiveDivider) {
   EXPECT_NEAR(stim.voltage_coupling(), cd / (cd + cm), 1e-12);
 }
 
-TEST(Stimulation, CouplingCurrentUsesSeriesCapacitance) {
-  JunctionParams p;
-  CapacitiveStimulator stim(p);
-  const double cd = p.dielectric_cap_per_area;
-  const double cm = 1e-2;
-  const double c_series = cd * cm / (cd + cm);
-  EXPECT_NEAR(stim.coupling_current_density(1e6), c_series * 1e6, 1e-9);
-}
-
 TEST(Stimulation, SubthresholdPulseOnlyDepolarizes) {
   CapacitiveStimulator stim(JunctionParams{});
   StimulusPulse p;

@@ -84,30 +84,6 @@ TEST(Thermo, SaltLoweringDestabilizes) {
   EXPECT_GT(duplex_dg(probe, 0, low), duplex_dg(probe, 0, high));
 }
 
-TEST(Thermo, MeltingTemperatureReasonableFor20mer) {
-  // Typical 50% GC 20-mer at 1 uM: Tm around 50-75 C.
-  const double tm =
-      melting_temperature(Sequence("ACGTTGCAGGTCAATGCCTA"), at_1m_na(), 1e-6);
-  EXPECT_GT(tm, constants::kZeroCelsius + 45.0);
-  EXPECT_LT(tm, constants::kZeroCelsius + 80.0);
-}
-
-TEST(Thermo, MeltingTemperatureRisesWithGcContent) {
-  const auto c = at_1m_na();
-  const double tm_at = melting_temperature(Sequence("ATATATATATATATATATAT"), c);
-  const double tm_mid = melting_temperature(Sequence("ACGTACGTACGTACGTACGT"), c);
-  const double tm_gc = melting_temperature(Sequence("GCGCGCGCGCGCGCGCGCGC"), c);
-  EXPECT_LT(tm_at, tm_mid);
-  EXPECT_LT(tm_mid, tm_gc);
-}
-
-TEST(Thermo, MeltingTemperatureRisesWithConcentration) {
-  const auto c = at_1m_na();
-  const Sequence probe("ACGTTGCAGGTCAATGCCTA");
-  EXPECT_LT(melting_temperature(probe, c, 1e-9),
-            melting_temperature(probe, c, 1e-5));
-}
-
 TEST(Thermo, ProbesLikeThePaper) {
   // Fig. 2 caption: real probes are 15-40 bases. Check the whole range
   // produces sane, increasingly stable duplexes.
@@ -127,8 +103,6 @@ TEST(Thermo, RejectsDegenerateInputs) {
   ThermoConditions c = at_1m_na();
   c.na_molar = 0.0;
   EXPECT_THROW(duplex_energy(Sequence("ACGT"), c), ConfigError);
-  EXPECT_THROW(melting_temperature(Sequence("ACGT"), at_1m_na(), 0.0),
-               ConfigError);
 }
 
 }  // namespace

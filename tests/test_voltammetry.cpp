@@ -13,49 +13,6 @@ namespace {
 RedoxCouple couple() { return RedoxCouple{}; }
 ElectrodeParams electrode() { return ElectrodeParams{}; }
 
-TEST(Voltammetry, NernstEquationSlope) {
-  // 10x concentration ratio shifts the equilibrium potential by
-  // 59.2/n mV at 25 C.
-  const double e1 = nernst_potential(couple(), 298.15, 1.0);
-  const double e10 = nernst_potential(couple(), 298.15, 10.0);
-  EXPECT_NEAR(e1, couple().e0, 1e-12);
-  EXPECT_NEAR(e10 - e1, 0.0592 / couple().n_electrons, 0.0005);
-}
-
-TEST(Voltammetry, ButlerVolmerZeroAtEquilibrium) {
-  EXPECT_NEAR(
-      butler_volmer_current_density(couple(), electrode(), 0.0, 1.0, 1.0),
-      0.0, 1e-12);
-}
-
-TEST(Voltammetry, ButlerVolmerSignsAndExponentialGrowth) {
-  const double anodic =
-      butler_volmer_current_density(couple(), electrode(), 0.1, 1.0, 1.0);
-  const double cathodic =
-      butler_volmer_current_density(couple(), electrode(), -0.1, 1.0, 1.0);
-  EXPECT_GT(anodic, 0.0);
-  EXPECT_LT(cathodic, 0.0);
-  // Tafel regime: +60 mV more overpotential multiplies the anodic branch
-  // by exp((1-alpha) n f 0.06) ~ e^2.34 ~ 10.4 for n=2, alpha=0.5.
-  const double anodic2 =
-      butler_volmer_current_density(couple(), electrode(), 0.16, 1.0, 1.0);
-  EXPECT_NEAR(anodic2 / anodic, std::exp((1.0 - 0.5) * 2.0 * 0.06 /
-                                          thermal_voltage(298.15).value()),
-              1.0);
-}
-
-TEST(Voltammetry, MassTransportLimitsCurrent) {
-  // With no species at the surface there is no current at all; with only
-  // the oxidized species left, an anodic overpotential can still only
-  // drive the (negative) back reaction.
-  EXPECT_DOUBLE_EQ(
-      butler_volmer_current_density(couple(), electrode(), 0.3, 0.0, 0.0),
-      0.0);
-  EXPECT_LE(
-      butler_volmer_current_density(couple(), electrode(), 0.3, 1.0, 0.0),
-      0.0);
-}
-
 class VoltammetryScanRate : public ::testing::TestWithParam<double> {};
 
 TEST_P(VoltammetryScanRate, PeakMatchesRandlesSevcik) {
@@ -116,7 +73,6 @@ TEST(Voltammetry, RejectsInvalidArguments) {
                ConfigError);
   EXPECT_THROW(cyclic_voltammetry(couple(), electrode(), -0.2, 0.5, 0.0),
                ConfigError);
-  EXPECT_THROW(nernst_potential(couple(), 298.15, 0.0), ConfigError);
   EXPECT_THROW(randles_sevcik_peak(couple(), electrode(), -1.0), ConfigError);
 }
 
