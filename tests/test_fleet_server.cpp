@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -401,6 +402,44 @@ TEST(FleetServer, CheckpointResumeMatchesUninterruptedRun) {
     const auto resumed = finish_session(replayer, 4);
     EXPECT_EQ(resumed.frames, reference.frames);
     EXPECT_EQ(resumed.digest, reference.digest) << (dna ? "dna" : "neuro");
+  }
+}
+
+TEST(FleetServer, DrainDigestsArePinned) {
+  // One 8x8 neural session per fault preset, fixed seeds, 64 records each:
+  // the drain digests and link accounting are pinned, so any change to the
+  // capture -> wire -> record path that moves a single code shows here.
+  struct Pinned {
+    std::uint64_t digest;
+    std::uint64_t lost_words;
+    std::uint64_t retries;
+  };
+  const Pinned pinned[4] = {
+      {0x9358099ad2b19ddfull, 0, 0},
+      {0x1ef4c22d91e76e40ull, 0, 17},
+      {0x3a4fd2f954137aa4ull, 0, 81},
+      {0x62224e3c9781d37eull, 0, 18},
+  };
+  for (std::uint8_t preset = 0; preset < 4; ++preset) {
+    FleetServer server;
+    ServerLink link(server);
+    FleetClient client(link);
+    auto spec = neuro_spec(30 + preset);
+    spec.seed = 0x5a17 + preset;
+    spec.fault_preset = preset;
+    ASSERT_TRUE(client.create(spec));
+    ASSERT_TRUE(client.configure(spec.id, 1, 250));
+    ASSERT_TRUE(client.start(spec.id, 64));
+    const auto drained = finish_session(client, spec.id);
+    EXPECT_EQ(drained.frames, 64u);
+    std::printf("preset %u: digest 0x%016llx lost_words %llu retries %llu\n",
+                static_cast<unsigned>(preset),
+                static_cast<unsigned long long>(drained.digest),
+                static_cast<unsigned long long>(drained.lost_words),
+                static_cast<unsigned long long>(drained.retries));
+    EXPECT_EQ(drained.digest, pinned[preset].digest) << int{preset};
+    EXPECT_EQ(drained.lost_words, pinned[preset].lost_words) << int{preset};
+    EXPECT_EQ(drained.retries, pinned[preset].retries) << int{preset};
   }
 }
 
