@@ -16,9 +16,10 @@
 //
 // Shutdown: `close()` wakes every blocked producer and consumer. Blocked
 // or subsequent pushes return false; pops drain the remaining items and
-// then return nullopt. Determinism note: a channel orders *when* frames
-// move, never their contents — values are owned by exactly one stage at a
-// time, so capacities affect blocking, not results.
+// then return nullopt; `reopen()` makes a closed channel usable again.
+// Determinism note: a channel orders *when* frames move, never their
+// contents — values are owned by exactly one stage at a time, so
+// capacities affect blocking, not results.
 #pragma once
 
 #include <algorithm>
@@ -129,6 +130,18 @@ class Channel {
     }
     not_full_.notify_all();
     not_empty_.notify_all();
+  }
+
+  /// Reopens a closed channel for another run, dropping any item still
+  /// queued (an aborted run's stranded work). Accounting is kept.
+  void reopen() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (; count_ > 0; --count_) {
+      ring_[head_] = T{};
+      head_ = (head_ + 1) % capacity_;
+    }
+    closed_ = false;
+    if (depth_gauge_ != nullptr) depth_gauge_->set(0.0);
   }
 
   bool closed() const {

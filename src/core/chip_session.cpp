@@ -4,7 +4,6 @@
 #include <mutex>
 #include <utility>
 
-#include "common/channel.hpp"
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "obs/metrics.hpp"
@@ -25,23 +24,10 @@ FrameCodec chip_codec(const neurochip::NeuroChip& chip) {
   return FrameCodec(adc_lsb, chip.nominal_conversion_gain());
 }
 
-struct FrameTask {
-  FramePool<neurochip::NeuroFrame>::Handle frame;
-  int index = 0;
-  Rng link_rng{0};
-  std::uint64_t begin_ns = 0;  // pipeline span start (0 = tracing off)
-};
-
 }  // namespace
 
 void SessionConfig::validate() const {
   require(pool_frames >= 1, "ChipSession: pool needs at least one frame");
-  require(bit_error_rate >= 0.0 && bit_error_rate < 1.0,
-          "ChipSession: BER must be in [0,1)");
-  require(retry.max_attempts >= 1,
-          "ChipSession: retry policy needs at least one attempt");
-  require(retry.backoff_base_s >= 0.0 && retry.backoff_multiplier >= 1.0,
-          "ChipSession: backoff must be non-negative and non-shrinking");
   if (link_faults) link_faults->validate();
 }
 
@@ -55,8 +41,13 @@ ChipSession::ChipSession(neurochip::NeuroChip& chip, SessionConfig config,
                     : obs::Registry::global().claim_prefix(config_.name)),
       pool_(config_.pool_frames,
             obs_name_.empty() ? std::string{} : obs_name_ + ".pool"),
-      wire_(chip_codec(chip), config_.bit_error_rate, config_.link_faults,
-            config_.retry) {
+      // Every queued frame holds a pool handle, so a channel as deep as the
+      // pool never blocks a push: `pool_.acquire()` is the one
+      // backpressure point.
+      capture_q_(pool_.capacity(),
+                 obs_name_.empty() ? std::string{} : obs_name_ + ".capture_q"),
+      wire_(chip_codec(chip), 0.0, config_.link_faults,
+            dnachip::RetryPolicy{}) {
   config_.validate();
 }
 
@@ -67,10 +58,11 @@ SessionReport ChipSession::run(const neurochip::SignalSource& source,
   require(n >= 0, "ChipSession: negative frame count");
   SessionReport report;
   report.frames = n;
-  // Stepwise serial fallback: nothing to overlap with one thread, and the
-  // two stage loops block on each other, so a nested call or a second
-  // caller of a busy pool, which gets no second thread, runs them inline.
-  if (max_threads() <= 1 || n == 0 ||
+  // Stepwise serial fallback: nothing to overlap with one thread or one
+  // frame, and the two stage loops block on each other, so a nested call
+  // or a second caller of a busy pool, which gets no second thread, runs
+  // them inline.
+  if (n <= 1 || max_threads() <= 1 ||
       !run_staged(source, t0, n, sink, report)) {
     run_serial(source, t0, n, sink, report);
   }
@@ -114,87 +106,79 @@ bool ChipSession::run_staged(const neurochip::SignalSource& source, double t0,
 
   std::mutex error_mutex;
   std::exception_ptr first_error;
-  bool scheduled = false;
 
-  {
-    // Every queued frame holds a pool handle, so a channel as deep as the
-    // pool never blocks a push: `pool_.acquire()` is the one backpressure
-    // point.
-    Channel<FrameTask> to_wire(
-        pool_.capacity(),
-        obs_name_.empty() ? std::string{} : obs_name_ + ".capture_q");
+  // First failure wins; closing the channel and the pool unblocks the
+  // other stage (pushes fail, pops drain and stop, acquires hand out empty
+  // handles), so the graph unwinds instead of deadlocking.
+  const auto fail = [&](std::exception_ptr error) {
+    {
+      std::lock_guard<std::mutex> lock(error_mutex);
+      if (!first_error) first_error = std::move(error);
+    }
+    capture_q_.close();
+    pool_.close();
+  };
 
-    // First failure wins; closing the channel and the pool unblocks the
-    // other stage (pushes fail, pops drain and stop, acquires hand out
-    // empty handles), so the graph unwinds instead of deadlocking.
-    const auto fail = [&](std::exception_ptr error) {
-      {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::move(error);
+  const auto capture_loop = [&] {
+    try {
+      // Create and shape every pool frame before the first capture. Left
+      // lazy, the number of frames a run creates would depend on how far
+      // capture ran ahead, and a later run could pay the missing ones'
+      // allocations.
+      const auto pixels = static_cast<std::size_t>(chip_->config().rows *
+                                                   chip_->config().cols);
+      pool_.materialize([pixels](neurochip::NeuroFrame& f) {
+        f.v_in.assign(pixels, 0.0);
+        f.codes.assign(pixels, 0);
+      });
+      for (int k = 0; k < n; ++k) {
+        const std::uint64_t begin_ns = tracer.enabled() ? obs::now_ns() : 0;
+        auto handle = pool_.acquire();
+        if (!handle) return;  // pool closed: the other stage failed
+        chip_->capture_frame_into(source, t0 + k * period, *handle);
+        FrameTask task;
+        task.frame = std::move(handle);
+        task.index = k;
+        task.link_rng = rng_.fork();  // capture order, as in run_serial
+        task.begin_ns = begin_ns;
+        if (!capture_q_.push(std::move(task))) return;
       }
-      to_wire.close();
-      pool_.close();
-    };
+      capture_q_.close();  // end of stream; queued frames still drain
+    } catch (...) {
+      fail(std::current_exception());
+    }
+  };
 
-    const auto capture_loop = [&] {
-      try {
-        // Create and shape every pool frame before the first capture. Left
-        // lazy, the number of frames a run creates would depend on how far
-        // capture ran ahead, and a later run could pay the missing ones'
-        // allocations.
-        const auto pixels = static_cast<std::size_t>(chip_->config().rows *
-                                                     chip_->config().cols);
-        pool_.materialize([pixels](neurochip::NeuroFrame& f) {
-          f.v_in.assign(pixels, 0.0);
-          f.codes.assign(pixels, 0);
-        });
-        for (int k = 0; k < n; ++k) {
-          const std::uint64_t begin_ns = tracer.enabled() ? obs::now_ns() : 0;
-          auto handle = pool_.acquire();
-          if (!handle) return;  // pool closed: the other stage failed
-          chip_->capture_frame_into(source, t0 + k * period, *handle);
-          FrameTask task;
-          task.frame = std::move(handle);
-          task.index = k;
-          task.link_rng = rng_.fork();  // capture order, as in run_serial
-          task.begin_ns = begin_ns;
-          if (!to_wire.push(std::move(task))) return;
+  // Wire + sink: the single consumer of a single producer sees frames in
+  // capture order.
+  const auto wire_loop = [&] {
+    try {
+      int delivered = 0;
+      while (auto task = capture_q_.pop()) {
+        report.wire += wire_.process(*task->frame, frame_seq(task->index),
+                                     task->link_rng);
+        sink.on_item(*task->frame);
+        if (task->begin_ns != 0) {
+          tracer.record("session.frame", task->begin_ns, obs::now_ns());
         }
-        to_wire.close();  // end of stream; queued frames still drain
-      } catch (...) {
-        fail(std::current_exception());
+        ++delivered;
       }
-    };
+      if (delivered == n) sink.on_end();
+    } catch (...) {
+      fail(std::current_exception());
+    }
+  };
 
-    // Wire + sink: the single consumer of a single producer sees frames in
-    // capture order.
-    const auto wire_loop = [&] {
-      try {
-        int delivered = 0;
-        while (auto task = to_wire.pop()) {
-          report.wire += wire_.process(*task->frame, frame_seq(task->index),
-                                       task->link_rng);
-          sink.on_item(*task->frame);
-          if (task->begin_ns != 0) {
-            tracer.record("session.frame", task->begin_ns, obs::now_ns());
-          }
-          ++delivered;
+  const bool scheduled = ThreadPool::global().try_parallel_for(
+      0, 2, 1, [&](std::int64_t stage) {
+        if (stage == 0) {
+          capture_loop();
+        } else {
+          wire_loop();
         }
-        if (delivered == n) sink.on_end();
-      } catch (...) {
-        fail(std::current_exception());
-      }
-    };
-
-    scheduled = ThreadPool::global().try_parallel_for(
-        0, 2, 1, [&](std::int64_t stage) {
-          if (stage == 0) {
-            capture_loop();
-          } else {
-            wire_loop();
-          }
-        });
-  }  // the channel destructs here, returning any stranded handle to the pool
+      });
+  // Returns any stranded handle to the pool.
+  capture_q_.reopen();
 
   if (!scheduled) return false;
   if (first_error) {

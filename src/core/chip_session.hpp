@@ -8,11 +8,14 @@
 // Frames travel as pooled handles (`FramePool`) through one bounded
 // channel (`Channel`), so memory is fixed by the pool budget regardless of
 // run length and the steady state allocates nothing. Every queued frame
-// holds a pool handle, so the pool is the one backpressure point. With two
-// or more configured threads the two stages run as long-lived loops on the
-// `common/parallel` engine; with one thread, inside another pool job, or
-// while another caller holds the pool, they run stepwise serial inline (no
-// threads, no channel).
+// holds a pool handle, so the pool is the one backpressure point. The pool
+// and the channel live as long as the session, and every run reopens them.
+// With two or more configured threads and more than one frame the two
+// stages run as long-lived loops on the `common/parallel` engine; with one
+// thread, one frame, inside another pool job, or while another caller
+// holds the pool, they run stepwise serial inline (no threads, no
+// channel). The fleet server drives its neural sessions one frame per
+// record this way.
 //
 // Determinism: capture is sequential on one stage (the chip is one
 // physical scan chain), each frame's link RNG is forked in capture order,
@@ -27,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "common/channel.hpp"
 #include "common/frame_pool.hpp"
 #include "common/rng.hpp"
 #include "common/stream.hpp"
@@ -40,10 +44,9 @@ struct SessionConfig {
   /// Frame buffers in flight, end to end. Minimum 1; >= 2 lets capture
   /// run ahead of the wire.
   std::size_t pool_frames = 8;
-  /// Host link imperfections, as for the DNA chip's 6-pin interface.
-  double bit_error_rate = 0.0;
+  /// Host link imperfections (bit errors included), as for the DNA chip's
+  /// 6-pin interface; the link retries with the default `RetryPolicy`.
   std::optional<faults::LinkFaultModel> link_faults{};
-  dnachip::RetryPolicy retry{};
   /// Metric prefix: `<name>.capture_q.depth`, `<name>.pool.available`, ...
   /// The session claims a collision-free variant via
   /// `obs::Registry::claim_prefix` ("session", "session#2", ...), so many
@@ -52,8 +55,7 @@ struct SessionConfig {
   /// fleets).
   std::string name = "session";
 
-  /// Throws ConfigError on a non-positive pool, BER outside [0,1), or an
-  /// invalid retry/fault model.
+  /// Throws ConfigError on a non-positive pool or an invalid fault model.
   void validate() const;
 };
 
@@ -97,6 +99,14 @@ class ChipSession {
   void run_serial(const neurochip::SignalSource& source, double t0, int n,
                   StreamSink<neurochip::NeuroFrame>& sink,
                   SessionReport& report);
+  /// A captured frame on its way to the wire stage.
+  struct FrameTask {
+    FramePool<neurochip::NeuroFrame>::Handle frame;
+    int index = 0;
+    Rng link_rng{0};
+    std::uint64_t begin_ns = 0;  // pipeline span start (0 = tracing off)
+  };
+
   /// Runs nothing and returns false when the pool cannot give the two
   /// stage loops a thread each.
   bool run_staged(const neurochip::SignalSource& source, double t0, int n,
@@ -112,6 +122,10 @@ class ChipSession {
   /// before pool_, which derives its instrument names from it.
   std::string obs_name_;  // analyze:transient - registry claim, re-claimed at construction
   FramePool<neurochip::NeuroFrame> pool_;
+  /// capture -> wire queue of the staged schedule, as deep as the pool.
+  /// Registered once as `<name>.capture_q`; closed at the end of every
+  /// staged run and reopened after it.
+  Channel<FrameTask> capture_q_;  // analyze:transient - empty between runs
   FrameWire wire_;  // analyze:transient - per-frame scratch, reset every frame
 };
 

@@ -11,9 +11,7 @@ DnaWorkbench::DnaWorkbench(DnaWorkbenchConfig config,
     : config_(config),
       assay_(std::move(spots), config.protocol, config.redox, rng.fork()),
       chip_(config.chip, rng.fork()),
-      host_(chip_,
-            dnachip::SerialLink(config.serial_bit_error_rate, rng.fork()),
-            config.chip.site, config.retry) {
+      host_(chip_, dnachip::SerialLink(0.0, rng.fork()), config.chip.site) {
   require(static_cast<int>(assay_.spots().size()) <= chip_.sites(),
           "DnaWorkbench: more probe spots than sensor sites");
   // Faults go in before any host traffic so calibration already runs over

@@ -26,13 +26,11 @@ struct DnaWorkbenchConfig {
   /// Decision threshold: a spot is called "match" when its reconstructed
   /// current exceeds this value.
   Current detection_threshold = 50.0_pA;
-  double serial_bit_error_rate = 0.0;
   /// Adverse-world description: injected die defects and link faults.
   faults::FaultPlanConfig faults{};
   /// Run the BIST self-test sweep before each acquisition and mask the
   /// flagged sites out of the spot calls.
   bool run_bist = false;
-  dnachip::RetryPolicy retry{};
 };
 
 struct SpotCall {

@@ -57,7 +57,11 @@ NeuralRun NeuralWorkbench::run() {
   for (auto& t : traces) t.reserve(static_cast<std::size_t>(n_frames));
   {
     obs::PhaseTimer phase("neural.record");
-    ChipSession pipeline(chip_, config_.session, session_rng_.fork());
+    SessionConfig session_cfg;
+    if (config_.faults.link.any()) {
+      session_cfg.link_faults = config_.faults.link;
+    }
+    ChipSession pipeline(chip_, session_cfg, session_rng_.fork());
     const bool keep = config_.keep_frames;
     if (keep) out.frames.reserve(static_cast<std::size_t>(n_frames));
     FunctionSink<neurochip::NeuroFrame> sink(

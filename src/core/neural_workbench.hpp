@@ -22,18 +22,17 @@ struct NeuralWorkbenchConfig {
   neurochip::NeuroChipConfig chip{};
   dsp::SpikeDetectorConfig detector{};
   Time recording_duration = 0.5_s;
-  /// Adverse-world description: injected pixel defects and gain drift.
+  /// Adverse-world description: injected pixel defects, gain drift and
+  /// host-link faults.
   faults::FaultPlanConfig faults{};
   /// Run the BIST sweep after calibration and mask flagged pixels out of
   /// every recorded frame.
   bool run_bist = false;
-  /// Streaming acquisition pipeline configuration (pool/queue budget, host
-  /// link imperfections). The workbench consumes frames incrementally —
-  /// per-pixel traces accumulate as each frame arrives — so memory stays
-  /// bounded by the pool budget plus the active-pixel traces.
-  SessionConfig session{};
   /// Also retain every decoded frame in `NeuralRun::frames`. Switch off
-  /// for long recordings where only detections matter.
+  /// for long recordings where only detections matter: the workbench
+  /// consumes frames incrementally (per-pixel traces grow as each frame
+  /// arrives), so memory then stays bounded by the default `ChipSession`
+  /// pool plus the active-pixel traces.
   bool keep_frames = true;
 };
 

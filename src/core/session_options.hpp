@@ -1,4 +1,4 @@
-// Unified session construction (DESIGN.md §12.6).
+// Unified session construction (DESIGN.md §12.7).
 //
 // `SessionOptions` is the one audited surface that wires a chip, its link,
 // an optional fault plan and, for the neural chip, the streaming
@@ -6,8 +6,10 @@
 // defaults, and `build_*` returns an owning, ready-to-drive session bundle.
 // It carries only the knobs the benches, examples and fleet server set; the
 // DNA chip config, the link retry policy and the DNA calibration gate code
-// keep their defaults. The underlying constructors (`ChipSession(...)`,
-// `HostInterface(...)`) stay public for callers that need more.
+// keep their defaults, and a lossy link comes only from the fault plan.
+// The fleet server runs the bundle's `ChipSession` one frame per record.
+// The underlying constructors (`ChipSession(...)`, `HostInterface(...)`)
+// stay public for callers that need more.
 #pragma once
 
 #include <cstdint>

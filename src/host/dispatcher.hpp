@@ -1,15 +1,15 @@
 // Command dispatcher: the table-driven routing core of the fleet server.
 //
 // Commands register once at construction into a sorted registry of
-// `CommandSpec`s — id, diagnostic name, declared payload bounds and a
-// mutating flag — and dispatch is a binary search plus schema pre-checks,
-// so adding a command never touches the routing logic. The dispatcher
-// owns every protocol-level decision (magic, CRC, version byte, unknown
-// ids, payload bounds); handlers only see frames
-// that already passed their declared schema, and only produce a status
-// plus response payload bytes. The hot path allocates nothing in steady
-// state: requests decode in place, responses build into caller-owned
-// buffers whose capacity survives across commands.
+// `CommandSpec`s — id, diagnostic name and declared payload bounds — and
+// dispatch is a binary search plus schema pre-checks, so adding a command
+// never touches the routing logic. The dispatcher owns every
+// protocol-level decision (magic, CRC, version byte, unknown ids, payload
+// bounds); handlers only see frames that already passed their declared
+// schema, and only produce a status plus response payload bytes. The hot
+// path allocates nothing in steady state: requests decode in place,
+// responses build into caller-owned buffers whose capacity survives
+// across commands.
 #pragma once
 
 #include <cstdint>
@@ -30,15 +30,14 @@ struct CommandContext {
 };
 
 /// One registered command. `min_payload`/`max_payload` declare the request
-/// schema bounds the dispatcher enforces before the handler runs;
-/// `mutating` marks session-state-changing commands (the fleet server
-/// replay-caches their responses for idempotent retry).
+/// schema bounds the dispatcher enforces before the handler runs. Replay
+/// of a retried mutating command is the handler's own business (the fleet
+/// server's per-session replay cache).
 struct CommandSpec {
   HostCommand id = HostCommand::kPing;
   const char* name = "";
   std::uint16_t min_payload = 0;
   std::uint16_t max_payload = 0;
-  bool mutating = false;
   std::function<HostStatus(const CommandContext&)> handler;
 };
 

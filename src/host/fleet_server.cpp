@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
+#include "common/stream.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "obs/wire.hpp"
@@ -60,17 +61,22 @@ faults::FaultPlanConfig fault_preset(std::uint8_t preset,
 /// create parameters (so a fresh server can rebuild the session), the
 /// bounded record ring and the idempotency replay cache.
 inline constexpr std::uint16_t kSecMeta = 0x0001;      // create params
-inline constexpr std::uint16_t kSecCounters = 0x0002;  // progress + wire state
+inline constexpr std::uint16_t kSecCounters = 0x0002;  // progress + wire totals
 inline constexpr std::uint16_t kSecChip = 0x0003;      // chip evolving state
-inline constexpr std::uint16_t kSecDriver = 0x0004;    // dna host/link state
+inline constexpr std::uint16_t kSecDriver = 0x0004;    // ChipSession / HostInterface
 inline constexpr std::uint16_t kSecRing = 0x0005;      // undelivered records
 inline constexpr std::uint16_t kSecReplay = 0x0006;    // replay cache
 inline constexpr std::uint16_t kSecFlight = 0x0007;    // flight-recorder ring
 
-/// Schema version of a session's chip section: the chip's own layout.
-std::uint16_t chip_state_version(core::ChipKind kind) {
-  return kind == core::ChipKind::kNeuro ? neurochip::kChipStateVersion
-                                        : dnachip::kChipStateVersion;
+/// The one schema version this reader knows for each section: the chip's
+/// own layout for the chip section, 2 for the counters (version 1 still
+/// carried the fleet's own neural link stream), 1 for the others.
+std::uint16_t section_version(std::uint16_t section_id, core::ChipKind kind) {
+  if (section_id == kSecChip) {
+    return kind == core::ChipKind::kNeuro ? neurochip::kChipStateVersion
+                                          : dnachip::kChipStateVersion;
+  }
+  return section_id == kSecCounters ? 2 : 1;
 }
 
 std::string checkpoint_name(std::uint32_t id) {
@@ -80,8 +86,8 @@ std::string checkpoint_name(std::uint32_t id) {
 }  // namespace
 
 /// One live session. Guarded by `mutex`; everything below it is owned by
-/// the session outright (chips, links, RNG streams, scratch buffers), so
-/// sessions never contend with each other.
+/// the session outright (chips, links, RNG streams), so sessions never
+/// contend with each other.
 struct FleetServer::Session {
   std::mutex mutex;
 
@@ -139,14 +145,10 @@ struct FleetServer::Session {
   std::uint16_t gate_code = 7;         // DNA conversion gate
   double stimulus_v = 0.0;             // neuro probe amplitude, V
 
-  // Neuro data path: persistent wire lane + scratch frame, so a poll's
-  // capture->serialize->link->decode->hash cycle allocates nothing in
-  // steady state.
+  // Neuro data path: each record is one frame through the session's
+  // ChipSession (capture -> serialize -> link -> decode), whose pooled
+  // frame and wire lane make a poll allocation-free in steady state.
   core::NeuroSession neuro{};
-  std::unique_ptr<core::FrameWire> wire;
-  neurochip::NeuroFrame scratch{};
-  Rng link_rng{0};
-  std::uint16_t wire_seq = 0;
   double t = 0.0;
   double period = 0.0;
   core::WireStats wire_totals{};
@@ -195,7 +197,7 @@ void FleetServer::register_handlers() {
   // with the session it addressed still locked in its claim, and the
   // outcome is noted under that lock — one branch while telemetry is off.
   auto add = [this](HostCommand id, std::uint16_t min_payload,
-                    std::uint16_t max_payload, bool mutating,
+                    std::uint16_t max_payload,
                     HostStatus (FleetServer::*fn)(const CommandContext&,
                                                   SessionClaim&)) {
     CommandSpec spec;
@@ -203,7 +205,6 @@ void FleetServer::register_handlers() {
     spec.name = host_command_name(id);
     spec.min_payload = min_payload;
     spec.max_payload = max_payload;
-    spec.mutating = mutating;
     spec.handler = [this, fn](const CommandContext& ctx) {
       SessionClaim claim;
       const HostStatus status = (this->*fn)(ctx, claim);
@@ -215,28 +216,22 @@ void FleetServer::register_handlers() {
     dispatcher_.register_command(std::move(spec));
   };
 
-  add(HostCommand::kGetProtocolInfo, 0, 0, false,
-      &FleetServer::cmd_protocol_info);
-  add(HostCommand::kGetCapabilities, 0, 0, false,
-      &FleetServer::cmd_capabilities);
-  add(HostCommand::kPing, 0, 64, false, &FleetServer::cmd_ping);
-  add(HostCommand::kCreateSession, 22, 22, true, &FleetServer::cmd_create);
-  add(HostCommand::kConfigureSession, 13, 13, true,
-      &FleetServer::cmd_configure);
-  add(HostCommand::kStartAcquisition, 8, 8, true, &FleetServer::cmd_start);
-  add(HostCommand::kPollFrames, 6, 6, false, &FleetServer::cmd_poll);
-  add(HostCommand::kDrainSession, 4, 4, true, &FleetServer::cmd_drain);
-  add(HostCommand::kDestroySession, 4, 4, true, &FleetServer::cmd_destroy);
-  add(HostCommand::kQuerySession, 4, 4, false, &FleetServer::cmd_query);
-  add(HostCommand::kCheckpointSession, 4, 4, true,
-      &FleetServer::cmd_checkpoint);
-  add(HostCommand::kRestoreSession, 4, 4, true, &FleetServer::cmd_restore);
-  add(HostCommand::kServerStats, 0, 0, false, &FleetServer::cmd_server_stats);
-  add(HostCommand::kGetSessionHealth, 4, 4, false,
-      &FleetServer::cmd_session_health);
-  add(HostCommand::kGetMetrics, 6, 6, false, &FleetServer::cmd_get_metrics);
-  add(HostCommand::kDumpFlightRecorder, 4, 4, true,
-      &FleetServer::cmd_dump_flight);
+  add(HostCommand::kGetProtocolInfo, 0, 0, &FleetServer::cmd_protocol_info);
+  add(HostCommand::kGetCapabilities, 0, 0, &FleetServer::cmd_capabilities);
+  add(HostCommand::kPing, 0, 64, &FleetServer::cmd_ping);
+  add(HostCommand::kCreateSession, 22, 22, &FleetServer::cmd_create);
+  add(HostCommand::kConfigureSession, 13, 13, &FleetServer::cmd_configure);
+  add(HostCommand::kStartAcquisition, 8, 8, &FleetServer::cmd_start);
+  add(HostCommand::kPollFrames, 6, 6, &FleetServer::cmd_poll);
+  add(HostCommand::kDrainSession, 4, 4, &FleetServer::cmd_drain);
+  add(HostCommand::kDestroySession, 4, 4, &FleetServer::cmd_destroy);
+  add(HostCommand::kQuerySession, 4, 4, &FleetServer::cmd_query);
+  add(HostCommand::kCheckpointSession, 4, 4, &FleetServer::cmd_checkpoint);
+  add(HostCommand::kRestoreSession, 4, 4, &FleetServer::cmd_restore);
+  add(HostCommand::kServerStats, 0, 0, &FleetServer::cmd_server_stats);
+  add(HostCommand::kGetSessionHealth, 4, 4, &FleetServer::cmd_session_health);
+  add(HostCommand::kGetMetrics, 6, 6, &FleetServer::cmd_get_metrics);
+  add(HostCommand::kDumpFlightRecorder, 4, 4, &FleetServer::cmd_dump_flight);
 }
 
 void FleetServer::note_outcome(Session& s, const DecodedFrame& req,
@@ -317,7 +312,8 @@ std::shared_ptr<FleetServer::Session> FleetServer::build_session(
       .rows(rows)
       .cols(cols)
       .chip_seed(seed)
-      .link_seed(seed ^ 0x5eedULL)
+      .link_seed(seed ^ (kind == core::ChipKind::kNeuro ? 0x11aabbULL
+                                                         : 0x5eedULL))
       .pool_frames(pool_frames)
       .label(label);
   if (preset != 0) opts.fault_plan(fault_preset(preset, seed));
@@ -325,23 +321,9 @@ std::shared_ptr<FleetServer::Session> FleetServer::build_session(
   try {
     if (kind == core::ChipKind::kNeuro) {
       session->neuro = opts.build_neuro();
-      auto& chip = *session->neuro.chip;
-      const auto& adc = chip.config().adc;
-      const double adc_lsb = 2.0 * adc.full_scale.value() /
-                             static_cast<double>(1 << adc.bits);
-      const core::FrameCodec codec(adc_lsb, chip.nominal_conversion_gain());
-      std::optional<faults::LinkFaultModel> link{};
-      if (preset != 0) {
-        const faults::FaultPlan plan(fault_preset(preset, seed));
-        if (plan.link_faults().any()) link = plan.link_faults();
-      }
-      session->wire = std::make_unique<core::FrameWire>(
-          codec, 0.0, link, dnachip::RetryPolicy{});
-      session->link_rng = Rng(seed ^ 0x11aabbULL);
-      session->period = (1.0 / chip.config().frame_rate).value();
+      session->period =
+          (1.0 / session->neuro.chip->config().frame_rate).value();
       session->stimulus_v = 1e-4 * static_cast<double>(id % 7 + 1);
-      session->scratch.v_in.reserve(static_cast<std::size_t>(rows) * cols);
-      session->scratch.codes.reserve(static_cast<std::size_t>(rows) * cols);
     } else {
       session->dna = opts.build_dna();
     }
@@ -506,17 +488,18 @@ FleetServer::Record FleetServer::produce_record(Session& s) {
   Record record;
   record.index = s.frames_produced++;
   if (s.kind == core::ChipKind::kNeuro) {
-    const neurochip::ConstantSource source(s.stimulus_v);
-    s.neuro.chip->capture_frame_into(source, s.t, s.scratch);
+    FunctionSink<neurochip::NeuroFrame> hash(
+        [&record](const neurochip::NeuroFrame& frame) {
+          const std::uint64_t h =
+              fnv1a(kFnv1aOffset, frame.codes.data(),
+                    frame.codes.size() * sizeof(std::int32_t));
+          record.payload = fnv1a(h, &frame.masked, sizeof(frame.masked));
+        });
+    s.wire_totals += s.neuro.session
+                         ->run(neurochip::ConstantSource(s.stimulus_v), s.t,
+                               1, hash)
+                         .wire;
     s.t += s.period;
-    const auto stats =
-        s.wire->process(s.scratch, s.wire_seq++, s.link_rng.fork());
-    s.wire_totals += stats;
-    std::uint64_t h = kFnv1aOffset;
-    h = fnv1a(h, s.scratch.codes.data(),
-              s.scratch.codes.size() * sizeof(std::int32_t));
-    h = fnv1a(h, &s.scratch.masked, sizeof(s.scratch.masked));
-    record.payload = h;
   } else {
     const int cols = s.dna.chip->cols();
     const int row = s.site_index / cols;
@@ -719,9 +702,7 @@ std::vector<std::uint8_t> FleetServer::save_session(const Session& s) const {
     w.u16(s.gate_code);
     w.f64(s.stimulus_v);
     w.i32(s.site_index);
-    w.u16(s.wire_seq);
     w.f64(s.t);
-    w.rng(s.link_rng);
     w.u64(s.wire_totals.frames);
     w.u64(s.wire_totals.words);
     w.u64(s.wire_totals.bits);
@@ -731,7 +712,8 @@ std::vector<std::uint8_t> FleetServer::save_session(const Session& s) const {
     w.u64(s.wire_totals.lost_words);
     w.u64(s.wire_totals.incomplete_frames);
     w.f64(s.wire_totals.backoff_s);
-    builder.add_section(kSecCounters, 1, payload);
+    builder.add_section(kSecCounters, section_version(kSecCounters, s.kind),
+                        payload);
   }
   {
     std::vector<std::uint8_t> payload;
@@ -741,12 +723,16 @@ std::vector<std::uint8_t> FleetServer::save_session(const Session& s) const {
     } else {
       s.dna.chip->save_state(w);
     }
-    builder.add_section(kSecChip, chip_state_version(s.kind), payload);
+    builder.add_section(kSecChip, section_version(kSecChip, s.kind), payload);
   }
-  if (s.kind == core::ChipKind::kDna) {
+  {
     std::vector<std::uint8_t> payload;
     snapshot::StateWriter w(payload);
-    s.dna.host->save_state(w);
+    if (s.kind == core::ChipKind::kNeuro) {
+      s.neuro.session->save_state(w);
+    } else {
+      s.dna.host->save_state(w);
+    }
     builder.add_section(kSecDriver, 1, payload);
   }
   {
@@ -905,11 +891,10 @@ HostStatus FleetServer::cmd_restore(const CommandContext& ctx,
   Session& s = *session;
 
   // Every section is checked against the one schema version this reader
-  // knows before a byte of it is parsed: the chip's own layout version for
-  // the chip section, 1 for the others.
+  // knows (`section_version`) before a byte of it is parsed.
   const auto load = [&view, &s](std::uint16_t section_id, auto&& fn) {
-    const auto section = view->section(
-        section_id, section_id == kSecChip ? chip_state_version(s.kind) : 1);
+    const auto section =
+        view->section(section_id, section_version(section_id, s.kind));
     if (!section) return false;
     snapshot::StateReader sr(section->payload, section->size);
     fn(sr);
@@ -925,9 +910,7 @@ HostStatus FleetServer::cmd_restore(const CommandContext& ctx,
     s.gate_code = sr.u16();
     s.stimulus_v = sr.f64();
     s.site_index = sr.i32();
-    s.wire_seq = sr.u16();
     s.t = sr.f64();
-    sr.rng(s.link_rng);
     s.wire_totals.frames = sr.u64();
     s.wire_totals.words = sr.u64();
     s.wire_totals.bits = sr.u64();
@@ -945,10 +928,13 @@ HostStatus FleetServer::cmd_restore(const CommandContext& ctx,
       s.dna.chip->load_state(sr);
     }
   });
-  const bool driver_ok =
-      s.kind == core::ChipKind::kNeuro ||
-      load(kSecDriver,
-           [&s](snapshot::StateReader& sr) { s.dna.host->load_state(sr); });
+  const bool driver_ok = load(kSecDriver, [&s](snapshot::StateReader& sr) {
+    if (s.kind == core::ChipKind::kNeuro) {
+      s.neuro.session->load_state(sr);
+    } else {
+      s.dna.host->load_state(sr);
+    }
+  });
   const bool ring_ok = load(kSecRing, [&s](snapshot::StateReader& sr) {
     s.ring->load_state(sr, [](snapshot::StateReader& ir) {
       Record rec;

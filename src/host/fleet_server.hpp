@@ -6,10 +6,13 @@
 // audited `core::SessionOptions` surface, owns its chips/links/RNGs
 // outright and is guarded by its own mutex, so commands for different
 // sessions execute fully in parallel while commands for one session
-// serialize. All per-session randomness is seeded from the client-chosen
-// session id, which makes each session's response stream a pure function
-// of its own command sequence: per-session outputs are bitwise identical
-// no matter how many server worker threads interleave the fleet.
+// serialize. A neural session produces each record by running its
+// `core::ChipSession` for one frame, the same capture -> wire path a
+// streaming run takes. All per-session randomness is seeded from the
+// client-chosen session id, which makes each session's response stream a
+// pure function of its own command sequence: per-session outputs are
+// bitwise identical no matter how many server worker threads interleave
+// the fleet.
 //
 // Flow control is explicit, not implicit: admission control bounds the
 // fleet's pooled-frame budget at create time (kSessionLimit), per-session
@@ -37,7 +40,6 @@
 
 #include "common/channel.hpp"
 #include "core/session_options.hpp"
-#include "core/wire.hpp"
 #include "host/dispatcher.hpp"
 #include "host/protocol.hpp"
 #include "neurochip/signal_source.hpp"
@@ -74,18 +76,6 @@ struct FleetLimits {
   /// BIOSENSE_RESULTS_DIR): a session's ring when a command returns kFault
   /// and when the session is destroyed; the server ring at shutdown.
   bool flight_auto_dump = false;
-};
-
-/// Per-session counters surfaced by kQuerySession.
-struct SessionStats {
-  std::uint32_t frames_produced = 0;
-  std::uint32_t pending = 0;
-  std::uint32_t ring_depth = 0;
-  std::uint64_t records_polled = 0;
-  std::uint64_t lost_words = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t wire_errors = 0;
-  double backoff_s = 0.0;
 };
 
 class FleetServer {

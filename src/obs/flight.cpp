@@ -9,6 +9,7 @@
 #include <system_error>
 
 #include "obs/manifest.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace biosense::obs {
@@ -25,17 +26,6 @@ std::mutex& intern_mutex() {
 std::set<std::string>& intern_table() {
   static auto* table = new std::set<std::string>();
   return *table;
-}
-
-std::string escape(const char* s) {
-  std::string out;
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) continue;
-    out.push_back(c);
-  }
-  return out;
 }
 
 constexpr std::size_t kMaxEventName = 256;
@@ -117,7 +107,7 @@ void FlightRecorder::write_chrome_json(std::ostream& os) const {
   os << "{\"traceEvents\": [";
   for (std::size_t i = 0; i < evs.size(); ++i) {
     if (i > 0) os << ",";
-    os << "\n  {\"name\": \"" << escape(evs[i].name)
+    os << "\n  {\"name\": \"" << json_escape(evs[i].name)
        << "\", \"ph\": \"i\", \"s\": \"p\", \"ts\": "
        << static_cast<double>(evs[i].t_ns) / 1e3
        << ", \"pid\": 1, \"tid\": " << evs[i].session

@@ -86,7 +86,7 @@ std::string RunManifest::to_json(const std::string& bench_name) const {
        << ", \"rss_kb\": " << phases[i].rss_kb << "}";
   }
   os << "\n ],\n \"peak_rss_kb\": " << peak_rss_kb() << ",\n \"metrics\": "
-     << Registry::global().to_json() << "}\n";
+     << snapshot_to_json(Registry::global().snapshot()) << "}\n";
   return os.str();
 }
 

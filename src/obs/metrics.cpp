@@ -7,19 +7,6 @@ namespace biosense::obs {
 
 namespace {
 
-// Minimal JSON string escape; instrument names are code literals, but a
-// stray quote or backslash must not corrupt the snapshot.
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) continue;  // drop control chars
-    out.push_back(c);
-  }
-  return out;
-}
-
 void append_double(std::ostringstream& os, double v) {
   os.precision(17);
   os << v;
@@ -87,45 +74,6 @@ std::string Registry::claim_prefix(const std::string& base) {
   return base + "#" + std::to_string(n);
 }
 
-std::string Registry::to_json() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::ostringstream os;
-  os << "{\"counters\": {";
-  bool first = true;
-  for (const auto& [name, c] : counters_) {
-    if (!first) os << ", ";
-    first = false;
-    os << "\"" << escape(name) << "\": " << c.value();
-  }
-  os << "}, \"gauges\": {";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    if (!first) os << ", ";
-    first = false;
-    os << "\"" << escape(name) << "\": ";
-    append_double(os, g.value());
-  }
-  os << "}, \"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    if (!first) os << ", ";
-    first = false;
-    os << "\"" << escape(name) << "\": {\"buckets\": [";
-    for (std::size_t i = 0; i < h.bounds().size(); ++i) {
-      if (i > 0) os << ", ";
-      os << "{\"le\": ";
-      append_double(os, h.bounds()[i]);
-      os << ", \"count\": " << h.bucket_count(i) << "}";
-    }
-    os << "], \"overflow\": " << h.bucket_count(h.bounds().size())
-       << ", \"count\": " << h.total_count() << ", \"sum\": ";
-    append_double(os, h.sum());
-    os << "}";
-  }
-  os << "}}";
-  return os.str();
-}
-
 MetricsSnapshot Registry::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   MetricsSnapshot snap;
@@ -153,6 +101,56 @@ void Registry::reset() {
   for (auto& kv : counters_) kv.second.reset();
   for (auto& kv : gauges_) kv.second.reset();
   for (auto& kv : histograms_) kv.second.reset();
+}
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    if (c == '"' || c == '\\') out.push_back('\\');
+    if (static_cast<unsigned char>(c) < 0x20) continue;  // drop control chars
+    out.push_back(c);
+  }
+  return out;
+}
+
+std::string snapshot_to_json(const MetricsSnapshot& snap) {
+  std::ostringstream os;
+  os << "{\"counters\": {";
+  bool first = true;
+  for (const auto& [name, value] : snap.counters) {
+    if (!first) os << ", ";
+    first = false;
+    os << "\"" << json_escape(name) << "\": " << value;
+  }
+  os << "}, \"gauges\": {";
+  first = true;
+  for (const auto& [name, value] : snap.gauges) {
+    if (!first) os << ", ";
+    first = false;
+    os << "\"" << json_escape(name) << "\": ";
+    append_double(os, value);
+  }
+  os << "}, \"histograms\": {";
+  first = true;
+  for (const auto& [name, h] : snap.histograms) {
+    if (!first) os << ", ";
+    first = false;
+    os << "\"" << json_escape(name) << "\": {\"buckets\": [";
+    for (std::size_t i = 0; i < h.bounds.size(); ++i) {
+      if (i > 0) os << ", ";
+      os << "{\"le\": ";
+      append_double(os, h.bounds[i]);
+      os << ", \"count\": " << h.counts[i] << "}";
+    }
+    os << "], \"overflow\": " << (h.counts.empty() ? 0 : h.counts.back())
+       << ", \"count\": " << h.total
+       << ", \"sum\": ";
+    append_double(os, h.sum);
+    os << "}";
+  }
+  os << "}}";
+  return os.str();
 }
 
 }  // namespace biosense::obs

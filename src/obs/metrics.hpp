@@ -26,6 +26,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -127,12 +128,6 @@ class Registry {
   /// same-named instances never alias each other's gauges/counters.
   std::string claim_prefix(const std::string& base);
 
-  /// One JSON object with every instrument, keys sorted by name:
-  ///   {"counters": {...}, "gauges": {...},
-  ///    "histograms": {"name": {"buckets": [{"le": b, "count": n}, ...],
-  ///                            "overflow": n, "count": N, "sum": S}}}
-  std::string to_json() const;
-
   /// Value copy of every instrument, each kind sorted by name. Relaxed
   /// loads under the registration mutex: cheap, and safe against
   /// concurrent registration (instrument values may still be moving —
@@ -152,6 +147,19 @@ class Registry {
   std::map<std::string, Histogram> histograms_;
   std::map<std::string, std::uint64_t> prefix_claims_;
 };
+
+/// `s` as the body of a JSON string: quotes and backslashes escaped,
+/// control characters dropped. Instrument, span and event names are code
+/// literals, but a stray one must not corrupt the document.
+std::string json_escape(std::string_view s);
+
+/// One JSON object with every instrument of `snap`, keys sorted by name:
+///   {"counters": {...}, "gauges": {...},
+///    "histograms": {"name": {"buckets": [{"le": b, "count": n}, ...],
+///                            "overflow": n, "count": N, "sum": S}}}
+/// The one writer for local (`Registry::snapshot()`) and remote (decoded
+/// wire) metrics.
+std::string snapshot_to_json(const MetricsSnapshot& snap);
 
 }  // namespace biosense::obs
 

@@ -5,27 +5,9 @@
 #include <ostream>
 #include <string>
 
+#include "obs/metrics.hpp"
+
 namespace biosense::obs {
-
-namespace {
-
-// Span names are normally literals, but nothing stops a caller passing
-// arbitrary text — escape for JSON.
-std::string escape_json(const char* raw) {
-  std::string out;
-  for (const char* p = raw; *p != '\0'; ++p) {
-    switch (*p) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += *p; break;
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
@@ -109,7 +91,7 @@ void Tracer::write_chrome_json(std::ostream& os) const {
     if (!first) os << ",";
     first = false;
     // Complete events ("ph": "X"): ts/dur are microseconds.
-    os << "\n  {\"name\": \"" << escape_json(ev.name)
+    os << "\n  {\"name\": \"" << json_escape(ev.name)
        << "\", \"cat\": \"biosense\", "
        << "\"ph\": \"X\", \"ts\": " << static_cast<double>(ev.begin_ns) / 1e3
        << ", \"dur\": " << static_cast<double>(ev.end_ns - ev.begin_ns) / 1e3

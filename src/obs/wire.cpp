@@ -1,7 +1,6 @@
 #include "obs/wire.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <string_view>
 
 #include "common/crc.hpp"
@@ -25,22 +24,6 @@ std::size_t shared_prefix(std::string_view a, std::string_view b) {
   std::size_t k = 0;
   while (k < n && a[k] == b[k]) ++k;
   return k;
-}
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) continue;
-    out.push_back(c);
-  }
-  return out;
-}
-
-void append_double(std::ostringstream& os, double v) {
-  os.precision(17);
-  os << v;
 }
 
 }  // namespace
@@ -200,45 +183,6 @@ Result<MetricsSnapshot, WireError> decode_snapshot(const std::uint8_t* bytes,
   }
   if (!r.exhausted()) return R::err(WireError::kBadLayout);
   return R::ok(std::move(snap));
-}
-
-std::string snapshot_to_json(const MetricsSnapshot& snap) {
-  std::ostringstream os;
-  os << "{\"counters\": {";
-  bool first = true;
-  for (const auto& [name, value] : snap.counters) {
-    if (!first) os << ", ";
-    first = false;
-    os << "\"" << escape(name) << "\": " << value;
-  }
-  os << "}, \"gauges\": {";
-  first = true;
-  for (const auto& [name, value] : snap.gauges) {
-    if (!first) os << ", ";
-    first = false;
-    os << "\"" << escape(name) << "\": ";
-    append_double(os, value);
-  }
-  os << "}, \"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : snap.histograms) {
-    if (!first) os << ", ";
-    first = false;
-    os << "\"" << escape(name) << "\": {\"buckets\": [";
-    for (std::size_t i = 0; i < h.bounds.size(); ++i) {
-      if (i > 0) os << ", ";
-      os << "{\"le\": ";
-      append_double(os, h.bounds[i]);
-      os << ", \"count\": " << h.counts[i] << "}";
-    }
-    os << "], \"overflow\": " << (h.counts.empty() ? 0 : h.counts.back())
-       << ", \"count\": " << h.total
-       << ", \"sum\": ";
-    append_double(os, h.sum);
-    os << "}";
-  }
-  os << "}}";
-  return os.str();
 }
 
 }  // namespace biosense::obs

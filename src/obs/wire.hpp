@@ -72,9 +72,4 @@ std::vector<std::uint8_t> encode_snapshot(const MetricsSnapshot& snap);
 Result<MetricsSnapshot, WireError> decode_snapshot(const std::uint8_t* bytes,
                                                    std::size_t n);
 
-/// The decoded snapshot as one JSON object in the same shape as
-/// Registry::to_json(), so reports render local and remote metrics with
-/// the same code path.
-std::string snapshot_to_json(const MetricsSnapshot& snap);
-
 }  // namespace biosense::obs

@@ -72,6 +72,8 @@ class JsonChecker {
     if (peek() != '"') return false;
     ++pos_;
     while (pos_ < s_.size() && s_[pos_] != '"') {
+      // JSON strings carry control characters only as escapes.
+      if (static_cast<unsigned char>(s_[pos_]) < 0x20) return false;
       if (s_[pos_] == '\\') {
         ++pos_;
         if (pos_ >= s_.size()) return false;

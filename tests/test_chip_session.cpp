@@ -16,7 +16,9 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/chip_session.hpp"
+#include "faults/fault_plan.hpp"
 #include "neurochip/array.hpp"
+#include "obs/metrics.hpp"
 
 namespace biosense {
 namespace {
@@ -165,9 +167,16 @@ TEST(ChipSession, ReportAccountsWireTraffic) {
   EXPECT_EQ(report.wire.bits, 4 * words_per_frame * 24);
 }
 
+/// Default session config whose link flips bits at `ber`.
+core::SessionConfig noisy_config(double ber) {
+  core::SessionConfig cfg;
+  cfg.link_faults = faults::LinkFaultModel{};
+  cfg.link_faults->bit_error_rate = ber;
+  return cfg;
+}
+
 TEST(ChipSession, NoisyLinkRecoversAndStaysDeterministic) {
-  core::SessionConfig noisy;
-  noisy.bit_error_rate = 2e-4;  // a few corrupt words per frame
+  const auto noisy = noisy_config(2e-4);  // a few corrupt words per frame
   const std::uint64_t h1 = session_hash(1, noisy, 6);
   const std::uint64_t h8 = session_hash(8, noisy, 6);
   EXPECT_EQ(h1, h8);
@@ -190,8 +199,7 @@ TEST(ChipSession, NoisyLinkMatchesBatchOncePerfectlyRecovered) {
   auto batch_chip = make_chip();
   const auto batch = batch_chip.record(TestField(), 0.0, 6);
 
-  core::SessionConfig noisy;
-  noisy.bit_error_rate = 2e-4;
+  const auto noisy = noisy_config(2e-4);
   auto chip = make_chip();
   core::ChipSession session(chip, noisy, Rng(42));
   Collect sink;
@@ -266,6 +274,30 @@ TEST(ChipSession, FirstStagedRunCreatesTheWholePool) {
         << "threads=" << threads;
   }
   set_max_threads(1);
+}
+
+TEST(ChipSession, RepeatedStagedRunsRegisterInstrumentsOnce) {
+  // A labelled session registers its pool and capture-queue instruments
+  // when it is built; staged runs reuse them instead of claiming a fresh
+  // `capture_q#N` set each time.
+  const auto instrument_count = [] {
+    const auto snap = obs::Registry::global().snapshot();
+    return snap.counters.size() + snap.gauges.size() + snap.histograms.size();
+  };
+  set_max_threads(2);
+  auto chip = make_chip();
+  core::SessionConfig cfg;
+  cfg.name = "chip_session_test";
+  core::ChipSession session(chip, cfg, Rng(42));
+  Collect sink;
+  EXPECT_EQ(session.run(TestField(), 0.0, 4, sink).stage_threads, 2);
+  const std::size_t registered = instrument_count();
+  for (int run = 1; run < 4; ++run) {
+    EXPECT_EQ(session.run(TestField(), 0.0, 4, sink).stage_threads, 2);
+    EXPECT_EQ(instrument_count(), registered) << "run " << run;
+  }
+  set_max_threads(1);
+  EXPECT_EQ(sink.items.size(), 16u);
 }
 
 TEST(ChipSession, RunsInsideParallelJobFallBackSerially) {

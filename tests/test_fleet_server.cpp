@@ -374,11 +374,15 @@ FleetClient::DrainSummary finish_session(FleetClient& client,
 }
 
 TEST(FleetServer, CheckpointResumeMatchesUninterruptedRun) {
-  for (const bool dna : {false, true}) {
+  // Legs: a neural session, a neural session over the severe-link preset
+  // (its ChipSession's link stream rides the checkpoint), a DNA session.
+  for (int leg = 0; leg < 3; ++leg) {
+    const bool dna = leg == 2;
     FleetServer server;
     ServerLink link(server);
     FleetClient client(link);
-    const auto spec = dna ? dna_spec(4) : neuro_spec(4);
+    auto spec = dna ? dna_spec(4) : neuro_spec(4);
+    if (leg == 1) spec.fault_preset = 2;
 
     ASSERT_TRUE(client.create(spec));
     ASSERT_TRUE(client.start(4, 40));
@@ -401,7 +405,11 @@ TEST(FleetServer, CheckpointResumeMatchesUninterruptedRun) {
     ASSERT_TRUE(restored) << host_status_name(restored.error());
     const auto resumed = finish_session(replayer, 4);
     EXPECT_EQ(resumed.frames, reference.frames);
-    EXPECT_EQ(resumed.digest, reference.digest) << (dna ? "dna" : "neuro");
+    EXPECT_EQ(resumed.digest, reference.digest) << "leg " << leg;
+    EXPECT_EQ(resumed.retries, reference.retries) << "leg " << leg;
+    if (leg == 1) {
+      EXPECT_GT(reference.retries, 0u);
+    }
   }
 }
 
@@ -603,10 +611,12 @@ TEST(FleetServer, NonFiniteSiteCurrentCheckpointFaultsTyped) {
 }
 
 TEST(FleetServer, ChipSectionVersionIsCheckedOnRestore) {
-  // A neural chip section in the version-1 per-pixel layout is refused
-  // with kFault before it is parsed; the version-2 section round-trips:
-  // the restored session checkpoints its chip to the same bytes (the
-  // replay and flight sections then carry the restore itself).
+  // A neural chip section in the version-1 per-pixel layout, or a
+  // version-1 counters section (which still carried the fleet's own link
+  // stream), is refused with kFault before it is parsed; the current
+  // sections round-trip: the restored session checkpoints its chip to the
+  // same bytes (the replay and flight sections then carry the restore
+  // itself).
   const std::string dir = ::testing::TempDir() + "fleet_ckpt_version";
   FleetLimits limits;
   limits.checkpoint_dir = dir;
@@ -623,25 +633,31 @@ TEST(FleetServer, ChipSectionVersionIsCheckedOnRestore) {
   ASSERT_TRUE(good);
   const auto view = snapshot::SnapshotView::parse(*good);
   ASSERT_TRUE(view);
-  const std::uint16_t chip_section = 0x0003;  // the fleet's chip-state id
+  const std::uint16_t counters_section = 0x0002;  // the fleet's ids
+  const std::uint16_t chip_section = 0x0003;
+  const std::uint16_t driver_section = 0x0004;
+  ASSERT_NE(view->find(counters_section), nullptr);
+  EXPECT_EQ(view->find(counters_section)->version, 2);
   ASSERT_NE(view->find(chip_section), nullptr);
   EXPECT_EQ(view->find(chip_section)->version, 2);
+  ASSERT_NE(view->find(driver_section), nullptr);  // the ChipSession state
+  EXPECT_EQ(view->find(driver_section)->version, 1);
 
-  snapshot::SnapshotBuilder builder;
-  for (const snapshot::SectionView& section : view->sections()) {
-    builder.add_section(
-        section.id, section.id == chip_section ? 1 : section.version,
-        std::vector<std::uint8_t>(section.payload,
-                                  section.payload + section.size));
-  }
-  ASSERT_TRUE(snapshot::write_file_atomic(store.path(), builder.finish()));
-  {
+  for (const std::uint16_t stale : {chip_section, counters_section}) {
+    snapshot::SnapshotBuilder builder;
+    for (const snapshot::SectionView& section : view->sections()) {
+      builder.add_section(
+          section.id, section.id == stale ? 1 : section.version,
+          std::vector<std::uint8_t>(section.payload,
+                                    section.payload + section.size));
+    }
+    ASSERT_TRUE(snapshot::write_file_atomic(store.path(), builder.finish()));
     FleetServer replacement(limits);
     ServerLink link(replacement);
     FleetClient client(link);
     const auto restored = client.restore(6);
-    ASSERT_FALSE(restored);
-    EXPECT_EQ(restored.error(), HostStatus::kFault);
+    ASSERT_FALSE(restored) << "section " << stale;
+    EXPECT_EQ(restored.error(), HostStatus::kFault) << "section " << stale;
     EXPECT_EQ(replacement.live_sessions(), 0u);
   }
 
@@ -696,7 +712,7 @@ TEST(FleetServer, PerSessionInstrumentsAreCollisionFree) {
   // the destroyed session's instruments.
   ASSERT_TRUE(client.create(neuro_spec(1)));
   ASSERT_TRUE(client.destroy(1));
-  const auto json = obs::Registry::global().to_json();
+  const auto json = obs::snapshot_to_json(obs::Registry::global().snapshot());
   EXPECT_NE(json.find("fleettest.s1.ring.depth"), std::string::npos);
   EXPECT_NE(json.find("fleettest.s1.ring#2.depth"), std::string::npos);
 }

@@ -32,18 +32,27 @@ TEST(IntegrationNeural, CalibrationEnablesRecording) {
 }
 
 TEST(IntegrationNeural, SpikesDetectedOnCoveredPixels) {
-  NeuralWorkbench wb(small_config(), Rng(202));
-  const auto run = wb.run();
-  ASSERT_FALSE(run.detections.empty());
-  // Strong pixels (well-coupled neurons) must be detected with spikes.
-  int strong = 0;
-  for (const auto& d : run.detections) {
-    if (d.truth_peak > 300e-6) {
-      ++strong;
-      EXPECT_FALSE(d.spikes.empty());
+  // A clean link, then a lossy one: the workbench takes its host-link
+  // faults from `faults.link`, bit errors cost retries, the word merge
+  // recovers every word, and the spikes are still there.
+  for (const double ber : {0.0, 1e-4}) {
+    NeuralWorkbenchConfig cfg = small_config();
+    cfg.faults.link.bit_error_rate = ber;
+    NeuralWorkbench wb(cfg, Rng(202));
+    const auto run = wb.run();
+    EXPECT_EQ(run.session.wire.retries > 0, ber > 0.0) << ber;
+    EXPECT_EQ(run.session.wire.lost_words, 0u) << ber;
+    ASSERT_FALSE(run.detections.empty());
+    // Strong pixels (well-coupled neurons) must be detected with spikes.
+    int strong = 0;
+    for (const auto& d : run.detections) {
+      if (d.truth_peak > 300e-6) {
+        ++strong;
+        EXPECT_FALSE(d.spikes.empty());
+      }
     }
+    EXPECT_GT(strong, 0) << ber;
   }
-  EXPECT_GT(strong, 0);
 }
 
 TEST(IntegrationNeural, StrongPixelsHavePositiveSnr) {

@@ -81,7 +81,8 @@ TEST(ObsDeterminism, StreamingSessionIsBitwiseIdenticalAcrossThreadCounts) {
     neurochip::NeuroChip chip(cfg, Rng(777));
     chip.calibrate_all();
     core::SessionConfig session_cfg;
-    session_cfg.bit_error_rate = 1e-4;  // exercise the retry path too
+    session_cfg.link_faults = faults::LinkFaultModel{};
+    session_cfg.link_faults->bit_error_rate = 1e-4;  // exercise retries too
     core::ChipSession session(chip, session_cfg, Rng(99));
     const auto frames = session.record(SineField(), 0.0, 6);
     return hash_frames(frames);

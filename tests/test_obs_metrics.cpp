@@ -161,12 +161,12 @@ TEST(Registry, ConcurrentRegistration) {
   EXPECT_EQ(total, static_cast<std::uint64_t>(kThreads));
 }
 
-TEST(Registry, ToJsonIsWellFormed) {
+TEST(Registry, SnapshotJsonIsWellFormed) {
   Registry& reg = Registry::global();
   reg.counter("test.json.counter\"quoted\"").add(2);
   reg.gauge("test.json.gauge").set(0.125);
   reg.histogram("test.json.hist", decade_buckets(1.0, 3)).observe(42.0);
-  const std::string json = reg.to_json();
+  const std::string json = snapshot_to_json(reg.snapshot());
   EXPECT_TRUE(biosense::testing::json_well_formed(json)) << json;
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);

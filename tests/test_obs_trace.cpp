@@ -77,6 +77,7 @@ TEST_F(TraceTest, ChromeJsonRoundTrip) {
   Tracer::global().enable();
   {
     SpanGuard span("test.round\"trip\"");  // name needing JSON escaping
+    SpanGuard control("test.control\n\t\x01" "chars");  // dropped, not raw
   }
   std::thread([] { SpanGuard span("test.other_thread"); }).join();
   Tracer::global().disable();
@@ -89,6 +90,7 @@ TEST_F(TraceTest, ChromeJsonRoundTrip) {
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(json.find("\\\"trip\\\""), std::string::npos);
+  EXPECT_NE(json.find("\"test.controlchars\""), std::string::npos);
   EXPECT_NE(json.find("\"test.other_thread\""), std::string::npos);
 
   // Round-trip: every buffered event appears exactly once as a "ph": "X"
