@@ -74,13 +74,21 @@ gate ubsan run_config ubsan undefined OFF "$@"
 # The golden contract across instruction sets: test_neuro_golden rebuilt
 # for the host's own ISA (AVX2 / AVX-512 / FMA where present) must match
 # its object model bitwise and reproduce the pinned digest of the baseline
-# x86-64 build (the src/ libraries compile with -ffp-contract=off).
+# x86-64 build (the src/ libraries compile with -ffp-contract=off). The
+# other bitwise-exactness tests ride along: test_mosfet (the EKV
+# reverse-term skip against the two-term formula, under the host's own
+# glibc exp/log1p) and test_neurochip (prepare against the per-pixel scan),
+# since the gain lanes' vector width and libm's per-CPU paths are what
+# change at native ISA.
 golden_native() {
-  echo "=== [golden-native] test_neuro_golden built with -march=native ==="
+  echo "=== [golden-native] exactness tests built with -march=native ==="
   cmake -B build-ci-native -S . -DCMAKE_CXX_FLAGS=-march=native \
         -DBIOSENSE_WERROR=ON >/dev/null
-  cmake --build build-ci-native -j "${JOBS}" --target test_neuro_golden
+  cmake --build build-ci-native -j "${JOBS}" --target test_neuro_golden \
+        test_mosfet test_neurochip
   build-ci-native/tests/test_neuro_golden
+  build-ci-native/tests/test_mosfet
+  build-ci-native/tests/test_neurochip
 }
 gate golden-native golden_native
 

@@ -8,6 +8,32 @@
 
 namespace biosense::circuit {
 
+namespace {
+
+/// exp(-dt/tau) for a single pole at `bandwidth_hz`.
+double single_pole_decay(double bandwidth_hz, double dt) {
+  const double tau = 1.0 / (2.0 * constants::kPi * bandwidth_hz);
+  return std::exp(-dt / tau);
+}
+
+/// Two-point measurement at DC of a stage with the given as-fabricated gain
+/// and offset: out(0) and out(i_ref) give offset and gain. The correction
+/// factors are quantized to `residual` relative accuracy, emulating the
+/// finite resolution of the on-chip correction.
+void corrections(double actual_gain, double offset, double nominal_gain,
+                 double i_ref, double residual, double& corr_gain,
+                 double& corr_offset) {
+  require(i_ref > 0.0, "GainStage::calibrate: reference must be positive");
+  const double out0 = actual_gain * (0.0 + offset);
+  const double out1 = actual_gain * (i_ref + offset);
+  const double measured_gain = (out1 - out0) / i_ref;
+  const double ideal_corr = nominal_gain / measured_gain;
+  corr_gain = ideal_corr * (1.0 + residual);
+  corr_offset = -out0 * corr_gain * (1.0 - residual);
+}
+
+}  // namespace
+
 GainStage::GainStage(GainStageParams params, Rng rng) : params_(params) {
   require(params.nominal_gain > 0.0, "GainStage: gain must be positive");
   require(params.bandwidth_hz > 0.0, "GainStage: bandwidth must be positive");
@@ -16,27 +42,13 @@ GainStage::GainStage(GainStageParams params, Rng rng) : params_(params) {
   offset_ = rng.normal(0.0, params.offset_sigma);
 }
 
-double GainStage::step(double i_in, double dt) {
-  // One single-pole update; tau > 0 always (bandwidth required positive).
-  return step_with(i_in, decay(dt));
-}
-
 double GainStage::decay(double dt) const {
-  const double tau = 1.0 / (2.0 * constants::kPi * params_.bandwidth_hz);
-  return std::exp(-dt / tau);
+  return single_pole_decay(params_.bandwidth_hz, dt);
 }
 
 void GainStage::calibrate(double i_ref, double residual) {
-  require(i_ref > 0.0, "GainStage::calibrate: reference must be positive");
-  // Two-point measurement at DC: out(0) and out(i_ref) give offset and gain.
-  const double out0 = actual_gain_ * (0.0 + offset_);
-  const double out1 = actual_gain_ * (i_ref + offset_);
-  const double measured_gain = (out1 - out0) / i_ref;
-  // Correction factors quantized to `residual` relative accuracy, emulating
-  // the finite resolution of the on-chip correction.
-  const double ideal_corr = params_.nominal_gain / measured_gain;
-  corr_gain_ = ideal_corr * (1.0 + residual);
-  corr_offset_ = -out0 * corr_gain_ * (1.0 - residual);
+  corrections(actual_gain_, offset_, params_.nominal_gain, i_ref, residual,
+              corr_gain_, corr_offset_);
   calibrated_ = true;
 }
 
@@ -78,10 +90,6 @@ double GainChain::step(double i_in, double dt) {
   return x;
 }
 
-void GainChain::decays(double dt, double* out) const {
-  for (std::size_t k = 0; k < stages.size(); ++k) out[k] = stages[k].decay(dt);
-}
-
 void GainChain::calibrate(double i_ref, double residual) {
   double ref = i_ref;
   for (auto& s : stages) {
@@ -94,6 +102,56 @@ double GainChain::total_nominal_gain() const {
   double g = 1.0;
   for (const auto& s : stages) g *= s.nominal_gain();
   return g;
+}
+
+void GainBank::reset(const GainChain& shape, std::size_t lanes) {
+  stages.assign(shape.stages.size(), Stage{});
+  for (std::size_t k = 0; k < stages.size(); ++k) {
+    const GainStage& from = shape.stages[k];
+    Stage& s = stages[k];
+    s.nominal_gain = from.params_.nominal_gain;
+    s.bandwidth_hz = from.params_.bandwidth_hz;
+    s.limit = from.limit();
+    s.gain.assign(lanes, 0.0);
+    s.offset.assign(lanes, 0.0);
+    s.corr_gain.assign(lanes, 0.0);
+    s.corr_offset.assign(lanes, 0.0);
+    s.cal_mask.assign(lanes, 0);
+    s.i_out.assign(lanes, 0.0);
+  }
+}
+
+void GainBank::set(std::size_t i, const GainChain& c) {
+  require(c.stages.size() == stages.size(),
+          "GainBank: chain shape differs from the bank's");
+  for (std::size_t k = 0; k < stages.size(); ++k) {
+    const GainStage& from = c.stages[k];
+    Stage& s = stages[k];
+    s.gain[i] = from.actual_gain_;
+    s.offset[i] = from.offset_;
+    s.corr_gain[i] = from.corr_gain_;
+    s.corr_offset[i] = from.corr_offset_;
+    s.cal_mask[i] = from.calibrated_ ? ~std::uint64_t{0} : 0;
+    s.i_out[i] = from.i_out_;
+  }
+}
+
+void GainBank::calibrate(double i_ref, double residual) {
+  double ref = i_ref;
+  for (Stage& s : stages) {
+    for (std::size_t i = 0; i < s.gain.size(); ++i) {
+      corrections(s.gain[i], s.offset[i], s.nominal_gain, ref, residual,
+                  s.corr_gain[i], s.corr_offset[i]);
+      s.cal_mask[i] = ~std::uint64_t{0};
+    }
+    ref *= s.nominal_gain;
+  }
+}
+
+void GainBank::decays(double dt, double* out) const {
+  for (std::size_t k = 0; k < stages.size(); ++k) {
+    out[k] = single_pole_decay(stages[k].bandwidth_hz, dt);
+  }
 }
 
 }  // namespace biosense::circuit

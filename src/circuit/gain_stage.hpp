@@ -11,9 +11,13 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
+#include "common/aligned.hpp"
 #include "common/rng.hpp"
 #include "noise/mismatch.hpp"
 #include "snapshot/state_io.hpp"
@@ -31,6 +35,29 @@ struct GainStageParams {
   double out_limit = 0.0;
 };
 
+/// One single-pole stage update, the arithmetic GainStage and GainBank's
+/// lanes share: the settled target gain * (x + offset), corrected to
+/// target * corr_gain + corr_offset where `cal_mask` is all ones, clamped
+/// to +/- limit, then i_out <- i_out * a + target * (1 - a); returns the
+/// new i_out. The calibration is a bit-mask select (the noise/counter.hpp
+/// idiom) and an absent compliance limit is +inf, which leaves every value
+/// as it is, so a loop over lanes has no branch to vectorize around.
+inline double stage_update(double x, double gain, double offset,
+                           double corr_gain, double corr_offset,
+                           std::uint64_t cal_mask, double limit, double a,
+                           double& i_out) {
+  const double raw = gain * (x + offset);
+  const double corrected = raw * corr_gain + corr_offset;
+  const double target =
+      std::bit_cast<double>((std::bit_cast<std::uint64_t>(corrected) &
+                             cal_mask) |
+                            (std::bit_cast<std::uint64_t>(raw) & ~cal_mask));
+  i_out = i_out * a + std::clamp(target, -limit, limit) * (1.0 - a);
+  return i_out;
+}
+
+class GainBank;
+
 class GainStage {
  public:
   GainStage(GainStageParams params, Rng rng);
@@ -38,24 +65,14 @@ class GainStage {
   /// Advances the stage by dt with input current `i_in`; returns the output
   /// current after the single-pole response (and calibration corrections if
   /// calibrated).
-  double step(double i_in, double dt);
-
-  /// Single-pole decay factor exp(-dt/tau) for this stage's bandwidth. A
-  /// fixed-dt caller (the frame capture kernel steps every stage with the
-  /// same half-dwell) hoists this once per frame and uses step_with(),
-  /// which is bit-identical to step() at the same dt.
-  double decay(double dt) const;
-
-  /// step() with the exp(-dt/tau) factor precomputed by decay().
-  double step_with(double i_in, double a) {
-    double target = actual_gain_ * (i_in + offset_);
-    if (calibrated_) target = target * corr_gain_ + corr_offset_;
-    if (params_.out_limit > 0.0) {
-      target = std::clamp(target, -params_.out_limit, params_.out_limit);
-    }
-    i_out_ = i_out_ * a + target * (1.0 - a);
-    return i_out_;
+  double step(double i_in, double dt) {
+    return stage_update(i_in, actual_gain_, offset_, corr_gain_, corr_offset_,
+                        calibrated_ ? ~std::uint64_t{0} : 0, limit(),
+                        decay(dt), i_out_);
   }
+
+  /// Single-pole decay factor exp(-dt/tau) for this stage's bandwidth.
+  double decay(double dt) const;
 
   /// Measures the stage with two reference inputs and stores gain/offset
   /// corrections, emulating the chip's calibration phase. After this,
@@ -66,8 +83,6 @@ class GainStage {
   /// True (post-fab) gain including mismatch — what calibration estimates.
   double actual_gain() const { return actual_gain_; }
   double nominal_gain() const { return params_.nominal_gain; }
-  double offset() const { return offset_; }
-  double output() const { return i_out_; }
   void reset_state() { i_out_ = 0.0; }
 
   /// Calibration corrections + the single-pole filter memory (`i_out_` is
@@ -86,6 +101,14 @@ class GainStage {
   }
 
  private:
+  friend class GainBank;
+
+  /// The compliance limit as stage_update takes it: +inf when disabled.
+  double limit() const {
+    return params_.out_limit > 0.0 ? params_.out_limit
+                                   : std::numeric_limits<double>::infinity();
+  }
+
   GainStageParams params_;  // analyze:transient - frozen config
   // analyze:transient - as-fabricated values, re-derived at construction
   double actual_gain_;
@@ -126,18 +149,6 @@ struct GainChain {
   /// Steps all four stages in cascade.
   double step(double i_in, double dt);
 
-  /// Fills `out[k]` with stages[k].decay(dt); `out` must hold
-  /// stages.size() entries. Pair with step_with() in fixed-dt loops.
-  void decays(double dt, double* out) const;
-
-  /// step() with per-stage decay factors precomputed by decays().
-  double step_with(double i_in, const double* a) {
-    double x = i_in;
-    for (std::size_t k = 0; k < stages.size(); ++k) {
-      x = stages[k].step_with(x, a[k]);
-    }
-    return x;
-  }
   /// Calibrates each stage with a reference current scaled to its input
   /// range.
   void calibrate(double i_ref, double residual = 1e-3);
@@ -157,6 +168,95 @@ struct GainChain {
   }
 
   std::vector<GainStage> stages;
+};
+
+/// Structure-of-arrays form of many same-shape gain chains (DESIGN.md
+/// §16): stage k of every chain is one set of planes and lane i is chain
+/// i, so a loop over lanes steps many chains at once through
+/// stage_update. The die constants are drawn by GainChain construction and
+/// copied in by set(), and a lane saves the bytes GainChain::save_state
+/// writes.
+class GainBank {
+ public:
+  struct Stage {
+    double nominal_gain = 1.0;
+    double bandwidth_hz = 1.0;
+    double limit = 0.0;             // stage_update's clamp bound
+    Plane<double> gain;             // as-fabricated gain
+    Plane<double> offset;           // input-referred offset, A
+    Plane<double> corr_gain;        // calibration corrections
+    Plane<double> corr_offset;
+    Plane<std::uint64_t> cal_mask;  // all ones once calibrated
+    Plane<double> i_out;            // single-pole memory
+  };
+
+  /// Stage k of the lanes from `first` on, as a lane loop steps them: the
+  /// bank's constants and corrections, with the pole memories at `i_out`
+  /// (the caller's copy) and the decay factor `a`.
+  struct StageLanes {
+    const double* gain;
+    const double* offset;
+    const double* corr_gain;
+    const double* corr_offset;
+    const std::uint64_t* cal_mask;
+    double* i_out;
+    double limit;
+    double a;
+
+    double step(std::size_t l, double x) const {
+      return stage_update(x, gain[l], offset[l], corr_gain[l], corr_offset[l],
+                          cal_mask[l], limit, a, i_out[l]);
+    }
+  };
+
+  /// Sizes the bank for `lanes` chains with `shape`'s stages (nominal
+  /// gains, bandwidths, limits); set() then fills every lane.
+  void reset(const GainChain& shape, std::size_t lanes);
+
+  /// Copies chain `c` — die constants, corrections, pole memories — into
+  /// lane i.
+  void set(std::size_t i, const GainChain& c);
+
+  /// GainChain::calibrate on every lane.
+  void calibrate(double i_ref, double residual = 1e-3);
+
+  /// Fills out[k] with stage k's single-pole decay factor for a step of
+  /// dt; `out` must hold stages.size() entries.
+  void decays(double dt, double* out) const;
+
+  StageLanes lanes(std::size_t k, std::size_t first, double* i_out,
+                   double a) const {
+    const Stage& s = stages[k];
+    return {s.gain.data() + first,        s.offset.data() + first,
+            s.corr_gain.data() + first,   s.corr_offset.data() + first,
+            s.cal_mask.data() + first,    i_out,
+            s.limit,                      a};
+  }
+
+  /// Lane i in GainChain::save_state's layout.
+  void save_state(snapshot::StateWriter& w, std::size_t i) const {
+    w.u32(static_cast<std::uint32_t>(stages.size()));
+    for (const Stage& s : stages) {
+      w.f64(s.corr_gain[i]);
+      w.f64(s.corr_offset[i]);
+      w.b(s.cal_mask[i] != 0);
+      w.f64(s.i_out[i]);
+    }
+  }
+  void load_state(snapshot::StateReader& r, std::size_t i) {
+    if (r.u32() != stages.size()) {
+      r.fail();
+      return;
+    }
+    for (Stage& s : stages) {
+      s.corr_gain[i] = r.f64();
+      s.corr_offset[i] = r.f64();
+      s.cal_mask[i] = r.b() ? ~std::uint64_t{0} : 0;
+      s.i_out[i] = r.f64();
+    }
+  }
+
+  std::vector<Stage> stages;
 };
 
 }  // namespace biosense::circuit

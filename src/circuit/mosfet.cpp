@@ -9,8 +9,6 @@
 
 namespace biosense::circuit {
 
-using detail::ekv_f;
-
 Mosfet::Mosfet(MosfetParams params, noise::DeviceMismatch mismatch)
     : params_(params), mismatch_(mismatch) {
   require(params.w > 0.0 && params.l > 0.0, "Mosfet: geometry must be positive");
@@ -29,9 +27,8 @@ double Mosfet::ekv_current(double vgs, double vds) const {
   const double vt_th = thermal_voltage(params_.temp_k).value();
   const double vp = (vgs - effective_vt()) / params_.n;  // pinch-off voltage
   const double i_spec = 2.0 * params_.n * beta_ * vt_th * vt_th;
-  const double fwd = ekv_f(vp / vt_th);
-  const double rev = ekv_f((vp - vds) / vt_th);
-  double id = i_spec * (fwd - rev);
+  double id =
+      i_spec * detail::ekv_fwd_minus_rev(vp / vt_th, (vp - vds) / vt_th);
   // First-order channel-length modulation on the net current; only applied
   // when the device actually conducts forward.
   if (id > 0.0 && vds > 0.0) id *= 1.0 + params_.lambda * vds;

@@ -1,9 +1,24 @@
-// Numeric helpers shared across modules: bisection root finding.
+// Numeric helpers shared across modules: bisection root finding and
+// branch-free rounding.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 
 namespace biosense {
+
+/// std::lround(x) as a double, for |x| < 2^31 (NaN excluded: the int
+/// conversion is undefined for it): truncate, then step one away from
+/// zero when the dropped fraction is at least one half (x - trunc(x) is
+/// exact). Compares on doubles instead of a libm call, so a loop over
+/// lanes vectorizes.
+inline double round_half_away(double x) {
+  const double t = static_cast<double>(static_cast<std::int32_t>(x));
+  const double frac = x - t;
+  const double up = frac >= 0.5 ? 1.0 : 0.0;
+  const double down = frac <= -0.5 ? 1.0 : 0.0;
+  return (t + up) - down;
+}
 
 /// Bisection root find of f on [lo, hi]; requires a sign change. Returns the
 /// midpoint after `iters` halvings (53 iterations reach double precision).

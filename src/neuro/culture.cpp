@@ -69,25 +69,23 @@ NeuronCulture::NeuronCulture(CultureConfig config, Rng rng)
   }
 }
 
+namespace {
+// The cleft potential decays within roughly one cleft length constant
+// (~ a few micrometers) outside the contact area.
+constexpr double kRolloff = 3e-6;
+}  // namespace
+
 double NeuronCulture::footprint_weight(const PlacedNeuron& n, double x,
                                        double y) const {
   const double r = std::hypot(x - n.x, y - n.y);
   const double contact_r = 0.5 * n.diameter;
   if (r <= contact_r) return 1.0;
-  // The cleft potential decays within roughly one cleft length constant
-  // (~ a few micrometers) outside the contact area.
-  const double rolloff = 3e-6;
   const double d = r - contact_r;
-  return std::exp(-d / rolloff);
+  return std::exp(-d / kRolloff);
 }
 
-std::vector<const PlacedNeuron*> NeuronCulture::neurons_at(double x,
-                                                           double y) const {
-  std::vector<const PlacedNeuron*> out;
-  for (const auto& n : neurons_) {
-    if (footprint_weight(n, x, y) > 0.01) out.push_back(&n);
-  }
-  return out;
+double NeuronCulture::footprint_reach(const PlacedNeuron& n) const {
+  return 0.5 * n.diameter + kRolloff * std::log(1.0 / kCoverWeight);
 }
 
 void NeuronCulture::assign_spike_trains(

@@ -47,12 +47,17 @@ class NeuronCulture {
   const std::vector<PlacedNeuron>& neurons() const { return neurons_; }
   const CultureConfig& config() const { return config_; }
 
+  /// A neuron's footprint covers a point where its weight exceeds this.
+  static constexpr double kCoverWeight = 0.01;
+
   /// Spatial weight of a neuron's junction signal at a point: 1 inside the
   /// contact disk, smooth roll-off over one cleft-coupling length outside.
   double footprint_weight(const PlacedNeuron& n, double x, double y) const;
 
-  /// Neurons whose footprint covers the point.
-  std::vector<const PlacedNeuron*> neurons_at(double x, double y) const;
+  /// Distance from a neuron's centre beyond which its footprint weight is
+  /// at most kCoverWeight: the contact radius plus the roll-off length
+  /// times ln(1 / kCoverWeight), 13.8 um.
+  double footprint_reach(const PlacedNeuron& n) const;
 
   /// Replaces the culture's intrinsic spike trains with externally
   /// generated ones (e.g. from an IzhikevichNetwork, for tissue-like

@@ -5,10 +5,19 @@
 #include <span>
 
 #include "common/error.hpp"
+#include "common/math_util.hpp"
 #include "common/parallel.hpp"
 #include "common/units.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+
+// The gain lanes carry no dependence from one lane to the next; saying so
+// lets the compiler vectorize their loops without runtime alias checks.
+#if defined(__clang__)
+#define BIOSENSE_LANE_LOOP _Pragma("clang loop vectorize(assume_safety)")
+#else
+#define BIOSENSE_LANE_LOOP _Pragma("GCC ivdep")
+#endif
 
 namespace biosense::neurochip {
 
@@ -39,20 +48,39 @@ NeuroChip::NeuroChip(NeuroChipConfig config, Rng rng)
   // One master draw keys the pixel noise; two mismatch samples per pixel.
   bank_.build(config.pixel, config.rows, config.cols, mismatch_, rng_);
 
-  row_chains_.reserve(static_cast<std::size_t>(config.rows));
+  // Each chain's die constants are drawn by constructing it, in row then
+  // channel order, and copied into its bank lane.
   for (int r = 0; r < config.rows; ++r) {
-    row_chains_.push_back(circuit::GainChain::on_chip(
-        rng_.fork(), config.gain_sigma, config.gain_offset_sigma.value()));
+    const circuit::GainChain chain = circuit::GainChain::on_chip(
+        rng_.fork(), config.gain_sigma, config.gain_offset_sigma.value());
+    if (r == 0) row_chains_.reset(chain, static_cast<std::size_t>(config.rows));
+    row_chains_.set(static_cast<std::size_t>(r), chain);
   }
-  const int n_channels = config.rows / config.mux_factor;
-  channel_chains_.reserve(static_cast<std::size_t>(n_channels));
+  const int n_channels = channels();
   for (int c = 0; c < n_channels; ++c) {
     // The off-chip stages see currents already amplified by x700; their
     // offsets scale accordingly.
-    channel_chains_.push_back(circuit::GainChain::off_chip(
+    const circuit::GainChain chain = circuit::GainChain::off_chip(
         rng_.fork(), config.gain_sigma,
-        (config.gain_offset_sigma * 700.0).value()));
+        (config.gain_offset_sigma * 700.0).value());
+    if (c == 0) {
+      channel_chains_.reset(chain, static_cast<std::size_t>(n_channels));
+    }
+    channel_chains_.set(static_cast<std::size_t>(c), chain);
   }
+  require(row_chains_.stages.size() == 2 &&
+              channel_chains_.stages.size() == 2,
+          "NeuroChip: expected two-stage gain chains");
+
+  // A channel's share of the phase-2 block: its mux rows' front-end
+  // currents, row-chain outputs and two row-stage pole memories, two
+  // channel-stage pole memories and one code, rounded up to whole cache
+  // lines.
+  const auto per_channel = static_cast<std::size_t>(4 * config.mux_factor + 3);
+  constexpr std::size_t kLine = kCacheLineBytes / sizeof(double);
+  lane_stride_ = (per_channel + kLine - 1) / kLine * kLine;
+  lane_scratch_.assign(lane_stride_ * static_cast<std::size_t>(n_channels),
+                       0.0);
 
   signal_scratch_.assign(bank_.size(), 0.0);
   channel_drift_.assign(static_cast<std::size_t>(n_channels), 1.0);
@@ -161,8 +189,8 @@ void NeuroChip::calibrate_all() {
   // Reference current for gain-stage calibration: a mid-scale pixel signal
   // (gm * 1 mV has dimension current).
   const double i_ref = (Conductance(gm_nominal_) * 1.0_mV).value();
-  for (auto& ch : row_chains_) ch.calibrate(i_ref);
-  for (auto& ch : channel_chains_) ch.calibrate(i_ref * 700.0);
+  row_chains_.calibrate(i_ref);
+  channel_chains_.calibrate(i_ref * 700.0);
   ever_calibrated_ = true;
 }
 
@@ -226,29 +254,32 @@ void NeuroChip::capture_frame_into(const SignalSource& source, double t,
   // depends only on bandwidth), the per-frame droop step, and the sparse
   // threshold.
   const PixelBank::FrameConsts& fc = bank_.prepare(tb.column_dwell);
-  require(row_chains_.front().stages.size() == 2 &&
-              channel_chains_.front().stages.size() == 2,
-          "NeuroChip: expected two-stage gain chains");
   double row_decay[2];
   double ch_decay[2];
-  row_chains_.front().decays(0.5 * tb.column_dwell, row_decay);
-  channel_chains_.front().decays(0.5 * tb.mux_slot, ch_decay);
+  row_chains_.decays(0.5 * tb.column_dwell, row_decay);
+  channel_chains_.decays(0.5 * tb.mux_slot, ch_decay);
   const double droop_step = bank_.droop_dv(tb.frame_period);
   const double quiesce = config_.quiescence_threshold.value();
 
-  // Phase 2 — the analog signal path, one output channel per work item.
-  // A channel owns its mux group of rows: their plane runs (and noise
-  // counters), their row chains, and the shared channel chain. Columns stay
-  // in sequence inside a channel because the amplifiers' single-pole
-  // settling state carries from column to column; every state object sees
-  // the exact operation sequence of the serial scan, so frames are
-  // bitwise-identical for any thread count. The planes are column-major, so
-  // a channel's 8-row run per column is one contiguous cache line — no
-  // false sharing between channel workers. Each run draws its active
-  // pixels' noise in one batch, then walks the rows in mux order. Hold-time
-  // droop is folded into this phase (each pixel is read exactly once, then
-  // drooped; masking and recalibration below only run after the parallel
-  // region).
+  // Phase 2 — the analog signal path, one group of ceil(channels /
+  // threads) contiguous output channels per work item. A channel owns its
+  // mux group of rows: their plane runs (and noise counters), their row
+  // chains, and its channel chain. Columns stay in sequence inside a group
+  // because the amplifiers' single-pole settling state carries from column
+  // to column. Per column, each channel's 8-row run (one cache line of the
+  // column-major planes) draws its active pixels' noise in one batch and
+  // evaluates their front ends; hold-time droop follows each read (each
+  // pixel is read exactly once; masking and recalibration run after the
+  // parallel region). Then the group's row chains step as SIMD lanes, one
+  // lane per row, and each mux slot steps the group's channel chains as
+  // lanes, one per channel, through drift and the ADC. Every lane performs
+  // the scalar stage_update, so frames are bitwise-identical for any thread
+  // count and grouping. A group keeps its lanes' pole memories in its own
+  // cache-line-aligned block for the frame, so no two workers write one
+  // line.
+  const int n_ch = channels();
+  const int threads = max_threads();
+  const int group = (n_ch + threads - 1) / threads;
   struct ChannelCtx {
     NeuroChip& chip;
     NeuroFrame& frame;
@@ -256,6 +287,8 @@ void NeuroChip::capture_frame_into(const SignalSource& source, double t,
     int rows;
     int cols;
     int mux;
+    int n_ch;
+    int group;
     double full_scale;
     double adc_lsb;
     double conv_gain;
@@ -264,80 +297,135 @@ void NeuroChip::capture_frame_into(const SignalSource& source, double t,
     const double* ch_decay;
     double droop_step;
     double quiesce;
-  } ch_ctx{*this,    frame,   scratch,   rows,     cols,
-           mux,      full_scale, adc_lsb, conv_gain, fc,
-           row_decay, ch_decay, droop_step, quiesce};
-  parallel_for(0, channels(), [&ch_ctx](std::int64_t ch) {
+  } ch_ctx{*this,      frame,   scratch,   rows,     cols,     mux,
+           n_ch,       group,   full_scale, adc_lsb, conv_gain, fc,
+           row_decay,  ch_decay, droop_step, quiesce};
+  parallel_for(0, (n_ch + group - 1) / group, [&ch_ctx](std::int64_t g) {
     NeuroChip& chip = ch_ctx.chip;
     PixelBank& bank = chip.bank_;
-    const int row_begin = static_cast<int>(ch) * ch_ctx.mux;
-    const int row_end = row_begin + ch_ctx.mux;
-    auto& cc = chip.channel_chains_[static_cast<std::size_t>(ch)];
-    const double drift = chip.channel_drift_[static_cast<std::size_t>(ch)];
+    const int c0 = static_cast<int>(g) * ch_ctx.group;
+    const int c1 = std::min(c0 + ch_ctx.group, ch_ctx.n_ch);
+    const auto n_lanes = static_cast<std::size_t>(c1 - c0);
+    const auto mux = static_cast<std::size_t>(ch_ctx.mux);
+    const std::size_t n_rows = mux * n_lanes;
+    const auto first_ch = static_cast<std::size_t>(c0);
+    const std::size_t first_row = first_ch * mux;
+    // The block: front-end currents, row-chain outputs and the two row
+    // stages' pole memories in row order, then the two channel stages' pole
+    // memories and one slot's codes in channel order.
+    double* i_diff = chip.lane_scratch_.data() + first_ch * chip.lane_stride_;
+    double* i_row = i_diff + n_rows;
+    double* row_mem = i_row + n_rows;
+    double* ch_mem = row_mem + 2 * n_rows;
+    double* codes = ch_mem + 2 * n_lanes;
+    circuit::GainBank& row_bank = chip.row_chains_;
+    circuit::GainBank& ch_bank = chip.channel_chains_;
+    for (std::size_t k = 0; k < 2; ++k) {
+      std::copy_n(row_bank.stages[k].i_out.data() + first_row, n_rows,
+                  row_mem + k * n_rows);
+      std::copy_n(ch_bank.stages[k].i_out.data() + first_ch, n_lanes,
+                  ch_mem + k * n_lanes);
+    }
+    const auto r0 = row_bank.lanes(0, first_row, row_mem, ch_ctx.row_decay[0]);
+    const auto r1 =
+        row_bank.lanes(1, first_row, row_mem + n_rows, ch_ctx.row_decay[1]);
+    const auto k0 = ch_bank.lanes(0, first_ch, ch_mem, ch_ctx.ch_decay[0]);
+    const auto k1 =
+        ch_bank.lanes(1, first_ch, ch_mem + n_lanes, ch_ctx.ch_decay[1]);
+    const double* drift = chip.channel_drift_.data() + first_ch;
+    const double full_scale = ch_ctx.full_scale;
+    const double adc_lsb = ch_ctx.adc_lsb;
+
     for (int col = 0; col < ch_ctx.cols; ++col) {
-      for (int run = row_begin; run < row_end; run += PixelBank::kBatch) {
-        const int run_end = std::min(run + PixelBank::kBatch, row_end);
-        // Column-major planes: the pixel's plane slot is the same index
-        // phase 1 wrote its signal to.
-        const std::size_t run_pi =
-            static_cast<std::size_t>(col) * static_cast<std::size_t>(ch_ctx.rows) +
-            static_cast<std::size_t>(run);
-        // Sparse path: a quiescent pixel (source signal below threshold)
-        // reports its cached zero-signal current and draws no noise; its
-        // flicker poles catch up on its next active read. The decision
-        // depends only on phase-1 output, which is identical for every
-        // thread count — see DESIGN.md §16.
-        std::size_t active[PixelBank::kBatch];
-        double noise[PixelBank::kBatch];
-        int n_active = 0;
-        for (int r = 0; r < run_end - run; ++r) {
-          const std::size_t pi = run_pi + static_cast<std::size_t>(r);
-          const double v_sig = ch_ctx.scratch[pi];
-          if (ch_ctx.quiesce > 0.0 && std::abs(v_sig) < ch_ctx.quiesce) {
-            bank.skip(pi);
-          } else {
-            active[n_active++] = pi;
+      for (int ch = c0; ch < c1; ++ch) {
+        const int row_begin = ch * ch_ctx.mux;
+        const int row_end = row_begin + ch_ctx.mux;
+        for (int run = row_begin; run < row_end; run += PixelBank::kBatch) {
+          const int run_end = std::min(run + PixelBank::kBatch, row_end);
+          // Column-major planes: the pixel's plane slot is the same index
+          // phase 1 wrote its signal to.
+          const std::size_t run_pi =
+              static_cast<std::size_t>(col) *
+                  static_cast<std::size_t>(ch_ctx.rows) +
+              static_cast<std::size_t>(run);
+          // Sparse path: a quiescent pixel (source signal below threshold)
+          // reports its cached zero-signal current and draws no noise; its
+          // flicker poles catch up on its next active read. The decision
+          // depends only on phase-1 output, which is identical for every
+          // thread count — see DESIGN.md §16.
+          std::size_t active[PixelBank::kBatch];
+          double noise[PixelBank::kBatch];
+          int n_active = 0;
+          for (int r = 0; r < run_end - run; ++r) {
+            const std::size_t pi = run_pi + static_cast<std::size_t>(r);
+            const double v_sig = ch_ctx.scratch[pi];
+            if (ch_ctx.quiesce > 0.0 && std::abs(v_sig) < ch_ctx.quiesce) {
+              bank.skip(pi);
+            } else {
+              active[n_active++] = pi;
+            }
+          }
+          if (n_active > 0) bank.draw_noise(active, n_active, ch_ctx.fc, noise);
+          int next_active = 0;
+          for (int row = run; row < run_end; ++row) {
+            const std::size_t pi = run_pi + static_cast<std::size_t>(row - run);
+            double i_pixel = 0.0;
+            if (next_active < n_active && active[next_active] == pi) {
+              i_pixel =
+                  bank.front_end(pi, ch_ctx.scratch[pi], noise[next_active]);
+              ++next_active;
+            } else {
+              i_pixel = bank.quiet_current(pi);
+            }
+            i_diff[static_cast<std::size_t>(row) - first_row] = i_pixel;
+            // Hold-time droop for this frame.
+            bank.droop(pi, ch_ctx.droop_step);
           }
         }
-        if (n_active > 0) bank.draw_noise(active, n_active, ch_ctx.fc, noise);
-        int next_active = 0;
-        for (int row = run; row < run_end; ++row) {
-          const std::size_t pi = run_pi + static_cast<std::size_t>(row - run);
-          double i_diff = 0.0;
-          if (next_active < n_active && active[next_active] == pi) {
-            i_diff = bank.front_end(pi, ch_ctx.scratch[pi], noise[next_active]);
-            ++next_active;
-          } else {
-            i_diff = bank.quiet_current(pi);
-          }
-          // Row amplifier settles within the column dwell; two half-dwell
-          // steps capture the residual first-order settling.
-          auto& rc = chip.row_chains_[static_cast<std::size_t>(row)];
-          rc.step_with(i_diff, ch_ctx.row_decay);
-          const double i_row = rc.step_with(i_diff, ch_ctx.row_decay);
+      }
 
-          // The channel chain serves mux_factor rows in sequence within the
-          // column dwell (one mux slot each). Gain-chain drift scales the
-          // delivered current.
-          cc.step_with(i_row, ch_ctx.ch_decay);
-          const double i_out = cc.step_with(i_row, ch_ctx.ch_decay) * drift;
+      // Row amplifiers settle within the column dwell; two half-dwell
+      // steps capture the residual first-order settling.
+      BIOSENSE_LANE_LOOP
+      for (std::size_t j = 0; j < n_rows; ++j) {
+        r1.step(j, r0.step(j, i_diff[j]));
+        i_row[j] = r1.step(j, r0.step(j, i_diff[j]));
+      }
 
-          // Off-chip ADC.
-          const double clipped =
-              std::clamp(i_out, -ch_ctx.full_scale, ch_ctx.full_scale);
-          auto code = static_cast<std::int32_t>(
-              std::lround(clipped / ch_ctx.adc_lsb));
-          const std::size_t idx =
-              static_cast<std::size_t>(row * ch_ctx.cols + col);
+      // The channel chain serves mux_factor rows in sequence within the
+      // column dwell (one mux slot each). Gain-chain drift scales the
+      // delivered current.
+      for (std::size_t s = 0; s < mux; ++s) {
+        BIOSENSE_LANE_LOOP
+        for (std::size_t l = 0; l < n_lanes; ++l) {
+          const double x = i_row[l * mux + s];
+          k1.step(l, k0.step(l, x));
+          const double i_out = k1.step(l, k0.step(l, x)) * drift[l];
+          // Off-chip ADC. A NaN current (only a non-finite source makes
+          // one) reads code 0, what std::lround's result narrows to on
+          // x86-64.
+          double clipped = std::clamp(i_out, -full_scale, full_scale);
+          clipped = clipped == clipped ? clipped : 0.0;
+          codes[l] = round_half_away(clipped / adc_lsb);
+        }
+        for (std::size_t l = 0; l < n_lanes; ++l) {
+          const std::size_t row = first_row + l * mux + s;
+          const std::size_t idx = row * static_cast<std::size_t>(ch_ctx.cols) +
+                                  static_cast<std::size_t>(col);
+          auto code = static_cast<std::int32_t>(codes[l]);
           if (chip.has_pixel_faults_) code = chip.apply_pixel_fault(idx, code);
           ch_ctx.frame.codes[idx] = code;
           ch_ctx.frame.v_in[idx] =
-              static_cast<double>(code) * ch_ctx.adc_lsb / ch_ctx.conv_gain;
-
-          // Hold-time droop for this frame.
-          bank.droop(pi, ch_ctx.droop_step);
+              static_cast<double>(code) * adc_lsb / ch_ctx.conv_gain;
         }
       }
+    }
+
+    for (std::size_t k = 0; k < 2; ++k) {
+      std::copy_n(row_mem + k * n_rows, n_rows,
+                  row_bank.stages[k].i_out.data() + first_row);
+      std::copy_n(ch_mem + k * n_lanes, n_lanes,
+                  ch_bank.stages[k].i_out.data() + first_ch);
     }
   });
 
@@ -464,10 +552,15 @@ void NeuroChip::save_state(snapshot::StateWriter& w) const {
   w.rng(rng_);
   mismatch_.save_state(w);
   bank_.save_state(w);
-  w.u32(static_cast<std::uint32_t>(row_chains_.size()));
-  for (const circuit::GainChain& c : row_chains_) c.save_state(w);
-  w.u32(static_cast<std::uint32_t>(channel_chains_.size()));
-  for (const circuit::GainChain& c : channel_chains_) c.save_state(w);
+  // Chains in row and channel order, GainChain::save_state's layout.
+  w.u32(static_cast<std::uint32_t>(rows()));
+  for (int r = 0; r < rows(); ++r) {
+    row_chains_.save_state(w, static_cast<std::size_t>(r));
+  }
+  w.u32(static_cast<std::uint32_t>(channels()));
+  for (int c = 0; c < channels(); ++c) {
+    channel_chains_.save_state(w, static_cast<std::size_t>(c));
+  }
   w.f64(last_calibration_t_);
   w.b(ever_calibrated_);
   defect_map_.save_state(w);
@@ -477,16 +570,20 @@ void NeuroChip::load_state(snapshot::StateReader& r) {
   r.rng(rng_);
   mismatch_.load_state(r);
   bank_.load_state(r);
-  if (r.u32() != row_chains_.size()) {
+  if (r.u32() != static_cast<std::uint32_t>(rows())) {
     r.fail();
     return;
   }
-  for (circuit::GainChain& c : row_chains_) c.load_state(r);
-  if (r.u32() != channel_chains_.size()) {
+  for (int row = 0; row < rows(); ++row) {
+    row_chains_.load_state(r, static_cast<std::size_t>(row));
+  }
+  if (r.u32() != static_cast<std::uint32_t>(channels())) {
     r.fail();
     return;
   }
-  for (circuit::GainChain& c : channel_chains_) c.load_state(r);
+  for (int c = 0; c < channels(); ++c) {
+    channel_chains_.load_state(r, static_cast<std::size_t>(c));
+  }
   last_calibration_t_ = r.f64();
   ever_calibrated_ = r.b();
   defect_map_.load_state(r);

@@ -15,11 +15,12 @@
 //
 // Execution model: `capture_frame` runs on the global thread pool in two
 // deterministic phases — batched `SignalSource` evaluation across columns,
-// then the analog signal path across output channels (a channel owns its
-// mux group of rows, their pixels, row chains and the channel chain, so
-// every piece of mutable state — including each pixel's noise counter and
-// flicker poles — is touched by exactly one worker, in the same order as
-// the serial scan). Frames are bitwise-identical for any thread count.
+// then the analog signal path across groups of output channels (a channel
+// owns its mux group of rows, their pixels, row chains and the channel
+// chain, so every piece of mutable state — including each pixel's noise
+// counter and flicker poles — is touched by exactly one worker, in the
+// same order as the serial scan; a group steps its channels' gain chains
+// as SIMD lanes). Frames are bitwise-identical for any thread count.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "circuit/gain_stage.hpp"
+#include "common/aligned.hpp"
 #include "common/error.hpp"
 #include "common/result.hpp"
 #include "common/rng.hpp"
@@ -229,13 +231,17 @@ class NeuroChip {
   // analyze:transient - frozen die state, reproduced by reconstruction
   std::vector<double> channel_drift_;
   faults::DefectMap defect_map_{};
-  // Row chains carry the on-chip stages (x100, x7); channel chains the
-  // off-chip stages (x4, x2).
-  std::vector<circuit::GainChain> row_chains_;
-  std::vector<circuit::GainChain> channel_chains_;
+  // Row chains carry the on-chip stages (x100, x7), lane r for row r;
+  // channel chains the off-chip stages (x4, x2), lane ch for channel ch.
+  circuit::GainBank row_chains_;
+  circuit::GainBank channel_chains_;
   // Column-major scratch for batched signal evaluation:
   // signal_scratch_[col * rows + row]. Reused across frames.
   std::vector<double> signal_scratch_;  // analyze:transient - scratch buffer
+  // Phase 2 blocks: channel group [c0, c1) works in the lane_stride_ * (c1 -
+  // c0) doubles from c0 * lane_stride_ (a cache-line multiple).
+  Plane<double> lane_scratch_;  // analyze:transient - scratch buffer
+  std::size_t lane_stride_ = 0;  // analyze:transient - derived constant
   double gm_nominal_ = 0.0;  // analyze:transient - derived constant, recomputed at construction
   double last_calibration_t_ = 0.0;
   bool ever_calibrated_ = false;

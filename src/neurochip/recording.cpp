@@ -1,7 +1,9 @@
 #include "neurochip/recording.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <span>
+#include <utility>
 
 #include "common/error.hpp"
 #include "neuro/spike_train.hpp"
@@ -43,8 +45,14 @@ class CultureSource final : public SignalSource {
  private:
   /// Frame index: the per-column phase is already folded into the
   /// precomputed samples, so truncate (not round) to the frame number.
+  /// Times outside the window give n_frames_ (0 V): the range is checked
+  /// on the double, since casting a negative or oversized one to
+  /// std::size_t is undefined.
   std::size_t frame_index(double t) const {
-    return static_cast<std::size_t>((t - t0_) * fs_ + 1e-9);
+    if (t < t0_) return n_frames_;
+    const double k = (t - t0_) * fs_ + 1e-9;
+    return k < static_cast<double>(n_frames_) ? static_cast<std::size_t>(k)
+                                              : n_frames_;
   }
 
   const std::vector<const double*>& grid_;
@@ -53,6 +61,19 @@ class CultureSource final : public SignalSource {
   double fs_;
   std::size_t n_frames_;
 };
+
+/// Indices [lo, hi] of the pixels whose centres (i + 0.5) * pitch lie
+/// within `reach` of `centre` along one axis, clipped to [0, count); empty
+/// when lo > hi. Clipped as doubles: casting an out-of-range double to int
+/// is undefined.
+std::pair<int, int> pixel_span(double centre, double reach, double pitch,
+                               int count) {
+  const double lo = std::ceil((centre - reach) / pitch - 0.5);
+  const double hi = std::floor((centre + reach) / pitch - 0.5);
+  return {static_cast<int>(std::clamp(lo, 0.0, static_cast<double>(count))),
+          static_cast<int>(
+              std::clamp(hi, -1.0, static_cast<double>(count - 1)))};
+}
 
 }  // namespace
 
@@ -64,60 +85,87 @@ RecordingSession::~RecordingSession() = default;
 
 const SignalSource& RecordingSession::prepare(double t0, int n_frames) {
   require(n_frames > 0, "RecordingSession: need at least one frame");
-  t0_ = t0;
-  n_frames_ = n_frames;
-  active_.clear();
-  active_keys_.clear();
 
   const auto& cfg = chip_->config();
   const TimingBudget tb = chip_->timing();
   const double fs = cfg.frame_rate.value();
+  const double pitch = cfg.pitch.value();
+  const auto n = static_cast<std::size_t>(n_frames);
+  const auto& neurons = culture_->neurons();
 
-  // Precompute, per covered pixel, its waveform at the chip's actual
-  // sampling instants: pixel (r, c) of frame k is sampled at
-  // t0 + k/fs + c*column_dwell. We fold the per-column phase into the
-  // spike times so one uniform-rate render per (pixel, neuron) suffices.
-  // `shifted_scratch_` / `contrib_scratch_` are hoisted members: this
-  // double loop runs per (covered pixel, covering neuron) and must not
-  // allocate per iteration.
-  for (int r = 0; r < cfg.rows; ++r) {
-    for (int c = 0; c < cfg.cols; ++c) {
+  // Walk each neuron, in index order, over the pixels of its footprint's
+  // bounding box (its reach plus one pitch of margin, clipped to the
+  // array), applying the per-pixel cover test. Pixel (r, c) sits at
+  // ((c + 0.5) pitch, (r + 0.5) pitch).
+  cover_scratch_.clear();
+  for (std::size_t k = 0; k < neurons.size(); ++k) {
+    const neuro::PlacedNeuron& nr = neurons[k];
+    const double reach = culture_->footprint_reach(nr) + pitch;
+    const auto [c_lo, c_hi] = pixel_span(nr.x, reach, pitch, cfg.cols);
+    const auto [r_lo, r_hi] = pixel_span(nr.y, reach, pitch, cfg.rows);
+    for (int c = c_lo; c <= c_hi; ++c) {
       const double x = ((c + 0.5) * cfg.pitch).value();
-      const double y = ((r + 0.5) * cfg.pitch).value();
-      const auto cover = culture_->neurons_at(x, y);
-      if (cover.empty()) continue;
-
-      PixelSignal sig;
-      sig.samples.assign(static_cast<std::size_t>(n_frames), 0.0);
-      const double phase = t0 + c * tb.column_dwell;
-      for (const auto* n : cover) {
-        const double w = culture_->footprint_weight(*n, x, y);
-        shifted_scratch_.clear();
-        shifted_scratch_.reserve(n->spike_times.size());
-        for (double ts : n->spike_times) shifted_scratch_.push_back(ts - phase);
-        neuro::render_spike_waveform_into(
-            shifted_scratch_, n->templ, culture_->config().template_fs, fs,
-            static_cast<std::size_t>(n_frames), contrib_scratch_);
-        for (std::size_t i = 0; i < contrib_scratch_.size(); ++i) {
-          sig.samples[i] += w * contrib_scratch_[i];
+      for (int r = r_lo; r <= r_hi; ++r) {
+        const double y = ((r + 0.5) * cfg.pitch).value();
+        const double w = culture_->footprint_weight(nr, x, y);
+        if (w > neuro::NeuronCulture::kCoverWeight) {
+          cover_scratch_.push_back({static_cast<int>(k), r, c, w});
         }
       }
-      active_.emplace(r * cfg.cols + c, std::move(sig));
-      active_keys_.push_back(r * cfg.cols + c);
     }
   }
 
-  // Dense pointer grid for the batched capture path (the map's node
-  // storage stays stable while the source reads it).
+  active_keys_.clear();
+  for (const Cover& h : cover_scratch_) {
+    active_keys_.push_back(h.row * cfg.cols + h.col);
+  }
+  std::sort(active_keys_.begin(), active_keys_.end());
+  active_keys_.erase(std::unique(active_keys_.begin(), active_keys_.end()),
+                     active_keys_.end());
+  if (samples_.size() < active_keys_.size()) {
+    samples_.resize(active_keys_.size());
+  }
+  for (std::size_t i = 0; i < active_keys_.size(); ++i) {
+    samples_[i].assign(n, 0.0);
+  }
+
+  // Each covered pixel's waveform at the chip's actual sampling instants:
+  // pixel (r, c) of frame k is sampled at t0 + k/fs + c*column_dwell. The
+  // per-column phase is folded into the spike times, so the pixels of one
+  // column differ only by their weight and one uniform-rate render per
+  // (neuron, column) serves them all. Hits arrive in ascending neuron
+  // order, so each pixel sums its neurons in the order a per-pixel scan
+  // would, bit for bit.
+  int rendered_neuron = -1;
+  int rendered_col = -1;
+  for (const Cover& h : cover_scratch_) {
+    if (h.neuron != rendered_neuron || h.col != rendered_col) {
+      const neuro::PlacedNeuron& nr =
+          neurons[static_cast<std::size_t>(h.neuron)];
+      const double phase = t0 + h.col * tb.column_dwell;
+      shifted_scratch_.clear();
+      for (double ts : nr.spike_times) shifted_scratch_.push_back(ts - phase);
+      neuro::render_spike_waveform_into(shifted_scratch_, nr.templ,
+                                        culture_->config().template_fs, fs, n,
+                                        contrib_scratch_);
+      rendered_neuron = h.neuron;
+      rendered_col = h.col;
+    }
+    std::vector<double>& sig = samples_[slot(h.row * cfg.cols + h.col)];
+    for (std::size_t i = 0; i < n; ++i) {
+      sig[i] += h.weight * contrib_scratch_[i];
+    }
+  }
+
+  // Dense pointer grid for the batched capture path.
   grid_.assign(
       static_cast<std::size_t>(cfg.rows) * static_cast<std::size_t>(cfg.cols),
       nullptr);
-  for (const auto& [key, sig] : active_) {
-    grid_[static_cast<std::size_t>(key)] = sig.samples.data();
+  for (std::size_t i = 0; i < active_keys_.size(); ++i) {
+    grid_[static_cast<std::size_t>(active_keys_[i])] = samples_[i].data();
   }
 
-  source_ = std::make_unique<CultureSource>(
-      grid_, cfg.cols, t0, fs, static_cast<std::size_t>(n_frames));
+  source_ = std::make_unique<CultureSource>(grid_, cfg.cols, t0, fs, n);
   return *source_;
 }
 
@@ -136,9 +184,17 @@ std::vector<NeuroFrame> RecordingSession::record(double t0, int n_frames) {
   return frames;
 }
 
+std::size_t RecordingSession::slot(int key) const {
+  const auto it =
+      std::lower_bound(active_keys_.begin(), active_keys_.end(), key);
+  return it != active_keys_.end() && *it == key
+             ? static_cast<std::size_t>(it - active_keys_.begin())
+             : active_keys_.size();
+}
+
 const std::vector<double>& RecordingSession::ground_truth(int r, int c) const {
-  const auto it = active_.find(r * chip_->config().cols + c);
-  return it == active_.end() ? empty_ : it->second.samples;
+  const std::size_t i = slot(r * chip_->config().cols + c);
+  return i < active_keys_.size() ? samples_[i] : empty_;
 }
 
 }  // namespace biosense::neurochip

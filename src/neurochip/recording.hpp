@@ -7,7 +7,6 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/stream.hpp"
@@ -38,7 +37,7 @@ class RecordingSession {
       double t0, int n_frames);
 
   /// Number of pixels covered by at least one neuron footprint.
-  std::size_t active_pixels() const { return active_.size(); }
+  std::size_t active_pixels() const { return active_keys_.size(); }
 
   /// Row-major keys (r * cols + c) of covered pixels, ascending — the
   /// pixel set a streaming consumer should accumulate traces for.
@@ -49,22 +48,30 @@ class RecordingSession {
   const std::vector<double>& ground_truth(int r, int c) const;
 
  private:
-  struct PixelSignal {
-    std::vector<double> samples;  // one per frame
+  /// One (neuron, pixel) footprint hit of the last prepare, in walk order.
+  struct Cover {
+    int neuron;
+    int row;
+    int col;
+    double weight;
   };
+
+  /// Index of `key` in active_keys_, or active_keys_.size() if uncovered.
+  std::size_t slot(int key) const;
 
   const neuro::NeuronCulture* culture_;
   NeuroChip* chip_;
-  std::unordered_map<int, PixelSignal> active_;  // key = r * cols + c
-  std::vector<int> active_keys_;
+  std::vector<int> active_keys_;  // key = r * cols + c, ascending
+  // samples_[i]: active_keys_[i]'s waveform, one sample per frame. Kept
+  // across windows so their storage is reused.
+  std::vector<std::vector<double>> samples_;
   std::vector<const double*> grid_;   // dense row-major sample pointers
   std::unique_ptr<SignalSource> source_;  // over grid_, set by prepare()
   std::vector<double> empty_;
-  // Scratch hoisted out of the per-(pixel, neuron) precompute loop.
+  // Scratch hoisted out of the precompute walk.
+  std::vector<Cover> cover_scratch_;
   std::vector<double> shifted_scratch_;
   std::vector<double> contrib_scratch_;
-  double t0_ = 0.0;
-  int n_frames_ = 0;
 };
 
 }  // namespace biosense::neurochip

@@ -75,18 +75,6 @@ TEST(Culture, FootprintDecaysOutside) {
   EXPECT_LT(w_far, 0.05);
 }
 
-TEST(Culture, NeuronsAtFindsCoveringCells) {
-  NeuronCulture culture(small_culture(), Rng(6));
-  const auto& n = culture.neurons().front();
-  const auto at_center = culture.neurons_at(n.x, n.y);
-  EXPECT_FALSE(at_center.empty());
-  bool found = false;
-  for (const auto* p : at_center) {
-    if (p == &n) found = true;
-  }
-  EXPECT_TRUE(found);
-}
-
 TEST(Culture, SpikeTimesWithinDuration) {
   NeuronCulture culture(small_culture(), Rng(9));
   for (const auto& n : culture.neurons()) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/units.hpp"
@@ -160,6 +163,143 @@ TEST(Mosfet, RejectsInvalidParams) {
   p = nmos();
   p.kp = -1.0;
   EXPECT_THROW(Mosfet{p}, ConfigError);
+}
+
+/// F(x) = ln^2(1 + e^{x/2}), written out here so the reference below
+/// shares no code with the model.
+double two_term_f(double x) {
+  const double l = x > 60.0 ? 0.5 * x : std::log1p(std::exp(0.5 * x));
+  return l * l;
+}
+
+/// The EKV drain current with the reverse term always evaluated, in the
+/// model's order of operations.
+double two_term_current(const Mosfet& m, double vg, double vd, double vs) {
+  const MosfetParams& p = m.params();
+  const bool n_frame = p.type == MosType::kNmos;
+  const double vgs = n_frame ? vg - vs : vs - vg;
+  const double vds = n_frame ? vd - vs : vs - vd;
+  const double vt_th = thermal_voltage(p.temp_k).value();
+  const double vp = (vgs - m.effective_vt()) / p.n;
+  const double i_spec = 2.0 * p.n * m.beta() * vt_th * vt_th;
+  double id =
+      i_spec * (two_term_f(vp / vt_th) - two_term_f((vp - vds) / vt_th));
+  if (id > 0.0 && vds > 0.0) id *= 1.0 + p.lambda * vds;
+  return id;
+}
+
+double two_term_gm(const Mosfet& m, double vg, double vd, double vs) {
+  const double dv = 1e-6;
+  return (two_term_current(m, vg + dv, vd, vs) -
+          two_term_current(m, vg - dv, vd, vs)) /
+         (2.0 * dv);
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// x moved by k ulps (toward -inf for k < 0).
+double step_ulps(double x, int k) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (; k > 0; --k) x = std::nextafter(x, inf);
+  for (; k < 0; ++k) x = std::nextafter(x, -inf);
+  return x;
+}
+
+/// Ulps between two doubles of one sign.
+std::uint64_t ulp_distance(double a, double b) {
+  const auto ia = std::bit_cast<std::uint64_t>(a);
+  const auto ib = std::bit_cast<std::uint64_t>(b);
+  return ia > ib ? ia - ib : ib - ia;
+}
+
+TEST(Mosfet, ReverseTermSkipIsExact) {
+  // The skip's own helper, one ulp at a time across both of its edges:
+  // x_r = -42 and F(x_f) = 1, at x_f = 2 ln(e - 1).
+  const double x_one = 2.0 * std::log(std::exp(1.0) - 1.0);
+  int f_below_one = 0;
+  int f_from_one = 0;
+  for (int i = -64; i <= 64; ++i) {
+    const double x_f = step_ulps(x_one, i);
+    ++(two_term_f(x_f) < 1.0 ? f_below_one : f_from_one);
+    for (int j = -8; j <= 8; ++j) {
+      const double x_r = step_ulps(-42.0, j);
+      EXPECT_TRUE(same_bits(detail::ekv_fwd_minus_rev(x_f, x_r),
+                            two_term_f(x_f) - two_term_f(x_r)))
+          << "x_f " << x_f << " x_r " << x_r;
+    }
+  }
+  EXPECT_GT(f_below_one, 0);
+  EXPECT_GT(f_from_one, 0);
+
+  // Drain current and gm through Mosfet and MosfetSpan, NMOS and PMOS:
+  // a grid over x_r in [-80, -20] and F(x_f) in [0.25, 50], plus node
+  // voltages stepped by single ulps around each edge.
+  noise::DeviceMismatch mm;
+  mm.delta_vt = 3e-3;
+  mm.beta_ratio = 1.02;
+  for (const MosfetParams& params : {nmos(), pmos()}) {
+    const Mosfet dev(params, mm);
+    MosfetSpan span;
+    span.reset(params, 1);
+    span.set(0, dev);
+    const bool n_frame = params.type == MosType::kNmos;
+    const double vs = n_frame ? 0.0 : 3.0;
+    const double vt_th = thermal_voltage(params.temp_k).value();
+    const double evt = dev.effective_vt();
+    int near_xr_below = 0;
+    int near_xr_from = 0;
+    int near_f_below = 0;
+    int near_f_from = 0;
+    auto check = [&](double vg, double vd) {
+      const double id = two_term_current(dev, vg, vd, vs);
+      const double gm = two_term_gm(dev, vg, vd, vs);
+      EXPECT_TRUE(same_bits(dev.drain_current(vg, vd, vs), id))
+          << "vg " << vg << " vd " << vd;
+      EXPECT_TRUE(same_bits(span.drain_current(0, vg, vd, vs), id))
+          << "vg " << vg << " vd " << vd;
+      EXPECT_TRUE(same_bits(dev.gm(vg, vd, vs), gm));
+      EXPECT_TRUE(same_bits(span.gm(0, vg, vd, vs), gm));
+      // Where the point sits, as the model computes it.
+      const double vgs = n_frame ? vg - vs : vs - vg;
+      const double vds = n_frame ? vd - vs : vs - vd;
+      const double vp = (vgs - evt) / params.n;
+      const double x_r = (vp - vds) / vt_th;
+      const double f = two_term_f(vp / vt_th);
+      if (ulp_distance(x_r, -42.0) <= 4) {
+        ++(x_r < -42.0 ? near_xr_below : near_xr_from);
+      }
+      if (ulp_distance(f, 1.0) <= 32) ++(f < 1.0 ? near_f_below : near_f_from);
+    };
+    // (x_f, x_r) -> node voltages.
+    auto vg_of = [&](double x_f) {
+      const double vgs = evt + params.n * vt_th * x_f;
+      return n_frame ? vgs : vs - vgs;
+    };
+    auto vd_of = [&](double x_f, double x_r) {
+      const double vds = (x_f - x_r) * vt_th;
+      return n_frame ? vds : vs - vds;
+    };
+    for (int i = 0; i <= 24; ++i) {
+      const double x_f = -0.86 + (14.1 - -0.86) * i / 24.0;
+      for (int j = 0; j <= 30; ++j) {
+        check(vg_of(x_f), vd_of(x_f, -80.0 + 2.0 * j));
+      }
+      for (int k = -12; k <= 12; ++k) {
+        check(vg_of(x_f), step_ulps(vd_of(x_f, -42.0), k));
+      }
+    }
+    for (const double x_r : {-70.0, -43.0, -42.0, -41.0}) {
+      for (int k = -40; k <= 40; ++k) {
+        check(step_ulps(vg_of(x_one), k), vd_of(x_one, x_r));
+      }
+    }
+    EXPECT_GT(near_xr_below, 0);
+    EXPECT_GT(near_xr_from, 0);
+    EXPECT_GT(near_f_below, 0);
+    EXPECT_GT(near_f_from, 0);
+  }
 }
 
 TEST(Mosfet, VgsForCurrentRejectsNonPositive) {

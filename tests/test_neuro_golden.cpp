@@ -29,6 +29,7 @@
 #include "circuit/mosfet.hpp"
 #include "common/error.hpp"
 #include "common/hash.hpp"
+#include "common/math_util.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "faults/defect_map.hpp"
@@ -472,6 +473,88 @@ TEST(NeuroGolden, SparseFastForwardMatchesObjectModelBitwise) {
   NeuroChipConfig cfg = golden_config();
   cfg.quiescence_threshold = Voltage(0.6e-3);
   expect_lockstep(cfg, GoldenWave(2.0 * 3.141592653589793 * 730.0), 77, 12);
+}
+
+/// Faults, per-channel drift and a defect map placed by the chip's shape,
+/// for shapes the 16x16 golden set does not fit; both chips calibrated.
+void arm_shape(NeuroChip& chip, RefChip& ref) {
+  const NeuroChipConfig& cfg = ref.config;
+  const int n = cfg.rows * cfg.cols;
+  faults::SiteFaultSet set;
+  set.rows = cfg.rows;
+  set.cols = cfg.cols;
+  set.type.assign(static_cast<std::size_t>(n), faults::SiteFaultType::kNone);
+  set.value.assign(set.type.size(), 0.0);
+  set.type[1] = faults::SiteFaultType::kDead;
+  set.type[static_cast<std::size_t>(n / 3)] = faults::SiteFaultType::kStuck;
+  set.value[static_cast<std::size_t>(n / 3)] = -0.41;
+  set.type[static_cast<std::size_t>(n / 2)] =
+      faults::SiteFaultType::kRailedHigh;
+  set.type[static_cast<std::size_t>(n - 2)] =
+      faults::SiteFaultType::kRailedLow;
+  std::vector<double> drift;
+  for (int ch = 0; ch < chip.channels(); ++ch) {
+    drift.push_back(1.0 + (ch % 2 == 0 ? 0.011 : -0.007) * (ch + 1));
+  }
+  chip.inject_faults(set, drift);
+  ref.pixel_faults = set;
+  ref.has_pixel_faults = true;
+  ref.channel_drift = drift;
+  faults::DefectMap map(cfg.rows, cfg.cols);
+  map.mark(cfg.rows - 1, 0, faults::DefectType::kDead);
+  map.mark(cfg.rows / 2, cfg.cols / 2, faults::DefectType::kStuck);
+  chip.set_defect_map(map);
+  ref.defect_map = map;
+  chip.calibrate_all();
+  ref.calibrate_all();
+}
+
+TEST(NeuroGolden, UnevenLaneGroupsMatchObjectModelBitwise) {
+  // Phase 2 steps ceil(channels / threads) channels per work item as SIMD
+  // lanes. Channel counts that split unevenly — 3 (24x16, mux 8), 6
+  // (24x16, mux 4) and the fleet's 8x8 chip with one — at 1 to 4 threads,
+  // with faults, drift, a defect map, the sparse threshold and a
+  // recalibration crossing live, must match the per-pixel model bitwise.
+  struct Shape {
+    int rows;
+    int cols;
+    int mux;
+  };
+  const GoldenWave source(2.0 * 3.141592653589793 * 730.0);
+  for (const Shape& shape : {Shape{24, 16, 8}, Shape{24, 16, 4},
+                             Shape{8, 8, 8}}) {
+    NeuroChipConfig cfg = golden_config();
+    cfg.rows = shape.rows;
+    cfg.cols = shape.cols;
+    cfg.mux_factor = shape.mux;
+    cfg.quiescence_threshold = Voltage(0.6e-3);
+    const double period = (1.0 / cfg.frame_rate).value();
+    for (int threads : {1, 2, 3, 4}) {
+      SCOPED_TRACE(::testing::Message()
+                   << shape.rows << "x" << shape.cols << " mux " << shape.mux
+                   << ", " << threads << " threads");
+      set_max_threads(threads);
+      NeuroChip chip(cfg, Rng(31));
+      RefChip ref(cfg, Rng(31));
+      arm_shape(chip, ref);
+      for (int k = 0; k < 8; ++k) {
+        const NeuroFrame got = chip.capture_frame(source, k * period);
+        const NeuroFrame want = ref.capture_frame(source, k * period);
+        expect_frames_bitwise_equal(got, want, k);
+      }
+    }
+  }
+  set_max_threads(1);
+}
+
+TEST(NeuroGolden, AdcRoundingMatchesLround) {
+  // The lanes' ADC rounds with compares on doubles; it must give
+  // std::lround's code at every tie and at the 24-bit ADC's extremes.
+  for (const double x : {0.5, -0.5, 2.5, -2.5, 1.5, -1.5, 0.49999999999999994,
+                         -0.49999999999999994, 8388607.5, -8388607.5, 0.0,
+                         -0.0, 3.7, -3.7, 8388608.0, -8388608.0}) {
+    EXPECT_EQ(static_cast<long>(round_half_away(x)), std::lround(x)) << x;
+  }
 }
 
 TEST(NeuroGolden, SaveStateMatchesReferenceLayoutByteForByte) {

@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <span>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
+#include "neuro/spike_train.hpp"
 #include "neurochip/recording.hpp"
 
 namespace biosense::neurochip {
@@ -251,6 +256,153 @@ TEST(RecordingSession, GroundTruthAlignsWithRecordedSpikes) {
   }
   const double corr = num / std::sqrt(dt2 * dr2 + 1e-30);
   EXPECT_GT(corr, 0.8);
+}
+
+/// The per-pixel scan `RecordingSession::prepare` replaced: every pixel
+/// tests every neuron, and each covering neuron renders its own waveform.
+std::map<int, std::vector<double>> per_pixel_prepare(
+    const neuro::NeuronCulture& culture, const NeuroChip& chip, double t0,
+    int n_frames) {
+  const auto& cfg = chip.config();
+  const TimingBudget tb = chip.timing();
+  const double fs = cfg.frame_rate.value();
+  std::map<int, std::vector<double>> out;
+  std::vector<double> shifted;
+  std::vector<double> contrib;
+  for (int r = 0; r < cfg.rows; ++r) {
+    for (int c = 0; c < cfg.cols; ++c) {
+      const double x = ((c + 0.5) * cfg.pitch).value();
+      const double y = ((r + 0.5) * cfg.pitch).value();
+      std::vector<const neuro::PlacedNeuron*> cover;
+      for (const auto& n : culture.neurons()) {
+        if (culture.footprint_weight(n, x, y) > 0.01) cover.push_back(&n);
+      }
+      if (cover.empty()) continue;
+      std::vector<double> samples(static_cast<std::size_t>(n_frames), 0.0);
+      const double phase = t0 + c * tb.column_dwell;
+      for (const auto* n : cover) {
+        const double w = culture.footprint_weight(*n, x, y);
+        shifted.clear();
+        for (double ts : n->spike_times) shifted.push_back(ts - phase);
+        neuro::render_spike_waveform_into(
+            shifted, n->templ, culture.config().template_fs, fs,
+            static_cast<std::size_t>(n_frames), contrib);
+        for (std::size_t i = 0; i < contrib.size(); ++i) {
+          samples[i] += w * contrib[i];
+        }
+      }
+      out.emplace(r * cfg.cols + c, std::move(samples));
+    }
+  }
+  return out;
+}
+
+bool same_doubles(std::span<const double> a, std::span<const double> b) {
+  // memcmp must not see the null data() of an empty vector.
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(RecordingSession, PrepareMatchesPerPixelReference) {
+  // prepare walks each neuron over its footprint's bounding box and renders
+  // once per (neuron, column); it must reproduce the per-pixel scan bit for
+  // bit: the covered set, every ground-truth sample and what the source
+  // feeds the chip. The 32x32 chip sees a 250 um corner of the 1 mm
+  // culture, so many boxes are clipped at the array's edge. Three seeds of
+  // the default culture, then a dense, fast-firing one: floating-point
+  // sums only depend on their order from three terms on, so it takes
+  // pixels under three or more active neurons to pin the neuron order.
+  constexpr int kFrames = 20;
+  neuro::CultureConfig dense;
+  dense.n_neurons = 120;
+  dense.mean_rate_hz = 150.0;
+  for (const int n : {128, 32}) {
+    NeuroChipConfig chip_cfg = tiny_chip(n);
+    NeuroChip chip(chip_cfg, Rng(40));
+    const double fs = chip_cfg.frame_rate.value();
+    const double dwell = chip.timing().column_dwell;
+    for (const std::uint64_t seed : {11u, 12u, 13u, 14u}) {
+      const neuro::NeuronCulture culture(
+          seed == 14u ? dense : neuro::CultureConfig{}, Rng(seed));
+      RecordingSession session(culture, chip);
+      std::size_t covered = 0;
+      for (int w = 0; w < 10; ++w) {
+        const double t0 = w * 0.1;
+        SCOPED_TRACE(::testing::Message() << n << "x" << n << " seed " << seed
+                                          << " window " << w);
+        const auto want = per_pixel_prepare(culture, chip, t0, kFrames);
+        const SignalSource& source = session.prepare(t0, kFrames);
+        std::vector<int> want_keys;
+        for (const auto& [key, samples] : want) want_keys.push_back(key);
+        ASSERT_EQ(session.active_keys(), want_keys);
+        EXPECT_EQ(session.active_pixels(), want.size());
+        covered += want.size();
+        for (int r = 0; r < n; ++r) {
+          for (int c = 0; c < n; ++c) {
+            const auto it = want.find(r * n + c);
+            const std::vector<double> none;
+            EXPECT_TRUE(same_doubles(session.ground_truth(r, c),
+                                     it == want.end() ? none : it->second))
+                << "pixel " << r << "," << c;
+          }
+        }
+        std::vector<double> column(static_cast<std::size_t>(n));
+        for (int k = 0; k < kFrames; k += 7) {
+          for (int c = 0; c < n; ++c) {
+            const double t = t0 + k / fs + c * dwell;
+            source.eval_column(c, t, column);
+            for (int r = 0; r < n; ++r) {
+              const auto it = want.find(r * n + c);
+              const double v = it == want.end()
+                                   ? 0.0
+                                   : it->second[static_cast<std::size_t>(k)];
+              const auto ri = static_cast<std::size_t>(r);
+              EXPECT_TRUE(same_doubles({&column[ri], 1}, {&v, 1}))
+                  << "frame " << k << " pixel " << r << "," << c;
+            }
+          }
+        }
+      }
+      EXPECT_GT(covered, 0u);
+    }
+  }
+}
+
+TEST(RecordingSession, SourceIsSilentOutsideItsWindow) {
+  // A time before the prepared window reads 0 V, not frame 0 (a negative
+  // frame index must not be cast to std::size_t). Find a covered pixel
+  // whose first sample is non-zero, so a wrong frame would show.
+  neuro::CultureConfig culture_cfg;
+  culture_cfg.area_size = 16 * 7.8e-6;
+  culture_cfg.n_neurons = 3;
+  culture_cfg.duration = 0.25;
+  neuro::NeuronCulture culture(culture_cfg, Rng(21));
+  NeuroChip chip(tiny_chip(16), Rng(22));
+  RecordingSession session(culture, chip);
+  const double period = (1.0 / chip.config().frame_rate).value();
+  const double dwell = chip.timing().column_dwell;
+  for (int w = 0; w < 500; ++w) {
+    const double t0 = w * period;
+    const SignalSource& source = session.prepare(t0, 4);
+    for (const int key : session.active_keys()) {
+      const int r = key / 16;
+      const int c = key % 16;
+      const double first = session.ground_truth(r, c)[0];
+      if (first == 0.0) continue;
+      EXPECT_EQ(source.eval(r, c, t0 + c * dwell), first);
+      std::vector<double> column(16);
+      for (const double t : {t0 - period, t0 + c * dwell - period,
+                             t0 - 2.0 * period,
+                             t0 + 4.0 * period + c * dwell, 1e300}) {
+        EXPECT_EQ(source.eval(r, c, t), 0.0) << "t - t0 = " << t - t0;
+        source.eval_column(c, t, column);
+        for (const double v : column) EXPECT_EQ(v, 0.0);
+      }
+      return;
+    }
+  }
+  FAIL() << "no window starts inside a spike";
 }
 
 }  // namespace
