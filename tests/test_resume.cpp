@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <vector>
 
@@ -314,6 +315,54 @@ TEST(Resume, CorruptedSessionCheckpointIsTypedNeverUB) {
     const auto restored = restore_neuro(target, corrupt);
     ASSERT_FALSE(restored) << "corruption " << index << " survived";
     EXPECT_STRNE(snapshot::snapshot_error_name(restored.error()), "unknown");
+  }
+}
+
+TEST(Resume, CheckpointBytesArePinned) {
+  // A checkpoint is a file format: the bytes written for fixed sessions,
+  // with and without a fault-plan section, are pinned by digest and size,
+  // so any change to a section id, version or payload layout shows here.
+  set_max_threads(1);
+  faults::FaultPlanConfig plan_cfg;
+  plan_cfg.seed = 3;
+  faults::FaultPlan plan(plan_cfg);
+  (void)plan.next_file_corruption(128);
+
+  auto neuro = neuro_options(true).build_neuro();
+  (void)neuro.session->record(neurochip::ConstantSource(2e-4), 0.0, 3);
+  SessionCheckpointMeta neuro_meta;
+  neuro_meta.kind = ChipKind::kNeuro;
+  neuro_meta.frames_done = 3;
+  neuro_meta.t = 3 * neuro_period(neuro);
+
+  auto dna = dna_options().build_dna();
+  (void)dna_round(dna, kFnv1aOffset);
+  SessionCheckpointMeta dna_meta;
+  dna_meta.kind = ChipKind::kDna;
+  dna_meta.frames_done = 1;
+
+  struct Pinned {
+    const char* name;
+    std::vector<std::uint8_t> bytes;
+    std::uint64_t digest;
+    std::size_t size;
+  };
+  const Pinned pinned[] = {
+      {"neuro", checkpoint_neuro(neuro, neuro_meta),
+       0x6007491df9cd66e0ull, 5417},
+      {"neuro+faults", checkpoint_neuro(neuro, neuro_meta, &plan),
+       0x8a45e34ce57b7792ull, 5434},
+      {"dna", checkpoint_dna(dna, dna_meta), 0x191a27462729d6b4ull, 2617},
+      {"dna+faults", checkpoint_dna(dna, dna_meta, &plan),
+       0x43aecea233d0039full, 2634},
+  };
+  for (const Pinned& p : pinned) {
+    const std::uint64_t digest =
+        fnv1a(kFnv1aOffset, p.bytes.data(), p.bytes.size());
+    std::printf("%s: digest 0x%016llx bytes %zu\n", p.name,
+                static_cast<unsigned long long>(digest), p.bytes.size());
+    EXPECT_EQ(digest, p.digest) << p.name;
+    EXPECT_EQ(p.bytes.size(), p.size) << p.name;
   }
 }
 
