@@ -108,17 +108,12 @@ void GainBank::reset(const GainChain& shape, std::size_t lanes) {
   stages.assign(shape.stages.size(), Stage{});
   for (std::size_t k = 0; k < stages.size(); ++k) {
     const GainStage& from = shape.stages[k];
-    Stage& s = stages[k];
-    s.nominal_gain = from.params_.nominal_gain;
-    s.bandwidth_hz = from.params_.bandwidth_hz;
-    s.limit = from.limit();
-    s.gain.assign(lanes, 0.0);
-    s.offset.assign(lanes, 0.0);
-    s.corr_gain.assign(lanes, 0.0);
-    s.corr_offset.assign(lanes, 0.0);
-    s.cal_mask.assign(lanes, 0);
-    s.i_out.assign(lanes, 0.0);
+    stages[k] = {from.params_.nominal_gain, from.params_.bandwidth_hz,
+                 from.limit()};
   }
+  lanes_ = lanes;
+  planes_.assign(stages.size() * kFields * lanes, 0.0);
+  masks_.assign(stages.size() * lanes, 0);
 }
 
 void GainBank::set(std::size_t i, const GainChain& c) {
@@ -126,25 +121,28 @@ void GainBank::set(std::size_t i, const GainChain& c) {
           "GainBank: chain shape differs from the bank's");
   for (std::size_t k = 0; k < stages.size(); ++k) {
     const GainStage& from = c.stages[k];
-    Stage& s = stages[k];
-    s.gain[i] = from.actual_gain_;
-    s.offset[i] = from.offset_;
-    s.corr_gain[i] = from.corr_gain_;
-    s.corr_offset[i] = from.corr_offset_;
-    s.cal_mask[i] = from.calibrated_ ? ~std::uint64_t{0} : 0;
-    s.i_out[i] = from.i_out_;
+    plane(k, kGain)[i] = from.actual_gain_;
+    plane(k, kOffset)[i] = from.offset_;
+    plane(k, kCorrGain)[i] = from.corr_gain_;
+    plane(k, kCorrOffset)[i] = from.corr_offset_;
+    plane(k, kIOut)[i] = from.i_out_;
+    masks_[k * lanes_ + i] = from.calibrated_ ? ~std::uint64_t{0} : 0;
   }
 }
 
 void GainBank::calibrate(double i_ref, double residual) {
   double ref = i_ref;
-  for (Stage& s : stages) {
-    for (std::size_t i = 0; i < s.gain.size(); ++i) {
-      corrections(s.gain[i], s.offset[i], s.nominal_gain, ref, residual,
-                  s.corr_gain[i], s.corr_offset[i]);
-      s.cal_mask[i] = ~std::uint64_t{0};
+  for (std::size_t k = 0; k < stages.size(); ++k) {
+    const double* gain = plane(k, kGain);
+    const double* offset = plane(k, kOffset);
+    double* corr_gain = plane(k, kCorrGain);
+    double* corr_offset = plane(k, kCorrOffset);
+    for (std::size_t i = 0; i < lanes_; ++i) {
+      corrections(gain[i], offset[i], stages[k].nominal_gain, ref, residual,
+                  corr_gain[i], corr_offset[i]);
+      masks_[k * lanes_ + i] = ~std::uint64_t{0};
     }
-    ref *= s.nominal_gain;
+    ref *= stages[k].nominal_gain;
   }
 }
 

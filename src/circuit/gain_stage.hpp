@@ -175,19 +175,15 @@ struct GainChain {
 /// i, so a loop over lanes steps many chains at once through
 /// stage_update. The die constants are drawn by GainChain construction and
 /// copied in by set(), and a lane saves the bytes GainChain::save_state
-/// writes.
+/// writes. The planes are runs of one buffer and the calibration masks runs
+/// of a second.
 class GainBank {
  public:
+  /// The constants stage k applies to every lane.
   struct Stage {
     double nominal_gain = 1.0;
     double bandwidth_hz = 1.0;
-    double limit = 0.0;             // stage_update's clamp bound
-    Plane<double> gain;             // as-fabricated gain
-    Plane<double> offset;           // input-referred offset, A
-    Plane<double> corr_gain;        // calibration corrections
-    Plane<double> corr_offset;
-    Plane<std::uint64_t> cal_mask;  // all ones once calibrated
-    Plane<double> i_out;            // single-pole memory
+    double limit = 0.0;  // stage_update's clamp bound
   };
 
   /// Stage k of the lanes from `first` on, as a lane loop steps them: the
@@ -226,21 +222,24 @@ class GainBank {
 
   StageLanes lanes(std::size_t k, std::size_t first, double* i_out,
                    double a) const {
-    const Stage& s = stages[k];
-    return {s.gain.data() + first,        s.offset.data() + first,
-            s.corr_gain.data() + first,   s.corr_offset.data() + first,
-            s.cal_mask.data() + first,    i_out,
-            s.limit,                      a};
+    return {plane(k, kGain) + first,     plane(k, kOffset) + first,
+            plane(k, kCorrGain) + first, plane(k, kCorrOffset) + first,
+            &masks_[k * lanes_ + first], i_out,
+            stages[k].limit,             a};
   }
+
+  /// Stage k's single-pole memories, one per lane.
+  double* i_out(std::size_t k) { return plane(k, kIOut); }
 
   /// Lane i in GainChain::save_state's layout.
   void save_state(snapshot::StateWriter& w, std::size_t i) const {
     w.u32(static_cast<std::uint32_t>(stages.size()));
-    for (const Stage& s : stages) {
-      w.f64(s.corr_gain[i]);
-      w.f64(s.corr_offset[i]);
-      w.b(s.cal_mask[i] != 0);
-      w.f64(s.i_out[i]);
+    for (std::size_t k = 0; k < stages.size(); ++k) {
+      const double* lane = planes_.data() + k * kFields * lanes_ + i;
+      w.f64(lane[kCorrGain * lanes_]);
+      w.f64(lane[kCorrOffset * lanes_]);
+      w.b(masks_[k * lanes_ + i] != 0);
+      w.f64(lane[kIOut * lanes_]);
     }
   }
   void load_state(snapshot::StateReader& r, std::size_t i) {
@@ -248,15 +247,33 @@ class GainBank {
       r.fail();
       return;
     }
-    for (Stage& s : stages) {
-      s.corr_gain[i] = r.f64();
-      s.corr_offset[i] = r.f64();
-      s.cal_mask[i] = r.b() ? ~std::uint64_t{0} : 0;
-      s.i_out[i] = r.f64();
+    for (std::size_t k = 0; k < stages.size(); ++k) {
+      double* lane = planes_.data() + k * kFields * lanes_ + i;
+      lane[kCorrGain * lanes_] = r.f64();
+      lane[kCorrOffset * lanes_] = r.f64();
+      masks_[k * lanes_ + i] = r.b() ? ~std::uint64_t{0} : 0;
+      lane[kIOut * lanes_] = r.f64();
     }
   }
 
   std::vector<Stage> stages;
+
+ private:
+  /// A stage's planes in buffer order: as-fabricated gain and offset (A),
+  /// the two calibration corrections, the single-pole memory.
+  enum Field : std::size_t {
+    kGain, kOffset, kCorrGain, kCorrOffset, kIOut, kFields
+  };
+  double* plane(std::size_t k, Field f) {
+    return planes_.data() + (k * kFields + f) * lanes_;
+  }
+  const double* plane(std::size_t k, Field f) const {
+    return planes_.data() + (k * kFields + f) * lanes_;
+  }
+
+  std::size_t lanes_ = 0;
+  Plane<double> planes_;        // [stage][Field][lane]
+  Plane<std::uint64_t> masks_;  // [stage][lane]: all ones once calibrated
 };
 
 }  // namespace biosense::circuit

@@ -21,6 +21,30 @@ WireStats& WireStats::operator+=(const WireStats& o) {
   return *this;
 }
 
+void WireStats::save_state(snapshot::StateWriter& w) const {
+  w.u64(frames);
+  w.u64(words);
+  w.u64(bits);
+  w.u64(attempts);
+  w.u64(retries);
+  w.u64(recovered_words);
+  w.u64(lost_words);
+  w.u64(incomplete_frames);
+  w.f64(backoff_s);
+}
+
+void WireStats::load_state(snapshot::StateReader& r) {
+  frames = r.u64();
+  words = r.u64();
+  bits = r.u64();
+  attempts = r.u64();
+  retries = r.u64();
+  recovered_words = r.u64();
+  lost_words = r.u64();
+  incomplete_frames = r.u64();
+  backoff_s = r.f64();
+}
+
 void FrameCodec::encode(const neurochip::NeuroFrame& frame, std::uint16_t seq,
                         std::vector<std::uint16_t>& words) const {
   // Sized once and written by index: at a steady geometry the resize is a

@@ -15,6 +15,7 @@
 #include "dnachip/serial.hpp"
 #include "faults/fault_plan.hpp"
 #include "neurochip/array.hpp"
+#include "snapshot/state_io.hpp"
 
 namespace biosense::core {
 
@@ -31,6 +32,11 @@ struct WireStats {
   double backoff_s = 0.0;              // cumulative simulated backoff
 
   WireStats& operator+=(const WireStats& o);
+
+  /// Every total, in declaration order (a fleet checkpoint carries a
+  /// session's running sum in its counters section).
+  void save_state(snapshot::StateWriter& w) const;
+  void load_state(snapshot::StateReader& r);
 };
 
 /// Serializes a `NeuroFrame` to 16-bit words and back. The host transmits

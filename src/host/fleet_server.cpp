@@ -2,16 +2,19 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <optional>
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
 #include "common/stream.hpp"
+#include "core/session_snapshot.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "obs/wire.hpp"
 #include "snapshot/atomic_file.hpp"
 #include "snapshot/format.hpp"
+#include "snapshot/sections.hpp"
 #include "snapshot/state_io.hpp"
 
 namespace biosense::host {
@@ -56,28 +59,11 @@ faults::FaultPlanConfig fault_preset(std::uint8_t preset,
   return plan;
 }
 
-/// Fleet session checkpoint section registry (DESIGN.md §13.2). Distinct
-/// from the core session registry — a fleet checkpoint also carries the
-/// create parameters (so a fresh server can rebuild the session), the
-/// bounded record ring and the idempotency replay cache.
-inline constexpr std::uint16_t kSecMeta = 0x0001;      // create params
-inline constexpr std::uint16_t kSecCounters = 0x0002;  // progress + wire totals
-inline constexpr std::uint16_t kSecChip = 0x0003;      // chip evolving state
-inline constexpr std::uint16_t kSecDriver = 0x0004;    // ChipSession / HostInterface
-inline constexpr std::uint16_t kSecRing = 0x0005;      // undelivered records
-inline constexpr std::uint16_t kSecReplay = 0x0006;    // replay cache
-inline constexpr std::uint16_t kSecFlight = 0x0007;    // flight-recorder ring
+namespace section_id = snapshot::section_id;
 
-/// The one schema version this reader knows for each section: the chip's
-/// own layout for the chip section, 2 for the counters (version 1 still
-/// carried the fleet's own neural link stream), 1 for the others.
-std::uint16_t section_version(std::uint16_t section_id, core::ChipKind kind) {
-  if (section_id == kSecChip) {
-    return kind == core::ChipKind::kNeuro ? neurochip::kChipStateVersion
-                                          : dnachip::kChipStateVersion;
-  }
-  return section_id == kSecCounters ? 2 : 1;
-}
+/// Version 3 of the counters section: progress and the neural clock moved
+/// to the core meta section (version 2 still carried them).
+inline constexpr std::uint16_t kCountersVersion = 3;
 
 std::string checkpoint_name(std::uint32_t id) {
   return "s" + std::to_string(id);
@@ -93,15 +79,9 @@ struct FleetServer::Session {
 
   std::uint32_t id = 0;
   core::ChipKind kind = core::ChipKind::kNeuro;
-  std::size_t pool_frames = 0;  // committed against the fleet budget
-
   // Create parameters, kept verbatim so a checkpoint can carry them and a
   // restore can rebuild the identical frozen die state by construction.
-  std::uint16_t rows = 0;
-  std::uint16_t cols = 0;
-  std::uint64_t seed = 0;
-  std::uint16_t ring_depth = 0;
-  std::uint8_t preset = 0;
+  CreateParams params;
 
   // Replay cache: the last successfully applied mutating command. A retry
   // (same seq + command id) returns the cached response instead of
@@ -156,6 +136,16 @@ struct FleetServer::Session {
   // DNA data path.
   core::DnaSession dna{};
   int site_index = 0;
+
+  // Link retry effort: the neural wire's totals or the DNA interface's.
+  std::uint64_t retries() const {
+    return kind == core::ChipKind::kNeuro ? wire_totals.retries
+                                          : dna.host->stats().retries;
+  }
+  double backoff_s() const {
+    return kind == core::ChipKind::kNeuro ? wire_totals.backoff_s
+                                          : dna.host->stats().backoff_s;
+  }
 
   // Telemetry: post-mortem event ring + health outcome counters.
   // `flight` is null when FleetLimits::flight_events is 0; the outcome
@@ -272,58 +262,51 @@ std::shared_ptr<FleetServer::Session> FleetServer::find_session(
 }
 
 std::shared_ptr<FleetServer::Session> FleetServer::build_session(
-    std::uint32_t id, std::uint8_t kind_raw, std::uint16_t rows,
-    std::uint16_t cols, std::uint64_t seed, std::uint16_t pool_frames,
-    std::uint16_t ring_depth, std::uint8_t preset, HostStatus& status) {
+    const CreateParams& p, HostStatus& status) {
   status = HostStatus::kBadPayload;
-  if (id == kServerFlightScope) return nullptr;  // reserved for the server ring
-  if (kind_raw > 1 || preset > 3) return nullptr;
-  if (rows < 1 || rows > 512 || cols < 1 || cols > 512 ||
-      static_cast<std::uint32_t>(rows) * cols > 16384) {
+  if (p.id == kServerFlightScope) return nullptr;  // the server ring's id
+  if (p.kind > 1 || p.preset > 3) return nullptr;
+  if (p.rows < 1 || p.rows > 512 || p.cols < 1 || p.cols > 512 ||
+      static_cast<std::uint32_t>(p.rows) * p.cols > 16384) {
     return nullptr;
   }
-  if (pool_frames < 1 || pool_frames > 64 || ring_depth < 1 ||
-      ring_depth > 1024) {
+  if (p.pool_frames < 1 || p.pool_frames > 64 || p.ring_depth < 1 ||
+      p.ring_depth > 1024) {
     return nullptr;
   }
   const auto kind =
-      kind_raw == 0 ? core::ChipKind::kNeuro : core::ChipKind::kDna;
+      p.kind == 0 ? core::ChipKind::kNeuro : core::ChipKind::kDna;
   // The neural chip's 8:1 output multiplexers need whole mux groups.
-  if (kind == core::ChipKind::kNeuro && rows % 8 != 0) return nullptr;
+  if (kind == core::ChipKind::kNeuro && p.rows % 8 != 0) return nullptr;
 
   // Build through the audited construction surface. Create/restore is
   // control plane: allocations and calibration sweeps are expected here,
   // never in the poll path.
   auto session = std::make_shared<Session>();
-  session->id = id;
+  session->id = p.id;
   session->kind = kind;
-  session->pool_frames = pool_frames;
-  session->rows = rows;
-  session->cols = cols;
-  session->seed = seed;
-  session->ring_depth = ring_depth;
-  session->preset = preset;
+  session->params = p;
   const std::string label =
       limits_.obs_prefix.empty()
           ? std::string{}
-          : limits_.obs_prefix + ".s" + std::to_string(id);
+          : limits_.obs_prefix + ".s" + std::to_string(p.id);
   core::SessionOptions opts;
   opts.kind(kind)
-      .rows(rows)
-      .cols(cols)
-      .chip_seed(seed)
-      .link_seed(seed ^ (kind == core::ChipKind::kNeuro ? 0x11aabbULL
-                                                         : 0x5eedULL))
-      .pool_frames(pool_frames)
+      .rows(p.rows)
+      .cols(p.cols)
+      .chip_seed(p.seed)
+      .link_seed(p.seed ^ (kind == core::ChipKind::kNeuro ? 0x11aabbULL
+                                                           : 0x5eedULL))
+      .pool_frames(p.pool_frames)
       .label(label);
-  if (preset != 0) opts.fault_plan(fault_preset(preset, seed));
+  if (p.preset != 0) opts.fault_plan(fault_preset(p.preset, p.seed));
 
   try {
     if (kind == core::ChipKind::kNeuro) {
       session->neuro = opts.build_neuro();
       session->period =
           (1.0 / session->neuro.chip->config().frame_rate).value();
-      session->stimulus_v = 1e-4 * static_cast<double>(id % 7 + 1);
+      session->stimulus_v = 1e-4 * static_cast<double>(p.id % 7 + 1);
     } else {
       session->dna = opts.build_dna();
     }
@@ -333,7 +316,7 @@ std::shared_ptr<FleetServer::Session> FleetServer::build_session(
     return nullptr;
   }
   session->ring = std::make_unique<Channel<Record>>(
-      ring_depth, label.empty() ? std::string{} : label + ".ring");
+      p.ring_depth, label.empty() ? std::string{} : label + ".ring");
   if (limits_.flight_events > 0) {
     session->flight =
         std::make_unique<obs::FlightRecorder>(limits_.flight_events);
@@ -372,14 +355,9 @@ HostStatus FleetServer::cmd_create(const CommandContext& ctx,
                                    SessionClaim& claim) {
   const auto& req = *ctx.request;
   snapshot::StateReader r(req.payload, req.payload_len);
-  const std::uint32_t id = r.u32();
-  const std::uint8_t kind_raw = r.u8();
-  const std::uint16_t rows = r.u16();
-  const std::uint16_t cols = r.u16();
-  const std::uint64_t seed = r.u64();
-  const std::uint16_t pool_frames = r.u16();
-  const std::uint16_t ring_depth = r.u16();
-  const std::uint8_t preset = r.u8();
+  CreateParams params;
+  params.load_state(r);
+  const std::uint32_t id = params.id;
   if (!r.exhausted()) {
     // Malformed, but still addressed to (and counted against) a live id.
     claim.hold(find_session(id));
@@ -393,19 +371,16 @@ HostStatus FleetServer::cmd_create(const CommandContext& ctx,
     if (auto hit = s.replay(ctx, HostCommand::kCreateSession)) return *hit;
     return HostStatus::kDuplicateSession;
   }
-  if (sessions_.size() >= limits_.max_sessions) {
-    return HostStatus::kSessionLimit;
-  }
-  if (committed_frames_ + pool_frames > limits_.frame_budget) {
+  if (sessions_.size() >= limits_.max_sessions ||
+      committed_frames_ + params.pool_frames > limits_.frame_budget) {
     return HostStatus::kSessionLimit;
   }
 
   HostStatus build_status = HostStatus::kOk;
-  auto session = build_session(id, kind_raw, rows, cols, seed, pool_frames,
-                               ring_depth, preset, build_status);
+  auto session = build_session(params, build_status);
   if (!session) return build_status;
 
-  committed_frames_ += pool_frames;
+  committed_frames_ += params.pool_frames;
   tombstones_.erase(id);
   sessions_.emplace(id, session);
   BIOSENSE_COUNT("fleet.sessions_created", 1);
@@ -413,10 +388,10 @@ HostStatus FleetServer::cmd_create(const CommandContext& ctx,
   BIOSENSE_GAUGE("fleet.committed_frames", committed_frames_);
   if (session->flight) {
     BIOSENSE_FLIGHT_TO("fleet.session_created", *session->flight, id,
-                       kind_raw, preset);
+                       params.kind, params.preset);
   }
-  BIOSENSE_FLIGHT_TO("fleet.session_created", server_flight_, id, kind_raw,
-                     preset);
+  BIOSENSE_FLIGHT_TO("fleet.session_created", server_flight_, id,
+                     params.kind, params.preset);
 
   ctx.response->u32(id);
   Session& s = *claim.hold(std::move(session));
@@ -604,14 +579,8 @@ HostStatus FleetServer::cmd_drain(const CommandContext& ctx,
   w.u32(s.frames_produced);
   w.u64(s.digest);
   w.u64(s.wire_totals.lost_words);
-  w.u64(s.kind == core::ChipKind::kNeuro ? s.wire_totals.retries
-                                         : s.dna.host->stats().retries);
-  const double backoff = s.kind == core::ChipKind::kNeuro
-                             ? s.wire_totals.backoff_s
-                             : s.dna.host->stats().backoff_s;
-  std::uint64_t backoff_bits = 0;
-  std::memcpy(&backoff_bits, &backoff, sizeof(backoff_bits));
-  w.u64(backoff_bits);
+  w.u64(s.retries());
+  w.f64(s.backoff_s());
 
   s.remember(ctx, HostCommand::kDrainSession);
   return HostStatus::kOk;
@@ -632,7 +601,7 @@ HostStatus FleetServer::cmd_destroy(const CommandContext& ctx, SessionClaim&) {
                                  : HostStatus::kNoSuchSession;
   }
   const std::shared_ptr<Session> going = it->second;
-  committed_frames_ -= going->pool_frames;
+  committed_frames_ -= going->params.pool_frames;
   sessions_.erase(it);
   tombstones_.emplace(id, true);
   BIOSENSE_COUNT("fleet.sessions_destroyed", 1);
@@ -668,8 +637,7 @@ HostStatus FleetServer::cmd_query(const CommandContext& ctx,
   w.u64(ring_stats.pops);
   w.u64(ring_stats.push_stalls);
   w.u64(s.wire_totals.lost_words);
-  w.u64(s.kind == core::ChipKind::kNeuro ? s.wire_totals.retries
-                                         : s.dna.host->stats().retries);
+  w.u64(s.retries());
   w.u64(s.wire_errors);
   return HostStatus::kOk;
 }
@@ -678,89 +646,49 @@ HostStatus FleetServer::cmd_query(const CommandContext& ctx,
 
 std::vector<std::uint8_t> FleetServer::save_session(const Session& s) const {
   snapshot::SnapshotBuilder builder;
-  {
-    std::vector<std::uint8_t> payload;
-    snapshot::StateWriter w(payload);
-    w.u32(s.id);
-    w.u8(s.kind == core::ChipKind::kNeuro ? 0 : 1);
-    w.u16(s.rows);
-    w.u16(s.cols);
-    w.u64(s.seed);
-    w.u16(static_cast<std::uint16_t>(s.pool_frames));
-    w.u16(s.ring_depth);
-    w.u8(s.preset);
-    builder.add_section(kSecMeta, 1, payload);
+  snapshot::write_section(
+      builder, section_id::kParams, 1,
+      [&s](snapshot::StateWriter& w) { s.params.save_state(w); });
+  // Meta, chip and driver: the core session sections, written by the one
+  // code path every checkpoint shares.
+  const core::SessionCheckpointMeta meta{s.kind, s.frames_produced, s.t};
+  if (s.kind == core::ChipKind::kNeuro) {
+    core::write_session(builder, s.neuro, meta);
+  } else {
+    core::write_session(builder, s.dna, meta);
   }
-  {
-    std::vector<std::uint8_t> payload;
-    snapshot::StateWriter w(payload);
-    w.u32(s.pending);
-    w.u32(s.frames_produced);
-    w.u64(s.records_polled);
-    w.u64(s.digest);
-    w.u64(s.wire_errors);
-    w.u16(s.gate_code);
-    w.f64(s.stimulus_v);
-    w.i32(s.site_index);
-    w.f64(s.t);
-    w.u64(s.wire_totals.frames);
-    w.u64(s.wire_totals.words);
-    w.u64(s.wire_totals.bits);
-    w.u64(s.wire_totals.attempts);
-    w.u64(s.wire_totals.retries);
-    w.u64(s.wire_totals.recovered_words);
-    w.u64(s.wire_totals.lost_words);
-    w.u64(s.wire_totals.incomplete_frames);
-    w.f64(s.wire_totals.backoff_s);
-    builder.add_section(kSecCounters, section_version(kSecCounters, s.kind),
-                        payload);
-  }
-  {
-    std::vector<std::uint8_t> payload;
-    snapshot::StateWriter w(payload);
-    if (s.kind == core::ChipKind::kNeuro) {
-      s.neuro.chip->save_state(w);
-    } else {
-      s.dna.chip->save_state(w);
-    }
-    builder.add_section(kSecChip, section_version(kSecChip, s.kind), payload);
-  }
-  {
-    std::vector<std::uint8_t> payload;
-    snapshot::StateWriter w(payload);
-    if (s.kind == core::ChipKind::kNeuro) {
-      s.neuro.session->save_state(w);
-    } else {
-      s.dna.host->save_state(w);
-    }
-    builder.add_section(kSecDriver, 1, payload);
-  }
-  {
-    std::vector<std::uint8_t> payload;
-    snapshot::StateWriter w(payload);
-    s.ring->save_state(w, [](snapshot::StateWriter& sw, const Record& rec) {
-      sw.u32(rec.index);
-      sw.u64(rec.payload);
-    });
-    builder.add_section(kSecRing, 1, payload);
-  }
-  {
-    std::vector<std::uint8_t> payload;
-    snapshot::StateWriter w(payload);
-    w.b(s.has_replay);
-    w.u16(s.replay_seq);
-    w.u16(static_cast<std::uint16_t>(s.replay_command));
-    w.u16(static_cast<std::uint16_t>(s.replay_status));
-    w.bytes(s.replay_payload);
-    builder.add_section(kSecReplay, 1, payload);
-  }
+  snapshot::write_section(builder, section_id::kCounters, kCountersVersion,
+                          [&s](snapshot::StateWriter& w) {
+                            w.u32(s.pending);
+                            w.u64(s.records_polled);
+                            w.u64(s.digest);
+                            w.u64(s.wire_errors);
+                            w.u16(s.gate_code);
+                            w.f64(s.stimulus_v);
+                            w.i32(s.site_index);
+                            s.wire_totals.save_state(w);
+                          });
+  snapshot::write_section(
+      builder, section_id::kRing, 1, [&s](snapshot::StateWriter& w) {
+        s.ring->save_state(w, [](snapshot::StateWriter& sw, const Record& rec) {
+          sw.u32(rec.index);
+          sw.u64(rec.payload);
+        });
+      });
+  snapshot::write_section(builder, section_id::kReplay, 1,
+                          [&s](snapshot::StateWriter& w) {
+                            w.b(s.has_replay);
+                            w.u16(s.replay_seq);
+                            w.u16(static_cast<std::uint16_t>(s.replay_command));
+                            w.u16(static_cast<std::uint16_t>(s.replay_status));
+                            w.bytes(s.replay_payload);
+                          });
   if (s.flight && s.flight->enabled()) {
     // Optional section: a telemetry-off restore of a telemetry-on
-    // checkpoint simply skips it (unknown sections are skipped anyway).
-    std::vector<std::uint8_t> payload;
-    snapshot::StateWriter w(payload);
-    s.flight->save_state(w);
-    builder.add_section(kSecFlight, 1, payload);
+    // checkpoint simply skips it.
+    snapshot::write_section(
+        builder, section_id::kFlight, 1,
+        [&s](snapshot::StateWriter& w) { s.flight->save_state(w); });
   }
   return builder.finish();
 }
@@ -852,19 +780,12 @@ HostStatus FleetServer::cmd_restore(const CommandContext& ctx,
   const auto view = snapshot::SnapshotView::parse(bytes);
   if (!view) return refuse(HostStatus::kFault);
 
-  // Meta: the create parameters the frozen die state is rebuilt from.
-  const auto meta = view->section(kSecMeta, 1);
-  if (!meta) return refuse(HostStatus::kFault);
-  snapshot::StateReader mr(meta->payload, meta->size);
-  const std::uint32_t saved_id = mr.u32();
-  const std::uint8_t kind_raw = mr.u8();
-  const std::uint16_t rows = mr.u16();
-  const std::uint16_t cols = mr.u16();
-  const std::uint64_t seed = mr.u64();
-  const std::uint16_t pool_frames = mr.u16();
-  const std::uint16_t ring_depth = mr.u16();
-  const std::uint8_t preset = mr.u8();
-  if (!mr.exhausted() || saved_id != id) return refuse(HostStatus::kFault);
+  // Params: the create parameters the frozen die state is rebuilt from.
+  CreateParams params;
+  const auto params_loaded = snapshot::load_section(
+      *view, section_id::kParams, 1,
+      [&params](snapshot::StateReader& pr) { params.load_state(pr); });
+  if (!params_loaded || params.id != id) return refuse(HostStatus::kFault);
 
   std::unique_lock lock(registry_mutex_);
   if (const auto it = sessions_.find(id); it != sessions_.end()) {
@@ -875,99 +796,84 @@ HostStatus FleetServer::cmd_restore(const CommandContext& ctx,
     }
     return HostStatus::kBadState;
   }
-  if (sessions_.size() >= limits_.max_sessions) {
-    return HostStatus::kSessionLimit;
-  }
-  if (committed_frames_ + pool_frames > limits_.frame_budget) {
+  if (sessions_.size() >= limits_.max_sessions ||
+      committed_frames_ + params.pool_frames > limits_.frame_budget) {
     return HostStatus::kSessionLimit;
   }
 
   HostStatus build_status = HostStatus::kOk;
-  auto session = build_session(id, kind_raw, rows, cols, seed, pool_frames,
-                               ring_depth, preset, build_status);
+  auto session = build_session(params, build_status);
   // Parameters straight out of a CRC-valid checkpoint failing construction
   // means the checkpoint lies about itself — typed fault, not a crash.
   if (!session) return HostStatus::kFault;
   Session& s = *session;
 
-  // Every section is checked against the one schema version this reader
-  // knows (`section_version`) before a byte of it is parsed.
-  const auto load = [&view, &s](std::uint16_t section_id, auto&& fn) {
-    const auto section =
-        view->section(section_id, section_version(section_id, s.kind));
-    if (!section) return false;
-    snapshot::StateReader sr(section->payload, section->size);
-    fn(sr);
-    return sr.exhausted();
-  };
-
-  const bool counters_ok = load(kSecCounters, [&s](snapshot::StateReader& sr) {
-    s.pending = sr.u32();
-    s.frames_produced = sr.u32();
-    s.records_polled = sr.u64();
-    s.digest = sr.u64();
-    s.wire_errors = sr.u64();
-    s.gate_code = sr.u16();
-    s.stimulus_v = sr.f64();
-    s.site_index = sr.i32();
-    s.t = sr.f64();
-    s.wire_totals.frames = sr.u64();
-    s.wire_totals.words = sr.u64();
-    s.wire_totals.bits = sr.u64();
-    s.wire_totals.attempts = sr.u64();
-    s.wire_totals.retries = sr.u64();
-    s.wire_totals.recovered_words = sr.u64();
-    s.wire_totals.lost_words = sr.u64();
-    s.wire_totals.incomplete_frames = sr.u64();
-    s.wire_totals.backoff_s = sr.f64();
-  });
-  const bool chip_ok = load(kSecChip, [&s](snapshot::StateReader& sr) {
-    if (s.kind == core::ChipKind::kNeuro) {
-      s.neuro.chip->load_state(sr);
-    } else {
-      s.dna.chip->load_state(sr);
-    }
-  });
-  const bool driver_ok = load(kSecDriver, [&s](snapshot::StateReader& sr) {
-    if (s.kind == core::ChipKind::kNeuro) {
-      s.neuro.session->load_state(sr);
-    } else {
-      s.dna.host->load_state(sr);
-    }
-  });
-  const bool ring_ok = load(kSecRing, [&s](snapshot::StateReader& sr) {
-    s.ring->load_state(sr, [](snapshot::StateReader& ir) {
-      Record rec;
-      rec.index = ir.u32();
-      rec.payload = ir.u64();
-      return rec;
-    });
-  });
-  const bool replay_ok = load(kSecReplay, [&s](snapshot::StateReader& sr) {
-    s.has_replay = sr.b();
-    s.replay_seq = sr.u16();
-    s.replay_command = static_cast<HostCommand>(sr.u16());
-    s.replay_status = static_cast<HostStatus>(sr.u16());
-    sr.bytes(s.replay_payload, kMaxPayload);
-  });
-  // Flight history is optional (the checkpoint may predate telemetry or
-  // come from a telemetry-off server) but must parse cleanly when present
-  // and the restoring server has a recorder to receive it.
-  bool flight_ok = true;
-  if (s.flight && view->find(kSecFlight) != nullptr) {
-    flight_ok = load(kSecFlight, [&s](snapshot::StateReader& sr) {
-      s.flight->load_state(sr);
-    });
+  // Meta, chip and driver load through the shared reader, which checks the
+  // meta fingerprint against the kind and shape just built from the params
+  // before any state loads; the fleet's own sections follow.
+  const auto meta = s.kind == core::ChipKind::kNeuro
+                        ? core::read_session(*view, s.neuro)
+                        : core::read_session(*view, s.dna);
+  if (!meta ||
+      meta->frames_done > std::numeric_limits<std::uint32_t>::max()) {
+    return HostStatus::kFault;
   }
-  if (!counters_ok || !chip_ok || !driver_ok || !ring_ok || !replay_ok ||
-      !flight_ok || s.site_index < 0 ||
-      (s.kind == core::ChipKind::kDna &&
-       s.site_index >= s.dna.chip->sites())) {
+  s.frames_produced = static_cast<std::uint32_t>(meta->frames_done);
+  s.t = meta->t;
+  const auto counters = snapshot::load_section(
+      *view, section_id::kCounters, kCountersVersion,
+      [&s](snapshot::StateReader& sr) {
+        s.pending = sr.u32();
+        s.records_polled = sr.u64();
+        s.digest = sr.u64();
+        s.wire_errors = sr.u64();
+        s.gate_code = sr.u16();
+        s.stimulus_v = sr.f64();
+        s.site_index = sr.i32();
+        s.wire_totals.load_state(sr);
+      });
+  const auto ring = snapshot::load_section(
+      *view, section_id::kRing, 1, [&s](snapshot::StateReader& sr) {
+        s.ring->load_state(sr, [](snapshot::StateReader& ir) {
+          Record rec;
+          rec.index = ir.u32();
+          rec.payload = ir.u64();
+          return rec;
+        });
+      });
+  const auto replay = snapshot::load_section(
+      *view, section_id::kReplay, 1, [&s](snapshot::StateReader& sr) {
+        s.has_replay = sr.b();
+        s.replay_seq = sr.u16();
+        s.replay_command = static_cast<HostCommand>(sr.u16());
+        s.replay_status = static_cast<HostStatus>(sr.u16());
+        sr.bytes(s.replay_payload, kMaxPayload);
+      });
+  // Flight history is optional (the producer may have run telemetry off)
+  // but must parse cleanly when present and this server has a recorder to
+  // receive it.
+  const auto flight =
+      s.flight ? snapshot::load_optional_section(
+                     *view, section_id::kFlight, 1,
+                     [&s](snapshot::StateReader& sr) {
+                       s.flight->load_state(sr);
+                     })
+               : Result<void, snapshot::SnapshotError>::ok();
+  // A CRC-valid checkpoint may still hold values no live session can: a
+  // gate code or probe amplitude configure refuses (the comparisons are
+  // false for NaN), a site outside the array.
+  const bool in_range =
+      s.gate_code <= 15 && s.stimulus_v >= 0.0 && s.stimulus_v <= 1.0 &&
+      s.site_index >= 0 &&
+      (s.kind != core::ChipKind::kDna || s.site_index < s.dna.chip->sites());
+  if (!counters || !ring || !replay || !flight || !in_range) {
     // The discarded session never entered the registry — no cleanup.
     return HostStatus::kFault;
   }
+  // A backlog above the cap start enforces is refused as admission.
+  if (s.pending > limits_.max_pending) return HostStatus::kSessionLimit;
 
-  committed_frames_ += pool_frames;
+  committed_frames_ += params.pool_frames;
   tombstones_.erase(id);
   sessions_.emplace(id, session);
   BIOSENSE_COUNT("fleet.sessions_restored", 1);
@@ -1016,14 +922,6 @@ HostStatus FleetServer::cmd_session_health(const CommandContext& ctx,
   // link quality and outcome tracking in a single fixed-shape response.
   // Allocation-free on the server side — monitors may poll it hot.
   const auto ring_stats = s.ring->stats();
-  const std::uint64_t retries = s.kind == core::ChipKind::kNeuro
-                                    ? s.wire_totals.retries
-                                    : s.dna.host->stats().retries;
-  const double backoff = s.kind == core::ChipKind::kNeuro
-                             ? s.wire_totals.backoff_s
-                             : s.dna.host->stats().backoff_s;
-  std::uint64_t backoff_bits = 0;
-  std::memcpy(&backoff_bits, &backoff, sizeof(backoff_bits));
 
   auto& w = *ctx.response;
   w.u8(static_cast<std::uint8_t>(s.kind));
@@ -1033,16 +931,16 @@ HostStatus FleetServer::cmd_session_health(const CommandContext& ctx,
   w.u32(s.frames_produced);
   w.u16(static_cast<std::uint16_t>(s.ring->size()));
   w.u16(static_cast<std::uint16_t>(s.ring->capacity()));
-  w.u16(static_cast<std::uint16_t>(s.pool_frames));
+  w.u16(s.params.pool_frames);
   w.u64(s.records_polled);
   w.u64(s.commands_handled);
-  w.u64(retries);
+  w.u64(s.retries());
   w.u64(s.wire_totals.lost_words);
   w.u64(s.wire_errors);
   w.u64(ring_stats.push_stalls);
   w.u64(s.flight ? s.flight->recorded() : 0);
   w.u64(s.flight ? s.flight->dropped() : 0);
-  w.u64(backoff_bits);
+  w.f64(s.backoff_s());
   return HostStatus::kOk;
 }
 

@@ -44,6 +44,7 @@
 #include "host/protocol.hpp"
 #include "neurochip/signal_source.hpp"
 #include "obs/flight.hpp"
+#include "snapshot/state_io.hpp"
 
 namespace biosense::host {
 
@@ -111,6 +112,40 @@ class FleetServer {
   struct Session;
   struct SessionClaim;
 
+  /// A create command's payload, repeated as a checkpoint's params section
+  /// so a restore rebuilds the same session by construction.
+  struct CreateParams {
+    std::uint32_t id = 0;
+    std::uint8_t kind = 0;  // core::ChipKind's value
+    std::uint16_t rows = 0;
+    std::uint16_t cols = 0;
+    std::uint64_t seed = 0;
+    std::uint16_t pool_frames = 0;
+    std::uint16_t ring_depth = 0;
+    std::uint8_t preset = 0;
+
+    void save_state(snapshot::StateWriter& w) const {
+      w.u32(id);
+      w.u8(kind);
+      w.u16(rows);
+      w.u16(cols);
+      w.u64(seed);
+      w.u16(pool_frames);
+      w.u16(ring_depth);
+      w.u8(preset);
+    }
+    void load_state(snapshot::StateReader& r) {
+      id = r.u32();
+      kind = r.u8();
+      rows = r.u16();
+      cols = r.u16();
+      seed = r.u64();
+      pool_frames = r.u16();
+      ring_depth = r.u16();
+      preset = r.u8();
+    }
+  };
+
   void register_handlers();
 
   // Every handler gets a claim; only session-scoped ones fill it.
@@ -145,18 +180,12 @@ class FleetServer {
   /// Constructs a session through the audited `core::SessionOptions`
   /// surface (shared by create and restore). Returns nullptr and sets
   /// `status` on invalid parameters.
-  std::shared_ptr<Session> build_session(std::uint32_t id,
-                                         std::uint8_t kind_raw,
-                                         std::uint16_t rows,
-                                         std::uint16_t cols,
-                                         std::uint64_t seed,
-                                         std::uint16_t pool_frames,
-                                         std::uint16_t ring_depth,
-                                         std::uint8_t preset,
+  std::shared_ptr<Session> build_session(const CreateParams& p,
                                          HostStatus& status);
 
   /// Serializes one session (caller holds its mutex) into a snapshot
-  /// container (DESIGN.md §13.2, fleet section registry).
+  /// container: its create params, the core session sections, then its
+  /// counters, ring, replay cache and flight ring (DESIGN.md §13.2).
   std::vector<std::uint8_t> save_session(const Session& s) const;
 
   FleetLimits limits_;

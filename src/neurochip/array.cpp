@@ -214,8 +214,11 @@ void NeuroChip::capture_frame_into(const SignalSource& source, double t,
   frame.cols = cols;
   frame.t = t;
   frame.masked = 0;
-  frame.v_in.assign(static_cast<std::size_t>(rows * cols), 0.0);
-  frame.codes.assign(static_cast<std::size_t>(rows * cols), 0);
+  // Sized, not cleared: phase 2 writes every entry, since each channel
+  // group covers every column and mux slot and rows is a whole number of
+  // mux groups (validated at construction).
+  frame.v_in.resize(static_cast<std::size_t>(rows * cols));
+  frame.codes.resize(static_cast<std::size_t>(rows * cols));
 
   const double full_scale = config_.adc.full_scale.value();
   const double adc_lsb =
@@ -321,9 +324,9 @@ void NeuroChip::capture_frame_into(const SignalSource& source, double t,
     circuit::GainBank& row_bank = chip.row_chains_;
     circuit::GainBank& ch_bank = chip.channel_chains_;
     for (std::size_t k = 0; k < 2; ++k) {
-      std::copy_n(row_bank.stages[k].i_out.data() + first_row, n_rows,
+      std::copy_n(row_bank.i_out(k) + first_row, n_rows,
                   row_mem + k * n_rows);
-      std::copy_n(ch_bank.stages[k].i_out.data() + first_ch, n_lanes,
+      std::copy_n(ch_bank.i_out(k) + first_ch, n_lanes,
                   ch_mem + k * n_lanes);
     }
     const auto r0 = row_bank.lanes(0, first_row, row_mem, ch_ctx.row_decay[0]);
@@ -423,9 +426,9 @@ void NeuroChip::capture_frame_into(const SignalSource& source, double t,
 
     for (std::size_t k = 0; k < 2; ++k) {
       std::copy_n(row_mem + k * n_rows, n_rows,
-                  row_bank.stages[k].i_out.data() + first_row);
+                  row_bank.i_out(k) + first_row);
       std::copy_n(ch_mem + k * n_lanes, n_lanes,
-                  ch_bank.stages[k].i_out.data() + first_ch);
+                  ch_bank.i_out(k) + first_ch);
     }
   });
 

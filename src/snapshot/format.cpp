@@ -132,15 +132,4 @@ const SectionView* SnapshotView::find(std::uint16_t id) const {
   return nullptr;
 }
 
-Result<SectionView, SnapshotError> SnapshotView::section(
-    std::uint16_t id, std::uint16_t version) const {
-  using R = Result<SectionView, SnapshotError>;
-  const SectionView* found = find(id);
-  if (found == nullptr) return R::err(SnapshotError::kMissingSection);
-  if (found->version != version) {
-    return R::err(SnapshotError::kBadSectionVersion);
-  }
-  return R::ok(*found);
-}
-
 }  // namespace biosense::snapshot

@@ -12,7 +12,7 @@
 //       12     1  crc          CRC-8 over bytes [0, 12)
 //
 //   per section (9-byte header + payload):
-//        0     2  id           section id (producer-defined registry)
+//        0     2  id           section id (registry: snapshot/sections.hpp)
 //        2     2  version      section schema version
 //        4     4  payload_len
 //        8     1  crc          CRC-8 over this header (crc byte zeroed)
@@ -33,7 +33,7 @@
 // breaking older readers; bumping kSnapshotVersion is reserved for layout
 // changes an old reader would misparse. A section whose payload layout
 // changes gets a new section version instead, and readers refuse any
-// version they do not know (`SnapshotView::section`).
+// version they do not know (`load_section`, snapshot/sections.hpp).
 #pragma once
 
 #include <cstddef>
@@ -103,8 +103,8 @@ class SnapshotBuilder {
 };
 
 /// Validated parse of a snapshot buffer. Every CRC and length is checked
-/// up front; consumers then `find()` their sections and parse payloads
-/// with StateReader.
+/// up front; consumers then read their sections with `load_section`
+/// (snapshot/sections.hpp).
 class SnapshotView {
  public:
   static Result<SnapshotView, SnapshotError> parse(const std::uint8_t* bytes,
@@ -117,12 +117,6 @@ class SnapshotView {
   /// The section with this id, or nullptr when absent (unknown ids are
   /// simply never asked for — that is the forward-compatible skip).
   const SectionView* find(std::uint16_t id) const;
-
-  /// The section with this id, checked against the one schema `version`
-  /// its reader knows before any payload byte is parsed:
-  /// kMissingSection when absent, kBadSectionVersion at another version.
-  Result<SectionView, SnapshotError> section(std::uint16_t id,
-                                             std::uint16_t version) const;
 
   const std::vector<SectionView>& sections() const { return sections_; }
 

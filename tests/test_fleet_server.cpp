@@ -4,6 +4,7 @@
 // of mutating commands over an injected lossy link (replay cache).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -27,6 +28,7 @@
 #include "obs/wire.hpp"
 #include "snapshot/atomic_file.hpp"
 #include "snapshot/format.hpp"
+#include "snapshot/sections.hpp"
 #include "snapshot/state_io.hpp"
 
 namespace biosense::host {
@@ -558,7 +560,7 @@ TEST(FleetServer, NonFiniteSiteCurrentCheckpointFaultsTyped) {
   ASSERT_TRUE(good);
   const auto view = snapshot::SnapshotView::parse(*good);
   ASSERT_TRUE(view);
-  const std::uint16_t chip_section = 0x0003;  // the fleet's chip-state id
+  const std::uint16_t chip_section = snapshot::section_id::kChip;
 
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -610,73 +612,243 @@ TEST(FleetServer, NonFiniteSiteCurrentCheckpointFaultsTyped) {
   }
 }
 
-TEST(FleetServer, ChipSectionVersionIsCheckedOnRestore) {
-  // A neural chip section in the version-1 per-pixel layout, or a
-  // version-1 counters section (which still carried the fleet's own link
-  // stream), is refused with kFault before it is parsed; the current
-  // sections round-trip: the restored session checkpoints its chip to the
-  // same bytes (the replay and flight sections then carry the restore
-  // itself).
-  const std::string dir = ::testing::TempDir() + "fleet_ckpt_version";
-  FleetLimits limits;
-  limits.checkpoint_dir = dir;
+/// `bytes` rebuilt section by section, every CRC recomputed: `edit` may
+/// change a section's id, version or payload, and drops the section by
+/// returning false.
+template <typename Edit>
+std::vector<std::uint8_t> reencode(const std::vector<std::uint8_t>& bytes,
+                                   Edit edit) {
+  const auto view = snapshot::SnapshotView::parse(bytes);
+  EXPECT_TRUE(view);
+  snapshot::SnapshotBuilder builder;
+  for (const snapshot::SectionView& section : view->sections()) {
+    std::uint16_t id = section.id;
+    std::uint16_t version = section.version;
+    std::vector<std::uint8_t> payload(section.payload,
+                                      section.payload + section.size);
+    if (edit(id, version, payload)) builder.add_section(id, version, payload);
+  }
+  return builder.finish();
+}
+
+/// Overwrites `width` little-endian bytes of `payload` from `offset`.
+void put_le(std::vector<std::uint8_t>& payload, std::size_t offset,
+            std::uint64_t value, std::size_t width) {
+  for (std::size_t i = 0; i < width; ++i) {
+    payload[offset + i] = static_cast<std::uint8_t>(value >> (8 * i));
+  }
+}
+
+/// Creates `spec` on a worker checkpointing into `limits.checkpoint_dir`,
+/// queues `frames`, checkpoints, and returns the bytes on disk.
+std::vector<std::uint8_t> disk_checkpoint(const FleetLimits& limits,
+                                          const FleetClient::SessionSpec& spec,
+                                          std::uint32_t frames) {
   {
     FleetServer worker(limits);
     ServerLink link(worker);
     FleetClient client(link);
-    ASSERT_TRUE(client.create(neuro_spec(6)));
-    ASSERT_TRUE(client.start(6, 4));
-    ASSERT_TRUE(client.checkpoint(6));
+    EXPECT_TRUE(client.create(spec));
+    EXPECT_TRUE(client.start(spec.id, frames));
+    EXPECT_TRUE(client.checkpoint(spec.id));
   }
-  const snapshot::CheckpointStore store(dir, "s6");
-  const auto good = snapshot::read_file(store.path());
-  ASSERT_TRUE(good);
-  const auto view = snapshot::SnapshotView::parse(*good);
-  ASSERT_TRUE(view);
-  const std::uint16_t counters_section = 0x0002;  // the fleet's ids
-  const std::uint16_t chip_section = 0x0003;
-  const std::uint16_t driver_section = 0x0004;
-  ASSERT_NE(view->find(counters_section), nullptr);
-  EXPECT_EQ(view->find(counters_section)->version, 2);
-  ASSERT_NE(view->find(chip_section), nullptr);
-  EXPECT_EQ(view->find(chip_section)->version, 2);
-  ASSERT_NE(view->find(driver_section), nullptr);  // the ChipSession state
-  EXPECT_EQ(view->find(driver_section)->version, 1);
+  const snapshot::CheckpointStore store(limits.checkpoint_dir,
+                                        "s" + std::to_string(spec.id));
+  const auto bytes = snapshot::read_file(store.path());
+  EXPECT_TRUE(bytes);
+  return bytes ? *bytes : std::vector<std::uint8_t>{};
+}
 
-  for (const std::uint16_t stale : {chip_section, counters_section}) {
-    snapshot::SnapshotBuilder builder;
-    for (const snapshot::SectionView& section : view->sections()) {
-      builder.add_section(
-          section.id, section.id == stale ? 1 : section.version,
-          std::vector<std::uint8_t>(section.payload,
-                                    section.payload + section.size));
-    }
-    ASSERT_TRUE(snapshot::write_file_atomic(store.path(), builder.finish()));
-    FleetServer replacement(limits);
-    ServerLink link(replacement);
-    FleetClient client(link);
-    const auto restored = client.restore(6);
-    ASSERT_FALSE(restored) << "section " << stale;
-    EXPECT_EQ(restored.error(), HostStatus::kFault) << "section " << stale;
-    EXPECT_EQ(replacement.live_sessions(), 0u);
-  }
-
-  ASSERT_TRUE(snapshot::write_file_atomic(store.path(), *good));
+/// Writes `bytes` as session `id`'s checkpoint and restores it on a fresh
+/// server: the restore's status, with no session left registered on a
+/// refusal.
+HostStatus restore_from(const FleetLimits& limits, std::uint32_t id,
+                        const std::vector<std::uint8_t>& bytes) {
+  const snapshot::CheckpointStore store(limits.checkpoint_dir,
+                                        "s" + std::to_string(id));
+  EXPECT_TRUE(snapshot::write_file_atomic(store.path(), bytes));
   FleetServer replacement(limits);
   ServerLink link(replacement);
   FleetClient client(link);
-  ASSERT_TRUE(client.restore(6));
-  ASSERT_TRUE(client.checkpoint(6));
+  const auto restored = client.restore(id);
+  EXPECT_EQ(replacement.live_sessions(), restored ? 1u : 0u);
+  return restored ? HostStatus::kOk : restored.error();
+}
+
+TEST(FleetServer, ChipSectionVersionIsCheckedOnRestore) {
+  // A neural chip section in the version-1 per-pixel layout, or a
+  // version-2 counters section (which still carried the progress and
+  // clock the core meta section now holds), is refused with kFault before
+  // it is parsed; the current sections round-trip: the restored session
+  // checkpoints its chip to the same bytes (the replay and flight sections
+  // then carry the restore itself).
+  namespace section_id = snapshot::section_id;
+  FleetLimits limits;
+  limits.checkpoint_dir = ::testing::TempDir() + "fleet_ckpt_version";
+  const auto good = disk_checkpoint(limits, neuro_spec(6), 4);
+  const auto view = snapshot::SnapshotView::parse(good);
+  ASSERT_TRUE(view);
+  ASSERT_NE(view->find(section_id::kCounters), nullptr);
+  EXPECT_EQ(view->find(section_id::kCounters)->version, 3);
+  ASSERT_NE(view->find(section_id::kChip), nullptr);
+  EXPECT_EQ(view->find(section_id::kChip)->version, 2);
+  ASSERT_NE(view->find(section_id::kDriver), nullptr);  // the ChipSession
+  EXPECT_EQ(view->find(section_id::kDriver)->version, 1);
+
+  const std::pair<std::uint16_t, std::uint16_t> stale_versions[] = {
+      {section_id::kChip, 1}, {section_id::kCounters, 2}};
+  for (const auto& stale : stale_versions) {
+    const auto bytes =
+        reencode(good, [&stale](std::uint16_t id, std::uint16_t& version,
+                                std::vector<std::uint8_t>&) {
+          if (id == stale.first) version = stale.second;
+          return true;
+        });
+    EXPECT_EQ(restore_from(limits, 6, bytes), HostStatus::kFault)
+        << "section " << stale.first;
+  }
+
+  const snapshot::CheckpointStore store(limits.checkpoint_dir, "s6");
+  ASSERT_TRUE(snapshot::write_file_atomic(store.path(), good));
+  {
+    FleetServer replacement(limits);
+    ServerLink link(replacement);
+    FleetClient client(link);
+    ASSERT_TRUE(client.restore(6));
+    ASSERT_TRUE(client.checkpoint(6));
+  }
   const auto again = snapshot::read_file(store.path());
   ASSERT_TRUE(again);
   const auto again_view = snapshot::SnapshotView::parse(*again);
   ASSERT_TRUE(again_view);
-  const snapshot::SectionView* before = view->find(chip_section);
-  const snapshot::SectionView* after = again_view->find(chip_section);
+  const snapshot::SectionView* before = view->find(section_id::kChip);
+  const snapshot::SectionView* after = again_view->find(section_id::kChip);
   ASSERT_NE(after, nullptr);
   EXPECT_EQ(after->version, 2);
   ASSERT_EQ(after->size, before->size);
   EXPECT_EQ(0, std::memcmp(after->payload, before->payload, before->size));
+}
+
+TEST(FleetServer, RestoreRefusesOutOfRangeCounters) {
+  // A CRC-valid checkpoint whose counters hold what configure or start
+  // would refuse is refused too: a DNA gate code above 15 (the chip masks
+  // the code it receives, the host converts all of it), a probe amplitude
+  // that is not finite or lies outside [0, 1 V], a backlog above
+  // max_pending (kSessionLimit, restore's admission status).
+  FleetLimits limits;
+  limits.checkpoint_dir = ::testing::TempDir() + "fleet_ckpt_counters";
+  const auto good = disk_checkpoint(limits, dna_spec(7), 4);
+  // Counters section (version 3): pending u32 at 0, records_polled,
+  // digest and wire_errors u64 at 4/12/20, gate_code u16 at 28,
+  // stimulus_v f64 at 30.
+  struct Field {
+    std::size_t offset;
+    std::size_t width;
+  };
+  const Field pending{0, 4};
+  const Field gate{28, 2};
+  const Field stimulus{30, 8};
+  const auto with = [&good](Field field, std::uint64_t value) {
+    return reencode(good, [&](std::uint16_t id, std::uint16_t&,
+                              std::vector<std::uint8_t>& payload) {
+      if (id == snapshot::section_id::kCounters) {
+        put_le(payload, field.offset, value, field.width);
+      }
+      return true;
+    });
+  };
+  const auto volts = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    const char* name;
+    Field field;
+    std::uint64_t value;
+    HostStatus status;
+  } cases[] = {
+      {"gate 0x0107", gate, 0x0107, HostStatus::kFault},
+      {"gate 16", gate, 16, HostStatus::kFault},
+      {"stimulus NaN", stimulus,
+       volts(std::numeric_limits<double>::quiet_NaN()), HostStatus::kFault},
+      {"stimulus inf", stimulus, volts(inf), HostStatus::kFault},
+      {"stimulus -inf", stimulus, volts(-inf), HostStatus::kFault},
+      {"stimulus -1 uV", stimulus, volts(-1e-6), HostStatus::kFault},
+      {"stimulus 1.5 V", stimulus, volts(1.5), HostStatus::kFault},
+      {"pending max + 1", pending, limits.max_pending + 1ull,
+       HostStatus::kSessionLimit},
+      {"pending 0xFFFFFFFF", pending, 0xFFFFFFFFull,
+       HostStatus::kSessionLimit},
+      // The edges configure and start accept still restore.
+      {"gate 15", gate, 15, HostStatus::kOk},
+      {"stimulus 1 V", stimulus, volts(1.0), HostStatus::kOk},
+      {"pending max", pending, limits.max_pending, HostStatus::kOk},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(restore_from(limits, 7, with(c.field, c.value)), c.status)
+        << c.name;
+  }
+}
+
+TEST(FleetServer, RestoreRefusesParamsThatDisagreeWithMeta) {
+  // The params section rebuilds the session; the core meta section's
+  // fingerprint must then match its kind, rows and cols, or no state
+  // loads.
+  FleetLimits limits;
+  limits.checkpoint_dir = ::testing::TempDir() + "fleet_ckpt_params";
+  const auto good = disk_checkpoint(limits, neuro_spec(3), 4);
+  ASSERT_EQ(restore_from(limits, 3, good), HostStatus::kOk);
+  // Params section: id u32 at 0, kind u8 at 4, rows u16 at 5, cols u16
+  // at 7; the session is an 8x8 neural chip.
+  const struct {
+    const char* name;
+    std::size_t offset;
+    std::size_t width;
+    std::uint64_t value;
+  } cases[] = {
+      {"kind dna", 4, 1, 1},
+      {"rows 16", 5, 2, 16},
+      {"cols 9", 7, 2, 9},
+  };
+  for (const auto& c : cases) {
+    const auto bytes =
+        reencode(good, [&c](std::uint16_t id, std::uint16_t&,
+                            std::vector<std::uint8_t>& payload) {
+          if (id == snapshot::section_id::kParams) {
+            put_le(payload, c.offset, c.value, c.width);
+          }
+          return true;
+        });
+    EXPECT_EQ(restore_from(limits, 3, bytes), HostStatus::kFault) << c.name;
+  }
+}
+
+TEST(FleetServer, RestoreRefusesParentFleetLayout) {
+  // Before the shared section registry a fleet checkpoint numbered its
+  // sections params 1, counters 2, chip 3, driver 4, ring 5, replay 6 and
+  // flight 7, with no core meta section. Such a file has no params at id
+  // 5, so it is refused with kFault instead of being misread.
+  namespace section_id = snapshot::section_id;
+  FleetLimits limits;
+  limits.flight_events = 64;  // so the flight section is written too
+  limits.checkpoint_dir = ::testing::TempDir() + "fleet_ckpt_parent";
+  const auto good = disk_checkpoint(limits, neuro_spec(5), 4);
+  const std::map<std::uint16_t, std::uint16_t> parent_id = {
+      {section_id::kParams, 1}, {section_id::kCounters, 2},
+      {section_id::kChip, 3},   {section_id::kDriver, 4},
+      {section_id::kRing, 5},   {section_id::kReplay, 6},
+      {section_id::kFlight, 7},
+  };
+  ASSERT_NE(snapshot::SnapshotView::parse(good)->find(section_id::kFlight),
+            nullptr);
+  ASSERT_EQ(restore_from(limits, 5, good), HostStatus::kOk);
+  const auto parent = reencode(
+      good, [&parent_id](std::uint16_t& id, std::uint16_t&,
+                         std::vector<std::uint8_t>&) {
+        const auto it = parent_id.find(id);
+        if (it == parent_id.end()) return false;  // the core meta
+        id = it->second;
+        return true;
+      });
+  EXPECT_EQ(restore_from(limits, 5, parent), HostStatus::kFault);
 }
 
 TEST(FleetServer, RestoreGuardsAndCapabilityBit) {

@@ -18,6 +18,7 @@
 #include "neurochip/array.hpp"
 #include "neurochip/signal_source.hpp"
 #include "snapshot/format.hpp"
+#include "snapshot/sections.hpp"
 
 namespace biosense::core {
 namespace {
@@ -263,14 +264,15 @@ TEST(Resume, ChipSectionVersionIsCheckedBeforeParsing) {
   const auto bytes = checkpoint_neuro(source, meta);
   const auto view = snapshot::SnapshotView::parse(bytes);
   ASSERT_TRUE(view);
-  ASSERT_NE(view->find(snap_section::kChip), nullptr);
-  EXPECT_EQ(view->find(snap_section::kChip)->version, 2);
+  ASSERT_NE(view->find(snapshot::section_id::kChip), nullptr);
+  EXPECT_EQ(view->find(snapshot::section_id::kChip)->version, 2);
   EXPECT_EQ(neurochip::kChipStateVersion, 2);
 
   for (std::uint16_t version : {std::uint16_t{1}, std::uint16_t{3}}) {
     auto target = opts.build_neuro();
     const auto restored = restore_neuro(
-        target, with_section_version(bytes, snap_section::kChip, version));
+        target,
+        with_section_version(bytes, snapshot::section_id::kChip, version));
     ASSERT_FALSE(restored) << "version " << version;
     EXPECT_EQ(restored.error(), snapshot::SnapshotError::kBadSectionVersion);
     EXPECT_STREQ(snapshot::snapshot_error_name(restored.error()),
@@ -289,10 +291,11 @@ TEST(Resume, ChipSectionVersionIsCheckedBeforeParsing) {
   const auto dna_bytes = checkpoint_dna(dna, dna_meta);
   const auto dna_view = snapshot::SnapshotView::parse(dna_bytes);
   ASSERT_TRUE(dna_view);
-  EXPECT_EQ(dna_view->find(snap_section::kChip)->version, 1);
+  EXPECT_EQ(dna_view->find(snapshot::section_id::kChip)->version, 1);
   auto dna_target = dna_options().build_dna();
   EXPECT_EQ(restore_dna(dna_target,
-                        with_section_version(dna_bytes, snap_section::kChip, 2))
+                        with_section_version(dna_bytes,
+                                             snapshot::section_id::kChip, 2))
                 .error(),
             snapshot::SnapshotError::kBadSectionVersion);
 }
