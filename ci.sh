@@ -7,14 +7,14 @@
 #
 # All configurations build with BIOSENSE_WERROR=ON: a warning anywhere in
 # the tree fails CI. After the sanitizer matrix come the golden frames
-# rebuilt for the host ISA, a run of every example, the bench-regression
-# gates (each key bench, then tools/bench_check.py diffing their JSON
-# artifacts against bench/baselines/, then tools/obs_report.py),
-# clang-tidy (if installed — skipped with a note otherwise) and the
-# repo-invariant analyzer (biosense-analyze, DESIGN.md §14). Each
-# configuration also builds biosense-analyze first and runs it before the
-# full build, so an invariant break fails fast instead of after a long
-# sanitizer compile.
+# rebuilt for the host ISA, GCC's vectorizer report on the neural kernels'
+# hot loops, a run of every example, the bench-regression gates (each key
+# bench, then tools/bench_check.py diffing their JSON artifacts against
+# bench/baselines/, then tools/obs_report.py), clang-tidy (if installed —
+# skipped with a note otherwise) and the repo-invariant analyzer
+# (biosense-analyze, DESIGN.md §14). Each configuration also builds
+# biosense-analyze first and runs it before the full build, so an
+# invariant break fails fast instead of after a long sanitizer compile.
 #
 # Every one of these is a gate: it stops at its own first failing command,
 # its exit status is recorded, and the gates after it still run. The script
@@ -91,6 +91,52 @@ golden_native() {
   build-ci-native/tests/test_neurochip
 }
 gate golden-native golden_native
+
+# The loops whose speed rests on GCC's vectorizer: the gain-lane loop after
+# each BIOSENSE_LANE_LOOP in neurochip/array.cpp, and the batched
+# Box-Muller loop in neurochip/pixel_bank.cpp (it vectorizes only with that
+# file's -fno-math-errno). Each file compiles alone with the library's
+# flags plus -fopt-info-vec-optimized, and the gate fails unless GCC
+# reports "loop vectorized" at every such loop's line. The lines are found
+# in the source, so moving a loop needs no edit here. Other compilers word
+# their reports differently, so the gate skips on them with a note.
+vectorized() {
+  echo "=== [vectorized] gain-lane and Box-Muller loops vectorize ==="
+  local cxx="${CXX:-c++}" macros
+  macros="$("${cxx}" -dM -E -x c++ /dev/null)"
+  if [[ "${macros}" != *__GNUC__* || "${macros}" == *__clang__* ]]; then
+    echo "${cxx} is not GCC; skipping (the gate reads GCC's -fopt-info report)"
+    return 0
+  fi
+  # expect_vectorized <source> <extra flags> <loop line>...
+  expect_vectorized() {
+    local src="$1" extra="$2" report line
+    shift 2
+    if [ "$#" -eq 0 ]; then
+      echo "${src}: no loop found to check" >&2
+      return 1
+    fi
+    report="$("${cxx}" -std=c++20 -O3 -ffp-contract=off ${extra} -Isrc \
+              -fopt-info-vec-optimized -c "${src}" -o /dev/null 2>&1)"
+    for line in "$@"; do
+      if ! grep -q "^${src}:${line}:[0-9]*: optimized: loop vectorized" \
+           <<<"${report}"; then
+        echo "${src}:${line}: loop not vectorized" >&2
+        return 1
+      fi
+      echo "${src}:${line}: loop vectorized"
+    done
+  }
+  expect_vectorized src/neurochip/array.cpp "" $(awk '
+    $1 == "BIOSENSE_LANE_LOOP" { want = 1; next }
+    want && /^[[:space:]]*for[[:space:]]*\(/ { print NR; want = 0 }
+  ' src/neurochip/array.cpp)
+  expect_vectorized src/neurochip/pixel_bank.cpp -fno-math-errno $(awk '
+    /^[[:space:]]*for[[:space:]]*\(/ { loop = NR }
+    /noise::box_muller\(/ { print loop; exit }
+  ' src/neurochip/pixel_bank.cpp)
+}
+gate vectorized vectorized
 
 # The examples are the user-facing API surface: each must run to completion
 # (a non-zero exit fails CI). They write no artifacts.

@@ -108,8 +108,7 @@ void GainBank::reset(const GainChain& shape, std::size_t lanes) {
   stages.assign(shape.stages.size(), Stage{});
   for (std::size_t k = 0; k < stages.size(); ++k) {
     const GainStage& from = shape.stages[k];
-    stages[k] = {from.params_.nominal_gain, from.params_.bandwidth_hz,
-                 from.limit()};
+    stages[k] = {from.params_.nominal_gain, from.params_.bandwidth_hz};
   }
   lanes_ = lanes;
   planes_.assign(stages.size() * kFields * lanes, 0.0);

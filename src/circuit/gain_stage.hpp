@@ -10,11 +10,9 @@
 // factors.
 #pragma once
 
-#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "common/aligned.hpp"
@@ -31,28 +29,24 @@ struct GainStageParams {
   double gain_sigma = 0.03;
   /// 1-sigma input-referred offset current, A.
   double offset_sigma = 50e-9;
-  /// Output current compliance (saturation), A; 0 disables clipping.
-  double out_limit = 0.0;
 };
 
 /// One single-pole stage update, the arithmetic GainStage and GainBank's
 /// lanes share: the settled target gain * (x + offset), corrected to
-/// target * corr_gain + corr_offset where `cal_mask` is all ones, clamped
-/// to +/- limit, then i_out <- i_out * a + target * (1 - a); returns the
-/// new i_out. The calibration is a bit-mask select (the noise/counter.hpp
-/// idiom) and an absent compliance limit is +inf, which leaves every value
-/// as it is, so a loop over lanes has no branch to vectorize around.
+/// target * corr_gain + corr_offset where `cal_mask` is all ones, then
+/// i_out <- i_out * a + target * (1 - a); returns the new i_out. The
+/// calibration is a bit-mask select (the noise/counter.hpp idiom), so a
+/// loop over lanes has no branch to vectorize around.
 inline double stage_update(double x, double gain, double offset,
                            double corr_gain, double corr_offset,
-                           std::uint64_t cal_mask, double limit, double a,
-                           double& i_out) {
+                           std::uint64_t cal_mask, double a, double& i_out) {
   const double raw = gain * (x + offset);
   const double corrected = raw * corr_gain + corr_offset;
   const double target =
       std::bit_cast<double>((std::bit_cast<std::uint64_t>(corrected) &
                              cal_mask) |
                             (std::bit_cast<std::uint64_t>(raw) & ~cal_mask));
-  i_out = i_out * a + std::clamp(target, -limit, limit) * (1.0 - a);
+  i_out = i_out * a + target * (1.0 - a);
   return i_out;
 }
 
@@ -67,8 +61,8 @@ class GainStage {
   /// calibrated).
   double step(double i_in, double dt) {
     return stage_update(i_in, actual_gain_, offset_, corr_gain_, corr_offset_,
-                        calibrated_ ? ~std::uint64_t{0} : 0, limit(),
-                        decay(dt), i_out_);
+                        calibrated_ ? ~std::uint64_t{0} : 0, decay(dt),
+                        i_out_);
   }
 
   /// Single-pole decay factor exp(-dt/tau) for this stage's bandwidth.
@@ -102,12 +96,6 @@ class GainStage {
 
  private:
   friend class GainBank;
-
-  /// The compliance limit as stage_update takes it: +inf when disabled.
-  double limit() const {
-    return params_.out_limit > 0.0 ? params_.out_limit
-                                   : std::numeric_limits<double>::infinity();
-  }
 
   GainStageParams params_;  // analyze:transient - frozen config
   // analyze:transient - as-fabricated values, re-derived at construction
@@ -183,7 +171,6 @@ class GainBank {
   struct Stage {
     double nominal_gain = 1.0;
     double bandwidth_hz = 1.0;
-    double limit = 0.0;  // stage_update's clamp bound
   };
 
   /// Stage k of the lanes from `first` on, as a lane loop steps them: the
@@ -196,17 +183,16 @@ class GainBank {
     const double* corr_offset;
     const std::uint64_t* cal_mask;
     double* i_out;
-    double limit;
     double a;
 
     double step(std::size_t l, double x) const {
       return stage_update(x, gain[l], offset[l], corr_gain[l], corr_offset[l],
-                          cal_mask[l], limit, a, i_out[l]);
+                          cal_mask[l], a, i_out[l]);
     }
   };
 
   /// Sizes the bank for `lanes` chains with `shape`'s stages (nominal
-  /// gains, bandwidths, limits); set() then fills every lane.
+  /// gains, bandwidths); set() then fills every lane.
   void reset(const GainChain& shape, std::size_t lanes);
 
   /// Copies chain `c` — die constants, corrections, pole memories — into
@@ -224,8 +210,7 @@ class GainBank {
                    double a) const {
     return {plane(k, kGain) + first,     plane(k, kOffset) + first,
             plane(k, kCorrGain) + first, plane(k, kCorrOffset) + first,
-            &masks_[k * lanes_ + first], i_out,
-            stages[k].limit,             a};
+            &masks_[k * lanes_ + first], i_out, a};
   }
 
   /// Stage k's single-pole memories, one per lane.

@@ -22,45 +22,40 @@ using RestoreResult = Result<SessionCheckpointMeta, snapshot::SnapshotError>;
 
 template <typename Bundle>
 std::vector<std::uint8_t> checkpoint(const Bundle& session,
-                                     const SessionCheckpointMeta& meta,
-                                     const faults::FaultPlan* plan) {
+                                     const SessionCheckpointMeta& meta) {
   snapshot::SnapshotBuilder builder;
-  write_session(builder, session, meta, plan);
+  write_session(builder, session, meta);
   return builder.finish();
 }
 
 template <typename Bundle>
-RestoreResult restore(Bundle& session, const std::vector<std::uint8_t>& bytes,
-                      faults::FaultPlan* plan) {
+RestoreResult restore(Bundle& session,
+                      const std::vector<std::uint8_t>& bytes) {
   const auto view = snapshot::SnapshotView::parse(bytes);
   if (!view) return RestoreResult::err(view.error());
-  return read_session(*view, session, plan);
+  return read_session(*view, session);
 }
 
 }  // namespace
 
 std::vector<std::uint8_t> checkpoint_neuro(const NeuroSession& session,
-                                           const SessionCheckpointMeta& meta,
-                                           const faults::FaultPlan* plan) {
-  return checkpoint(session, meta, plan);
+                                           const SessionCheckpointMeta& meta) {
+  return checkpoint(session, meta);
 }
 
 std::vector<std::uint8_t> checkpoint_dna(const DnaSession& session,
-                                         const SessionCheckpointMeta& meta,
-                                         const faults::FaultPlan* plan) {
-  return checkpoint(session, meta, plan);
+                                         const SessionCheckpointMeta& meta) {
+  return checkpoint(session, meta);
 }
 
 RestoreResult restore_neuro(NeuroSession& session,
-                            const std::vector<std::uint8_t>& bytes,
-                            faults::FaultPlan* plan) {
-  return restore(session, bytes, plan);
+                            const std::vector<std::uint8_t>& bytes) {
+  return restore(session, bytes);
 }
 
 RestoreResult restore_dna(DnaSession& session,
-                          const std::vector<std::uint8_t>& bytes,
-                          faults::FaultPlan* plan) {
-  return restore(session, bytes, plan);
+                          const std::vector<std::uint8_t>& bytes) {
+  return restore(session, bytes);
 }
 
 }  // namespace biosense::core

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "core/session_options.hpp"
-#include "faults/fault_plan.hpp"
 #include "snapshot/format.hpp"
 #include "snapshot/sections.hpp"
 
@@ -60,13 +59,10 @@ std::uint64_t fingerprint(const Bundle& s) {
 }  // namespace detail
 
 /// Adds the meta, chip and driver sections of a quiesced `NeuroSession` or
-/// `DnaSession` to `builder` (the bundle type sets the kind). `plan`, when
-/// non-null, adds its cursor section so corruption schedules resume in
-/// place.
+/// `DnaSession` to `builder` (the bundle type sets the kind).
 template <typename Bundle>
 void write_session(snapshot::SnapshotBuilder& builder, const Bundle& session,
-                   const SessionCheckpointMeta& meta,
-                   const faults::FaultPlan* plan = nullptr) {
+                   const SessionCheckpointMeta& meta) {
   namespace section = snapshot::section_id;
   using snapshot::StateWriter;
   snapshot::write_section(builder, section::kMeta, 1, [&](StateWriter& w) {
@@ -81,21 +77,17 @@ void write_session(snapshot::SnapshotBuilder& builder, const Bundle& session,
   snapshot::write_section(builder, section::kDriver, 1, [&](StateWriter& w) {
     detail::driver(session).save_state(w);
   });
-  if (plan != nullptr) {
-    snapshot::write_section(builder, section::kFaults, 1,
-                            [&](StateWriter& w) { plan->save_state(w); });
-  }
 }
 
-/// Restores those sections into a freshly reconstructed bundle, and the
-/// faults section into `plan` when both exist. Typed failure, never UB:
-/// kStateMismatch when the checkpoint was taken from a different session
-/// shape (checked before any state loads), and `load_section`'s errors
-/// for a missing, unknown-version or malformed section.
+/// Restores those sections into a freshly reconstructed bundle; other
+/// sections (the fleet's own, the retired id 4 of older files) are not
+/// read here. Typed failure, never UB: kStateMismatch when the checkpoint was taken
+/// from a different session shape (checked before any state loads), and
+/// `load_section`'s errors for a missing, unknown-version or malformed
+/// section.
 template <typename Bundle>
 Result<SessionCheckpointMeta, snapshot::SnapshotError> read_session(
-    const snapshot::SnapshotView& view, Bundle& session,
-    faults::FaultPlan* plan = nullptr) {
+    const snapshot::SnapshotView& view, Bundle& session) {
   namespace section = snapshot::section_id;
   using snapshot::SnapshotError;
   using snapshot::StateReader;
@@ -131,31 +123,17 @@ Result<SessionCheckpointMeta, snapshot::SnapshotError> read_session(
       !drv) {
     return R::err(drv.error());
   }
-  // Plan-less producers write no faults section; a plan cursor only
-  // restores when the producer saved one.
-  if (plan != nullptr) {
-    if (const auto faults = snapshot::load_optional_section(
-            view, section::kFaults, 1,
-            [&](StateReader& r) { plan->load_state(r); });
-        !faults) {
-      return R::err(faults.error());
-    }
-  }
   return meta;
 }
 
 /// A checkpoint file holding one bundle, and its restore.
 std::vector<std::uint8_t> checkpoint_neuro(const NeuroSession& session,
-                                           const SessionCheckpointMeta& meta,
-                                           const faults::FaultPlan* plan = nullptr);
+                                           const SessionCheckpointMeta& meta);
 std::vector<std::uint8_t> checkpoint_dna(const DnaSession& session,
-                                         const SessionCheckpointMeta& meta,
-                                         const faults::FaultPlan* plan = nullptr);
+                                         const SessionCheckpointMeta& meta);
 Result<SessionCheckpointMeta, snapshot::SnapshotError> restore_neuro(
-    NeuroSession& session, const std::vector<std::uint8_t>& bytes,
-    faults::FaultPlan* plan = nullptr);
+    NeuroSession& session, const std::vector<std::uint8_t>& bytes);
 Result<SessionCheckpointMeta, snapshot::SnapshotError> restore_dna(
-    DnaSession& session, const std::vector<std::uint8_t>& bytes,
-    faults::FaultPlan* plan = nullptr);
+    DnaSession& session, const std::vector<std::uint8_t>& bytes);
 
 }  // namespace biosense::core

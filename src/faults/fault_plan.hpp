@@ -4,25 +4,22 @@
 // sites die during post-processing, converter leakage has heavy outlier
 // tails, neuro pixels get stuck or rail, gain chains drift, and the serial
 // link to the instrument picks up bit errors, dropped frames and timeouts.
-// A `FaultPlan` is the seeded, serializable description of one such
-// adverse world: from a handful of rates it deterministically materializes
-// concrete per-site fault sets and a link fault model that the chip models
+// A `FaultPlan` is the seeded description of one such adverse world: from
+// a handful of rates it deterministically materializes concrete per-site
+// fault sets and a link fault model that the chip models
 // (`dnachip::DnaChip`, `neurochip::NeuroChip`) and the bit transport
 // (`dnachip::SerialLink`) consume through injection hooks — the physics
 // code is never forked, faults are applied at well-defined observation
 // points.
 //
 // Everything is reproducible: the same config (same seed) materializes the
-// same faults for the same array dimensions, and a plan round-trips
-// through JSON so a failing run can be archived and replayed.
+// same faults for the same array dimensions, so a failing run replays from
+// its config alone.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
-
-#include "snapshot/state_io.hpp"
 
 namespace biosense::faults {
 
@@ -97,24 +94,6 @@ struct FaultPlanConfig {
   void validate() const;
 };
 
-/// One deterministic corruption of a serialized artifact (a snapshot file,
-/// a checkpoint on disk): what a dying disk or an interrupted write does.
-struct FileCorruption {
-  enum class Kind : std::uint8_t {
-    kTruncate = 0,  // file cut short at `offset` bytes
-    kBitFlip,       // single bit `bit` of byte `offset` inverted
-    kTornTail,      // bytes from `offset` on replaced with stale garbage
-  };
-
-  Kind kind = Kind::kBitFlip;
-  std::size_t offset = 0;
-  int bit = 0;                   // kBitFlip only
-  std::uint64_t junk_seed = 0;   // kTornTail garbage stream
-
-  /// Applies the corruption in place. A no-op on an empty buffer.
-  void apply(std::vector<std::uint8_t>& bytes) const;
-};
-
 /// Seeded fault generator. Materialization is deterministic: the same plan
 /// produces the same fault sets for the same dimensions, independent of
 /// call order (each materializer derives its own RNG stream from the seed).
@@ -140,34 +119,8 @@ class FaultPlan {
 
   const LinkFaultModel& link_faults() const { return config_.link; }
 
-  /// Index-addressed file-corruption materializer: the same plan, index
-  /// and file size always produce the same corruption, cycling through
-  /// truncation, bit flips and torn tails. Pure — the plan is untouched.
-  FileCorruption file_corruption(std::uint64_t index,
-                                 std::size_t file_size) const;
-
-  /// Cursor-advancing variant for soak loops that corrupt "the next way":
-  /// equivalent to `file_corruption(cursor++, file_size)`. The cursor is
-  /// the plan's only evolving state and travels in snapshots via
-  /// `save_state`/`load_state`, so a resumed soak run replays the same
-  /// corruption schedule it would have seen uninterrupted.
-  FileCorruption next_file_corruption(std::size_t file_size);
-  std::uint64_t file_corruption_cursor() const { return corruption_cursor_; }
-
-  void save_state(snapshot::StateWriter& w) const { w.u64(corruption_cursor_); }
-  void load_state(snapshot::StateReader& r) { corruption_cursor_ = r.u64(); }
-
-  /// Flat JSON object with every config field.
-  std::string to_json() const;
-
-  /// Parses a plan serialized by `to_json`. Missing keys keep their
-  /// defaults; throws ConfigError when `json` contains no recognizable
-  /// "seed" key (i.e. is not a serialized plan).
-  static FaultPlan from_json(const std::string& json);
-
  private:
-  FaultPlanConfig config_{};  // analyze:transient - frozen config
-  std::uint64_t corruption_cursor_ = 0;
+  FaultPlanConfig config_{};
 };
 
 }  // namespace biosense::faults

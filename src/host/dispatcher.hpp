@@ -62,12 +62,9 @@ class Dispatcher {
   HostStatus dispatch(const std::uint8_t* bytes, std::size_t n,
                       std::vector<std::uint8_t>& response) const;
 
-  /// Spec lookup for discovery handlers and tests (nullptr if absent).
-  const CommandSpec* find(HostCommand id) const;
-
-  const std::vector<CommandSpec>& commands() const { return specs_; }
-
  private:
+  /// Spec lookup (nullptr if absent).
+  const CommandSpec* find(HostCommand id) const;
   HostStatus route(const DecodedFrame& frame,
                    snapshot::StateWriter& writer) const;
 

@@ -176,12 +176,6 @@ FleetServer::FleetServer(FleetLimits limits)
   register_handlers();
 }
 
-FleetServer::~FleetServer() {
-  if (limits_.flight_auto_dump && server_flight_.enabled()) {
-    server_flight_.dump("fleet.server");
-  }
-}
-
 void FleetServer::register_handlers() {
   // A session-scoped handler (payload leads with the session id) returns
   // with the session it addressed still locked in its claim, and the
@@ -206,8 +200,6 @@ void FleetServer::register_handlers() {
     dispatcher_.register_command(std::move(spec));
   };
 
-  add(HostCommand::kGetProtocolInfo, 0, 0, &FleetServer::cmd_protocol_info);
-  add(HostCommand::kGetCapabilities, 0, 0, &FleetServer::cmd_capabilities);
   add(HostCommand::kPing, 0, 64, &FleetServer::cmd_ping);
   add(HostCommand::kCreateSession, 22, 22, &FleetServer::cmd_create);
   add(HostCommand::kConfigureSession, 13, 13, &FleetServer::cmd_configure);
@@ -233,9 +225,6 @@ void FleetServer::note_outcome(Session& s, const DecodedFrame& req,
     BIOSENSE_FLIGHT_TO("fleet.cmd_rejected", *s.flight, s.id,
                        static_cast<std::uint16_t>(req.header.command),
                        static_cast<std::uint16_t>(status));
-    if (status == HostStatus::kFault && limits_.flight_auto_dump) {
-      s.flight->dump("fleet.s" + std::to_string(s.id));
-    }
   }
 }
 
@@ -325,24 +314,7 @@ std::shared_ptr<FleetServer::Session> FleetServer::build_session(
   return session;
 }
 
-// --- discovery / liveness ---------------------------------------------------
-
-HostStatus FleetServer::cmd_protocol_info(const CommandContext& ctx,
-                                          SessionClaim&) {
-  auto& w = *ctx.response;
-  w.u8(kProtocolVersion);
-  w.u8(static_cast<std::uint8_t>(kHeaderSize));
-  w.u16(static_cast<std::uint16_t>(kMaxPayload));
-  w.u16(static_cast<std::uint16_t>(dispatcher_.commands().size()));
-  return HostStatus::kOk;
-}
-
-HostStatus FleetServer::cmd_capabilities(const CommandContext& ctx,
-                                         SessionClaim&) {
-  ctx.response->u32(kCapDnaSessions | kCapNeuroSessions | kCapFaultInjection |
-                    kCapReplayCache | kCapCheckpoint | kCapTelemetry);
-  return HostStatus::kOk;
-}
+// --- liveness ---------------------------------------------------------------
 
 HostStatus FleetServer::cmd_ping(const CommandContext& ctx, SessionClaim&) {
   ctx.response->raw(ctx.request->payload, ctx.request->payload_len);
@@ -609,10 +581,6 @@ HostStatus FleetServer::cmd_destroy(const CommandContext& ctx, SessionClaim&) {
   BIOSENSE_GAUGE("fleet.committed_frames", committed_frames_);
   BIOSENSE_FLIGHT_TO("fleet.session_destroyed", server_flight_, id,
                      going->frames_produced, going->wire_errors);
-  if (limits_.flight_auto_dump && going->flight) {
-    std::lock_guard session_lock(going->mutex);
-    going->flight->dump("fleet.s" + std::to_string(id));
-  }
   return HostStatus::kOk;
 }
 
@@ -975,7 +943,7 @@ HostStatus FleetServer::cmd_get_metrics(const CommandContext& ctx,
 }
 
 HostStatus FleetServer::cmd_dump_flight(const CommandContext& ctx,
-                                        SessionClaim&) {
+                                        SessionClaim& claim) {
   const auto& req = *ctx.request;
   snapshot::StateReader r(req.payload, req.payload_len);
   const std::uint32_t id = r.u32();
@@ -995,10 +963,8 @@ HostStatus FleetServer::cmd_dump_flight(const CommandContext& ctx,
     return HostStatus::kOk;
   }
 
-  const auto session = find_session(id);
-  if (!session) return HostStatus::kNoSuchSession;
-  std::lock_guard lock(session->mutex);
-  Session& s = *session;
+  if (!claim.hold(find_session(id))) return HostStatus::kNoSuchSession;
+  Session& s = *claim.session;
   if (auto hit = s.replay(ctx, HostCommand::kDumpFlightRecorder)) return *hit;
   if (!s.flight || !s.flight->enabled()) return HostStatus::kBadState;
 

@@ -73,16 +73,11 @@ struct FleetLimits {
   /// Server-wide flight-recorder ring capacity (session lifecycle,
   /// checkpoint/restore marks). 0 disables it.
   std::size_t server_flight_events = 0;
-  /// Auto-dump flight recorders as Chrome-trace artifacts (under
-  /// BIOSENSE_RESULTS_DIR): a session's ring when a command returns kFault
-  /// and when the session is destroyed; the server ring at shutdown.
-  bool flight_auto_dump = false;
 };
 
 class FleetServer {
  public:
   explicit FleetServer(FleetLimits limits = {});
-  ~FleetServer();
 
   FleetServer(const FleetServer&) = delete;
   FleetServer& operator=(const FleetServer&) = delete;
@@ -98,8 +93,6 @@ class FleetServer {
   std::size_t live_sessions() const;
   /// Pooled frames committed across live sessions (admission bookkeeping).
   std::size_t committed_frames() const;
-
-  const Dispatcher& dispatcher() const { return dispatcher_; }
 
  private:
   /// One produced acquisition record: a frame (neuro) or site conversion
@@ -149,8 +142,6 @@ class FleetServer {
   void register_handlers();
 
   // Every handler gets a claim; only session-scoped ones fill it.
-  HostStatus cmd_protocol_info(const CommandContext& ctx, SessionClaim& claim);
-  HostStatus cmd_capabilities(const CommandContext& ctx, SessionClaim& claim);
   HostStatus cmd_ping(const CommandContext& ctx, SessionClaim& claim);
   HostStatus cmd_create(const CommandContext& ctx, SessionClaim& claim);
   HostStatus cmd_configure(const CommandContext& ctx, SessionClaim& claim);
@@ -168,7 +159,7 @@ class FleetServer {
   HostStatus cmd_dump_flight(const CommandContext& ctx, SessionClaim& claim);
 
   /// Telemetry-on bookkeeping for a command addressed to `s` (caller holds
-  /// its mutex): health outcome counters, rejection events, kFault dump.
+  /// its mutex): health outcome counters and rejection events.
   void note_outcome(Session& s, const DecodedFrame& req, HostStatus status);
 
   /// Produces the session's next record (advances chip/link state).

@@ -29,8 +29,6 @@ const char* host_status_name(HostStatus status) {
 
 const char* host_command_name(HostCommand command) {
   switch (command) {
-    case HostCommand::kGetProtocolInfo: return "get_protocol_info";
-    case HostCommand::kGetCapabilities: return "get_capabilities";
     case HostCommand::kPing: return "ping";
     case HostCommand::kCreateSession: return "create_session";
     case HostCommand::kConfigureSession: return "configure_session";

@@ -20,8 +20,9 @@
 //
 // One version: the server speaks kProtocolVersion only and answers any
 // other version byte with kBadVersion and an empty payload; the reply
-// header's version byte names the version it speaks. Optional surface is
-// discovered through the kGetCapabilities bits, not through versions.
+// header's version byte names the version it speaks. The command table is
+// fixed: there is no discovery, and an id it does not hold (0x01 and 0x02
+// included, the retired discovery commands) is kUnknownCommand.
 #pragma once
 
 #include <cstddef>
@@ -43,12 +44,9 @@ inline constexpr std::uint16_t kMaxPollRecords = 64;
 static_assert(3 + 12 * std::size_t{kMaxPollRecords} <= kMaxPayload,
               "a full poll response must fit one frame");
 
-/// Command ids. 0x0x = discovery/liveness, 0x1x = session lifecycle,
-/// 0x2x = server-wide.
+/// Command ids. 0x0x = liveness, 0x1x = session lifecycle, 0x2x =
+/// server-wide.
 enum class HostCommand : std::uint16_t {
-  kGetProtocolInfo = 0x01,   // -> [version u8, header u8, max_payload u16,
-                             //     commands u16]
-  kGetCapabilities = 0x02,   // -> [capability bits u32]
   kPing = 0x03,              // echoes payload (<= 64 bytes)
   kCreateSession = 0x10,     // mutating; payload: CreateSessionRequest
   kConfigureSession = 0x11,  // mutating; [session u32, param u8, value u64]
@@ -87,14 +85,6 @@ enum class HostStatus : std::uint16_t {
 /// Stable diagnostic names ("ok", "bad_crc", ...) / ("ping", ...).
 const char* host_status_name(HostStatus status);
 const char* host_command_name(HostCommand command);
-
-/// Capability bits reported by kGetCapabilities.
-inline constexpr std::uint32_t kCapDnaSessions = 1u << 0;
-inline constexpr std::uint32_t kCapNeuroSessions = 1u << 1;
-inline constexpr std::uint32_t kCapFaultInjection = 1u << 2;
-inline constexpr std::uint32_t kCapReplayCache = 1u << 3;
-inline constexpr std::uint32_t kCapCheckpoint = 1u << 4;
-inline constexpr std::uint32_t kCapTelemetry = 1u << 5;
 
 /// kDumpFlightRecorder session-id sentinel addressing the server-wide
 /// event ring instead of a session's (no valid session can use it: create

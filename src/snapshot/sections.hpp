@@ -1,7 +1,7 @@
 // The section registry of every checkpoint (DESIGN.md §13.2), and the one
 // way a section is written and read back. A core session checkpoint holds
-// meta, chip, driver and optional faults; a fleet checkpoint holds the
-// same sections, written and read by the same code, plus its own.
+// meta, chip and driver; a fleet checkpoint holds the same sections,
+// written and read by the same code, plus its own.
 #pragma once
 
 #include <bit>
@@ -18,16 +18,19 @@ namespace section_id {
 inline constexpr std::uint16_t kMeta = 0x0001;      // kind, fingerprint, clock
 inline constexpr std::uint16_t kChip = 0x0002;      // chip evolving state
 inline constexpr std::uint16_t kDriver = 0x0003;    // ChipSession/HostInterface
-inline constexpr std::uint16_t kFaults = 0x0004;    // FaultPlan (optional)
+// 0x0004 is retired (a FaultPlan cursor, once optional in core checkpoints)
+// and never reused: readers skip it in older files.
 inline constexpr std::uint16_t kParams = 0x0005;    // fleet create params
 inline constexpr std::uint16_t kCounters = 0x0006;  // fleet counters
 inline constexpr std::uint16_t kRing = 0x0007;      // fleet record ring
 inline constexpr std::uint16_t kReplay = 0x0008;    // fleet replay cache
 inline constexpr std::uint16_t kFlight = 0x0009;    // fleet flight (optional)
-// Nine ids set nine distinct bits: no id names two sections.
+// Eight ids set eight distinct bits, none of them the retired id's: no id
+// names two sections.
 static_assert(std::popcount(1u << kMeta | 1u << kChip | 1u << kDriver |
-                            1u << kFaults | 1u << kParams | 1u << kCounters |
-                            1u << kRing | 1u << kReplay | 1u << kFlight) == 9);
+                            1u << kParams | 1u << kCounters | 1u << kRing |
+                            1u << kReplay | 1u << kFlight | 1u << 0x0004) ==
+              9);
 }  // namespace section_id
 
 /// Appends section `id` at schema `version`, its payload written by

@@ -4,7 +4,6 @@
 
 #include <cmath>
 #include <limits>
-#include <string>
 
 #include "common/error.hpp"
 #include "faults/defect_map.hpp"
@@ -60,75 +59,24 @@ TEST(FaultPlan, FractionsComeOutRoughlyAsRequested) {
   EXPECT_NEAR(stuck / 4096.0, 0.05, 0.015);
 }
 
-TEST(FaultPlan, JsonRoundtrip) {
-  FaultPlanConfig cfg;
-  cfg.seed = 1234;
-  cfg.dna_dead_fraction = 0.05;
-  cfg.dna_stuck_fraction = 0.01;
-  cfg.dna_leakage_outlier_fraction = 0.02;
-  cfg.dna_leakage_outlier_amp = 7e-12;
-  cfg.neuro_dead_fraction = 0.03;
-  cfg.neuro_stuck_fraction = 0.02;
-  cfg.neuro_railed_fraction = 0.01;
-  cfg.channel_gain_drift_sigma = 0.04;
-  cfg.link.bit_error_rate = 1e-3;
-  cfg.link.burst_prob = 0.01;
-  cfg.link.burst_length = 12;
-  cfg.link.drop_prob = 0.02;
-  cfg.link.truncate_prob = 0.03;
-  cfg.link.timeout_prob = 0.04;
-  const FaultPlan plan(cfg);
-
-  const FaultPlan back = FaultPlan::from_json(plan.to_json());
-  const auto& c = back.config();
-  EXPECT_EQ(c.seed, cfg.seed);
-  EXPECT_DOUBLE_EQ(c.dna_dead_fraction, cfg.dna_dead_fraction);
-  EXPECT_DOUBLE_EQ(c.dna_leakage_outlier_amp, cfg.dna_leakage_outlier_amp);
-  EXPECT_DOUBLE_EQ(c.neuro_railed_fraction, cfg.neuro_railed_fraction);
-  EXPECT_DOUBLE_EQ(c.channel_gain_drift_sigma, cfg.channel_gain_drift_sigma);
-  EXPECT_DOUBLE_EQ(c.link.bit_error_rate, cfg.link.bit_error_rate);
-  EXPECT_EQ(c.link.burst_length, cfg.link.burst_length);
-  EXPECT_DOUBLE_EQ(c.link.timeout_prob, cfg.link.timeout_prob);
-
-  // A replayed plan materializes the identical fault world.
-  const auto sa = plan.dna_site_faults(16, 8);
-  const auto sb = back.dna_site_faults(16, 8);
-  EXPECT_EQ(sa.type, sb.type);
-  EXPECT_EQ(sa.value, sb.value);
-}
-
-TEST(FaultPlan, FromJsonRejectsGarbage) {
-  EXPECT_THROW(FaultPlan::from_json("{}"), ConfigError);
-  EXPECT_THROW(FaultPlan::from_json("not json at all"), ConfigError);
-}
-
-TEST(FaultPlan, FromJsonRejectsNonFiniteAmplitudes) {
-  // strtod accepts "inf", "nan" and overflowing literals; the open-ended
-  // amplitudes must not let them through to the converters or channels.
-  const std::string base = FaultPlan(FaultPlanConfig{}).to_json();
-  for (const char* key :
-       {"dna_leakage_outlier_amp", "channel_gain_drift_sigma"}) {
-    for (const char* value : {"inf", "1e999", "nan", "-inf"}) {
-      std::string json = base;
-      const std::string quoted = std::string("\"") + key + "\": ";
-      const std::size_t at = json.find(quoted);
-      ASSERT_NE(at, std::string::npos) << key;
-      const std::size_t begin = at + quoted.size();
-      json.replace(begin, json.find_first_of(",}", begin) - begin, value);
-      EXPECT_THROW(FaultPlan::from_json(json), ConfigError)
-          << key << " = " << value;
-    }
+TEST(FaultPlan, RejectsNonFiniteAmplitudes) {
+  // The open-ended amplitudes have no fraction bound: infinities, NaN and
+  // overflowing values must not reach the converters or channels.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double value : {inf, -inf, nan}) {
+    FaultPlanConfig cfg;
+    cfg.dna_leakage_outlier_amp = value;
+    EXPECT_THROW(FaultPlan{cfg}, ConfigError) << "outlier amp " << value;
+    cfg = FaultPlanConfig{};
+    cfg.channel_gain_drift_sigma = value;
+    EXPECT_THROW(FaultPlan{cfg}, ConfigError) << "drift sigma " << value;
   }
-  FaultPlanConfig cfg;
-  cfg.dna_leakage_outlier_amp = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(FaultPlan{cfg}, ConfigError);
 
   // A finite amplitude whose 2x outlier draw would overflow is refused too.
-  std::string json = base;
-  const std::string quoted = "\"dna_leakage_outlier_amp\": ";
-  const std::size_t begin = json.find(quoted) + quoted.size();
-  json.replace(begin, json.find_first_of(",}", begin) - begin, "1e308");
-  EXPECT_THROW(FaultPlan::from_json(json), ConfigError);
+  FaultPlanConfig cfg;
+  cfg.dna_leakage_outlier_amp = 1e308;
+  EXPECT_THROW(FaultPlan{cfg}, ConfigError);
   cfg.dna_leakage_outlier_amp = std::numeric_limits<double>::max() / 2.0;
   cfg.dna_leakage_outlier_fraction = 1.0;
   const SiteFaultSet set = FaultPlan{cfg}.dna_site_faults(4, 4);

@@ -851,7 +851,7 @@ TEST(FleetServer, RestoreRefusesParentFleetLayout) {
   EXPECT_EQ(restore_from(limits, 5, parent), HostStatus::kFault);
 }
 
-TEST(FleetServer, RestoreGuardsAndCapabilityBit) {
+TEST(FleetServer, RestoreGuards) {
   FleetServer server;
   ServerLink link(server);
   FleetClient client(link);
@@ -1038,6 +1038,14 @@ TEST(FleetTelemetry, FlightDumpWritesArtifactUnderResultsDir) {
   ASSERT_TRUE(server_dump) << host_status_name(server_dump.error());
   EXPECT_NE(server_dump->path.find("fleet.server.flight.json"),
             std::string::npos);
+
+  // The session dump is noted like any session command: create, start and
+  // dump; the server-scope dump addresses no session.
+  const auto health = client.session_health(6);
+  ASSERT_TRUE(health) << host_status_name(health.error());
+  EXPECT_EQ(health->commands_handled, 3u);
+  EXPECT_EQ(health->last_command, HostCommand::kDumpFlightRecorder);
+  EXPECT_EQ(health->last_status, HostStatus::kOk);
 
   unsetenv("BIOSENSE_RESULTS_DIR");
   fs::remove_all(dir);

@@ -65,15 +65,6 @@ TEST(GainStage, CalibrationCancelsGainErrorAndOffset) {
   EXPECT_NEAR(out, 0.0, 1e-3 * p.nominal_gain * 1e-6);
 }
 
-TEST(GainStage, OutputClipsAtCompliance) {
-  GainStageParams p = ideal_params();
-  p.out_limit = 1e-6;
-  GainStage g(p, Rng(1));
-  double out = 0.0;
-  for (int i = 0; i < 100000; ++i) out = g.step(1e-6, 1e-9);  // would be 100 uA
-  EXPECT_NEAR(out, 1e-6, 1e-9);
-}
-
 TEST(GainStage, RejectsInvalidConfig) {
   GainStageParams p;
   p.nominal_gain = 0.0;

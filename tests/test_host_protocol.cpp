@@ -183,11 +183,16 @@ TEST_F(DispatcherTest, CreateRequiresThePresetByte) {
 }
 
 TEST_F(DispatcherTest, UnknownCommandId) {
-  EXPECT_EQ(send(request_header(static_cast<HostCommand>(0xEE))),
-            HostStatus::kUnknownCommand);
-  const auto frame = response_frame();
-  EXPECT_EQ(frame.header.status, HostStatus::kUnknownCommand);
-  EXPECT_EQ(frame.payload_len, 0u);
+  // 0x01 and 0x02 were the retired discovery commands; the table is fixed.
+  for (const std::uint16_t id :
+       {std::uint16_t{0x01}, std::uint16_t{0x02}, std::uint16_t{0xEE}}) {
+    EXPECT_EQ(send(request_header(static_cast<HostCommand>(id))),
+              HostStatus::kUnknownCommand)
+        << "id " << id;
+    const auto frame = response_frame();
+    EXPECT_EQ(frame.header.status, HostStatus::kUnknownCommand);
+    EXPECT_EQ(frame.payload_len, 0u);
+  }
 }
 
 TEST_F(DispatcherTest, CorruptFrameAnsweredWithBadCrc) {
@@ -229,35 +234,10 @@ TEST_F(DispatcherTest, PayloadSchemaBoundsEnforced) {
 }
 
 TEST_F(DispatcherTest, TypedErrorResponsesCarryNoPartialPayload) {
-  // kGetProtocolInfo with a nonzero payload violates its schema (0, 0).
-  EXPECT_EQ(send(request_header(HostCommand::kGetProtocolInfo), {0}),
+  // kServerStats with a nonzero payload violates its schema (0, 0).
+  EXPECT_EQ(send(request_header(HostCommand::kServerStats), {0}),
             HostStatus::kBadPayload);
   EXPECT_EQ(response_frame().payload_len, 0u);
-}
-
-TEST_F(DispatcherTest, DiscoveryReportsCapabilitiesAndCommandCount) {
-  EXPECT_EQ(send(request_header(HostCommand::kGetCapabilities)),
-            HostStatus::kOk);
-  auto frame = response_frame();
-  StateReader caps(frame.payload, frame.payload_len);
-  const auto bits = caps.u32();
-  EXPECT_TRUE(caps.exhausted());
-  EXPECT_TRUE(bits & kCapDnaSessions);
-  EXPECT_TRUE(bits & kCapNeuroSessions);
-  EXPECT_TRUE(bits & kCapFaultInjection);
-  EXPECT_TRUE(bits & kCapReplayCache);
-  EXPECT_TRUE(bits & kCapCheckpoint);
-  EXPECT_TRUE(bits & kCapTelemetry);
-
-  EXPECT_EQ(send(request_header(HostCommand::kGetProtocolInfo)),
-            HostStatus::kOk);
-  frame = response_frame();
-  StateReader info(frame.payload, frame.payload_len);
-  EXPECT_EQ(info.u8(), kProtocolVersion);
-  EXPECT_EQ(info.u8(), kHeaderSize);
-  EXPECT_EQ(info.u16(), kMaxPayload);
-  EXPECT_EQ(info.u16(), server_.dispatcher().commands().size());
-  EXPECT_TRUE(info.exhausted());
 }
 
 }  // namespace

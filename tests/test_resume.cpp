@@ -185,25 +185,6 @@ TEST(Resume, DnaBitExactAcrossCheckpoint) {
   EXPECT_EQ(resumed_hash, ref_hash);
 }
 
-TEST(Resume, FaultPlanCursorTravelsWithTheCheckpoint) {
-  const auto opts = dna_options();
-  faults::FaultPlanConfig plan_cfg;
-  plan_cfg.seed = 3;
-  faults::FaultPlan plan(plan_cfg);
-  (void)plan.next_file_corruption(128);
-  (void)plan.next_file_corruption(128);
-
-  auto session = opts.build_dna();
-  SessionCheckpointMeta meta;
-  meta.kind = ChipKind::kDna;
-  const auto bytes = checkpoint_dna(session, meta, &plan);
-
-  faults::FaultPlan resumed_plan(plan_cfg);
-  auto target = opts.build_dna();
-  ASSERT_TRUE(restore_dna(target, bytes, &resumed_plan));
-  EXPECT_EQ(resumed_plan.file_corruption_cursor(), 2u);
-}
-
 TEST(Resume, WrongShapeIsTypedStateMismatch) {
   const auto opts = neuro_options(false);
   auto source = opts.build_neuro();
@@ -307,30 +288,102 @@ TEST(Resume, CorruptedSessionCheckpointIsTypedNeverUB) {
   meta.kind = ChipKind::kNeuro;
   const auto good = checkpoint_neuro(source, meta);
 
-  faults::FaultPlanConfig cfg;
-  cfg.seed = 11;
-  faults::FaultPlan plan(cfg);
-  for (std::uint64_t index = 0; index < 24; ++index) {
-    auto corrupt = good;
-    plan.file_corruption(index, corrupt.size()).apply(corrupt);
-    if (corrupt == good) continue;
-    auto target = opts.build_neuro();
-    const auto restored = restore_neuro(target, corrupt);
-    ASSERT_FALSE(restored) << "corruption " << index << " survived";
-    EXPECT_STRNE(snapshot::snapshot_error_name(restored.error()), "unknown");
+  // A truncation, a bit flip and a torn tail (stale junk from the offset
+  // on) at offsets across the header, the section table and the payloads.
+  Rng pick(11);
+  for (int i = 0; i < 8; ++i) {
+    const auto offset = static_cast<std::size_t>(
+        pick.uniform_int(1, static_cast<std::int64_t>(good.size()) - 1));
+    auto truncated = good;
+    truncated.resize(offset);
+    auto flipped = good;
+    flipped[offset] ^= static_cast<std::uint8_t>(1u << (i % 8));
+    auto torn = good;
+    Rng junk(pick.next_u64());
+    for (std::size_t j = offset; j < torn.size(); ++j) {
+      torn[j] = static_cast<std::uint8_t>(junk.next_u64());
+    }
+    for (const auto* corrupt : {&truncated, &flipped, &torn}) {
+      if (*corrupt == good) continue;
+      auto target = opts.build_neuro();
+      const auto restored = restore_neuro(target, *corrupt);
+      ASSERT_FALSE(restored) << "corruption at " << offset << " survived";
+      EXPECT_STRNE(snapshot::snapshot_error_name(restored.error()),
+                   "unknown");
+    }
   }
 }
 
-TEST(Resume, CheckpointBytesArePinned) {
-  // A checkpoint is a file format: the bytes written for fixed sessions,
-  // with and without a fault-plan section, are pinned by digest and size,
-  // so any change to a section id, version or payload layout shows here.
-  set_max_threads(1);
-  faults::FaultPlanConfig plan_cfg;
-  plan_cfg.seed = 3;
-  faults::FaultPlan plan(plan_cfg);
-  (void)plan.next_file_corruption(128);
+/// `bytes` as a writer given a FaultPlan wrote them before section id 4
+/// was retired: the same sections, then id 4 at version 1 holding the
+/// plan's u64 file-corruption cursor.
+std::vector<std::uint8_t> with_retired_faults_section(
+    const std::vector<std::uint8_t>& bytes, std::uint64_t cursor) {
+  const auto view = snapshot::SnapshotView::parse(bytes);
+  EXPECT_TRUE(view);
+  snapshot::SnapshotBuilder builder;
+  for (const snapshot::SectionView& section : view->sections()) {
+    builder.add_section(
+        section.id, section.version,
+        std::vector<std::uint8_t>(section.payload,
+                                  section.payload + section.size));
+  }
+  std::vector<std::uint8_t> payload;
+  snapshot::StateWriter(payload).u64(cursor);
+  builder.add_section(0x0004, 1, payload);
+  return builder.finish();
+}
 
+TEST(Resume, RetiredFaultsSectionIsSkipped) {
+  // Checkpoints that carry the retired id-4 section (the digests are what
+  // the earlier writer produced for these sessions) restore, resume
+  // bit-exactly and re-checkpoint to today's plan-less bytes.
+  set_max_threads(1);
+  const neurochip::ConstantSource source(2e-4);
+  auto neuro = neuro_options(true).build_neuro();
+  (void)neuro.session->record(source, 0.0, 3);
+  SessionCheckpointMeta neuro_meta;
+  neuro_meta.kind = ChipKind::kNeuro;
+  neuro_meta.frames_done = 3;
+  neuro_meta.t = 3 * neuro_period(neuro);
+  const auto neuro_bytes = checkpoint_neuro(neuro, neuro_meta);
+  const auto neuro_old = with_retired_faults_section(neuro_bytes, 1);
+  EXPECT_EQ(fnv1a(kFnv1aOffset, neuro_old.data(), neuro_old.size()),
+            0x8a45e34ce57b7792ull);
+  EXPECT_EQ(neuro_old.size(), 5434u);
+
+  auto neuro_twin = neuro_options(true).build_neuro();
+  const auto neuro_restored = restore_neuro(neuro_twin, neuro_old);
+  ASSERT_TRUE(neuro_restored);
+  EXPECT_EQ(checkpoint_neuro(neuro_twin, *neuro_restored), neuro_bytes);
+  EXPECT_EQ(hash_frames(kFnv1aOffset, neuro_twin.session->record(
+                                          source, neuro_restored->t, 4)),
+            hash_frames(kFnv1aOffset,
+                        neuro.session->record(source, neuro_meta.t, 4)));
+
+  auto dna = dna_options().build_dna();
+  (void)dna_round(dna, kFnv1aOffset);
+  SessionCheckpointMeta dna_meta;
+  dna_meta.kind = ChipKind::kDna;
+  dna_meta.frames_done = 1;
+  const auto dna_bytes = checkpoint_dna(dna, dna_meta);
+  const auto dna_old = with_retired_faults_section(dna_bytes, 1);
+  EXPECT_EQ(fnv1a(kFnv1aOffset, dna_old.data(), dna_old.size()),
+            0x43aecea233d0039full);
+  EXPECT_EQ(dna_old.size(), 2634u);
+
+  auto dna_twin = dna_options().build_dna();
+  const auto dna_restored = restore_dna(dna_twin, dna_old);
+  ASSERT_TRUE(dna_restored);
+  EXPECT_EQ(checkpoint_dna(dna_twin, *dna_restored), dna_bytes);
+  EXPECT_EQ(dna_round(dna_twin, kFnv1aOffset), dna_round(dna, kFnv1aOffset));
+}
+
+TEST(Resume, CheckpointBytesArePinned) {
+  // A checkpoint is a file format: the bytes written for fixed sessions
+  // are pinned by digest and size, so any change to a section id, version
+  // or payload layout shows here.
+  set_max_threads(1);
   auto neuro = neuro_options(true).build_neuro();
   (void)neuro.session->record(neurochip::ConstantSource(2e-4), 0.0, 3);
   SessionCheckpointMeta neuro_meta;
@@ -353,11 +406,7 @@ TEST(Resume, CheckpointBytesArePinned) {
   const Pinned pinned[] = {
       {"neuro", checkpoint_neuro(neuro, neuro_meta),
        0x6007491df9cd66e0ull, 5417},
-      {"neuro+faults", checkpoint_neuro(neuro, neuro_meta, &plan),
-       0x8a45e34ce57b7792ull, 5434},
       {"dna", checkpoint_dna(dna, dna_meta), 0x191a27462729d6b4ull, 2617},
-      {"dna+faults", checkpoint_dna(dna, dna_meta, &plan),
-       0x43aecea233d0039full, 2634},
   };
   for (const Pinned& p : pinned) {
     const std::uint64_t digest =
