@@ -75,11 +75,10 @@ gate ubsan run_config ubsan undefined OFF "$@"
 # for the host's own ISA (AVX2 / AVX-512 / FMA where present) must match
 # its object model bitwise and reproduce the pinned digest of the baseline
 # x86-64 build (the src/ libraries compile with -ffp-contract=off). The
-# other bitwise-exactness tests ride along: test_mosfet (the EKV
-# reverse-term skip against the two-term formula, under the host's own
-# glibc exp/log1p) and test_neurochip (prepare against the per-pixel scan),
-# since the gain lanes' vector width and libm's per-CPU paths are what
-# change at native ISA.
+# other bitwise-exactness tests ride along: test_mosfet (the EKV lanes and
+# the reverse-term skip against the scalar model) and test_neurochip
+# (prepare against the per-pixel scan), since the lanes' vector width is
+# what changes at native ISA.
 golden_native() {
   echo "=== [golden-native] exactness tests built with -march=native ==="
   cmake -B build-ci-native -S . -DCMAKE_CXX_FLAGS=-march=native \
@@ -92,16 +91,18 @@ golden_native() {
 }
 gate golden-native golden_native
 
-# The loops whose speed rests on GCC's vectorizer: the gain-lane loop after
-# each BIOSENSE_LANE_LOOP in neurochip/array.cpp, and the batched
-# Box-Muller loop in neurochip/pixel_bank.cpp (it vectorizes only with that
-# file's -fno-math-errno). Each file compiles alone with the library's
-# flags plus -fopt-info-vec-optimized, and the gate fails unless GCC
-# reports "loop vectorized" at every such loop's line. The lines are found
+# The loops whose speed rests on GCC's vectorizer: the loop after each
+# BIOSENSE_LANE_LOOP in neurochip/array.cpp (the gain lanes) and in
+# circuit/mosfet.cpp (the EKV front end's and the balance-voltage solve's
+# lanes), and the batched Box-Muller loop in neurochip/pixel_bank.cpp (it
+# vectorizes only with that file's -fno-math-errno). Each file compiles
+# alone with the library's flags plus -fopt-info-vec-optimized, and the
+# gate fails unless GCC reports "loop vectorized" at every such loop's
+# line. The lines are found
 # in the source, so moving a loop needs no edit here. Other compilers word
 # their reports differently, so the gate skips on them with a note.
 vectorized() {
-  echo "=== [vectorized] gain-lane and Box-Muller loops vectorize ==="
+  echo "=== [vectorized] lane and Box-Muller loops vectorize ==="
   local cxx="${CXX:-c++}" macros
   macros="$("${cxx}" -dM -E -x c++ /dev/null)"
   if [[ "${macros}" != *__GNUC__* || "${macros}" == *__clang__* ]]; then
@@ -127,10 +128,13 @@ vectorized() {
       echo "${src}:${line}: loop vectorized"
     done
   }
-  expect_vectorized src/neurochip/array.cpp "" $(awk '
-    $1 == "BIOSENSE_LANE_LOOP" { want = 1; next }
-    want && /^[[:space:]]*for[[:space:]]*\(/ { print NR; want = 0 }
-  ' src/neurochip/array.cpp)
+  local lanes
+  for lanes in src/neurochip/array.cpp src/circuit/mosfet.cpp; do
+    expect_vectorized "${lanes}" "" $(awk '
+      $1 == "BIOSENSE_LANE_LOOP" { want = 1; next }
+      want && /^[[:space:]]*for[[:space:]]*\(/ { print NR; want = 0 }
+    ' "${lanes}")
+  done
   expect_vectorized src/neurochip/pixel_bank.cpp -fno-math-errno $(awk '
     /^[[:space:]]*for[[:space:]]*\(/ { loop = NR }
     /noise::box_muller\(/ { print loop; exit }

@@ -1,13 +1,24 @@
 #include "circuit/mosfet.hpp"
 
-#include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "common/error.hpp"
 #include "common/math_util.hpp"
 #include "common/units.hpp"
 
 namespace biosense::circuit {
+
+namespace {
+
+// The bracket and halving budget of every vgs_for_current solve, scalar
+// and lanes alike: subthreshold pA needs gate voltages well below VT,
+// strong inversion well above.
+constexpr double kVgLo = -10.0;
+constexpr double kVgHi = 15.0;
+constexpr int kBisectIters = 80;
+
+}  // namespace
 
 Mosfet::Mosfet(MosfetParams params, noise::DeviceMismatch mismatch)
     : params_(params), mismatch_(mismatch) {
@@ -52,11 +63,10 @@ double Mosfet::gm(double vg, double vd, double vs) const {
 
 double Mosfet::vgs_for_current(double id, double vd, double vs) const {
   require(id > 0.0, "Mosfet::vgs_for_current: current must be positive");
-  // I(VG) is monotonic (increasing for NMOS, decreasing for PMOS); bracket
-  // the root generously — subthreshold pA needs gate voltages well below VT,
-  // strong inversion well above. bisect() accepts either orientation.
+  // I(VG) is monotonic (increasing for NMOS, decreasing for PMOS); bisect()
+  // accepts either orientation.
   auto f = [&](double vg) { return drain_current(vg, vd, vs) - id; };
-  return bisect(f, -10.0, 15.0, 80);
+  return bisect(f, kVgLo, kVgHi, kBisectIters);
 }
 
 void MosfetSpan::reset(const MosfetParams& params, std::size_t count) {
@@ -72,11 +82,131 @@ void MosfetSpan::set(std::size_t i, const Mosfet& d) {
   i_spec_[i] = 2.0 * params_.n * d.beta() * vt_th_ * vt_th_;
 }
 
-double MosfetSpan::vgs_for_current(std::size_t i, double id, double vd,
-                                   double vs) const {
-  require(id > 0.0, "Mosfet::vgs_for_current: current must be positive");
-  auto f = [&](double vg) { return drain_current(i, vg, vd, vs) - id; };
-  return bisect(f, -10.0, 15.0, 80);
+void MosfetSpan::ekv_lanes(const double* vgs, const double* evt,
+                           const double* i_spec, int count, double vds,
+                           double* id) const {
+  const double n = params_.n;
+  const double vt = vt_th_;
+  alignas(64) double x_f[kLanes];
+  alignas(64) double x_r[kLanes];
+  alignas(64) double e[kLanes];
+  alignas(64) double bracket[kLanes];
+  BIOSENSE_LANE_LOOP
+  for (int j = 0; j < count; ++j) {
+    const double vp = (vgs[j] - evt[j]) / n;
+    x_f[j] = vp / vt;
+    x_r[j] = (vp - vds) / vt;
+  }
+  BIOSENSE_LANE_LOOP
+  for (int j = 0; j < count; ++j) e[j] = detail::ekv_f_exp(x_f[j]);
+  BIOSENSE_LANE_LOOP
+  for (int j = 0; j < count; ++j) {
+    bracket[j] = detail::ekv_f_from_exp(x_f[j], e[j]);
+  }
+  // Where the scalar call skips the reverse term, subtracting it changes
+  // no bit, so a block subtracts it on every lane or on none.
+  bool negligible = true;
+  for (int j = 0; j < count; ++j) {
+    negligible = negligible && detail::ekv_rev_negligible(bracket[j], x_r[j]);
+  }
+  if (!negligible) {
+    BIOSENSE_LANE_LOOP
+    for (int j = 0; j < count; ++j) e[j] = detail::ekv_f_exp(x_r[j]);
+    BIOSENSE_LANE_LOOP
+    for (int j = 0; j < count; ++j) {
+      bracket[j] -= detail::ekv_f_from_exp(x_r[j], e[j]);
+    }
+  }
+  // Channel-length modulation on forward conduction, as ekv_current
+  // applies it.
+  const double clm = 1.0 + params_.lambda * vds;
+  BIOSENSE_LANE_LOOP
+  for (int j = 0; j < count; ++j) {
+    double d = i_spec[j] * bracket[j];
+    if (d > 0.0 && vds > 0.0) d *= clm;
+    id[j] = d;
+  }
+}
+
+void MosfetSpan::drain_currents(const std::size_t* idx, const double* vg,
+                                int count, double vd, double vs,
+                                double* id) const {
+  alignas(64) double vgs[kLanes];
+  alignas(64) double evt[kLanes];
+  alignas(64) double i_spec[kLanes];
+  const bool n_frame = params_.type == MosType::kNmos;
+  for (int j = 0; j < count; ++j) {
+    vgs[j] = n_frame ? vg[j] - vs : vs - vg[j];
+    evt[j] = evt_[idx[j]];
+    i_spec[j] = i_spec_[idx[j]];
+  }
+  ekv_lanes(vgs, evt, i_spec, count, n_frame ? vd - vs : vs - vd, id);
+}
+
+void MosfetSpan::solve_residual(std::size_t first, int count,
+                                const double* vg, const double* id,
+                                double vd, double vs, double* f) const {
+  alignas(64) double vgs[kLanes];
+  const bool n_frame = params_.type == MosType::kNmos;
+  for (int j = 0; j < count; ++j) vgs[j] = n_frame ? vg[j] - vs : vs - vg[j];
+  ekv_lanes(vgs, evt_.data() + first, i_spec_.data() + first, count,
+            n_frame ? vd - vs : vs - vd, f);
+  for (int j = 0; j < count; ++j) f[j] -= id[j];
+}
+
+void MosfetSpan::vgs_for_currents(std::size_t first, int count,
+                                  const double* id, double vd, double vs,
+                                  double* vg) const {
+  require(count > 0 && count <= kLanes &&
+              first + static_cast<std::size_t>(count) <= size(),
+          "MosfetSpan: lane block out of range");
+  for (int j = 0; j < count; ++j) {
+    require(id[j] > 0.0, "Mosfet::vgs_for_current: current must be positive");
+  }
+  alignas(64) double lo[kLanes];
+  alignas(64) double hi[kLanes];
+  alignas(64) double flo[kLanes];
+  alignas(64) double fhi[kLanes];
+  alignas(64) double mid[kLanes];
+  alignas(64) double fm[kLanes];
+  for (int j = 0; j < count; ++j) {
+    lo[j] = kVgLo;
+    hi[j] = kVgHi;
+  }
+  solve_residual(first, count, lo, id, vd, vs, flo);
+  solve_residual(first, count, hi, id, vd, vs, fhi);
+  // bisect()'s entry: a root on an end returns that end (a lane that does
+  // still bisects below, harmlessly); otherwise the ends must differ in
+  // sign.
+  bool on_end[kLanes];
+  for (int j = 0; j < count; ++j) {
+    on_end[j] = flo[j] == 0.0 || fhi[j] == 0.0;
+    if (!on_end[j] && (flo[j] > 0.0) == (fhi[j] > 0.0)) {
+      throw std::invalid_argument("bisect: no sign change on interval");
+    }
+    vg[j] = flo[j] == 0.0 ? kVgLo : kVgHi;  // kept where on_end[j]
+  }
+  for (int i = 0; i < kBisectIters; ++i) {
+    // A lane whose midpoint rounds onto an end repeats this halving
+    // forever; the block stops once every lane has.
+    bool fixed = true;
+    for (int j = 0; j < count; ++j) {
+      mid[j] = 0.5 * (lo[j] + hi[j]);
+      fixed = fixed && (mid[j] == lo[j] || mid[j] == hi[j]);
+    }
+    if (fixed) break;
+    solve_residual(first, count, mid, id, vd, vs, fm);
+    BIOSENSE_LANE_LOOP
+    for (int j = 0; j < count; ++j) {
+      const bool lo_side = (fm[j] > 0.0) == (flo[j] > 0.0);
+      lo[j] = lo_side ? mid[j] : lo[j];
+      flo[j] = lo_side ? fm[j] : flo[j];
+      hi[j] = lo_side ? hi[j] : mid[j];
+    }
+  }
+  for (int j = 0; j < count; ++j) {
+    if (!on_end[j]) vg[j] = 0.5 * (lo[j] + hi[j]);
+  }
 }
 
 }  // namespace biosense::circuit

@@ -18,38 +18,72 @@
 // PMOS model mirrors the NMOS one.
 #pragma once
 
-#include <cmath>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 
 #include "common/aligned.hpp"
 #include "common/units.hpp"
+#include "noise/counter.hpp"
 #include "noise/mismatch.hpp"
 
 namespace biosense::circuit {
 
 namespace detail {
-/// F(x) = ln^2(1 + exp(x/2)), computed overflow-safely. Shared by the
-/// scalar Mosfet and the plane-structured MosfetSpan so both evaluate the
-/// exact same arithmetic.
-inline double ekv_f(double x) {
-  double ln_term;
-  if (x > 60.0) {
-    ln_term = 0.5 * x;  // exp dominates
-  } else {
-    ln_term = std::log1p(std::exp(0.5 * x));
-  }
-  return ln_term * ln_term;
+/// F(x) = ln^2(1 + e^{x/2}) is computed as (max(z, 0) + ln(1 + e^{-|z|}))^2
+/// with z = x/2, so neither term can overflow, from the in-repo exp and
+/// log1p kernels (noise/counter.hpp). Branch-free, with no FP select: the
+/// sign, the max and the clamp of |z| at 708 are integer operations on
+/// the bits, so a loop over lanes vectorizes and each lane gives the
+/// scalar bits. Past the clamp e^{-|z|} <= e^-708 changes no bit of F:
+/// z + e^-708 rounds to z for z > 708, and the square of a log1p of at most
+/// e^-708 underflows to 0. NaN passes the clamp, so F(NaN) is NaN; F(+inf)
+/// is inf and F(-inf) is 0.
+///
+/// F comes in two halves, e^{-|z|} and the rest, which ekv_f composes. A
+/// lane loop runs each half as its own loop: the halves' dependency chains
+/// then overlap across lanes, where one fused loop body is too long for the
+/// core to overlap two of its iterations.
+inline double ekv_f_exp(double x) {
+  constexpr std::uint64_t kSign = 0x8000000000000000ULL;
+  constexpr std::uint64_t kInf = 0x7ff0000000000000ULL;
+  constexpr std::uint64_t kCap = std::bit_cast<std::uint64_t>(708.0);
+  const std::uint64_t mag = std::bit_cast<std::uint64_t>(0.5 * x) & ~kSign;
+  // Non-negative doubles order like their bits, so a borrow out of the
+  // difference compares them: clamp where kCap < mag <= kInf.
+  const std::uint64_t over = ((kCap - mag) >> 63) ^ ((kInf - mag) >> 63);
+  const std::uint64_t a = mag ^ ((mag ^ kCap) & (0 - over));
+  return noise::exp_nonpositive(std::bit_cast<double>(a | kSign));
 }
+
+/// F(x) from e = ekv_f_exp(x).
+inline double ekv_f_from_exp(double x, double e) {
+  const std::uint64_t zb = std::bit_cast<std::uint64_t>(0.5 * x);
+  // max(z, 0): all of z's bits when its sign is clear, none when set.
+  const double pos = std::bit_cast<double>(zb & ((zb >> 63) - 1));
+  const double root = pos + noise::log1p_nonnegative(e);
+  return root * root;
+}
+
+/// The one F of the EKV model: Mosfet, MosfetSpan and the span's lanes all
+/// evaluate this arithmetic.
+inline double ekv_f(double x) { return ekv_f_from_exp(x, ekv_f_exp(x)); }
 
 /// F(x_f) - F(x_r), the bracket of the EKV current. The reverse term is
 /// skipped when it cannot change the result: for x_r < -42,
-/// F(x_r) <= e^{x_r} < 2^-60 (ln(1 + y) <= y), below a quarter ulp of any
-/// F(x_f) >= 1, so the subtraction would round back to F(x_f) exactly. A
-/// biased pixel's M1 sits at x_r ~ -73 with F(x_f) ~ 4.3, so each read
-/// saves one exp + log1p pair and keeps every bit.
+/// F(x_r) < 2^-60 (F(x) <= e^x: ln(1 + y) <= y; test_mosfet holds the
+/// kernel to it), below a quarter ulp of any F(x_f) >= 1, so the
+/// subtraction would round back to F(x_f) exactly. A biased pixel's M1
+/// sits at x_r ~ -73 with F(x_f) ~ 4.3, so each read saves one F. Lanes
+/// (MosfetSpan::drain_currents) may therefore subtract F(x_r) on every
+/// lane of a block where any lane needs it and still give these bits.
+inline bool ekv_rev_negligible(double fwd, double x_r) {
+  return x_r < -42.0 && fwd >= 1.0;
+}
+
 inline double ekv_fwd_minus_rev(double x_f, double x_r) {
   const double fwd = ekv_f(x_f);
-  if (x_r < -42.0 && fwd >= 1.0) return fwd;
+  if (ekv_rev_negligible(fwd, x_r)) return fwd;
   return fwd - ekv_f(x_r);
 }
 }  // namespace detail
@@ -121,9 +155,14 @@ class Mosfet {
 /// perturbs — effective V_T and the specific current 2 n beta V_T^2 — live in
 /// contiguous planes, so a capture loop indexes two doubles per device
 /// instead of chasing a Mosfet object. drain_current(i, ...) reproduces
-/// Mosfet::drain_current bit for bit for the captured device.
+/// Mosfet::drain_current bit for bit for the captured device, and so does
+/// each lane of the lane entries, which evaluate up to kLanes devices as
+/// SIMD lanes.
 class MosfetSpan {
  public:
+  /// Most devices one lane-entry call takes.
+  static constexpr int kLanes = 8;
+
   MosfetSpan() = default;
 
   /// Sizes the span for `count` devices sharing `params` (per-device
@@ -149,8 +188,17 @@ class MosfetSpan {
            (2.0 * dv);
   }
 
-  /// Per-device bisection solve, identical brackets to the scalar model.
-  double vgs_for_current(std::size_t i, double id, double vd, double vs) const;
+  /// id[j] = drain_current(idx[j], vg[j], vd, vs) for j < count <=
+  /// kLanes, as lanes (the devices gathered from any indices).
+  void drain_currents(const std::size_t* idx, const double* vg, int count,
+                      double vd, double vs, double* id) const;
+
+  /// vg[j] = Mosfet::vgs_for_current(id[j], vd, vs) of device first + j,
+  /// for j < count <= kLanes: each lane performs bisect()'s operations on
+  /// the same bracket, and the block stops once every lane has reached
+  /// its fixed point.
+  void vgs_for_currents(std::size_t first, int count, const double* id,
+                        double vd, double vs, double* vg) const;
 
  private:
   double ekv_current(std::size_t i, double vgs, double vds) const {
@@ -160,6 +208,17 @@ class MosfetSpan {
     if (id > 0.0 && vds > 0.0) id *= 1.0 + params_.lambda * vds;
     return id;
   }
+
+  /// ekv_current over `count` lanes of contiguous per-device constants,
+  /// for source-referenced gate voltages `vgs` and one shared vds.
+  void ekv_lanes(const double* vgs, const double* evt, const double* i_spec,
+                 int count, double vds, double* id) const;
+
+  /// The lanes' drain currents at gate voltages `vg` minus their targets
+  /// `id`: bisect()'s f, for the devices from `first` on.
+  void solve_residual(std::size_t first, int count, const double* vg,
+                      const double* id, double vd, double vs,
+                      double* f) const;
 
   MosfetParams params_;
   double vt_th_ = 0.0;     // thermal voltage at params_.temp_k, hoisted

@@ -15,6 +15,9 @@ double bisect(const std::function<double(double)>& f, double lo, double hi,
   }
   for (int i = 0; i < iters; ++i) {
     const double mid = 0.5 * (lo + hi);
+    // mid == lo gives f(mid) == flo and keeps lo; mid == hi gives f(hi),
+    // whose sign differs from flo's, and keeps hi: a fixed point.
+    if (mid == lo || mid == hi) break;
     const double fm = f(mid);
     if ((fm > 0.0) == (flo > 0.0)) {
       lo = mid;

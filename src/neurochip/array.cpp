@@ -11,14 +11,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
-// The gain lanes carry no dependence from one lane to the next; saying so
-// lets the compiler vectorize their loops without runtime alias checks.
-#if defined(__clang__)
-#define BIOSENSE_LANE_LOOP _Pragma("clang loop vectorize(assume_safety)")
-#else
-#define BIOSENSE_LANE_LOOP _Pragma("GCC ivdep")
-#endif
-
 namespace biosense::neurochip {
 
 void NeuroChipConfig::validate() const {
@@ -355,28 +347,34 @@ void NeuroChip::capture_frame_into(const SignalSource& source, double t,
           // reports its cached zero-signal current and draws no noise; its
           // flicker poles catch up on its next active read. The decision
           // depends only on phase-1 output, which is identical for every
-          // thread count — see DESIGN.md §16.
+          // thread count — see DESIGN.md §16. The run's active pixels are
+          // gathered into one block: their noise is one draw_noise batch
+          // and their front ends one run of lanes, dense or sparse alike.
           std::size_t active[PixelBank::kBatch];
+          double v_sig[PixelBank::kBatch];
           double noise[PixelBank::kBatch];
+          double i_active[PixelBank::kBatch];
           int n_active = 0;
           for (int r = 0; r < run_end - run; ++r) {
             const std::size_t pi = run_pi + static_cast<std::size_t>(r);
-            const double v_sig = ch_ctx.scratch[pi];
-            if (ch_ctx.quiesce > 0.0 && std::abs(v_sig) < ch_ctx.quiesce) {
+            const double v = ch_ctx.scratch[pi];
+            if (ch_ctx.quiesce > 0.0 && std::abs(v) < ch_ctx.quiesce) {
               bank.skip(pi);
             } else {
+              v_sig[n_active] = v;
               active[n_active++] = pi;
             }
           }
-          if (n_active > 0) bank.draw_noise(active, n_active, ch_ctx.fc, noise);
+          if (n_active > 0) {
+            bank.draw_noise(active, n_active, ch_ctx.fc, noise);
+            bank.front_end(active, n_active, v_sig, noise, i_active);
+          }
           int next_active = 0;
           for (int row = run; row < run_end; ++row) {
             const std::size_t pi = run_pi + static_cast<std::size_t>(row - run);
             double i_pixel = 0.0;
             if (next_active < n_active && active[next_active] == pi) {
-              i_pixel =
-                  bank.front_end(pi, ch_ctx.scratch[pi], noise[next_active]);
-              ++next_active;
+              i_pixel = i_active[next_active++];
             } else {
               i_pixel = bank.quiet_current(pi);
             }

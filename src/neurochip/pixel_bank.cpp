@@ -1,5 +1,6 @@
 #include "neurochip/pixel_bank.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -15,6 +16,9 @@ namespace {
 /// Box-Muller pairs per pixel-step: white + kFlickerPoles normals, rounded
 /// up to whole pairs (one normal of the last pair goes unused).
 constexpr int kPairs = (static_cast<int>(noise::kFlickerPoles) + 2) / 2;
+
+static_assert(PixelBank::kBatch <= circuit::MosfetSpan::kLanes,
+              "a front-end run must fit one MosfetSpan lane block");
 
 }  // namespace
 
@@ -74,7 +78,6 @@ void PixelBank::build(const PixelParams& params, int rows, int cols,
       m1_.set(i, m1_dev);
       // M2's mismatch displaces the current the shared nominal bias forces.
       i_m2_[i] = m2_dev.drain_current(v_bias_m2, v_drain_, 0.0);
-      v_balance_[i] = m1_.vgs_for_current(i, i_m2_[i], v_drain_, 0.0);
       i_quiet_[i] = quiet_of(i);
       if (has_flicker_) {
         // Step 0 starts every pole in its stationary distribution, so the
@@ -86,6 +89,14 @@ void PixelBank::build(const PixelParams& params, int rows, int cols,
         }
       }
     }
+  }
+  // The balance voltage that makes each M1 carry its M2's current: one
+  // bisection per pixel, solved a block of lanes at a time in plane order.
+  constexpr auto kLanes = static_cast<std::size_t>(circuit::MosfetSpan::kLanes);
+  for (std::size_t first = 0; first < n_; first += kLanes) {
+    const auto count = static_cast<int>(std::min(kLanes, n_ - first));
+    m1_.vgs_for_currents(first, count, i_m2_.data() + first, v_drain_, 0.0,
+                         v_balance_.data() + first);
   }
 }
 
@@ -163,6 +174,19 @@ void PixelBank::draw_noise(const std::size_t* idx, int count,
     }
     noise[j] = fc.white_sigma * zj[0] + flicker;
   }
+}
+
+void PixelBank::front_end(const std::size_t* idx, int count,
+                          const double* v_signal, const double* noise,
+                          double* i_diff) const {
+  double v_gate[kBatch] = {};
+  for (int j = 0; j < count; ++j) {
+    double v = v_store_[idx[j]] + v_signal[j];
+    v += noise[j];
+    v_gate[j] = v;
+  }
+  m1_.drain_currents(idx, v_gate, count, v_drain_, 0.0, i_diff);
+  for (int j = 0; j < count; ++j) i_diff[j] -= i_m2_[idx[j]];
 }
 
 void PixelBank::save_state(snapshot::StateWriter& w) const {

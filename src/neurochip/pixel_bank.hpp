@@ -37,8 +37,8 @@
 // The key is frozen config derived from the chip seed at build(), so a
 // checkpoint carries one step count per pixel instead of generator state.
 // Reads draw in batches (draw_noise) over the 8-row run a phase-2 channel
-// worker owns per column; a single-pixel read is a run of 1 with the same
-// bits.
+// worker owns per column, and the run's front ends step as lanes
+// (front_end); a single-pixel read is a run of 1 with the same bits.
 //
 // Planes are column-major (`plane_index(r, c) = c * rows + r`) so an output
 // channel's 8-row run per column is one contiguous 64-byte cache line —
@@ -120,11 +120,13 @@ class PixelBank {
   }
 
   /// Difference current for one read; dt > 0 draws noise for a step of dt
-  /// (a draw_noise run of 1).
+  /// (a draw_noise and front_end run of 1).
   double read_current(std::size_t i, double v_signal, double dt) {
     double noise = 0.0;
     if (dt > 0.0) draw_noise(&i, 1, prepare(dt), &noise);
-    return front_end(i, v_signal, noise);
+    double i_diff = 0.0;
+    front_end(&i, 1, &v_signal, &noise, &i_diff);
+    return i_diff;
   }
 
   double input_referred_offset(std::size_t i) const {
@@ -162,12 +164,12 @@ class PixelBank {
   void draw_noise(const std::size_t* idx, int count, const FrameConsts& fc,
                   double* noise);
 
-  /// M1's difference current against M2 with `noise` on the gate.
-  double front_end(std::size_t i, double v_signal, double noise) const {
-    double v_gate = v_store_[i] + v_signal;
-    v_gate += noise;
-    return m1_.drain_current(i, v_gate, v_drain_, 0.0) - i_m2_[i];
-  }
+  /// M1's difference current against M2 for `count` <= kBatch pixels
+  /// (plane indices `idx`) with v_signal[j] and noise[j] on the gate, into
+  /// i_diff[j]. The run's M1s step as SIMD lanes (MosfetSpan's lane
+  /// entry), each giving the scalar model's bits.
+  void front_end(const std::size_t* idx, int count, const double* v_signal,
+                 const double* noise, double* i_diff) const;
 
   /// A quiescent read: no draws; the poles owe one more step, paid on the
   /// pixel's next draw.

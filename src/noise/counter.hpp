@@ -14,7 +14,10 @@
 // branch-free polynomials (the fdlibm kernels) around integer bit
 // operations, so a loop over a batch of pairs vectorizes on baseline
 // x86-64 and every lane performs exactly the scalar function's IEEE
-// operations: a batch of 8 and a run of 1 give the same bits.
+// operations: a batch of 8 and a run of 1 give the same bits. The exp and
+// log1p kernels below are built the same way; the EKV transistor model
+// (circuit/mosfet.hpp) evaluates its F from them, so noise and circuit
+// share one set and neither calls libm per pixel.
 #pragma once
 
 #include <bit>
@@ -48,9 +51,12 @@ inline double open_uniform(std::uint64_t x) {
   return (one_plus_k - 1.0) + 0x1.0p-53;
 }
 
-/// Natural log of u in (0, 1): fdlibm's e_log kernel without its special
-/// cases (u is a normal number below one). Relative error below 5e-16.
-inline double log_open_unit(double u) {
+namespace detail {
+
+/// ln(u) + c for a normal u > 0 and a correction c far below ulp(ln u):
+/// fdlibm's e_log kernel without its special cases, c entering beside
+/// the low part of k ln 2 as in fdlibm's log1p.
+inline double log_kernel(double u, double c) {
   constexpr double kLn2Hi = 6.93147180369123816490e-01;
   constexpr double kLn2Lo = 1.90821492927058770002e-10;
   constexpr double kLg1 = 6.666666666666735130e-01;
@@ -81,7 +87,57 @@ inline double log_open_unit(double u) {
   const double t1 = w * (kLg2 + w * (kLg4 + w * kLg6));
   const double t2 = z * (kLg1 + w * (kLg3 + w * (kLg5 + w * kLg7)));
   const double hfsq = 0.5 * f * f;
-  return k * kLn2Hi - ((hfsq - (s * (hfsq + (t2 + t1)) + k * kLn2Lo)) - f);
+  return k * kLn2Hi -
+         ((hfsq - (s * (hfsq + (t2 + t1)) + (k * kLn2Lo + c))) - f);
+}
+
+}  // namespace detail
+
+/// Natural log of u in (0, 1). Relative error below 5e-16; the kernel
+/// holds that bound for any normal u (test_noise also checks [1, 2], the
+/// range log1p_nonnegative hands it). k ln 2's low part is never -0, so
+/// adding the zero correction changes no bit.
+inline double log_open_unit(double u) { return detail::log_kernel(u, 0.0); }
+
+/// ln(1 + y) for y >= 0 with 1 + y finite, fdlibm's log1p reduction: the
+/// log kernel at u = 1 + y, plus the rounding error of that sum, which is
+/// exact (y - (u - 1)), divided by u. A y below 2^-53 returns y exactly.
+inline double log1p_nonnegative(double y) {
+  const double u = 1.0 + y;
+  return detail::log_kernel(u, (y - (u - 1.0)) / u);
+}
+
+/// e^x for x in [-708, 0], fdlibm's e_exp: x = k ln 2 + r with
+/// |r| <= ln 2 / 2, its rational approximation of e^r, and 2^k applied by
+/// writing k into an exponent field. k is rounded with the 2^52 trick and
+/// read back from the sum's low bits, since baseline x86-64 cannot
+/// vectorize a double-to-int64 conversion. Below -708, 2^k leaves the
+/// normal range and the result is garbage: callers clamp. Error below one
+/// ulp.
+inline double exp_nonpositive(double x) {
+  constexpr double kInvLn2 = 1.44269504088896338700e+00;
+  constexpr double kLn2Hi = 6.93147180369123816490e-01;
+  constexpr double kLn2Lo = 1.90821492927058770002e-10;
+  constexpr double kP1 = 1.66666666666666019037e-01;
+  constexpr double kP2 = -2.77777777770155933842e-03;
+  constexpr double kP3 = 6.61375632143793436117e-05;
+  constexpr double kP4 = -1.65339022054652515390e-06;
+  constexpr double kP5 = 4.13813679705723846039e-08;
+  constexpr double kRound = 0x1.8p52;  // t + kRound rounds t to an integer
+  const double shifted = x * kInvLn2 + kRound;
+  const double k = shifted - kRound;
+  // kLn2Hi's low 21 bits are zero, so k * kLn2Hi and hi are exact.
+  const double hi = x - k * kLn2Hi;
+  const double lo = k * kLn2Lo;
+  const double r = hi - lo;
+  const double t = r * r;
+  const double c = r - t * (kP1 + t * (kP2 + t * (kP3 + t * (kP4 + t * kP5))));
+  const double y = 1.0 - ((lo - (r * c) / (2.0 - c)) - hi);
+  // shifted's low 12 bits hold k mod 2^12 (its integer part sits in a
+  // 2^52-wide binade), so k + 1023 shifted into place is 2^k's exponent.
+  const double scale = std::bit_cast<double>(
+      (std::bit_cast<std::uint64_t>(shifted) + 1023) << 52);
+  return y * scale;
 }
 
 /// sin and cos of 2*pi*u for u in (0, 1). The angle is reduced exactly to

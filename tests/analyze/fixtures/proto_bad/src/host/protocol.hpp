@@ -1,7 +1,6 @@
 // Seeded violations: proto-schema (duplicate wire value, missing entry,
-// duplicate entry, unknown enumerator), proto-caps (unreferenced
-// capability bit), proto-names (enumerator missing from
-// host_command_name). kGetMetrics models a telemetry command that was
+// duplicate entry, unknown enumerator), proto-names (enumerator missing
+// from host_command_name). kGetMetrics models a telemetry command that was
 // added to the enum but wired nowhere else.
 #pragma once
 
@@ -10,9 +9,6 @@
 namespace demo::host {
 
 inline constexpr std::uint32_t kProtocolVersion = 4;
-
-inline constexpr std::uint32_t kCapUsed = 1u << 0;
-inline constexpr std::uint32_t kCapUnused = 1u << 1;  // [MUST-FIRE: proto-caps]
 
 enum class HostCommand : std::uint8_t {
   kPing = 0x01,

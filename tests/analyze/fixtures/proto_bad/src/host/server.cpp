@@ -5,7 +5,6 @@ namespace demo::host {
 struct Server {
   void register_handlers();
   void add(HostCommand c, int max_payload);
-  std::uint32_t caps() const { return kCapUsed; }
 };
 
 void Server::register_handlers() {

@@ -1,6 +1,6 @@
 // Clean control for the protocol rules: every command has exactly one
-// schema entry, both name functions cover every enumerator (including the
-// telemetry commands), and every capability bit is referenced.
+// schema entry and both name functions cover every enumerator (including
+// the telemetry commands).
 #pragma once
 
 #include <cstdint>
@@ -8,9 +8,6 @@
 namespace demo::host {
 
 inline constexpr std::uint32_t kProtocolVersion = 4;
-
-inline constexpr std::uint32_t kCapSessions = 1u << 0;
-inline constexpr std::uint32_t kCapTelemetry = 1u << 1;
 
 enum class HostCommand : std::uint8_t {
   kPing = 0x01,

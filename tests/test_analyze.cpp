@@ -112,8 +112,6 @@ TEST(AnalyzeProtocol, SeededViolationsFire) {
       << dump(findings);
   EXPECT_TRUE(has_finding(findings, "proto-schema", "unknown command 'kGhost'"))
       << dump(findings);
-  EXPECT_TRUE(has_finding(findings, "proto-caps", "'kCapUnused'"))
-      << dump(findings);
   EXPECT_TRUE(has_finding(findings, "proto-names", "'kOrphan'"))
       << dump(findings);
   // A telemetry command added to the enum but wired nowhere else must

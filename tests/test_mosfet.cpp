@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "common/units.hpp"
+#include "noise/mismatch.hpp"
 
 namespace biosense::circuit {
 namespace {
@@ -165,36 +169,6 @@ TEST(Mosfet, RejectsInvalidParams) {
   EXPECT_THROW(Mosfet{p}, ConfigError);
 }
 
-/// F(x) = ln^2(1 + e^{x/2}), written out here so the reference below
-/// shares no code with the model.
-double two_term_f(double x) {
-  const double l = x > 60.0 ? 0.5 * x : std::log1p(std::exp(0.5 * x));
-  return l * l;
-}
-
-/// The EKV drain current with the reverse term always evaluated, in the
-/// model's order of operations.
-double two_term_current(const Mosfet& m, double vg, double vd, double vs) {
-  const MosfetParams& p = m.params();
-  const bool n_frame = p.type == MosType::kNmos;
-  const double vgs = n_frame ? vg - vs : vs - vg;
-  const double vds = n_frame ? vd - vs : vs - vd;
-  const double vt_th = thermal_voltage(p.temp_k).value();
-  const double vp = (vgs - m.effective_vt()) / p.n;
-  const double i_spec = 2.0 * p.n * m.beta() * vt_th * vt_th;
-  double id =
-      i_spec * (two_term_f(vp / vt_th) - two_term_f((vp - vds) / vt_th));
-  if (id > 0.0 && vds > 0.0) id *= 1.0 + p.lambda * vds;
-  return id;
-}
-
-double two_term_gm(const Mosfet& m, double vg, double vd, double vs) {
-  const double dv = 1e-6;
-  return (two_term_current(m, vg + dv, vd, vs) -
-          two_term_current(m, vg - dv, vd, vs)) /
-         (2.0 * dv);
-}
-
 bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
@@ -214,7 +188,97 @@ std::uint64_t ulp_distance(double a, double b) {
   return ia > ib ? ia - ib : ib - ia;
 }
 
+/// |got - ref| in units of the last place of ref rounded to double
+/// (2^-1074 at the bottom of the subnormals).
+double ulps(double got, long double ref) {
+  const long double mag = std::fabs(ref);
+  const long double ulp =
+      mag < 0x1p-1022L
+          ? 0x1p-1074L
+          : std::ldexp(1.0L, std::ilogb(static_cast<double>(mag)) - 52);
+  return static_cast<double>(std::fabs(static_cast<long double>(got) - ref) /
+                             ulp);
+}
+
+long double reference_f(double x) {
+  const long double l = std::log1p(std::exp(static_cast<long double>(x) / 2));
+  return l * l;
+}
+
+TEST(EkvF, MatchesLongDoubleReferenceAndNeverDecreases) {
+  // A grid of step 2^-10 over [-1500, 1500] (subthreshold to strong
+  // inversion and both underflow and the squares of large z), within
+  // 8 ulp of log1pl(expl(x/2))^2 and non-decreasing.
+  double worst = 0.0;
+  double worst_x = 0.0;
+  double prev = 0.0;
+  for (long i = -1536000; i <= 1536000; ++i) {
+    const double x = static_cast<double>(i) / 1024.0;
+    const double f = detail::ekv_f(x);
+    const double err = ulps(f, reference_f(x));
+    if (err > worst) {
+      worst = err;
+      worst_x = x;
+    }
+    ASSERT_GE(f, prev) << "x " << x;
+    prev = f;
+  }
+  EXPECT_LE(worst, 8.0) << "at x " << worst_x;
+}
+
+TEST(EkvF, ExactAroundOldCutoffZeroAndClamp) {
+  // Single ulps around x = 60, x = 0, the |x/2| = 708 clamp and -42.
+  for (const double at : {60.0, 0.0, 1416.0, -1416.0, -42.0}) {
+    double prev = detail::ekv_f(step_ulps(at, -65));
+    for (int k = -64; k <= 64; ++k) {
+      const double x = step_ulps(at, k);
+      const double f = detail::ekv_f(x);
+      EXPECT_LE(ulps(f, reference_f(x)), 8.0) << "x " << x;
+      EXPECT_GE(f, prev) << "x " << x;
+      prev = f;
+    }
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(detail::ekv_f(inf), inf);
+  EXPECT_EQ(detail::ekv_f(-inf), 0.0);
+  EXPECT_EQ(detail::ekv_f(-2000.0), 0.0);
+  EXPECT_TRUE(std::isnan(detail::ekv_f(std::numeric_limits<double>::quiet_NaN())));
+  EXPECT_TRUE(
+      std::isnan(detail::ekv_f(-std::numeric_limits<double>::quiet_NaN())));
+}
+
+/// The EKV drain current with the reverse term always evaluated, in the
+/// model's order of operations.
+double two_term_current(const Mosfet& m, double vg, double vd, double vs) {
+  const MosfetParams& p = m.params();
+  const bool n_frame = p.type == MosType::kNmos;
+  const double vgs = n_frame ? vg - vs : vs - vg;
+  const double vds = n_frame ? vd - vs : vs - vd;
+  const double vt_th = thermal_voltage(p.temp_k).value();
+  const double vp = (vgs - m.effective_vt()) / p.n;
+  const double i_spec = 2.0 * p.n * m.beta() * vt_th * vt_th;
+  double id =
+      i_spec * (detail::ekv_f(vp / vt_th) - detail::ekv_f((vp - vds) / vt_th));
+  if (id > 0.0 && vds > 0.0) id *= 1.0 + p.lambda * vds;
+  return id;
+}
+
+double two_term_gm(const Mosfet& m, double vg, double vd, double vs) {
+  const double dv = 1e-6;
+  return (two_term_current(m, vg + dv, vd, vs) -
+          two_term_current(m, vg - dv, vd, vs)) /
+         (2.0 * dv);
+}
+
 TEST(Mosfet, ReverseTermSkipIsExact) {
+  // The skip's premise for this F: F(x_r) < 2^-60 for every x_r < -42
+  // (F never decreases, EkvF above), from the first ulp below -42 down.
+  EXPECT_LT(detail::ekv_f(std::nextafter(-42.0, -100.0)), 0x1p-60);
+  for (double x_r = -42.0; x_r >= -1500.0; x_r -= 0.125) {
+    EXPECT_LT(detail::ekv_f(std::nextafter(x_r, -2000.0)), 0x1p-60);
+  }
+  EXPECT_GE(detail::ekv_f(-41.0), 0x1p-60);  // the bound is not slack
+
   // The skip's own helper, one ulp at a time across both of its edges:
   // x_r = -42 and F(x_f) = 1, at x_f = 2 ln(e - 1).
   const double x_one = 2.0 * std::log(std::exp(1.0) - 1.0);
@@ -222,11 +286,11 @@ TEST(Mosfet, ReverseTermSkipIsExact) {
   int f_from_one = 0;
   for (int i = -64; i <= 64; ++i) {
     const double x_f = step_ulps(x_one, i);
-    ++(two_term_f(x_f) < 1.0 ? f_below_one : f_from_one);
+    ++(detail::ekv_f(x_f) < 1.0 ? f_below_one : f_from_one);
     for (int j = -8; j <= 8; ++j) {
       const double x_r = step_ulps(-42.0, j);
       EXPECT_TRUE(same_bits(detail::ekv_fwd_minus_rev(x_f, x_r),
-                            two_term_f(x_f) - two_term_f(x_r)))
+                            detail::ekv_f(x_f) - detail::ekv_f(x_r)))
           << "x_f " << x_f << " x_r " << x_r;
     }
   }
@@ -266,7 +330,7 @@ TEST(Mosfet, ReverseTermSkipIsExact) {
       const double vds = n_frame ? vd - vs : vs - vd;
       const double vp = (vgs - evt) / params.n;
       const double x_r = (vp - vds) / vt_th;
-      const double f = two_term_f(vp / vt_th);
+      const double f = detail::ekv_f(vp / vt_th);
       if (ulp_distance(x_r, -42.0) <= 4) {
         ++(x_r < -42.0 ? near_xr_below : near_xr_from);
       }
@@ -300,6 +364,121 @@ TEST(Mosfet, ReverseTermSkipIsExact) {
     EXPECT_GT(near_f_below, 0);
     EXPECT_GT(near_f_from, 0);
   }
+}
+
+TEST(MosfetSpan, LanesMatchScalarBitwise) {
+  // drain_currents against drain_current, lane by lane, NMOS and PMOS:
+  // runs of 1-8 devices gathered with gaps (the sparse path's blocks), gate
+  // voltages single ulps around both edges of the reverse-term skip
+  // (x_r = -42, F(x_f) = 1), around x = 60 and across
+  // the operating range, at drain voltages that put x_r on either side of
+  // -42. Blocks that mix skipping and non-skipping lanes must count.
+  const double x_one = 2.0 * std::log(std::exp(1.0) - 1.0);
+  noise::MismatchSampler mismatch(noise::PelgromCoefficients{}, Rng(17));
+  Rng pick(23);
+  for (const MosfetParams& params : {nmos(), pmos()}) {
+    constexpr std::size_t kDevices = 40;
+    std::vector<Mosfet> devices;
+    MosfetSpan span;
+    span.reset(params, kDevices);
+    for (std::size_t i = 0; i < kDevices; ++i) {
+      devices.emplace_back(params, mismatch.sample(params.w, params.l));
+      span.set(i, devices.back());
+    }
+    const bool n_frame = params.type == MosType::kNmos;
+    const double vs = n_frame ? 0.0 : 3.0;
+    const double vt_th = thermal_voltage(params.temp_k).value();
+    int mixed_blocks = 0;
+    for (const double vds : {-0.2, 0.0, 0.3, (x_one + 42.0) * vt_th, 2.0}) {
+      const double vd = n_frame ? vs + vds : vs - vds;
+      const double x_f_targets[] = {x_one, -42.0 + vds / vt_th, 60.0, -0.86,
+                                    4.3,   14.1,                  -50.0, 100.0};
+      for (int block = 0; block < 400; ++block) {
+        const int count = 1 + static_cast<int>(pick.next_u64() % 8);
+        std::size_t idx[MosfetSpan::kLanes];
+        double vg[MosfetSpan::kLanes];
+        std::size_t next = pick.next_u64() % 4;
+        for (int j = 0; j < count; ++j) {
+          idx[j] = next;
+          next += 1 + pick.next_u64() % 4;  // gaps of 0-3 devices
+          const double x_f = x_f_targets[pick.next_u64() % 8];
+          const double vgs = devices[idx[j]].effective_vt() +
+                             params.n * vt_th * x_f;
+          vg[j] = step_ulps(n_frame ? vgs : vs - vgs,
+                            static_cast<int>(pick.next_u64() % 33) - 16);
+        }
+        double got[MosfetSpan::kLanes];
+        span.drain_currents(idx, vg, count, vd, vs, got);
+        int skipping = 0;
+        for (int j = 0; j < count; ++j) {
+          EXPECT_TRUE(same_bits(got[j],
+                                span.drain_current(idx[j], vg[j], vd, vs)))
+              << "vg " << vg[j] << " vd " << vd << " lane " << j;
+          const double vp =
+              ((n_frame ? vg[j] - vs : vs - vg[j]) -
+               devices[idx[j]].effective_vt()) /
+              params.n;
+          skipping += detail::ekv_rev_negligible(
+                          detail::ekv_f(vp / vt_th), (vp - vds) / vt_th)
+                          ? 1
+                          : 0;
+        }
+        if (skipping > 0 && skipping < count) ++mixed_blocks;
+      }
+    }
+    EXPECT_GT(mixed_blocks, 0);
+  }
+}
+
+TEST(MosfetSpan, LaneSolveMatchesScalarBitwise) {
+  // vgs_for_currents against Mosfet::vgs_for_current over 12 000
+  // mismatched devices, NMOS and PMOS, currents log-spread over pA..100 uA
+  // and blocks of 1-8 lanes.
+  noise::MismatchSampler mismatch(noise::PelgromCoefficients{}, Rng(41));
+  Rng pick(43);
+  for (const MosfetParams& params : {nmos(), pmos()}) {
+    constexpr std::size_t kDevices = 6000;
+    std::vector<Mosfet> devices;
+    devices.reserve(kDevices);
+    MosfetSpan span;
+    span.reset(params, kDevices);
+    std::vector<double> id(kDevices);
+    for (std::size_t i = 0; i < kDevices; ++i) {
+      devices.emplace_back(params, mismatch.sample(params.w, params.l));
+      span.set(i, devices.back());
+      id[i] = 1e-12 * std::pow(1e8, static_cast<double>(pick.next_u64() %
+                                                         100001) /
+                                        100000.0);
+    }
+    const bool n_frame = params.type == MosType::kNmos;
+    const double vs = n_frame ? 0.0 : 5.0;
+    const double vd = n_frame ? 2.0 : 0.0;
+    std::size_t first = 0;
+    int mismatches = 0;
+    while (first < kDevices) {
+      const int count = static_cast<int>(std::min<std::size_t>(
+          1 + pick.next_u64() % 8, kDevices - first));
+      double vg[MosfetSpan::kLanes];
+      span.vgs_for_currents(first, count, id.data() + first, vd, vs, vg);
+      for (int j = 0; j < count; ++j) {
+        const std::size_t i = first + static_cast<std::size_t>(j);
+        if (!same_bits(vg[j], devices[i].vgs_for_current(id[i], vd, vs))) {
+          ++mismatches;
+        }
+      }
+      first += static_cast<std::size_t>(count);
+    }
+    EXPECT_EQ(mismatches, 0);
+  }
+  MosfetSpan span;
+  span.reset(nmos(), 1);
+  span.set(0, Mosfet(nmos()));
+  const double zero = 0.0;
+  double vg = 0.0;
+  EXPECT_THROW(span.vgs_for_currents(0, 1, &zero, 2.0, 0.0, &vg), ConfigError);
+  const double one_ua = 1e-6;
+  EXPECT_THROW(span.vgs_for_currents(0, 2, &one_ua, 2.0, 0.0, &vg),
+               ConfigError);
 }
 
 TEST(Mosfet, VgsForCurrentRejectsNonPositive) {

@@ -3,8 +3,8 @@
 // The normals behind every pixel's white and flicker noise come from
 // noise/counter.hpp; these tests hold them to N(0, 1) (moments and a KS
 // test over 2^20 draws per key), to independence across steps, pixels and
-// the two outputs of a Box-Muller pair, and the polynomial log/sincos to
-// libm-grade accuracy. The bank-level checks (white variance, 1/f slope,
+// the two outputs of a Box-Muller pair, and the polynomial log/sincos (and
+// the exp/log1p kernels the EKV model builds on) to libm-grade accuracy. The bank-level checks (white variance, 1/f slope,
 // fast-forward, partition invariance) live in test_pixel.
 #include "noise/counter.hpp"
 
@@ -128,13 +128,29 @@ TEST(CounterNormals, StepsPixelsAndPairHalvesAreUncorrelated) {
 
 TEST(CounterNormals, PolynomialLogAndSincosMatchLibm) {
   // Against long-double libm: log to 5e-16 relative, sin/cos of 2 pi u to
-  // 1e-15 absolute, over a million draws plus the interval's ends.
+  // 1e-15 absolute, over a million draws plus the interval's ends. The log
+  // kernel also serves log1p_nonnegative on [1, 2], held to the same
+  // bound there (ln 1 = 0 exactly).
   std::vector<double> us = {open_uniform(0), open_uniform(~0ULL), 0.125,
                             0.25, 0.5, 0.75, 1.0 / 3.0};
   for (std::uint64_t i = 0; i < 1000000; ++i) {
     us.push_back(open_uniform(counter_draw(counter_base(9, i, 0), 0)));
   }
+  std::vector<double> upper = {1.0, std::nextafter(1.0, 2.0), std::sqrt(2.0),
+                               std::nextafter(std::sqrt(2.0), 0.0),
+                               std::nextafter(2.0, 0.0), 2.0};
+  for (std::uint64_t i = 0; i < 1000000; ++i) {
+    upper.push_back(1.0 + open_uniform(counter_draw(counter_base(10, i, 0), 0)));
+  }
+  EXPECT_EQ(log_open_unit(1.0), 0.0);
   double worst_log = 0.0;
+  for (const double u : upper) {
+    if (u == 1.0) continue;
+    const long double ref_log = std::log(static_cast<long double>(u));
+    worst_log = std::max(
+        worst_log,
+        static_cast<double>(std::abs((log_open_unit(u) - ref_log) / ref_log)));
+  }
   double worst_sincos = 0.0;
   for (const double u : us) {
     const long double ref_log = std::log(static_cast<long double>(u));
@@ -152,6 +168,47 @@ TEST(CounterNormals, PolynomialLogAndSincosMatchLibm) {
   }
   EXPECT_LT(worst_log, 5e-16);
   EXPECT_LT(worst_sincos, 1e-15);
+}
+
+/// |got - ref| in units of the last place of ref rounded to double
+/// (2^-1074 at the bottom of the subnormals).
+double ulps(double got, long double ref) {
+  const long double mag = std::fabs(ref);
+  const long double ulp =
+      mag < 0x1p-1022L ? 0x1p-1074L
+                       : std::ldexp(1.0L, std::ilogb(static_cast<double>(mag)) - 52);
+  return static_cast<double>(std::fabs(static_cast<long double>(got) - ref) /
+                             ulp);
+}
+
+TEST(CounterKernels, ExpAndLog1pMatchLibm) {
+  // The EKV model's kernels against long-double libm: exp_nonpositive on
+  // [-708, 0] and log1p_nonnegative on [0, 1] (e^-|z|'s range), each
+  // within 1 ulp, on a dense grid plus both ends. log1p of a y below
+  // 2^-53 is y itself.
+  double worst_exp = 0.0;
+  double worst_log1p = 0.0;
+  for (int i = 0; i <= 2000000; ++i) {
+    const double x = -708.0 * i / 2000000.0;
+    worst_exp = std::max(
+        worst_exp, ulps(exp_nonpositive(x), std::exp(static_cast<long double>(x))));
+    const double y = i / 2000000.0;
+    worst_log1p = std::max(
+        worst_log1p,
+        ulps(log1p_nonnegative(y), std::log1p(static_cast<long double>(y))));
+  }
+  for (const double y : {0x1p-1022, 1e-300, 1e-20, 0x1p-54, 0x1p-53, 0x1p-52,
+                         1e-10, std::sqrt(2.0) - 1.0, 0.5, 1.0}) {
+    worst_log1p = std::max(
+        worst_log1p,
+        ulps(log1p_nonnegative(y), std::log1p(static_cast<long double>(y))));
+  }
+  EXPECT_EQ(exp_nonpositive(0.0), 1.0);
+  EXPECT_EQ(exp_nonpositive(-0.0), 1.0);
+  EXPECT_EQ(log1p_nonnegative(0.0), 0.0);
+  EXPECT_EQ(log1p_nonnegative(1e-20), 1e-20);
+  EXPECT_LE(worst_exp, 1.0);
+  EXPECT_LE(worst_log1p, 1.0);
 }
 
 TEST(CounterNormals, DrawsArePureFunctionsOfTheCounter) {

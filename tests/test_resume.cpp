@@ -349,7 +349,7 @@ TEST(Resume, RetiredFaultsSectionIsSkipped) {
   const auto neuro_bytes = checkpoint_neuro(neuro, neuro_meta);
   const auto neuro_old = with_retired_faults_section(neuro_bytes, 1);
   EXPECT_EQ(fnv1a(kFnv1aOffset, neuro_old.data(), neuro_old.size()),
-            0x8a45e34ce57b7792ull);
+            0x6ff50cd7dd725a09ull);
   EXPECT_EQ(neuro_old.size(), 5434u);
 
   auto neuro_twin = neuro_options(true).build_neuro();
@@ -405,7 +405,7 @@ TEST(Resume, CheckpointBytesArePinned) {
   };
   const Pinned pinned[] = {
       {"neuro", checkpoint_neuro(neuro, neuro_meta),
-       0x6007491df9cd66e0ull, 5417},
+       0xa4f52c9adc602e01ull, 5417},
       {"dna", checkpoint_dna(dna, dna_meta), 0x191a27462729d6b4ull, 2617},
   };
   for (const Pinned& p : pinned) {

@@ -75,8 +75,6 @@ std::vector<std::pair<std::string, std::string>> rule_catalogue() {
       {"proto-schema",
        "every HostCommand enumerator has exactly one dispatcher schema "
        "entry; no duplicate command values"},
-      {"proto-caps",
-       "every kCap* capability bit is referenced by the server"},
       {"proto-names",
        "host_command_name/host_status_name cover every enumerator"},
       {"obs-name",

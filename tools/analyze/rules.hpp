@@ -39,7 +39,7 @@ std::string src_module(const std::string& path);
 void rule_snapshot(const Tree& tree, Findings& out);
 
 // Protocol schema consistency across protocol.hpp and the dispatcher
-// registration (rules `proto-schema`, `proto-caps`, `proto-names`).
+// registration (rules `proto-schema`, `proto-names`).
 void rule_protocol(const Tree& tree, Findings& out);
 
 // Obs instrument naming: literal-only names, kind consistency, no

@@ -1,16 +1,12 @@
 // Protocol schema consistency rules (DESIGN.md §14).
 //
-// The fleet protocol (DESIGN.md §12) keeps three hand-maintained
-// surfaces in agreement: the `HostCommand` enum in protocol.hpp, the
-// dispatcher schema table registered in FleetServer::register_handlers,
-// and the kCap* capability bits. These rules check the agreement
-// whole-program:
+// The fleet protocol (DESIGN.md §12) keeps two hand-maintained
+// surfaces in agreement: the `HostCommand` enum in protocol.hpp and the
+// dispatcher schema table registered in FleetServer::register_handlers.
+// These rules check the agreement whole-program:
 //
 //   proto-schema  every HostCommand enumerator has exactly one schema
 //                 entry; no two enumerators share a wire value.
-//   proto-caps    every kCap* bit declared in src/host/ is referenced
-//                 by server code (an unreferenced bit is either dead or
-//                 — worse — silently unimplemented advertised surface).
 //   proto-names   host_command_name / host_status_name switch over
 //                 every enumerator (a missed case returns the fallback
 //                 string and poisons diagnostics).
@@ -157,35 +153,6 @@ void rule_protocol(const Tree& tree, Findings& out) {
           commands.file->src.path, e.line, "proto-schema",
           "command '" + e.name +
               "' has no dispatcher schema entry in register_handlers()"});
-    }
-  }
-
-  // --- proto-caps ------------------------------------------------------------
-  for (const AnalyzedFile& file : tree) {
-    if (!path_starts_with(file.src.path, "src/host/") ||
-        !is_header(file.src.path)) {
-      continue;
-    }
-    for (const ConstInt& c : file.facts.const_ints) {
-      if (c.name.rfind("kCap", 0) != 0) continue;
-      bool referenced = false;
-      for (const AnalyzedFile& user : tree) {
-        if (!path_starts_with(user.src.path, "src/host/")) continue;
-        for (const Token& t : user.lex.tokens) {
-          if (t.kind != TokenKind::kIdentifier || t.text != c.name) continue;
-          if (&user == &file && t.line == c.line) continue;  // the decl
-          referenced = true;
-          break;
-        }
-        if (referenced) break;
-      }
-      if (!referenced) {
-        out.push_back(Finding{
-            file.src.path, c.line, "proto-caps",
-            "capability bit '" + c.name +
-                "' is declared but never referenced by server code; wire "
-                "it into a schema entry/handler or delete it"});
-      }
     }
   }
 

@@ -208,13 +208,10 @@ class Scanner {
         last_ident_pos = i;
       }
       if (is_punct(t, "=") && saw_constexpr && !last_ident.empty()) {
-        // inline constexpr T kName = <expr>;
+        // inline constexpr T kName = <expr>; its initializer declares
+        // nothing.
         std::size_t j = i + 1;
         while (j < end && !is_punct(tokens_[j], ";")) ++j;
-        if (const auto v = eval_expr(tokens_, i + 1, j)) {
-          facts_.const_ints.push_back(
-              ConstInt{last_ident, tokens_[last_ident_pos].line, *v});
-        }
         return (j < end) ? j + 1 : end;
       }
       if (is_punct(t, "(")) {

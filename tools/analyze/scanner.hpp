@@ -79,12 +79,6 @@ struct EnumDecl {
   std::vector<Enumerator> enumerators;
 };
 
-struct ConstInt {
-  std::string name;
-  int line = 0;
-  std::int64_t value = 0;
-};
-
 /// One `NAME("literal", ...)` macro-style call site.
 struct MacroCall {
   std::string macro;
@@ -97,7 +91,6 @@ struct FileFacts {
   std::vector<ClassDecl> classes;
   std::vector<OutOfLineDef> out_of_line;
   std::vector<EnumDecl> enums;
-  std::vector<ConstInt> const_ints;
   std::vector<MacroCall> macro_calls;
 };
 
