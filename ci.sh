@@ -91,54 +91,148 @@ golden_native() {
 }
 gate golden-native golden_native
 
-# The loops whose speed rests on GCC's vectorizer: the loop after each
-# BIOSENSE_LANE_LOOP in neurochip/array.cpp (the gain lanes) and in
-# circuit/mosfet.cpp (the EKV front end's and the balance-voltage solve's
-# lanes), and the batched Box-Muller loop in neurochip/pixel_bank.cpp (it
-# vectorizes only with that file's -fno-math-errno). Each file compiles
-# alone with the library's flags plus -fopt-info-vec-optimized, and the
-# gate fails unless GCC reports "loop vectorized" at every such loop's
-# line. The lines are found
-# in the source, so moving a loop needs no edit here. Other compilers word
-# their reports differently, so the gate skips on them with a note.
+# The loops whose speed rests on GCC's vectorizer. The neural frame
+# kernel's phase-2 work item (neurochip/array.cpp) is compiled once per
+# x86-64 level: a baseline entry and [[gnu::target]] x86-64-v3 and
+# x86-64-v4 entries, each [[gnu::flatten]] so that every kernel it calls
+# inlines into it. In every entry, the loop after each BIOSENSE_LANE_LOOP
+# in neurochip/array.cpp (the gain lanes) and circuit/mosfet.hpp (the EKV
+# front-end lanes), and the batched Box-Muller loop in
+# neurochip/pixel_bank.hpp, must carry GCC's "loop vectorized" report, with
+# 32-byte vectors or wider in the v3 and v4 entries, and no entry may call
+# a biosense function: an entry that fell back to calling an out-of-line
+# kernel would run it at baseline width, so the call, and the missing
+# report for the kernel's loops, fail. circuit/mosfet.cpp (the set-up's
+# balance-voltage solve, baseline only) must vectorize its own lane loops
+# and mosfet.hpp's. Each source compiles with the command CMake gives it
+# (read from a configure-only tree's compile_commands.json, so flags such
+# as array.cpp's -fno-math-errno come along) plus GCC's per-function
+# vectorizer dump. The loop lines and the entries are found in the source,
+# so moving a loop needs no edit here. Other compilers word their reports
+# differently, so the gate skips on them with a note.
 vectorized() {
-  echo "=== [vectorized] lane and Box-Muller loops vectorize ==="
+  echo "=== [vectorized] lane and Box-Muller loops vectorize in every entry ==="
   local cxx="${CXX:-c++}" macros
   macros="$("${cxx}" -dM -E -x c++ /dev/null)"
   if [[ "${macros}" != *__GNUC__* || "${macros}" == *__clang__* ]]; then
-    echo "${cxx} is not GCC; skipping (the gate reads GCC's -fopt-info report)"
+    echo "${cxx} is not GCC; skipping (the gate reads GCC's vectorizer dump)"
     return 0
   fi
-  # expect_vectorized <source> <extra flags> <loop line>...
-  expect_vectorized() {
-    local src="$1" extra="$2" report line
-    shift 2
-    if [ "$#" -eq 0 ]; then
-      echo "${src}: no loop found to check" >&2
+  local dir=build-ci-vectorized
+  cmake -B "${dir}" -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
+  # lane_loops <file>...: file:line of the loop after each BIOSENSE_LANE_LOOP.
+  lane_loops() {
+    awk '
+      FNR == 1 { want = 0 }
+      $1 == "BIOSENSE_LANE_LOOP" { want = 1; next }
+      want && /^[[:space:]]*for[[:space:]]*\(/ { print FILENAME ":" FNR; want = 0 }
+    ' "$@"
+  }
+  # vect_report <source>: compiles <source> as the build does and prints
+  # "loop <function> <file>:<line> <bytes>" per "loop vectorized" report and
+  # "call <function> <callee>" per call of a biosense function.
+  vect_report() {
+    local src="$1" cmd dump="${dir}/vect-dump"
+    cmd="$(awk -v want="\"${PWD}/${src}\"" '
+      /^  "command": / { cmd = $0 }
+      /^  "file": / && index($0, want) { print cmd; exit }
+    ' "${dir}/compile_commands.json" |
+      sed -e 's/^  "command": "//' -e 's/",\{0,1\}$//' -e 's/\\"/"/g')"
+    if [ -z "${cmd}" ]; then
+      echo "${src}: no compile command in ${dir}" >&2
       return 1
     fi
-    report="$("${cxx}" -std=c++20 -O3 -ffp-contract=off ${extra} -Isrc \
-              -fopt-info-vec-optimized -c "${src}" -o /dev/null 2>&1)"
-    for line in "$@"; do
-      if ! grep -q "^${src}:${line}:[0-9]*: optimized: loop vectorized" \
-           <<<"${report}"; then
-        echo "${src}:${line}: loop not vectorized" >&2
+    eval "${cmd/ -o * -c / -c } -o /dev/null -fdump-tree-vect-optimized=${dump}"
+    awk -v root="${PWD}/" '
+      /^;; Function / { fn = $3; next }
+      / optimized: loop vectorized using [0-9]+ byte vectors/ {
+        split($1, loc, ":")
+        file = loc[1]
+        if (index(file, root) == 1) file = substr(file, length(root) + 1)
+        print "loop", fn, file ":" loc[2], $(NF - 2)
+        next
+      }
+      match($0, /(^ *|= )biosense::[^ (]* \(/) {
+        callee = substr($0, RSTART, RLENGTH - 2)
+        sub(/^.*biosense::/, "biosense::", callee)
+        print "call", fn, callee
+      }
+    ' "${dump}"
+    rm -f "${dump}"
+  }
+  # records <report> <kind> <function>: the report's <kind> records of
+  # <function> ("*" for any), without their first two fields.
+  records() {
+    awk -v kind="$2" -v fn="$3" '
+      $1 == kind && (fn == "*" || $2 == fn ||
+                     substr($2, length($2) - length(fn) - 1) == "::" fn) {
+        $1 = ""; $2 = ""; print substr($0, 3)
+      }
+    ' <<<"$1"
+  }
+  # expect_loops <report> <function> <min bytes> <file:line>...: each loop
+  # has a report in <function> ("*" for any) at <min bytes> or wider.
+  expect_loops() {
+    local report="$1" fn="$2" min="$3" where="$2" loop widest
+    shift 3
+    [ "${fn}" != "*" ] || where="any function"
+    if [ "$#" -eq 0 ]; then
+      echo "${where}: no loop found to check" >&2
+      return 1
+    fi
+    for loop in "$@"; do
+      widest="$(records "${report}" loop "${fn}" | awk -v loop="${loop}" '
+        $1 == loop && $2 + 0 > widest { widest = $2 + 0 }
+        END { print widest + 0 }
+      ')"
+      if [ "${widest}" -lt "${min}" ]; then
+        echo "${loop}: not vectorized in ${where} at ${min}-byte vectors" \
+             "(widest: ${widest})" >&2
         return 1
       fi
-      echo "${src}:${line}: loop vectorized"
+      echo "${where}: ${loop}: loop vectorized using ${widest} byte vectors"
     done
   }
-  local lanes
-  for lanes in src/neurochip/array.cpp src/circuit/mosfet.cpp; do
-    expect_vectorized "${lanes}" "" $(awk '
-      $1 == "BIOSENSE_LANE_LOOP" { want = 1; next }
-      want && /^[[:space:]]*for[[:space:]]*\(/ { print NR; want = 0 }
-    ' "${lanes}")
-  done
-  expect_vectorized src/neurochip/pixel_bank.cpp -fno-math-errno $(awk '
-    /^[[:space:]]*for[[:space:]]*\(/ { loop = NR }
-    /noise::box_muller\(/ { print loop; exit }
-  ' src/neurochip/pixel_bank.cpp)
+  local kernel=src/neurochip/array.cpp report entry min loops box_muller calls
+  box_muller="$(awk '
+    /^[[:space:]]*for[[:space:]]*\(/ { loop = FNR }
+    /noise::box_muller\(/ { print FILENAME ":" loop; exit }
+  ' src/neurochip/pixel_bank.hpp)"
+  if [ -z "${box_muller}" ]; then
+    echo "src/neurochip/pixel_bank.hpp: no Box-Muller loop for the kernel" \
+         "to inline" >&2
+    return 1
+  fi
+  loops="$(lane_loops "${kernel}" src/circuit/mosfet.hpp) ${box_muller}"
+  report="$(vect_report "${kernel}")"
+  # The entries: "<name> <min bytes>" for each [[gnu::flatten]] function.
+  local entries
+  entries="$(awk '
+    /gnu::flatten/ && match($0, /void [A-Za-z_0-9]+\(/) {
+      print substr($0, RSTART + 5, RLENGTH - 6), ($0 ~ /arch=x86-64-v[34]/ ? 32 : 16)
+    }
+  ' "${kernel}")"
+  if [ "$(wc -l <<<"${entries}")" -ne 3 ]; then
+    echo "${kernel}: expected three [[gnu::flatten]] entries, found:" \
+         "${entries}" >&2
+    return 1
+  fi
+  while read -r entry min; do
+    if [ "${min}" -gt 16 ] && [[ "${macros}" != *__x86_64__* ]]; then
+      echo "${entry}: not built on this target; skipping"
+      continue
+    fi
+    calls="$(records "${report}" call "${entry}" | sort -u)"
+    if [ -n "${calls}" ]; then
+      echo "${entry} calls out of line, at the callee's width:" ${calls} >&2
+      return 1
+    fi
+    # shellcheck disable=SC2086  # one argument per loop
+    expect_loops "${report}" "${entry}" "${min}" ${loops}
+  done <<<"${entries}"
+  # shellcheck disable=SC2046  # one argument per loop
+  expect_loops "$(vect_report src/circuit/mosfet.cpp)" "*" 16 \
+    $(lane_loops src/circuit/mosfet.cpp src/circuit/mosfet.hpp)
 }
 gate vectorized vectorized
 

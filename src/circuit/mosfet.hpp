@@ -23,6 +23,7 @@
 #include <cstdint>
 
 #include "common/aligned.hpp"
+#include "common/math_util.hpp"
 #include "common/units.hpp"
 #include "noise/counter.hpp"
 #include "noise/mismatch.hpp"
@@ -225,5 +226,71 @@ class MosfetSpan {
   Plane<double> evt_;      // effective V_T per device (mismatch + tempco)
   Plane<double> i_spec_;   // 2 n beta V_T^2 per device
 };
+
+// The lane entries are defined here, not in mosfet.cpp, so that a kernel
+// compiled for a wider x86-64 level inlines them and steps its lanes at
+// that width (neurochip/array.cpp, DESIGN.md §16).
+
+inline void MosfetSpan::ekv_lanes(const double* vgs, const double* evt,
+                                  const double* i_spec, int count,
+                                  double vds, double* id) const {
+  const double n = params_.n;
+  const double vt = vt_th_;
+  alignas(64) double x_f[kLanes];
+  alignas(64) double x_r[kLanes];
+  alignas(64) double e[kLanes];
+  alignas(64) double bracket[kLanes];
+  BIOSENSE_LANE_LOOP
+  for (int j = 0; j < count; ++j) {
+    const double vp = (vgs[j] - evt[j]) / n;
+    x_f[j] = vp / vt;
+    x_r[j] = (vp - vds) / vt;
+  }
+  BIOSENSE_LANE_LOOP
+  for (int j = 0; j < count; ++j) e[j] = detail::ekv_f_exp(x_f[j]);
+  BIOSENSE_LANE_LOOP
+  for (int j = 0; j < count; ++j) {
+    bracket[j] = detail::ekv_f_from_exp(x_f[j], e[j]);
+  }
+  // Where the scalar call skips the reverse term, subtracting it changes
+  // no bit, so a block subtracts it on every lane or on none.
+  bool negligible = true;
+  for (int j = 0; j < count; ++j) {
+    negligible = negligible && detail::ekv_rev_negligible(bracket[j], x_r[j]);
+  }
+  if (!negligible) {
+    BIOSENSE_LANE_LOOP
+    for (int j = 0; j < count; ++j) e[j] = detail::ekv_f_exp(x_r[j]);
+    BIOSENSE_LANE_LOOP
+    for (int j = 0; j < count; ++j) {
+      bracket[j] -= detail::ekv_f_from_exp(x_r[j], e[j]);
+    }
+  }
+  // Channel-length modulation on forward conduction, as ekv_current
+  // applies it.
+  const double clm = 1.0 + params_.lambda * vds;
+  BIOSENSE_LANE_LOOP
+  for (int j = 0; j < count; ++j) {
+    double d = i_spec[j] * bracket[j];
+    if (d > 0.0 && vds > 0.0) d *= clm;
+    id[j] = d;
+  }
+}
+
+inline void MosfetSpan::drain_currents(const std::size_t* idx,
+                                       const double* vg, int count,
+                                       double vd, double vs,
+                                       double* id) const {
+  alignas(64) double vgs[kLanes];
+  alignas(64) double evt[kLanes];
+  alignas(64) double i_spec[kLanes];
+  const bool n_frame = params_.type == MosType::kNmos;
+  for (int j = 0; j < count; ++j) {
+    vgs[j] = n_frame ? vg[j] - vs : vs - vg[j];
+    evt[j] = evt_[idx[j]];
+    i_spec[j] = i_spec_[idx[j]];
+  }
+  ekv_lanes(vgs, evt, i_spec, count, n_frame ? vd - vs : vs - vd, id);
+}
 
 }  // namespace biosense::circuit

@@ -8,7 +8,8 @@
 // Marks a loop over SIMD lanes that carry no dependence from one lane to
 // the next; saying so lets the compiler vectorize it without runtime alias
 // checks. ci.sh's `vectorized` gate holds every loop it marks in
-// neurochip/array.cpp and circuit/mosfet.cpp to GCC's vectorizer report.
+// neurochip/array.cpp and circuit/mosfet.{hpp,cpp} to GCC's vectorizer
+// report, in each x86-64 level's entry of the frame kernel.
 #if defined(__clang__)
 #define BIOSENSE_LANE_LOOP _Pragma("clang loop vectorize(assume_safety)")
 #else

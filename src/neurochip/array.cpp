@@ -11,6 +11,12 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
+// GCC on x86-64 also compiles the phase-2 work item for x86-64-v3 and
+// x86-64-v4; other compilers and targets build its baseline entry alone.
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__)
+#define BIOSENSE_CAPTURE_X86_LEVELS 1
+#endif
+
 namespace biosense::neurochip {
 
 void NeuroChipConfig::validate() const {
@@ -29,6 +35,243 @@ void NeuroChipConfig::validate() const {
           "NeuroChip: recalibration interval must be positive");
   require(quiescence_threshold >= Voltage(0.0),
           "NeuroChip: quiescence threshold must be non-negative");
+}
+
+namespace detail {
+
+/// One frame's phase-2 context, as NeuroChip::capture_frame_into builds it
+/// for the frame's channel-group work items.
+struct CaptureWork {
+  NeuroChip& chip;
+  NeuroFrame& frame;
+  double* scratch;
+  int rows;
+  int cols;
+  int mux_factor;
+  int n_ch;
+  int group;
+  double full_scale;
+  double adc_lsb;
+  double conv_gain;
+  const PixelBank::FrameConsts& fc;
+  const double* row_decay;
+  const double* ch_decay;
+  double droop_step;
+  double quiesce;
+
+  /// The work item for channel group g, the body every entry below
+  /// compiles.
+  void capture_channel_group(std::int64_t g) const;
+};
+
+// A group is ceil(channels / threads) contiguous output channels. A
+// channel owns its mux group of rows: their plane runs (and noise
+// counters), their row chains, and its channel chain. Columns stay in
+// sequence inside a group because the amplifiers' single-pole settling
+// state carries from column to column. Per column, each channel's 8-row
+// run (one cache line of the column-major planes) draws its active pixels'
+// noise in one batch and evaluates their front ends; hold-time droop
+// follows each read (each pixel is read exactly once; masking and
+// recalibration run after the parallel region). Then the group's row
+// chains step as SIMD lanes, one lane per row, and each mux slot steps the
+// group's channel chains as lanes, one per channel, through drift and the
+// ADC. Every lane performs the scalar stage_update, so frames are
+// bitwise-identical for any thread count and grouping. A group keeps its
+// lanes' pole memories in its own cache-line-aligned block for the frame,
+// so no two workers write one line.
+inline void CaptureWork::capture_channel_group(std::int64_t g) const {
+  PixelBank& bank = chip.bank_;
+  const int c0 = static_cast<int>(g) * group;
+  const int c1 = std::min(c0 + group, n_ch);
+  const auto n_lanes = static_cast<std::size_t>(c1 - c0);
+  const auto mux = static_cast<std::size_t>(mux_factor);
+  const std::size_t n_rows = mux * n_lanes;
+  const auto first_ch = static_cast<std::size_t>(c0);
+  const std::size_t first_row = first_ch * mux;
+  // The block: front-end currents, row-chain outputs and the two row
+  // stages' pole memories in row order, then the two channel stages' pole
+  // memories and one slot's codes in channel order.
+  double* i_diff = chip.lane_scratch_.data() + first_ch * chip.lane_stride_;
+  double* i_row = i_diff + n_rows;
+  double* row_mem = i_row + n_rows;
+  double* ch_mem = row_mem + 2 * n_rows;
+  double* codes = ch_mem + 2 * n_lanes;
+  circuit::GainBank& row_bank = chip.row_chains_;
+  circuit::GainBank& ch_bank = chip.channel_chains_;
+  for (std::size_t k = 0; k < 2; ++k) {
+    std::copy_n(row_bank.i_out(k) + first_row, n_rows, row_mem + k * n_rows);
+    std::copy_n(ch_bank.i_out(k) + first_ch, n_lanes, ch_mem + k * n_lanes);
+  }
+  const auto r0 = row_bank.lanes(0, first_row, row_mem, row_decay[0]);
+  const auto r1 = row_bank.lanes(1, first_row, row_mem + n_rows, row_decay[1]);
+  const auto k0 = ch_bank.lanes(0, first_ch, ch_mem, ch_decay[0]);
+  const auto k1 = ch_bank.lanes(1, first_ch, ch_mem + n_lanes, ch_decay[1]);
+  const double* drift = chip.channel_drift_.data() + first_ch;
+
+  for (int col = 0; col < cols; ++col) {
+    for (int ch = c0; ch < c1; ++ch) {
+      const int row_begin = ch * mux_factor;
+      const int row_end = row_begin + mux_factor;
+      for (int run = row_begin; run < row_end; run += PixelBank::kBatch) {
+        const int run_end = std::min(run + PixelBank::kBatch, row_end);
+        // Column-major planes: the pixel's plane slot is the same index
+        // phase 1 wrote its signal to.
+        const std::size_t run_pi =
+            static_cast<std::size_t>(col) * static_cast<std::size_t>(rows) +
+            static_cast<std::size_t>(run);
+        // Sparse path: a quiescent pixel (source signal below threshold)
+        // reports its cached zero-signal current and draws no noise; its
+        // flicker poles catch up on its next active read. The decision
+        // depends only on phase-1 output, which is identical for every
+        // thread count — see DESIGN.md §16. The run's active pixels are
+        // gathered into one block: their noise is one draw_noise batch
+        // and their front ends one run of lanes, dense or sparse alike.
+        std::size_t active[PixelBank::kBatch];
+        double v_sig[PixelBank::kBatch];
+        double noise[PixelBank::kBatch];
+        double i_active[PixelBank::kBatch];
+        int n_active = 0;
+        for (int r = 0; r < run_end - run; ++r) {
+          const std::size_t pi = run_pi + static_cast<std::size_t>(r);
+          const double v = scratch[pi];
+          if (quiesce > 0.0 && std::abs(v) < quiesce) {
+            bank.skip(pi);
+          } else {
+            v_sig[n_active] = v;
+            active[n_active++] = pi;
+          }
+        }
+        if (n_active > 0) {
+          bank.draw_noise(active, n_active, fc, noise);
+          bank.front_end(active, n_active, v_sig, noise, i_active);
+        }
+        int next_active = 0;
+        for (int row = run; row < run_end; ++row) {
+          const std::size_t pi = run_pi + static_cast<std::size_t>(row - run);
+          double i_pixel = 0.0;
+          if (next_active < n_active && active[next_active] == pi) {
+            i_pixel = i_active[next_active++];
+          } else {
+            i_pixel = bank.quiet_current(pi);
+          }
+          i_diff[static_cast<std::size_t>(row) - first_row] = i_pixel;
+          // Hold-time droop for this frame.
+          bank.droop(pi, droop_step);
+        }
+      }
+    }
+
+    // Row amplifiers settle within the column dwell; two half-dwell
+    // steps capture the residual first-order settling.
+    BIOSENSE_LANE_LOOP
+    for (std::size_t j = 0; j < n_rows; ++j) {
+      r1.step(j, r0.step(j, i_diff[j]));
+      i_row[j] = r1.step(j, r0.step(j, i_diff[j]));
+    }
+
+    // The channel chain serves mux_factor rows in sequence within the
+    // column dwell (one mux slot each). Gain-chain drift scales the
+    // delivered current.
+    for (std::size_t s = 0; s < mux; ++s) {
+      BIOSENSE_LANE_LOOP
+      for (std::size_t l = 0; l < n_lanes; ++l) {
+        const double x = i_row[l * mux + s];
+        k1.step(l, k0.step(l, x));
+        const double i_out = k1.step(l, k0.step(l, x)) * drift[l];
+        // Off-chip ADC. A NaN current (only a non-finite source makes
+        // one) reads code 0, what std::lround's result narrows to on
+        // x86-64.
+        double clipped = std::clamp(i_out, -full_scale, full_scale);
+        clipped = clipped == clipped ? clipped : 0.0;
+        codes[l] = round_half_away(clipped / adc_lsb);
+      }
+      for (std::size_t l = 0; l < n_lanes; ++l) {
+        const std::size_t row = first_row + l * mux + s;
+        const std::size_t idx = row * static_cast<std::size_t>(cols) +
+                                static_cast<std::size_t>(col);
+        auto code = static_cast<std::int32_t>(codes[l]);
+        if (chip.has_pixel_faults_) code = chip.apply_pixel_fault(idx, code);
+        frame.codes[idx] = code;
+        frame.v_in[idx] = static_cast<double>(code) * adc_lsb / conv_gain;
+      }
+    }
+  }
+
+  for (std::size_t k = 0; k < 2; ++k) {
+    std::copy_n(row_mem + k * n_rows, n_rows, row_bank.i_out(k) + first_row);
+    std::copy_n(ch_mem + k * n_lanes, n_lanes, ch_bank.i_out(k) + first_ch);
+  }
+}
+
+}  // namespace detail
+
+namespace {
+
+// The entries: the work item once per x86-64 level, from the one body.
+// flatten inlines every call in the body (the noise batch, the front-end
+// lanes, the gain lanes) into each entry, so the target attribute decides
+// the width of all of them; an entry that called an out-of-line baseline
+// kernel would lose it, which ci.sh's `vectorized` gate catches. Explicit
+// entries behind a pointer, not target_clones: a target_clones ifunc
+// resolver runs before ThreadSanitizer's runtime is up, and ifunc gives a
+// test no way to run the narrower entries on a wider host.
+[[gnu::flatten]] void capture_baseline(const detail::CaptureWork& w,
+                                       std::int64_t g) {
+  w.capture_channel_group(g);
+}
+
+#ifdef BIOSENSE_CAPTURE_X86_LEVELS
+[[gnu::target("arch=x86-64-v3"), gnu::flatten]] void capture_x86_64_v3(
+    const detail::CaptureWork& w, std::int64_t g) {
+  w.capture_channel_group(g);
+}
+
+[[gnu::target("arch=x86-64-v4"), gnu::flatten]] void capture_x86_64_v4(
+    const detail::CaptureWork& w, std::int64_t g) {
+  w.capture_channel_group(g);
+}
+#endif
+
+detail::CaptureKernel capture_entry(detail::CaptureLevel level) {
+  switch (level) {
+#ifdef BIOSENSE_CAPTURE_X86_LEVELS
+    case detail::CaptureLevel::kX86_64_V3:
+      return capture_x86_64_v3;
+    case detail::CaptureLevel::kX86_64_V4:
+      return capture_x86_64_v4;
+#endif
+    default:
+      return capture_baseline;
+  }
+}
+
+/// The widest level the host runs.
+detail::CaptureLevel host_capture_level() {
+  for (const auto level : {detail::CaptureLevel::kX86_64_V4,
+                           detail::CaptureLevel::kX86_64_V3}) {
+    if (detail::capture_level_supported(level)) return level;
+  }
+  return detail::CaptureLevel::kBaseline;
+}
+
+}  // namespace
+
+bool detail::capture_level_supported(CaptureLevel level) {
+  if (level == CaptureLevel::kBaseline) return true;
+#ifdef BIOSENSE_CAPTURE_X86_LEVELS
+  __builtin_cpu_init();
+  return level == CaptureLevel::kX86_64_V3
+             ? __builtin_cpu_supports("x86-64-v3")
+             : __builtin_cpu_supports("x86-64-v4");
+#else
+  return false;
+#endif
+}
+
+void detail::force_capture_level(NeuroChip& chip, CaptureLevel level) {
+  require(capture_level_supported(level),
+          "NeuroChip: the host cannot run this capture level");
+  chip.capture_kernel_ = capture_entry(level);
 }
 
 NeuroChip::NeuroChip(NeuroChipConfig config, Rng rng)
@@ -77,6 +320,7 @@ NeuroChip::NeuroChip(NeuroChipConfig config, Rng rng)
   signal_scratch_.assign(bank_.size(), 0.0);
   channel_drift_.assign(static_cast<std::size_t>(n_channels), 1.0);
   gm_nominal_ = bank_.gm(0);
+  capture_kernel_ = capture_entry(host_capture_level());
 }
 
 void NeuroChip::inject_faults(const faults::SiteFaultSet& set,
@@ -219,9 +463,10 @@ void NeuroChip::capture_frame_into(const SignalSource& source, double t,
 
   // Phase 1 — batched signal evaluation, one column per work item. The
   // scratch buffer is column-major so each call fills a contiguous span.
-  // Both phase lambdas capture a single pointer to a stack context so the
-  // std::function parallel_for builds stays inside its small-buffer
-  // optimization — a wider capture heap-allocates once per frame.
+  // Both phase lambdas capture at most two pointers (a stack context, and
+  // in phase 2 the entry) so the std::function parallel_for builds stays
+  // inside its small-buffer optimization — a wider capture heap-allocates
+  // once per frame.
   double* scratch = signal_scratch_.data();
   struct ColumnCtx {
     const SignalSource& source;
@@ -257,178 +502,18 @@ void NeuroChip::capture_frame_into(const SignalSource& source, double t,
   const double quiesce = config_.quiescence_threshold.value();
 
   // Phase 2 — the analog signal path, one group of ceil(channels /
-  // threads) contiguous output channels per work item. A channel owns its
-  // mux group of rows: their plane runs (and noise counters), their row
-  // chains, and its channel chain. Columns stay in sequence inside a group
-  // because the amplifiers' single-pole settling state carries from column
-  // to column. Per column, each channel's 8-row run (one cache line of the
-  // column-major planes) draws its active pixels' noise in one batch and
-  // evaluates their front ends; hold-time droop follows each read (each
-  // pixel is read exactly once; masking and recalibration run after the
-  // parallel region). Then the group's row chains step as SIMD lanes, one
-  // lane per row, and each mux slot steps the group's channel chains as
-  // lanes, one per channel, through drift and the ADC. Every lane performs
-  // the scalar stage_update, so frames are bitwise-identical for any thread
-  // count and grouping. A group keeps its lanes' pole memories in its own
-  // cache-line-aligned block for the frame, so no two workers write one
-  // line.
+  // threads) contiguous output channels per work item
+  // (capture_channel_group), through the entry chosen at construction.
   const int n_ch = channels();
   const int threads = max_threads();
   const int group = (n_ch + threads - 1) / threads;
-  struct ChannelCtx {
-    NeuroChip& chip;
-    NeuroFrame& frame;
-    double* scratch;
-    int rows;
-    int cols;
-    int mux;
-    int n_ch;
-    int group;
-    double full_scale;
-    double adc_lsb;
-    double conv_gain;
-    const PixelBank::FrameConsts& fc;
-    const double* row_decay;
-    const double* ch_decay;
-    double droop_step;
-    double quiesce;
-  } ch_ctx{*this,      frame,   scratch,   rows,     cols,     mux,
-           n_ch,       group,   full_scale, adc_lsb, conv_gain, fc,
-           row_decay,  ch_decay, droop_step, quiesce};
-  parallel_for(0, (n_ch + group - 1) / group, [&ch_ctx](std::int64_t g) {
-    NeuroChip& chip = ch_ctx.chip;
-    PixelBank& bank = chip.bank_;
-    const int c0 = static_cast<int>(g) * ch_ctx.group;
-    const int c1 = std::min(c0 + ch_ctx.group, ch_ctx.n_ch);
-    const auto n_lanes = static_cast<std::size_t>(c1 - c0);
-    const auto mux = static_cast<std::size_t>(ch_ctx.mux);
-    const std::size_t n_rows = mux * n_lanes;
-    const auto first_ch = static_cast<std::size_t>(c0);
-    const std::size_t first_row = first_ch * mux;
-    // The block: front-end currents, row-chain outputs and the two row
-    // stages' pole memories in row order, then the two channel stages' pole
-    // memories and one slot's codes in channel order.
-    double* i_diff = chip.lane_scratch_.data() + first_ch * chip.lane_stride_;
-    double* i_row = i_diff + n_rows;
-    double* row_mem = i_row + n_rows;
-    double* ch_mem = row_mem + 2 * n_rows;
-    double* codes = ch_mem + 2 * n_lanes;
-    circuit::GainBank& row_bank = chip.row_chains_;
-    circuit::GainBank& ch_bank = chip.channel_chains_;
-    for (std::size_t k = 0; k < 2; ++k) {
-      std::copy_n(row_bank.i_out(k) + first_row, n_rows,
-                  row_mem + k * n_rows);
-      std::copy_n(ch_bank.i_out(k) + first_ch, n_lanes,
-                  ch_mem + k * n_lanes);
-    }
-    const auto r0 = row_bank.lanes(0, first_row, row_mem, ch_ctx.row_decay[0]);
-    const auto r1 =
-        row_bank.lanes(1, first_row, row_mem + n_rows, ch_ctx.row_decay[1]);
-    const auto k0 = ch_bank.lanes(0, first_ch, ch_mem, ch_ctx.ch_decay[0]);
-    const auto k1 =
-        ch_bank.lanes(1, first_ch, ch_mem + n_lanes, ch_ctx.ch_decay[1]);
-    const double* drift = chip.channel_drift_.data() + first_ch;
-    const double full_scale = ch_ctx.full_scale;
-    const double adc_lsb = ch_ctx.adc_lsb;
-
-    for (int col = 0; col < ch_ctx.cols; ++col) {
-      for (int ch = c0; ch < c1; ++ch) {
-        const int row_begin = ch * ch_ctx.mux;
-        const int row_end = row_begin + ch_ctx.mux;
-        for (int run = row_begin; run < row_end; run += PixelBank::kBatch) {
-          const int run_end = std::min(run + PixelBank::kBatch, row_end);
-          // Column-major planes: the pixel's plane slot is the same index
-          // phase 1 wrote its signal to.
-          const std::size_t run_pi =
-              static_cast<std::size_t>(col) *
-                  static_cast<std::size_t>(ch_ctx.rows) +
-              static_cast<std::size_t>(run);
-          // Sparse path: a quiescent pixel (source signal below threshold)
-          // reports its cached zero-signal current and draws no noise; its
-          // flicker poles catch up on its next active read. The decision
-          // depends only on phase-1 output, which is identical for every
-          // thread count — see DESIGN.md §16. The run's active pixels are
-          // gathered into one block: their noise is one draw_noise batch
-          // and their front ends one run of lanes, dense or sparse alike.
-          std::size_t active[PixelBank::kBatch];
-          double v_sig[PixelBank::kBatch];
-          double noise[PixelBank::kBatch];
-          double i_active[PixelBank::kBatch];
-          int n_active = 0;
-          for (int r = 0; r < run_end - run; ++r) {
-            const std::size_t pi = run_pi + static_cast<std::size_t>(r);
-            const double v = ch_ctx.scratch[pi];
-            if (ch_ctx.quiesce > 0.0 && std::abs(v) < ch_ctx.quiesce) {
-              bank.skip(pi);
-            } else {
-              v_sig[n_active] = v;
-              active[n_active++] = pi;
-            }
-          }
-          if (n_active > 0) {
-            bank.draw_noise(active, n_active, ch_ctx.fc, noise);
-            bank.front_end(active, n_active, v_sig, noise, i_active);
-          }
-          int next_active = 0;
-          for (int row = run; row < run_end; ++row) {
-            const std::size_t pi = run_pi + static_cast<std::size_t>(row - run);
-            double i_pixel = 0.0;
-            if (next_active < n_active && active[next_active] == pi) {
-              i_pixel = i_active[next_active++];
-            } else {
-              i_pixel = bank.quiet_current(pi);
-            }
-            i_diff[static_cast<std::size_t>(row) - first_row] = i_pixel;
-            // Hold-time droop for this frame.
-            bank.droop(pi, ch_ctx.droop_step);
-          }
-        }
-      }
-
-      // Row amplifiers settle within the column dwell; two half-dwell
-      // steps capture the residual first-order settling.
-      BIOSENSE_LANE_LOOP
-      for (std::size_t j = 0; j < n_rows; ++j) {
-        r1.step(j, r0.step(j, i_diff[j]));
-        i_row[j] = r1.step(j, r0.step(j, i_diff[j]));
-      }
-
-      // The channel chain serves mux_factor rows in sequence within the
-      // column dwell (one mux slot each). Gain-chain drift scales the
-      // delivered current.
-      for (std::size_t s = 0; s < mux; ++s) {
-        BIOSENSE_LANE_LOOP
-        for (std::size_t l = 0; l < n_lanes; ++l) {
-          const double x = i_row[l * mux + s];
-          k1.step(l, k0.step(l, x));
-          const double i_out = k1.step(l, k0.step(l, x)) * drift[l];
-          // Off-chip ADC. A NaN current (only a non-finite source makes
-          // one) reads code 0, what std::lround's result narrows to on
-          // x86-64.
-          double clipped = std::clamp(i_out, -full_scale, full_scale);
-          clipped = clipped == clipped ? clipped : 0.0;
-          codes[l] = round_half_away(clipped / adc_lsb);
-        }
-        for (std::size_t l = 0; l < n_lanes; ++l) {
-          const std::size_t row = first_row + l * mux + s;
-          const std::size_t idx = row * static_cast<std::size_t>(ch_ctx.cols) +
-                                  static_cast<std::size_t>(col);
-          auto code = static_cast<std::int32_t>(codes[l]);
-          if (chip.has_pixel_faults_) code = chip.apply_pixel_fault(idx, code);
-          ch_ctx.frame.codes[idx] = code;
-          ch_ctx.frame.v_in[idx] =
-              static_cast<double>(code) * adc_lsb / ch_ctx.conv_gain;
-        }
-      }
-    }
-
-    for (std::size_t k = 0; k < 2; ++k) {
-      std::copy_n(row_mem + k * n_rows, n_rows,
-                  row_bank.i_out(k) + first_row);
-      std::copy_n(ch_mem + k * n_lanes, n_lanes,
-                  ch_bank.i_out(k) + first_ch);
-    }
-  });
+  const detail::CaptureWork work{*this,      frame,      scratch,  rows,
+                                 cols,       mux,        n_ch,     group,
+                                 full_scale, adc_lsb,    conv_gain, fc,
+                                 row_decay,  ch_decay,   droop_step, quiesce};
+  const detail::CaptureKernel kernel = capture_kernel_;
+  parallel_for(0, (n_ch + group - 1) / group,
+               [&work, kernel](std::int64_t g) { kernel(work, g); });
 
   // Defect-map masking: replace flagged pixels by their good neighbours'
   // mean before anything downstream sees the frame.

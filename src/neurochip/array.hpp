@@ -20,7 +20,10 @@
 // chain, so every piece of mutable state — including each pixel's noise
 // counter and flicker poles — is touched by exactly one worker, in the
 // same order as the serial scan; a group steps its channels' gain chains
-// as SIMD lanes). Frames are bitwise-identical for any thread count.
+// as SIMD lanes). Frames are bitwise-identical for any thread count. The
+// second phase's work item is compiled for baseline x86-64, x86-64-v3 and
+// x86-64-v4 from one body, and the chip runs the widest entry its host
+// supports, chosen once at construction; every entry gives the same bits.
 #pragma once
 
 #include <cstdint>
@@ -93,6 +96,31 @@ struct TimingBudget {
   double row_amp_settle_taus = 0.0;   // column dwell / tau(4 MHz)
   double driver_settle_taus = 0.0;    // mux slot / tau(32 MHz)
 };
+
+class NeuroChip;
+
+namespace detail {
+
+/// One frame's phase-2 context (defined in array.cpp).
+struct CaptureWork;
+
+/// The phase-2 work item for channel group g: one body, compiled once per
+/// x86-64 level.
+using CaptureKernel = void (*)(const CaptureWork& work, std::int64_t g);
+
+/// The levels the work item is compiled for. GCC on x86-64 builds all
+/// three; other compilers and targets build the baseline alone.
+enum class CaptureLevel { kBaseline, kX86_64_V3, kX86_64_V4 };
+
+/// True when this build has `level`'s entry and the host can run it.
+bool capture_level_supported(CaptureLevel level);
+
+/// Test seam: makes `chip` capture through `level`'s entry instead of the
+/// widest one the host supports, which the constructor chose. Throws
+/// ConfigError when capture_level_supported(level) is false.
+void force_capture_level(NeuroChip& chip, CaptureLevel level);
+
+}  // namespace detail
 
 /// One captured frame: input-referred voltages (V) plus raw ADC codes,
 /// row-major.
@@ -215,6 +243,10 @@ class NeuroChip {
   const NeuroChipConfig& config() const { return config_; }
 
  private:
+  friend struct detail::CaptureWork;
+  friend void detail::force_capture_level(NeuroChip& chip,
+                                          detail::CaptureLevel level);
+
   void calibrate_pixels();
   std::int32_t apply_pixel_fault(std::size_t idx, std::int32_t code) const;
   void mask_frame(NeuroFrame& frame, double adc_lsb, double conv_gain) const;
@@ -243,6 +275,9 @@ class NeuroChip {
   Plane<double> lane_scratch_;  // analyze:transient - scratch buffer
   std::size_t lane_stride_ = 0;  // analyze:transient - derived constant
   double gm_nominal_ = 0.0;  // analyze:transient - derived constant, recomputed at construction
+  // The phase-2 entry for the widest x86-64 level the host runs.
+  // analyze:transient - per-host derived value, chosen at construction
+  detail::CaptureKernel capture_kernel_ = nullptr;
   double last_calibration_t_ = 0.0;
   bool ever_calibrated_ = false;
 };

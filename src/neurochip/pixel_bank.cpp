@@ -6,21 +6,7 @@
 #include "common/error.hpp"
 #include "noise/counter.hpp"
 
-// This file holds the batched Box-Muller kernel and is built with
-// -fno-math-errno (src/neurochip/CMakeLists.txt) so std::sqrt vectorizes.
-
 namespace biosense::neurochip {
-
-namespace {
-
-/// Box-Muller pairs per pixel-step: white + kFlickerPoles normals, rounded
-/// up to whole pairs (one normal of the last pair goes unused).
-constexpr int kPairs = (static_cast<int>(noise::kFlickerPoles) + 2) / 2;
-
-static_assert(PixelBank::kBatch <= circuit::MosfetSpan::kLanes,
-              "a front-end run must fit one MosfetSpan lane block");
-
-}  // namespace
 
 void PixelBank::build(const PixelParams& params, int rows, int cols,
                       noise::MismatchSampler& mismatch, Rng& master) {
@@ -124,69 +110,6 @@ const PixelBank::FrameConsts& PixelBank::prepare(double dt) {
     consts_.valid = true;
   }
   return consts_;
-}
-
-void PixelBank::draw_noise(const std::size_t* idx, int count,
-                           const FrameConsts& fc, double* noise) {
-  // Three passes over the run: counter draws to uniforms (integer work),
-  // Box-Muller over every pair of the run (the loop GCC vectorizes), then
-  // each pixel's pole update. Normal q of pixel j sits at z[j*2*pairs + q],
-  // the layout noise::step_normals produces for one pixel.
-  const int pairs = has_flicker_ ? kPairs : 1;
-  alignas(64) double u1[kBatch * kPairs];
-  alignas(64) double u2[kBatch * kPairs];
-  alignas(64) double z[2 * kBatch * kPairs];
-  for (int j = 0; j < count; ++j) {
-    const std::size_t i = idx[j];
-    const std::uint64_t base = noise::counter_base(key_, i, step_[i]++);
-    for (int p = 0; p < pairs; ++p) {
-      const auto d = static_cast<std::uint64_t>(2 * p);
-      u1[j * pairs + p] = noise::open_uniform(noise::counter_draw(base, d));
-      u2[j * pairs + p] =
-          noise::open_uniform(noise::counter_draw(base, d + 1));
-    }
-  }
-  const int n_pairs = count * pairs;
-  for (int m = 0; m < n_pairs; ++m) {
-    noise::box_muller(u1[m], u2[m], z[2 * m], z[2 * m + 1]);
-  }
-  for (int j = 0; j < count; ++j) {
-    const std::size_t i = idx[j];
-    const double* zj = z + 2 * j * pairs;
-    const std::uint64_t lag = lag_[i];
-    lag_[i] = 0;
-    double flicker = 0.0;
-    if (has_flicker_) {
-      const double steps = static_cast<double>(lag) + 1.0;
-      for (std::size_t k = 0; k < noise::kFlickerPoles; ++k) {
-        double a = fc.flicker.a[k];
-        double s = fc.flicker.s[k];
-        if (lag != 0) {
-          // Exact OU fast-forward over the skipped steps:
-          // x <- a^n x + N(0, sigma2 (1 - a^2n)).
-          a = std::exp(-steps * fc.flicker.rate[k]);
-          s = std::sqrt(flicker_plan_.sigma2 * (1.0 - a * a));
-        }
-        double& x = flicker_states_[k * n_ + i];
-        x = x * a + s * zj[k + 1];
-        flicker += x;
-      }
-    }
-    noise[j] = fc.white_sigma * zj[0] + flicker;
-  }
-}
-
-void PixelBank::front_end(const std::size_t* idx, int count,
-                          const double* v_signal, const double* noise,
-                          double* i_diff) const {
-  double v_gate[kBatch] = {};
-  for (int j = 0; j < count; ++j) {
-    double v = v_store_[idx[j]] + v_signal[j];
-    v += noise[j];
-    v_gate[j] = v;
-  }
-  m1_.drain_currents(idx, v_gate, count, v_drain_, 0.0, i_diff);
-  for (int j = 0; j < count; ++j) i_diff[j] -= i_m2_[idx[j]];
 }
 
 void PixelBank::save_state(snapshot::StateWriter& w) const {

@@ -1,7 +1,8 @@
 // neuro-hot-loop must-fire fixture: a capture_frame_into definition in
 // the pre-SoA per-pixel style. Every banned shape is seeded — accessor
 // calls (pixel/read_current/elapse/calibrate/sample), heap traffic
-// (new, push_back, make_unique) and a std::function indirection.
+// (new, push_back, make_unique) and a std::function indirection — and a
+// phase-2 work item (capture_channel_group) that grows a vector per run.
 #include <functional>
 #include <memory>
 #include <vector>
@@ -37,6 +38,18 @@ void Chip::capture_frame_into(double t, Frame& frame) {
     }
   }
   delete[] trace;
+}
+
+// The work item each x86-64 level's entry inlines: the same bans hold in
+// its body.
+inline void capture_channel_group(Frame& frame, long g) {
+  std::vector<double> run;
+  for (int r = 0; r < 8; ++r) run.emplace_back(static_cast<double>(g + r));
+  frame.v_in.assign(run.begin(), run.end());
+}
+
+[[gnu::flatten]] void capture_baseline(Frame& frame, long g) {
+  capture_channel_group(frame, g);
 }
 
 }  // namespace biosense::neurochip

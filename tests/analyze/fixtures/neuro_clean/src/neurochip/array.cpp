@@ -1,8 +1,9 @@
 // neuro-hot-loop clean control: a capture_frame_into in the sanctioned
 // SoA style — plane indices, prepared/batch bank calls, zero per-frame
-// heap traffic — plus one deliberately escaped exception. Must produce
-// zero findings. (A comment mentioning std::function or read_current()
-// must not fire either: comments are not tokens.)
+// heap traffic — plus one deliberately escaped exception, and a phase-2
+// work item (capture_channel_group) in the same style behind a per-level
+// entry. Must produce zero findings. (A comment mentioning std::function
+// or read_current() must not fire either: comments are not tokens.)
 #include <cstddef>
 #include <vector>
 
@@ -50,6 +51,24 @@ void Chip::capture_frame_into(double t, Frame& frame) {
   // One-off diagnostic buffer, deliberately exempted with a reason.
   std::vector<int> audit;
   audit.push_back(rows);  // analyze:allow-hot-loop - cold diagnostic tail
+}
+
+// The work item steps a run of plane slots; the entries below only call it.
+inline void capture_channel_group(Bank& bank, double* i_diff, long g) {
+  for (std::size_t r = 0; r < 8; ++r) {
+    const std::size_t pi = static_cast<std::size_t>(g) * 8 + r;
+    i_diff[r] = bank.quiet_current(pi);
+    bank.droop(pi, 1e-9);
+  }
+}
+
+[[gnu::flatten]] void capture_baseline(Bank& bank, double* i_diff, long g) {
+  capture_channel_group(bank, i_diff, g);
+}
+
+[[gnu::target("arch=x86-64-v3"), gnu::flatten]] void capture_x86_64_v3(
+    Bank& bank, double* i_diff, long g) {
+  capture_channel_group(bank, i_diff, g);
 }
 
 }  // namespace biosense::neurochip

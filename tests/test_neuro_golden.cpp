@@ -9,7 +9,9 @@
 // with noise on, faults injected, a defect map installed, a recalibration
 // crossing inside the recorded window and the sparse path's fast-forward
 // live, at 1 and 4 threads. Any batching or hoisting that changes a single
-// ulp fails here.
+// ulp fails here. The capture kernel's entry for each x86-64 level the
+// host supports (baseline, x86-64-v3, x86-64-v4) is forced in turn and
+// held to the same model.
 //
 // The reference model also serializes itself through the documented
 // chip-state layout (version neurochip::kChipStateVersion), which must stay
@@ -22,7 +24,10 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <initializer_list>
+#include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "circuit/gain_stage.hpp"
@@ -444,12 +449,17 @@ void arm(NeuroChip& chip, RefChip& ref) {
   ref.calibrate_all();
 }
 
+/// The capture entry a lockstep run forces; empty runs the entry the chip
+/// chose for its host.
+using Level = std::optional<detail::CaptureLevel>;
+
 void expect_lockstep(const NeuroChipConfig& cfg, const SignalSource& source,
-                     std::uint64_t seed, int frames) {
+                     std::uint64_t seed, int frames, Level level = {}) {
   const double period = (1.0 / cfg.frame_rate).value();
   for (int threads : {1, 4}) {
     set_max_threads(threads);
     NeuroChip chip(cfg, Rng(seed));
+    if (level) detail::force_capture_level(chip, *level);
     RefChip ref(cfg, Rng(seed));
     arm(chip, ref);
     for (int k = 0; k < frames; ++k) {
@@ -461,18 +471,27 @@ void expect_lockstep(const NeuroChipConfig& cfg, const SignalSource& source,
   set_max_threads(1);
 }
 
+/// Noise, faults, drift, a defect map and a recalibration after frame 3.
+void expect_batched_lockstep(Level level = {}) {
+  expect_lockstep(golden_config(), GoldenWave(), 2026, 6, level);
+}
+
+/// Pixels cross a 0.6 mV threshold back and forth: quiet ones draw
+/// nothing, and on their next active read the poles jump over every
+/// missed step, in the batch and in the reference alike.
+void expect_sparse_lockstep(Level level = {}) {
+  NeuroChipConfig cfg = golden_config();
+  cfg.quiescence_threshold = Voltage(0.6e-3);
+  expect_lockstep(cfg, GoldenWave(2.0 * 3.141592653589793 * 730.0), 77, 12,
+                  level);
+}
+
 TEST(NeuroGolden, BatchedFramesMatchObjectModelBitwise) {
-  // Noise, faults, drift, a defect map and a recalibration after frame 3.
-  expect_lockstep(golden_config(), GoldenWave(), 2026, 6);
+  expect_batched_lockstep();
 }
 
 TEST(NeuroGolden, SparseFastForwardMatchesObjectModelBitwise) {
-  // Pixels cross a 0.6 mV threshold back and forth: quiet ones draw
-  // nothing, and on their next active read the poles jump over every
-  // missed step, in the batch and in the reference alike.
-  NeuroChipConfig cfg = golden_config();
-  cfg.quiescence_threshold = Voltage(0.6e-3);
-  expect_lockstep(cfg, GoldenWave(2.0 * 3.141592653589793 * 730.0), 77, 12);
+  expect_sparse_lockstep();
 }
 
 /// Faults, per-channel drift and a defect map placed by the chip's shape,
@@ -509,12 +528,14 @@ void arm_shape(NeuroChip& chip, RefChip& ref) {
   ref.calibrate_all();
 }
 
-TEST(NeuroGolden, UnevenLaneGroupsMatchObjectModelBitwise) {
-  // Phase 2 steps ceil(channels / threads) channels per work item as SIMD
-  // lanes. Channel counts that split unevenly — 3 (24x16, mux 8), 6
-  // (24x16, mux 4) and the fleet's 8x8 chip with one — at 1 to 4 threads,
-  // with faults, drift, a defect map, the sparse threshold and a
-  // recalibration crossing live, must match the per-pixel model bitwise.
+/// Phase 2 steps ceil(channels / threads) channels per work item as SIMD
+/// lanes. Channel counts that split unevenly — 3 (24x16, mux 8), 6
+/// (24x16, mux 4) and the fleet's 8x8 chip with one — at each of
+/// `thread_counts`, with faults, drift, a defect map, the sparse threshold
+/// and a recalibration crossing live, must match the per-pixel model
+/// bitwise.
+void expect_uneven_lockstep(std::initializer_list<int> thread_counts,
+                            Level level = {}) {
   struct Shape {
     int rows;
     int cols;
@@ -529,12 +550,13 @@ TEST(NeuroGolden, UnevenLaneGroupsMatchObjectModelBitwise) {
     cfg.mux_factor = shape.mux;
     cfg.quiescence_threshold = Voltage(0.6e-3);
     const double period = (1.0 / cfg.frame_rate).value();
-    for (int threads : {1, 2, 3, 4}) {
+    for (int threads : thread_counts) {
       SCOPED_TRACE(::testing::Message()
                    << shape.rows << "x" << shape.cols << " mux " << shape.mux
                    << ", " << threads << " threads");
       set_max_threads(threads);
       NeuroChip chip(cfg, Rng(31));
+      if (level) detail::force_capture_level(chip, *level);
       RefChip ref(cfg, Rng(31));
       arm_shape(chip, ref);
       for (int k = 0; k < 8; ++k) {
@@ -546,6 +568,46 @@ TEST(NeuroGolden, UnevenLaneGroupsMatchObjectModelBitwise) {
   }
   set_max_threads(1);
 }
+
+TEST(NeuroGolden, UnevenLaneGroupsMatchObjectModelBitwise) {
+  expect_uneven_lockstep({1, 2, 3, 4});
+}
+
+// The capture kernel's entries for baseline x86-64, x86-64-v3 and
+// x86-64-v4 come from one body; each must give the object model's bits.
+// A chip runs the widest entry its host supports, so the narrower ones are
+// forced here, through the detail seam, on the scenarios above at 1 and 4
+// threads. A level the build or host lacks is reported as skipped.
+class NeuroGoldenLevel
+    : public ::testing::TestWithParam<detail::CaptureLevel> {};
+
+TEST_P(NeuroGoldenLevel, EveryEntryMatchesObjectModelBitwise) {
+  const detail::CaptureLevel level = GetParam();
+  if (!detail::capture_level_supported(level)) {
+    GTEST_SKIP() << "no capture entry for this level runs here: the build "
+                    "has none (not GCC on x86-64) or the host's CPU lacks "
+                    "the level";
+  }
+  expect_batched_lockstep(level);
+  expect_sparse_lockstep(level);
+  expect_uneven_lockstep({1, 4}, level);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Levels, NeuroGoldenLevel,
+    ::testing::Values(detail::CaptureLevel::kBaseline,
+                      detail::CaptureLevel::kX86_64_V3,
+                      detail::CaptureLevel::kX86_64_V4),
+    [](const ::testing::TestParamInfo<detail::CaptureLevel>& info) {
+      switch (info.param) {
+        case detail::CaptureLevel::kX86_64_V3:
+          return std::string("x86_64_v3");
+        case detail::CaptureLevel::kX86_64_V4:
+          return std::string("x86_64_v4");
+        default:
+          return std::string("baseline");
+      }
+    });
 
 TEST(NeuroGolden, AdcRoundingMatchesLround) {
   // The lanes' ADC rounds with compares on doubles; it must give

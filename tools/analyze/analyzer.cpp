@@ -104,8 +104,8 @@ std::vector<std::pair<std::string, std::string>> rule_catalogue() {
        "src/common/hash.hpp; hash through biosense::fnv1a"},
       {"neuro-hot-loop",
        "per-pixel accessor calls, heap allocation and std::function "
-       "banned inside capture_frame_into's pixel loop — the SoA kernel "
-       "stays on plane buffers (escape: analyze:allow-hot-loop)"},
+       "banned inside capture_frame_into and capture_channel_group — the "
+       "SoA kernel stays on plane buffers (escape: analyze:allow-hot-loop)"},
   };
 }
 

@@ -54,8 +54,9 @@ void rule_obs_names(const Tree& tree, Findings& out);
 void rule_lint_ported(const Tree& tree, Findings& out);
 
 // Capture hot-loop discipline: no per-pixel accessor calls, heap
-// allocation or std::function inside capture_frame_into definitions
-// under src/neurochip/ (rule `neuro-hot-loop`, DESIGN.md §16).
+// allocation or std::function inside capture_frame_into or
+// capture_channel_group definitions under src/neurochip/ (rule
+// `neuro-hot-loop`, DESIGN.md §16).
 void rule_neuro_hot_loop(const Tree& tree, Findings& out);
 
 }  // namespace biosense::analyze

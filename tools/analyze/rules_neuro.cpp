@@ -1,11 +1,12 @@
 // Neuro capture hot-loop discipline (rule `neuro-hot-loop`).
 //
-// The SoA refactor (DESIGN.md §16) earns its frames/s by keeping
-// `capture_frame_into`'s pixel loop on contiguous plane buffers: no
-// per-pixel accessor objects or views, no per-pixel heap traffic. This
-// rule pins that property so it cannot silently rot back toward the
-// per-pixel object model: inside the body
-// of any `capture_frame_into` definition under src/neurochip/ it bans
+// The SoA refactor (DESIGN.md §16) earns its frames/s by keeping the
+// capture kernel's pixel loop on contiguous plane buffers: no per-pixel
+// accessor objects or views, no per-pixel heap traffic. This rule pins
+// that property so it cannot silently rot back toward the per-pixel object
+// model: inside the body of any `capture_frame_into` definition, and of
+// any `capture_channel_group` definition (the phase-2 work item that each
+// x86-64 level's entry inlines), under src/neurochip/ it bans
 //
 //   * calls into the per-pixel accessor surface — `pixel(...)`,
 //     `read_current(...)`, `sample(...)`, `elapse(...)`,
@@ -58,15 +59,20 @@ bool call_follows(const Tokens& t, std::size_t i, std::size_t end) {
   return j < end && punct(t[j], "(");
 }
 
-/// Finds the body of the next `capture_frame_into` *definition* at or
-/// after `from`: identifier, balanced parameter parens, optional
-/// qualifiers, then `{`. Returns true and the [begin, end) token range
-/// of the body interior; false when no further definition exists.
+/// The functions whose bodies are the capture hot loop.
+bool kernel_name(const Token& t) {
+  return ident(t, "capture_frame_into") || ident(t, "capture_channel_group");
+}
+
+/// Finds the body of the next kernel *definition* at or after `from`:
+/// identifier, balanced parameter parens, optional qualifiers, then `{`.
+/// Returns true, the kernel's name and the [begin, end) token range of the
+/// body interior; false when no further definition exists.
 bool next_definition_body(const Tokens& t, std::size_t from,
-                          std::size_t& body_begin, std::size_t& body_end,
-                          std::size_t& next_from) {
+                          std::string& name, std::size_t& body_begin,
+                          std::size_t& body_end, std::size_t& next_from) {
   for (std::size_t i = from; i + 1 < t.size(); ++i) {
-    if (!ident(t[i], "capture_frame_into") || !punct(t[i + 1], "(")) continue;
+    if (!kernel_name(t[i]) || !punct(t[i + 1], "(")) continue;
     // Balance the parameter list.
     std::size_t j = i + 1;
     int depth = 0;
@@ -90,6 +96,7 @@ bool next_definition_body(const Tokens& t, std::size_t from,
       if (punct(t[b], "}") && --depth == 0) break;
     }
     if (b >= t.size()) return false;
+    name = t[i].text;
     body_begin = k + 1;
     body_end = b;
     next_from = b + 1;
@@ -98,8 +105,8 @@ bool next_definition_body(const Tokens& t, std::size_t from,
   return false;
 }
 
-void check_body(const AnalyzedFile& f, std::size_t begin, std::size_t end,
-                Findings& out) {
+void check_body(const AnalyzedFile& f, const std::string& name,
+                std::size_t begin, std::size_t end, Findings& out) {
   // The per-pixel accessor surface: the bank's unprepared per-index entry
   // points (read_current, calibrate) and the spellings of the retired
   // per-pixel object model (a pixel(...) view, sample, elapse). The SoA
@@ -135,8 +142,8 @@ void check_body(const AnalyzedFile& f, std::size_t begin, std::size_t end,
     if (line_has_marker(f.lex, t[i].line, "analyze:allow-hot-loop")) continue;
     out.push_back(Finding{
         f.src.path, t[i].line, "neuro-hot-loop",
-        what + " inside capture_frame_into (DESIGN.md §16; escape: "
-               "analyze:allow-hot-loop)"});
+        what + " inside " + name +
+            " (DESIGN.md §16; escape: analyze:allow-hot-loop)"});
   }
 }
 
@@ -149,12 +156,13 @@ void rule_neuro_hot_loop(const Tree& tree, Findings& out) {
       continue;
     }
     std::size_t from = 0;
+    std::string name;
     std::size_t body_begin = 0;
     std::size_t body_end = 0;
     std::size_t next_from = 0;
-    while (next_definition_body(f.lex.tokens, from, body_begin, body_end,
-                                next_from)) {
-      check_body(f, body_begin, body_end, out);
+    while (next_definition_body(f.lex.tokens, from, name, body_begin,
+                                body_end, next_from)) {
+      check_body(f, name, body_begin, body_end, out);
       from = next_from;
     }
   }
